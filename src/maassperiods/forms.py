@@ -206,16 +206,6 @@ class MaassForm:
         exponential decay at every cusp, the surrogate only a power law."""
         return "exponential" if self.is_embedding else "power"
 
-    def truncation_bound(self, y: float) -> float:
-        """Bound for the first dropped term of the backend series at height y."""
-        coeffs = self.backend.coefficients
-        n = self.truncation
-        if n >= len(coeffs):
-            return 0.0
-        if self.is_embedding:
-            return abs(coeffs[n]) * math.exp(-2 * math.pi * (n + 1) * y) * y ** (self.k / 2)
-        return abs(coeffs[n]) * math.exp(-2 * math.pi * (n + 1 + self.kappa0) * y)
-
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, z: complex) -> complex:
@@ -303,11 +293,19 @@ class MaassForm:
         return self._tables
 
     def _surrogate_radial(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of W(4 pi |freq| y) values, one row per Fourier term."""
+        """Matrix of W(4 pi |freq| y) values, one row per Fourier term.
+
+        All terms sharing a Whittaker index go through their table in one
+        lookup of the flattened (terms x points) argument matrix, so a
+        one-sided form makes one table call and a two-sided form two.  The
+        lookup is element-wise, so the grouping does not change any value.
+        """
         coeffs, freqs, kappas, tables = self._spectral_data()
         rows = np.empty((len(coeffs), y.size), dtype=complex)
-        for i, (freq, kap) in enumerate(zip(freqs, kappas)):
-            rows[i] = tables[float(kap)](4.0 * math.pi * abs(freq) * y)
+        for kap, table in tables.items():
+            group = kappas == kap
+            args = 4.0 * math.pi * np.abs(freqs[group])[:, None] * y[None, :]
+            rows[group] = table(args.ravel()).reshape(args.shape)
         return rows
 
     def _surrogate_eval(self, zs: np.ndarray) -> np.ndarray:
@@ -320,7 +318,12 @@ class MaassForm:
         return vals.reshape(zs.shape)
 
     def _surrogate_op(self, zs: np.ndarray, sign: int) -> np.ndarray:
-        """E^{+-}_k by exact x-derivative and 5-point differencing in y."""
+        """E^{+-}_k by exact x-derivative and 5-point differencing in y.
+
+        The four shifted heights and y itself are stacked into one radial
+        lookup (one table call per Whittaker index) and summed over terms
+        in one broadcast over the five blocks.
+        """
         flat = zs.ravel()
         x, y = flat.real, flat.imag
         n = flat.size
@@ -329,18 +332,16 @@ class MaassForm:
 
         h = 1e-3 * np.minimum(1.0, y)
         stacked = np.concatenate([y + 2 * h, y + h, y - h, y - 2 * h, y])
-        rows_all = self._surrogate_radial(stacked)
-        sums = np.empty((5, n), dtype=complex)
-        for i in range(5):
-            sums[i] = (coeffs[:, None] * rows_all[:, i * n : (i + 1) * n] * waves).sum(axis=0)
+        rows = self._surrogate_radial(stacked).reshape(len(coeffs), 5, n).swapaxes(0, 1)
+        # (5, terms, points), C-ordered: numpy then sums each block over
+        # terms in the order of the (terms, points) sum in _surrogate_eval
+        # (pairwise for one point, sequential for more), so the unshifted
+        # block equals eval_many bit for bit
+        terms = np.multiply(coeffs[:, None] * rows, waves, order="C")
+        sums = terms.sum(axis=1)
         dy = (-sums[0] + 8 * sums[1] - 8 * sums[2] + sums[3]) / (12.0 * h)
         value = sums[4]
-        dx = (
-            coeffs[:, None]
-            * rows_all[:, 4 * n :]
-            * waves
-            * (2j * math.pi * freqs[:, None])
-        ).sum(axis=0)
+        dx = (terms[4] * (2j * math.pi * freqs[:, None])).sum(axis=0)
         out = sign * 2j * y * dx + 2.0 * y * dy + sign * self.k * value
         return out.reshape(zs.shape)
 

@@ -178,7 +178,11 @@ def _walk_out(phi, budget, start: float, tol: float, factor: float = 1.7, cap: f
 
 
 def _walk_in(phi, budget, t1: float, tol: float):
-    """Find t_min near a parameter-0 endpoint with remaining mass below tol."""
+    """Find t_min near a parameter-0 endpoint with remaining mass below tol.
+
+    Raises NonconvergenceError when the mass has not fallen below tol by
+    t = 1e-280: the integrand is then too singular for a truncated start.
+    """
     t = t1 / 4.0
     while t > 1e-280:
         budget.spend(1)
@@ -186,7 +190,7 @@ def _walk_in(phi, budget, t1: float, tol: float):
         if m == 0.0 or m * t < tol:
             return t, m * t
         t /= 6.0
-    return t, 0.0
+    raise NonconvergenceError(0.0, float("inf"), budget.used)
 
 
 def _power_substituted(phi, alpha: float):

@@ -25,6 +25,7 @@ from maassperiods.forms import (
 )
 from maassperiods.modgroup import S, T, T_PRIME, moebius, mu
 from maassperiods.multiplier import construct_eta_power, construct_trivial
+from maassperiods.specfun import WhittakerTable
 
 
 def test_tau_values():
@@ -124,6 +125,62 @@ def test_surrogate_operators_match_fd(surrogate):
         analytic = op(surrogate, z)
         fd = op(surrogate.eval, z, k=0.5)
         assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-6)
+
+
+def _per_term_reference(form, zs):
+    """(eval, raise, lower) of a surrogate with one table lookup per Fourier
+    term and one term sum per y-shift block."""
+    b = form.backend
+    terms = [(c, n + b.kappa0) for n, c in enumerate(b.coefficients, start=1)]
+    terms += [(c, b.kappa0 - n) for n, c in enumerate(b.negative_coefficients, start=1)]
+    coeffs = np.array([c for c, _ in terms], dtype=complex)
+    freqs = np.array([f for _, f in terms])
+    tables = {
+        kap: WhittakerTable(kap, form.nu)
+        for kap in {math.copysign(form.k / 2.0, f) for f in freqs}
+    }
+
+    def rows(y):
+        return np.array(
+            [tables[math.copysign(form.k / 2.0, f)](4.0 * math.pi * abs(f) * y) for f in freqs]
+        )
+
+    x, y = zs.real, zs.imag
+    waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
+    at_y = rows(y)
+    value = (coeffs[:, None] * at_y * waves).sum(axis=0)
+    h = 1e-3 * np.minimum(1.0, y)
+    sums = [
+        (coeffs[:, None] * rows(yy) * waves).sum(axis=0)
+        for yy in (y + 2 * h, y + h, y - h, y - 2 * h)
+    ]
+    dy = (-sums[0] + 8 * sums[1] - 8 * sums[2] + sums[3]) / (12.0 * h)
+    dx = (coeffs[:, None] * at_y * waves * (2j * math.pi * freqs[:, None])).sum(axis=0)
+    ops = [sign * 2j * y * dx + 2.0 * y * dy + sign * form.k * value for sign in (+1, -1)]
+    return value, ops[0], ops[1]
+
+
+@pytest.mark.parametrize("n", [1, 15, 46, 4096])
+@pytest.mark.parametrize("name, n_kappas", [("surrogate", 1), ("surrogate_two_sided", 2)])
+def test_surrogate_one_table_call_per_kappa(request, monkeypatch, name, n_kappas, n):
+    form = request.getfixturevalue(name)
+    rng = np.random.default_rng(n)
+    zs = rng.uniform(-1.0, 1.0, n) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+    want = _per_term_reference(form, zs)
+
+    calls = []
+    lookup = WhittakerTable.__call__
+
+    def counting(table, t):
+        calls.append(table.kappa)
+        return lookup(table, t)
+
+    monkeypatch.setattr(WhittakerTable, "__call__", counting)
+    for method, expected in zip((form.eval_many, form.raise_many, form.lower_many), want):
+        calls.clear()
+        got = method(zs)
+        assert np.array_equal(got, expected)
+        assert len(calls) == len(set(calls)) == n_kappas
 
 
 def test_operator_composition_identity(surrogate):

@@ -78,6 +78,14 @@ def test_nonconvergence_carries_partial():
     assert excinfo.value.evaluations > 500
 
 
+def test_log_start_walk_exhaustion_raises():
+    # the integral is 1000, but t * t^(-0.999) stays above tol down to
+    # t = 1e-280, so truncating the start there would drop half of it
+    phi = lambda t: np.where(t <= 1.0, t**-0.999, 0.0).astype(complex)
+    with pytest.raises(NonconvergenceError):
+        integrate_ray(phi, start_mode=("log",))
+
+
 def test_error_estimate_dominates_refinement():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
     loose = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-8)
