@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,13 +328,17 @@ class NearlyPeriodicFunction:
 class PeriodFunction:
     """The cusp-to-cusp transform, holomorphic on the cut plane."""
 
+    # least-recently-used memo of evaluated points; verify asks for a point
+    # again at most 13 other points later
+    MEMO_SIZE = 64
+
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
         self._degenerate_zero = form.is_embedding and abs(
             form.nu - (1.0 - form.k) / 2.0
         ) < 1e-12
-        self._cache = {}
+        self._cache = OrderedDict()
 
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
@@ -342,13 +347,11 @@ class PeriodFunction:
         zeta = complex(zeta)
         if on_cut(zeta):
             raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
-        key = zeta
-        if key in self._cache:
-            return self._cache[key]
+        if zeta in self._cache:
+            self._cache.move_to_end(zeta)
+            return self._cache[zeta]
         if self._degenerate_zero:
-            out = PeriodEvaluation(0.0 + 0.0j, "identically zero", 0.0, 0)
-            self._cache[key] = out
-            return out
+            return self._remember(zeta, PeriodEvaluation(0.0 + 0.0j, "identically zero", 0.0, 0))
         form = self.form
         cusp_mode = ("exp",) if form.cusp_profile == "exponential" else ("log",)
         if zeta.real > 0:
@@ -382,7 +385,12 @@ class PeriodFunction:
             result.abs_error_estimate,
             result.evaluations,
         )
-        self._cache[key] = out
+        return self._remember(zeta, out)
+
+    def _remember(self, zeta: complex, out: PeriodEvaluation) -> PeriodEvaluation:
+        self._cache[zeta] = out
+        if len(self._cache) > self.MEMO_SIZE:
+            self._cache.popitem(last=False)
         return out
 
 

@@ -251,7 +251,8 @@ class WhittakerTable:
             vals = np.asarray(whittaker_w(self.params, t_nodes), dtype=complex)
             vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
             coeffs.append(np.polynomial.chebyshev.chebfit(ref, vals, self.DEGREE))
-        self.coeffs = np.array(coeffs)
+        # degree-major, so a lookup gathers one contiguous row per degree
+        self.coeffs = np.ascontiguousarray(np.array(coeffs).T)
 
     def __call__(self, t) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -265,19 +266,20 @@ class WhittakerTable:
         idx = np.clip(
             np.searchsorted(self.edges, s[inside], side="right") - 1,
             0,
-            len(self.coeffs) - 1,
+            len(self.edges) - 2,
         )
         lo = self.edges[idx]
         hi = self.edges[idx + 1]
         x = (2.0 * s[inside] - (hi + lo)) / (hi - lo)
-        # Clenshaw with per-point coefficient rows, vectorised over points
-        c = self.coeffs[idx]
+        # Clenshaw with per-point coefficients, vectorised over points; one
+        # degree is gathered at a time, so no (points x degree) copy is made
+        c = self.coeffs
         b1 = np.zeros(x.shape, dtype=complex)
         b2 = np.zeros(x.shape, dtype=complex)
         two_x = 2.0 * x
         for j in range(self.DEGREE, 0, -1):
-            b1, b2 = c[:, j] + two_x * b1 - b2, b1
-        vals = c[:, 0] + x * b1 - b2
+            b1, b2 = c[j][idx] + two_x * b1 - b2, b1
+        vals = c[0][idx] + x * b1 - b2
         t_in = ts[inside]
         out[inside] = vals * np.exp(-t_in / 2.0) * t_in**self.kappa
         return out if np.ndim(t) else out.reshape(())[()]

@@ -183,6 +183,18 @@ def test_surrogate_one_table_call_per_kappa(request, monkeypatch, name, n_kappas
         assert len(calls) == len(set(calls)) == n_kappas
 
 
+@pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
+def test_values_do_not_depend_on_the_batch(request, name):
+    # quadrature batches many intervals into one integrand call, which
+    # changes no value only because a point's value ignores its neighbours
+    form = request.getfixturevalue(name)
+    rng = np.random.default_rng(46)
+    zs = rng.uniform(-1.0, 1.0, 368) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(3.0), 368))
+    part = slice(100, 146)
+    for method in (form.eval_many, form.raise_many, form.lower_many):
+        assert np.array_equal(method(zs[part]), method(zs)[part])
+
+
 def test_operator_composition_identity(surrogate):
     """E+_{k-2} E-_k u = (1 + 2nu - k)(-1 + 2nu + k) u for an eigenfunction."""
     k, nu = surrogate.k, surrogate.nu

@@ -307,6 +307,17 @@ def test_period_evaluation_metadata(surrogate, settings):
     assert "polyline" in out2.contour
 
 
+def test_period_memo_is_bounded_lru(delta, settings):
+    period = PeriodFunction(delta, settings)
+    period.MEMO_SIZE = 2
+    first = period.eval(0.5)
+    period.eval(1.0)
+    assert period.eval(0.5) is first  # a hit, and now the most recent
+    period.eval(2.0)  # evicts 1.0, the least recently used
+    assert list(period._cache) == [0.5, 2.0]
+    assert period.eval(0.5) is first
+
+
 def test_deformed_contour_matches_three_term_continuation(delta, settings):
     """The left-of-the-cut contour agrees with pushing the argument right
     through the three-term relation (valid for the fully equivariant form),

@@ -1,8 +1,10 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from maassperiods import quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
 from maassperiods.periods import eta_integrand_kernel_raised
@@ -14,6 +16,7 @@ from maassperiods.quadrature import (
     vectorize_form,
 )
 from maassperiods.kernel import OneFormSample
+from maassperiods.specfun import _gauss_rule
 
 
 def _pure_dz(fn):
@@ -86,6 +89,13 @@ def test_log_start_walk_exhaustion_raises():
         integrate_ray(phi, start_mode=("log",))
 
 
+def test_far_walk_cap_raises():
+    # 1/(1+t)^2 decays too slowly for the tail estimate to fall below tol
+    # by t = 1e7; truncating there would claim a converged value
+    with pytest.raises(NonconvergenceError):
+        integrate_ray(lambda t: 1.0 / (1.0 + t) ** 2, tol=1e-10)
+
+
 def test_error_estimate_dominates_refinement():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
     loose = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-8)
@@ -152,3 +162,122 @@ def test_integrate_ray_offsets():
 def test_polyline_rejects_interior_infinity():
     with pytest.raises(DomainError):
         GeodesicPath.polyline([0.0, INFINITY, 1j])
+
+
+def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
+    """Reference adaptive core: two integrand calls (31 and 15 nodes) per
+    interval, the intervals one at a time."""
+    x15, w15 = _gauss_rule(15)
+    x31, w31 = _gauss_rule(31)
+
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        budget.spend(46)
+        i31 = half * np.sum(w31 * phi(mid + half * x31))
+        i15 = half * np.sum(w15 * phi(mid + half * x15))
+        return complex(i31), abs(i31 - i15)
+
+    edges = np.linspace(a, b, initial + 1)
+    heap = []
+    total = 0.0 + 0.0j
+    total_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = gauss(lo, hi)
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, lo, hi, val))
+    width_floor = 5e-15 * (abs(a) + abs(b) + 1.0)
+    while total_err > tol and heap:
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        err = -neg_err
+        if err <= tol * 1e-3 or hi - lo < width_floor:
+            break
+        mid = 0.5 * (lo + hi)
+        v1, e1 = gauss(lo, mid)
+        v2, e2 = gauss(mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+    return total, max(total_err, 0.0)
+
+
+def _oscillating_power(zs):
+    # |t|^(-0.3 + 20i) along the segment from 0 to 1 + i: at tol 1e-12 the
+    # log start walks down to t ~ 1e-19, so the log variable gets over 40
+    # initial panels
+    t = np.asarray(zs, dtype=complex) / (1.0 + 1.0j)
+    return np.exp((-0.3 + 20.0j) * np.log(t.real)), np.zeros(np.shape(zs), complex)
+
+
+_BATCHED_CASES = {
+    "delta ray": lambda delta: integrate_form(
+        eta_integrand_kernel_raised(delta, 2.0 + 0.5j),
+        GeodesicPath.vertical_ray(0.0, +1),
+        tol=1e-8,
+        start_mode=("exp",),
+    ),
+    "arc": lambda delta: integrate_form(
+        _pure_dz(lambda zs: np.exp(2j * math.pi * zs) / zs),
+        GeodesicPath.arc(-1.0, 2.0),
+        tol=1e-11,
+    ),
+    "log-start segment": lambda delta: integrate_form(
+        _oscillating_power,
+        GeodesicPath.polyline([0.0, 1.0 + 1.0j]),
+        tol=1e-12,
+        start_mode=("log",),
+    ),
+    "log-start ray": lambda delta: integrate_ray(
+        lambda t: np.exp(-t) * t ** (-0.5 + 2.0j), tol=1e-10, start_mode=("log",)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCHED_CASES))
+def test_batched_refinement_matches_per_interval_reference(delta, monkeypatch, case):
+    got = _BATCHED_CASES[case](delta)
+    monkeypatch.setattr(quadrature, "_adaptive", _per_interval_adaptive)
+    want = _BATCHED_CASES[case](delta)
+    assert got.value == want.value
+    assert got.abs_error_estimate == want.abs_error_estimate
+    assert got.evaluations == want.evaluations
+
+
+def _counting(phi, sizes):
+    def counted(t):
+        sizes.append(np.size(t))
+        return phi(t)
+
+    return counted
+
+
+def test_one_integrand_call_per_bisection():
+    sizes = []
+    phi = lambda t: np.exp(-t) / (0.01 + (t - 0.5) ** 2)
+    got = integrate_ray(_counting(phi, sizes), tol=1e-12)
+    assert sum(sizes) == got.evaluations
+    # the walk probes one point per call; then each of the two adaptive
+    # pieces evaluates its 4 initial panels in one call and each bisection
+    # both halves, both rules, in one call
+    batched = [n for n in sizes if n > 1]
+    assert batched[0] == 184 and batched.count(184) == 2
+    assert set(batched) == {184, 92}
+
+
+def test_initial_panels_at_most_eight_per_call():
+    sizes = []
+    got = integrate_form(
+        _counting(_oscillating_power, sizes),
+        GeodesicPath.polyline([0.0, 1.0 + 1.0j]),
+        tol=1e-12,
+        start_mode=("log",),
+    )
+    assert sum(sizes) == got.evaluations + 2  # the 2-point protocol probe
+    batched = [n for n in sizes if n > 2]
+    first_bisection = batched.index(92)
+    initial = batched[:first_bisection]
+    assert len(initial) > 2 and set(initial[:-1]) == {368}
+    assert initial[-1] <= 368 and initial[-1] % 46 == 0
+    assert set(batched[first_bisection:]) == {92}
