@@ -4,9 +4,11 @@ Two backends:
 
 * ``HolomorphicEmbedding`` wraps a classical holomorphic cusp form u_h of
   even weight as u(z) = (Im z)^{k/2} u_h(z).  It is genuinely equivariant
-  under the whole group (evaluation reduces z to the fundamental domain and
-  unwinds the phase), the lowering operator kills it exactly, and it anchors
-  every identity that involves the inversion generator.
+  under the whole group, the lowering operator kills it exactly, and it
+  anchors every identity that involves the inversion generator.  It and
+  the classical Eichler integrands share one vectorised evaluator,
+  :func:`q_expansion`: batch reduction with exact integer matrices, exact
+  integer-power phases, and a series cutoff derived from the coefficients.
 
 * ``WhittakerSurrogate`` is a finite sum of Whittaker-W Fourier terms at
   half-integral weight.  Each term is an exact eigenfunction of the weight-k
@@ -30,8 +32,6 @@ import numpy as np
 from .branch import principal_arg, principal_pow
 from .errors import BranchViolationError, DomainError, InvalidWeightError
 from .modgroup import (
-    IDENTITY,
-    S,
     GroupElement,
     has_nonnegative_entries,
     moebius,
@@ -58,6 +58,8 @@ __all__ = [
     "form_from_json",
     "form_to_json",
     "reduce_to_fundamental_domain",
+    "reduce_many",
+    "q_expansion",
 ]
 
 
@@ -81,26 +83,94 @@ def delta_coefficients(n_terms: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fundamental-domain reduction (exact integer matrices)
+# fundamental-domain reduction and q-series evaluation, vectorised
+
+# matrix entries ride along as integer-valued float64, exact below 2^53
+_EXACT_BELOW = 2.0**53
+_MAX_REDUCTION_STEPS = 256
+# (a, b, c, d) -> S (a, b, c, d) = (-c, -d, a, b)
+_S_COLUMNS = [2, 3, 0, 1]
+_S_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+# reduced points have Im w >= sqrt(3)/2, so |q| <= e^{-pi sqrt 3}
+_Q_BOUND = math.exp(-math.pi * math.sqrt(3.0))
+
+
+def reduce_many(zs: np.ndarray) -> tuple:
+    """Reduce a flat array of points to the fundamental domain, all at once.
+
+    Returns (w, g): w = g z with |Re w| <= 1/2 and |w| >= 1 (up to
+    roundoff), g the (n, 4) matrices (a, b, c, d).  A point is translated
+    by floor(Re w + 1/2), then inverted while |w|^2 < 1 - 1e-14, and stops
+    at its first step without an inversion.  Raises DomainError after 256
+    steps, or when an entry (or a product on the way to one) reaches 2^53.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(zs.imag <= 0):
+        raise DomainError("reduction requires Im z > 0")
+    ws = np.empty_like(zs)
+    gs = np.empty((zs.size, 4))
+    idx = np.arange(zs.size)
+    w = zs
+    g = np.tile([1.0, 0.0, 0.0, 1.0], (zs.size, 1))
+    for _ in range(_MAX_REDUCTION_STEPS):
+        shift = np.floor(w.real + 0.5)
+        w = w - shift
+        step = shift[:, None] * g[:, 2:]
+        g[:, :2] -= step
+        if np.abs(np.concatenate((step, g[:, :2]))).max(initial=0.0) >= _EXACT_BELOW:
+            raise DomainError("reduction matrix entries reached 2^53")
+        # every point still moving is written; later steps overwrite it
+        ws[idx] = w
+        gs[idx] = g
+        inside = w.real * w.real + w.imag * w.imag < 1.0 - 1e-14
+        idx = idx[inside]
+        if not idx.size:
+            return ws, gs
+        w = -1.0 / w[inside]
+        g = g.compress(inside, axis=0).take(_S_COLUMNS, axis=1) * _S_SIGNS
+    raise DomainError(f"reduction did not finish in {_MAX_REDUCTION_STEPS} steps")
 
 
 def reduce_to_fundamental_domain(z: complex) -> tuple:
     """Return (w, g) with w = g z, |Re w| <= 1/2 and |w| >= 1 (up to roundoff)."""
-    w = complex(z)
-    if w.imag <= 0:
-        raise DomainError("reduction requires Im z > 0")
-    g = IDENTITY
-    for _ in range(256):
-        n = math.floor(w.real + 0.5)
-        if n != 0:
-            w = complex(w.real - n, w.imag)
-            g = GroupElement(1, -n, 0, 1) * g
-        if (w.real * w.real + w.imag * w.imag) < 1.0 - 1e-14:
-            w = -1.0 / w
-            g = S * g
-        else:
-            return w, g
-    return w, g
+    w, g = reduce_many(np.array([complex(z)]))
+    return complex(w[0]), GroupElement(*(int(e) for e in g[0]))
+
+
+@lru_cache(maxsize=16)
+def _horner_rows(coefficients: tuple) -> np.ndarray:
+    """(N, 2, 1) Horner rows (c_n, 2 pi i n c_n), highest n first.
+
+    N is the last n with n |c_n| e^{-pi sqrt 3 (n-1)} >= 2^-53 of the
+    largest such bound: later terms (and their derivatives, hence n) stay
+    below roundoff at every reduced point.
+    """
+    c = np.asarray(coefficients, dtype=complex)
+    n = np.arange(1, c.size + 1)
+    reach = n * np.abs(c) * _Q_BOUND ** (n - 1)
+    cutoff = int(np.nonzero(reach >= 2.0**-53 * reach.max())[0][-1]) + 1
+    rows = np.stack([c, 2j * math.pi * n * c], axis=1)[:cutoff, :, None]
+    return rows[::-1].copy()
+
+
+def q_expansion(coefficients, zs: np.ndarray, derivative: bool = False) -> tuple:
+    """The q-series sum_{n>=1} c_n q^n at the reduced images of zs.
+
+    Returns (w, mu, series) for a flat z-array: w = g z in the fundamental
+    domain, mu = c z + d the automorphy factor of g, and series[0] the sum
+    at q = e^{2 pi i w}; with ``derivative``, series[1] is its w-derivative.
+    Both sums run Horner's rule over the derived cutoff of
+    :func:`_horner_rows`, in one pass.  Callers apply the weight.
+    """
+    rows = _horner_rows(tuple(coefficients))
+    if not derivative:
+        rows = rows[:, :1]
+    w, g = reduce_many(zs)
+    q = np.exp(2j * math.pi * w)
+    acc = np.zeros((rows.shape[1], w.size), dtype=complex)
+    for row in rows:
+        acc = (acc + row) * q
+    return w, g[:, 2] * zs + g[:, 3], acc
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +308,16 @@ class MaassForm:
 
     # -- embedding internals ---------------------------------------------------
 
-    def _series(self, ws: np.ndarray, derivative: bool) -> np.ndarray:
-        c = self.backend.coefficients[: self.truncation]
-        q = np.exp(2j * math.pi * ws)
-        coeffs = np.zeros(len(c) + 1, dtype=complex)
-        for n, cn in enumerate(c, start=1):
-            coeffs[n] = cn * (2j * math.pi * n if derivative else 1.0)
-        return np.polynomial.polynomial.polyval(q, coeffs)
-
     def _embedding_eval(self, zs: np.ndarray, raised: bool) -> np.ndarray:
-        flat = zs.ravel()
-        ws = np.empty(flat.shape, dtype=complex)
-        phases = np.empty(flat.shape, dtype=complex)
-        k_out = self.k + (2.0 if raised else 0.0)
-        for i, z in enumerate(flat):
-            w, g = reduce_to_fundamental_domain(complex(z))
-            ws[i] = w
-            if g is IDENTITY or (g.c == 0 and g.a == 1):
-                phases[i] = 1.0
-            else:
-                phases[i] = cmath.exp(-1j * k_out * principal_arg(mu(g, complex(z))))
-        y = ws.imag
-        f = self._series(ws, derivative=False)
-        if not raised:
-            vals = phases * y ** (self.k / 2.0) * f
-        else:
-            fp = self._series(ws, derivative=True)
-            vals = phases * (
-                2.0 * self.k * y ** (self.k / 2.0) * f
-                + 4j * y ** (self.k / 2.0 + 1.0) * fp
-            )
-        return vals.reshape(zs.shape)
+        """u = y^{k/2} u_h, or E^+ u, from the reduced point; the phase
+        e^{-ik arg mu} is the exact power (conj(mu)/|mu|)^k (k + 2 raised)."""
+        coefficients = self.backend.coefficients[: self.truncation]
+        w, mu, series = q_expansion(coefficients, zs.ravel(), derivative=raised)
+        y = w.imag
+        k = int(self.weight)
+        vals = 2.0 * k * series[0] + 4j * y * series[1] if raised else series[0]
+        phase = (np.conj(mu) / np.abs(mu)) ** (k + 2 if raised else k)
+        return (phase * y ** (k / 2) * vals).reshape(zs.shape)
 
     # -- surrogate internals -----------------------------------------------------
 

@@ -40,9 +40,9 @@ from .errors import (
     DomainError,
     UnsupportedSpectralParameterError,
 )
-from .forms import MaassForm, reduce_to_fundamental_domain
+from .forms import MaassForm, q_expansion
 from .kernel import RKernel
-from .modgroup import INFINITY, S, mu
+from .modgroup import INFINITY, S
 from .multiplier import MultiplierSystem
 from .quadrature import GeodesicPath, integrate_form, integrate_ray
 
@@ -471,22 +471,13 @@ def derived_period(f, weight, nu, multiplier):
 def holomorphic_series_eval(coefficients, weight: int, zs: np.ndarray) -> np.ndarray:
     """Evaluate a cuspidal q-series of even weight anywhere on H.
 
-    Points are reduced to the fundamental domain and the weight-k phase is
-    unwound exactly (integer powers), so the series converges fast on every
-    contour.  ``coefficients`` start at q^1.
+    The forms evaluator reduces the points to the fundamental domain, and
+    the weight-k factor mu^{-k} is an exact integer power, so the series
+    converges fast on every contour.  ``coefficients`` start at q^1.
     """
     zs = np.asarray(zs, dtype=complex)
-    flat = zs.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    coeffs = np.zeros(len(coefficients) + 1, dtype=complex)
-    coeffs[1:] = coefficients
-    k = int(weight)
-    for i, z in enumerate(flat):
-        w, g = reduce_to_fundamental_domain(complex(z))
-        q = cmath.exp(2j * math.pi * w)
-        val = complex(np.polynomial.polynomial.polyval(q, coeffs))
-        out[i] = val * mu(g, complex(z)) ** (-k)
-    return out.reshape(zs.shape)
+    _, mu, series = q_expansion(coefficients, zs.ravel())
+    return (series[0] * mu ** (-int(weight))).reshape(zs.shape)
 
 
 def _check_cuspidal(coefficients):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import DEFAULTS, Settings
 from .errors import DivergentIntegralError, DomainError, NonconvergenceError
-from .kernel import OneFormSample
 from .modgroup import INFINITY, GroupElement, moebius
 from .specfun import _gauss_rule
 
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_form",
     "geodesic_image",
-    "vectorize_form",
 ]
 
 
@@ -86,18 +84,6 @@ def geodesic_image(path: GeodesicPath, g: GroupElement) -> GeodesicPath:
     return GeodesicPath.arc(moebius(g, e1), moebius(g, e2))
 
 
-def vectorize_form(omega: Callable) -> Callable:
-    """Adapt a scalar z -> OneFormSample function to the array protocol."""
-
-    def many(zs: np.ndarray):
-        samples = [omega(complex(z)) for z in np.ravel(zs)]
-        a = np.array([s.A for s in samples], dtype=complex).reshape(np.shape(zs))
-        b = np.array([s.B for s in samples], dtype=complex).reshape(np.shape(zs))
-        return a, b
-
-    return many
-
-
 # ---------------------------------------------------------------------------
 # evaluation budget and the adaptive core
 
@@ -124,7 +110,10 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
     Each interval gets the embedded 15/31-point Gauss pair, and ``phi``
     sees the nodes of several intervals in one call: the ``initial``
     panels at most ``_PANELS_PER_CALL`` at a time, then both halves of
-    each bisection together (92 points).
+    each bisection together (92 points).  Raises NonconvergenceError, with
+    the partial value and its error, when the total error still exceeds
+    tol but the worst interval has reached the width floor or an error
+    below tol * 1e-3.
     """
     x15, w15 = _gauss_rule(15)
     x31, w31 = _gauss_rule(31)
@@ -156,12 +145,11 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
         total_err += err
         heapq.heappush(heap, (-err, lo, hi, val))
     width_floor = 5e-15 * (abs(a) + abs(b) + 1.0)
-    while total_err > tol and heap:
+    while total_err > tol:
         neg_err, lo, hi, val = heapq.heappop(heap)
         err = -neg_err
         if err <= tol * 1e-3 or hi - lo < width_floor:
-            heapq.heappush(heap, (neg_err, lo, hi, val))
-            break
+            raise NonconvergenceError(total, total_err, budget.used)
         try:
             mid = 0.5 * (lo + hi)
             (v1, e1), (v2, e2) = gauss(np.array([lo, mid]), np.array([mid, hi]))
@@ -325,14 +313,14 @@ def integrate_form(
     end_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
-    """Integrate a OneFormSample-valued integrand along a path.
+    """Integrate a 1-form A dz + B dzbar along a path.
 
-    ``omega`` either maps a z-array to coefficient arrays (A, B) or maps a
-    point to a :class:`OneFormSample`.  ``start_mode`` / ``end_mode``
-    control endpoint handling: ``("power", alpha)`` for an integrable
-    |t|^alpha singularity, ``("log",)`` for a power-law approach to the
-    real axis, ``("exp",)`` for cusp decay (walk truncation); boundary
-    endpoints default to ``("exp",)``.
+    ``omega`` maps a z-array to the coefficient arrays (A, B).
+    ``start_mode`` / ``end_mode`` control endpoint handling:
+    ``("power", alpha)`` for an integrable |t|^alpha singularity,
+    ``("log",)`` for a power-law approach to the real axis, ``("exp",)``
+    for cusp decay (walk truncation); boundary endpoints default to
+    ``("exp",)``.
     """
     if tol is None:
         tol = settings.quad_tol
@@ -340,7 +328,6 @@ def integrate_form(
         max_evals = settings.max_evals
     budget = _Budget(max_evals)
     pieces = _compile(path, settings)
-    omega = _normalized(omega, pieces)
     n = len(pieces)
     total = 0.0 + 0.0j
     total_err = 0.0
@@ -363,34 +350,8 @@ def integrate_form(
     )
 
 
-def _normalized(omega, pieces) -> Callable:
-    """Accept either the array protocol or a scalar OneFormSample function."""
-    probe_vals = np.repeat(pieces[0].probe(), 2)  # length-2 so scalar code raises
-    try:
-        out = omega(probe_vals)
-        if isinstance(out, tuple) and len(out) == 2:
-            return omega
-    except (TypeError, AttributeError, ValueError):
-        pass
-    sample = omega(complex(probe_vals[0]))
-    if isinstance(sample, OneFormSample):
-        return vectorize_form(omega)
-    raise TypeError("omega must return (A, B) arrays or a OneFormSample")
-
-
-class _CompiledPiece:
-    def __init__(self, runner, probe_point):
-        self._runner = runner
-        self._probe = probe_point
-
-    def probe(self) -> np.ndarray:
-        return np.array([self._probe], dtype=complex)
-
-    def __call__(self, omega, tol, budget, smode, emode):
-        return self._runner(omega, tol, budget, smode, emode)
-
-
-def _compile(path: GeodesicPath, settings: Settings):
+def _compile(path: GeodesicPath, settings: Settings) -> list:
+    """One runner per piece: (omega, tol, budget, smode, emode) -> (value, error, note)."""
     if path.kind == "vertical_ray":
         base, toward = path.points
         return [_make_ray(complex(base), toward, settings)]
@@ -406,7 +367,7 @@ def _compile(path: GeodesicPath, settings: Settings):
     return pieces
 
 
-def _make_segment(z0: complex, z1: complex) -> _CompiledPiece:
+def _make_segment(z0: complex, z1: complex) -> Callable:
     def run(omega, tol, budget, smode, emode):
         phi = _segment_phi(omega, z0, z1)
         if emode is not None:
@@ -414,7 +375,7 @@ def _make_segment(z0: complex, z1: complex) -> _CompiledPiece:
         val, err, tag = _start_handled(phi, 1.0, smode, tol, budget)
         return val, err, f"segment {tag}"
 
-    return _CompiledPiece(run, 0.5 * (z0 + z1))
+    return run
 
 
 def _ray_core(phi, tol, budget, smode, settings):
@@ -448,17 +409,17 @@ def integrate_ray(
     return QuadratureResult(val, err, budget.used, {"pieces": [note], "tol": tol})
 
 
-def _make_ray(base: complex, toward: int, settings: Settings) -> _CompiledPiece:
+def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
     def run(omega, tol, budget, smode, emode):
         if emode is not None:
             raise DomainError("ray far ends are truncated automatically")
         phi = _ray_phi(omega, base, toward)
         return _ray_core(phi, tol, budget, smode, settings)
 
-    return _CompiledPiece(run, base + 1j * toward * max(0.5, abs(base.imag) or 0.5))
+    return run
 
 
-def _make_arc(e1, e2, settings: Settings) -> _CompiledPiece:
+def _make_arc(e1, e2, settings: Settings) -> Callable:
     finite1 = e1 is not INFINITY
     finite2 = e2 is not INFINITY
     if not finite1 and not finite2:
@@ -475,7 +436,7 @@ def _make_arc(e1, e2, settings: Settings) -> _CompiledPiece:
             val, err, note = inner(omega, tol, budget, smode, emode)
             return -val, err, note + " reversed"
 
-        return _CompiledPiece(run, p + 1j * max(0.5, abs(p.imag) or 0.5))
+        return run
     a, b = complex(e1), complex(e2)
     if a.imag == 0.0 and b.imag == 0.0:
         if a.real == b.real:
@@ -493,7 +454,7 @@ def _make_arc(e1, e2, settings: Settings) -> _CompiledPiece:
                 val = -val
             return val, err + tail_l + tail_r, "arc"
 
-        return _CompiledPiece(run, complex(c, r))
+        return run
     # one interior endpoint, one boundary endpoint
     if a.imag != 0.0 and b.imag == 0.0:
         interior, boundary, flip = a, b.real, False
@@ -528,6 +489,4 @@ def _make_arc(e1, e2, settings: Settings) -> _CompiledPiece:
             val = -val
         return val, err0 + err1 + tail, f"arc from interior [{tag}]"
 
-    probe_s = s_int + (1.0 if toward_right else -1.0)
-    probe = complex(c + r * math.tanh(probe_s), r / math.cosh(probe_s))
-    return _CompiledPiece(run, probe)
+    return run

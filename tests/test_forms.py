@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from maassperiods import forms
 from maassperiods.branch import principal_arg
 from maassperiods.errors import DomainError
 from maassperiods.forms import (
@@ -18,12 +20,13 @@ from maassperiods.forms import (
     maass_laplacian_fd,
     maass_lower,
     maass_raise,
+    reduce_many,
     reduce_to_fundamental_domain,
     slash,
     surrogate_form,
     two_sided_surrogate,
 )
-from maassperiods.modgroup import S, T, T_PRIME, moebius, mu
+from maassperiods.modgroup import S, T, T_PRIME, GroupElement, moebius, mu
 from maassperiods.multiplier import construct_eta_power, construct_trivial
 from maassperiods.specfun import WhittakerTable
 
@@ -276,6 +279,78 @@ def test_reduce_to_fundamental_domain():
     w, g = reduce_to_fundamental_domain(z)
     assert abs(w) >= 1 - 1e-12 and abs(w.real) <= 0.5 + 1e-12
     assert moebius(g, z) == pytest.approx(w)
+
+
+def _scalar_reduction(z):
+    """Reference: the one-point loop with exact Python-int matrices."""
+    w, g = complex(z), GroupElement(1, 0, 0, 1)
+    while True:
+        n = math.floor(w.real + 0.5)
+        w = complex(w.real - n, w.imag)
+        g = GroupElement(1, -n, 0, 1) * g
+        if w.real * w.real + w.imag * w.imag >= 1.0 - 1e-14:
+            return w, g
+        w, g = -1.0 / w, S * g
+
+
+def test_vector_reduction_matches_scalar_loop():
+    rng = np.random.default_rng(7)
+    zs = rng.uniform(-3.0, 3.0, 500) + 1j * np.exp(rng.uniform(math.log(1e-5), math.log(3.0), 500))
+    ws, gs = reduce_many(zs)
+    for z, w, g in zip(zs, ws, gs):
+        w_ref, g_ref = _scalar_reduction(z)
+        assert tuple(g) == (g_ref.a, g_ref.b, g_ref.c, g_ref.d)
+        assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
+
+
+def test_reduction_entry_limit_raises(delta):
+    # the continued fraction of this float runs through entries ~ 1e150,
+    # which float64 matrices cannot carry exactly
+    z = 0.6180339887498949 + 1e-300j
+    with pytest.raises(DomainError):
+        reduce_to_fundamental_domain(z)
+    with pytest.raises(DomainError):
+        delta.eval_many(np.array([1j, z]))
+
+
+def test_reduction_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(forms, "_MAX_REDUCTION_STEPS", 2)
+    assert reduce_to_fundamental_domain(0.37 + 0.2j)[1].max_entry() <= 3
+    with pytest.raises(DomainError):
+        reduce_to_fundamental_domain(0.37 + 0.02j)
+
+
+def _delta_oracle(z):
+    """u = y^6 Delta and E^+ u from the q-product at z itself, no reduction,
+    with the size of the two terms of E^+ u (it vanishes where E_2 = 3/(pi y))."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        y = z.imag
+        q = mpmath.exp(2j * mpmath.pi * z)
+        d = q * mpmath.qp(q) ** 24
+        lambert, n, qn = mpmath.mpf(0), 1, q
+        while True:
+            term = n * qn / (1 - qn)
+            lambert += term
+            if abs(term) < mpmath.mpf(10) ** -32 * abs(lambert):
+                break
+            n, qn = n + 1, qn * q
+        e2 = 1 - 24 * lambert
+        d_prime = 2j * mpmath.pi * e2 * d
+        u = y**6 * d
+        raised = 24 * u + 4j * y**7 * d_prime
+        scale = abs(u) * (24 + 8 * mpmath.pi * y * abs(e2))
+        return complex(u), complex(raised), float(scale)
+
+
+def test_delta_against_mpmath_q_product(delta):
+    rng = np.random.default_rng(40)
+    zs = rng.uniform(-2.0, 2.0, 40) + 1j * np.exp(rng.uniform(math.log(0.02), math.log(3.0), 40))
+    got_u, got_raised = delta.eval_many(zs), delta.raise_many(zs)
+    for z, u, raised in zip(zs, got_u, got_raised):
+        want_u, want_raised, scale = _delta_oracle(z)
+        assert abs(u - want_u) <= 1e-12 * abs(want_u)
+        assert abs(raised - want_raised) <= 1e-12 * scale
 
 
 def test_superpolynomial_decay(delta, surrogate):

@@ -13,9 +13,7 @@ from maassperiods.quadrature import (
     geodesic_image,
     integrate_form,
     integrate_ray,
-    vectorize_form,
 )
-from maassperiods.kernel import OneFormSample
 from maassperiods.specfun import _gauss_rule
 
 
@@ -41,10 +39,29 @@ def test_exponential_ray():
     assert got.abs_error_estimate < 1e-12
 
 
-def test_scalar_protocol_adapter():
-    omega = lambda z: OneFormSample(A=1.0 / complex(z).imag, B=0.0, at=complex(z))
+def test_array_protocol_pairs_b_with_conjugate_velocity():
+    # dz/y written as (dz - dzbar)/(2y) on the vertical segment from i to
+    # 2i; every point omega sees is counted in evaluations
+    sizes = []
+
+    def omega(zs):
+        sizes.append(np.size(zs))
+        half = 0.5 / np.asarray(zs, dtype=complex).imag
+        return half.astype(complex), -half.astype(complex)
+
     got = integrate_form(omega, GeodesicPath.polyline([1j, 2j]), tol=1e-12)
     assert got.value == pytest.approx(1j * math.log(2), abs=1e-11)
+    assert sum(sizes) == got.evaluations
+
+
+def test_unrefinable_error_raises():
+    # a jump at Im z = 1 + 1/pi: bisection reaches the width floor around it
+    # with an error estimate still above tol = 1e-16
+    jump = 1.0 + 1.0 / math.pi
+    omega = _pure_dz(lambda zs: np.where(zs.imag < jump, 1.0, 2.0).astype(complex))
+    with pytest.raises(NonconvergenceError) as excinfo:
+        integrate_form(omega, GeodesicPath.polyline([1j, 2j]), tol=1e-16)
+    assert abs(excinfo.value.partial - 1j * (2.0 - 1.0 / math.pi)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [-0.4, -0.2, 0.0])
@@ -274,8 +291,8 @@ def test_initial_panels_at_most_eight_per_call():
         tol=1e-12,
         start_mode=("log",),
     )
-    assert sum(sizes) == got.evaluations + 2  # the 2-point protocol probe
-    batched = [n for n in sizes if n > 2]
+    assert sum(sizes) == got.evaluations
+    batched = [n for n in sizes if n > 1]
     first_bisection = batched.index(92)
     initial = batched[:first_bisection]
     assert len(initial) > 2 and set(initial[:-1]) == {368}
