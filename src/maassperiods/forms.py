@@ -16,7 +16,12 @@ Two backends:
   multiplier's v(T)), but nothing relates it to the inversion generator; it
   exists to exercise the analytic machinery at weights where no coefficient
   tables exist.  The finite sum itself is the object under test, so there is
-  no truncation error in its own identities.
+  no truncation error in its own identities.  Its terms are summed in term
+  order, so a value does not depend on the batch it is evaluated in.
+
+The transform integrands take u and E^+u (or E^-u) from one pass,
+:meth:`MaassForm.eval_ladder_many`: one q-expansion for the embedding, one
+table lookup per Whittaker index for the surrogate.
 """
 
 from __future__ import annotations
@@ -166,11 +171,29 @@ def q_expansion(coefficients, zs: np.ndarray, derivative: bool = False) -> tuple
     if not derivative:
         rows = rows[:, :1]
     w, g = reduce_many(zs)
-    q = np.exp(2j * math.pi * w)
+    # q as a (1, points) row: against a (1,) vector numpy would multiply a
+    # lone point by another loop, which rounds differently
+    q = np.exp(2j * math.pi * w)[None, :]
     acc = np.zeros((rows.shape[1], w.size), dtype=complex)
     for row in rows:
         acc = (acc + row) * q
     return w, g[:, 2] * zs + g[:, 3], acc
+
+
+# ---------------------------------------------------------------------------
+# surrogate term sums
+
+
+def _term_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the terms axis (second to last), one term after another.
+
+    numpy's ``sum`` adds a lone point's terms pairwise and several points'
+    in order, so a value would depend on its batch in the last bits.
+    """
+    acc = terms[..., 0, :]
+    for j in range(1, terms.shape[-2]):
+        acc = acc + terms[..., j, :]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -289,35 +312,47 @@ class MaassForm:
         if np.any(zs.imag <= 0):
             raise DomainError("Maass form evaluation requires Im z > 0")
         if self.is_embedding:
-            return self._embedding_eval(zs, raised=False)
+            return self._embedding_op(zs, -1)[0]
         return self._surrogate_eval(zs)
 
     def raise_many(self, zs: np.ndarray) -> np.ndarray:
         """E^+_k u, analytically termwise."""
-        zs = np.asarray(zs, dtype=complex)
-        if self.is_embedding:
-            return self._embedding_eval(zs, raised=True)
-        return self._surrogate_op(zs, +1)
+        return self.eval_ladder_many(zs, +1)[1]
 
     def lower_many(self, zs: np.ndarray) -> np.ndarray:
         """E^-_k u; identically zero for the holomorphic embedding."""
+        return self.eval_ladder_many(zs, -1)[1]
+
+    def eval_ladder_many(self, zs: np.ndarray, sign: int) -> tuple:
+        """(u, E^+_k u) for sign +1, (u, E^-_k u) for sign -1, from one pass.
+
+        u equals ``eval_many`` bit for bit: the embedding takes both arrays
+        from one q-expansion (E^- u is zero), and the surrogate's operator
+        sums u as its unshifted block.
+        """
         zs = np.asarray(zs, dtype=complex)
+        if np.any(zs.imag <= 0):
+            raise DomainError("Maass form evaluation requires Im z > 0")
         if self.is_embedding:
-            return np.zeros(zs.shape, dtype=complex)
-        return self._surrogate_op(zs, -1)
+            return self._embedding_op(zs, sign)
+        return self._surrogate_op(zs, sign)
 
     # -- embedding internals ---------------------------------------------------
 
-    def _embedding_eval(self, zs: np.ndarray, raised: bool) -> np.ndarray:
-        """u = y^{k/2} u_h, or E^+ u, from the reduced point; the phase
-        e^{-ik arg mu} is the exact power (conj(mu)/|mu|)^k (k + 2 raised)."""
+    def _embedding_op(self, zs: np.ndarray, sign: int) -> tuple:
+        """(u, E^{+-} u) with u = y^{k/2} u_h from the reduced point; the
+        phase e^{-ik arg mu} is the exact power (conj(mu)/|mu|)^k, k + 2 for
+        E^+ u, and E^- u = 0."""
         coefficients = self.backend.coefficients[: self.truncation]
-        w, mu, series = q_expansion(coefficients, zs.ravel(), derivative=raised)
+        w, mu, series = q_expansion(coefficients, zs.ravel(), derivative=sign > 0)
         y = w.imag
         k = int(self.weight)
-        vals = 2.0 * k * series[0] + 4j * y * series[1] if raised else series[0]
-        phase = (np.conj(mu) / np.abs(mu)) ** (k + 2 if raised else k)
-        return (phase * y ** (k / 2) * vals).reshape(zs.shape)
+        unit = np.conj(mu) / np.abs(mu)
+        value = (unit**k * y ** (k / 2) * series[0]).reshape(zs.shape)
+        if sign < 0:
+            return value, np.zeros(zs.shape, dtype=complex)
+        raised = 2.0 * k * series[0] + 4j * y * series[1]
+        return value, (unit ** (k + 2) * y ** (k / 2) * raised).reshape(zs.shape)
 
     # -- surrogate internals -----------------------------------------------------
 
@@ -363,15 +398,15 @@ class MaassForm:
         coeffs, freqs, _, _ = self._spectral_data()
         rows = self._surrogate_radial(y)
         waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
-        vals = (coeffs[:, None] * rows * waves).sum(axis=0)
-        return vals.reshape(zs.shape)
+        return _term_sum(coeffs[:, None] * rows * waves).reshape(zs.shape)
 
-    def _surrogate_op(self, zs: np.ndarray, sign: int) -> np.ndarray:
-        """E^{+-}_k by exact x-derivative and 5-point differencing in y.
+    def _surrogate_op(self, zs: np.ndarray, sign: int) -> tuple:
+        """(u, E^{+-}_k u) by exact x-derivative and 5-point differencing in y.
 
         The four shifted heights and y itself are stacked into one radial
-        lookup (one table call per Whittaker index) and summed over terms
-        in one broadcast over the five blocks.
+        lookup (one table call per Whittaker index), and each of the five
+        blocks is summed over terms in term order; the unshifted block is
+        u, equal to ``_surrogate_eval`` bit for bit.
         """
         flat = zs.ravel()
         x, y = flat.real, flat.imag
@@ -382,17 +417,13 @@ class MaassForm:
         h = 1e-3 * np.minimum(1.0, y)
         stacked = np.concatenate([y + 2 * h, y + h, y - h, y - 2 * h, y])
         rows = self._surrogate_radial(stacked).reshape(len(coeffs), 5, n).swapaxes(0, 1)
-        # (5, terms, points), C-ordered: numpy then sums each block over
-        # terms in the order of the (terms, points) sum in _surrogate_eval
-        # (pairwise for one point, sequential for more), so the unshifted
-        # block equals eval_many bit for bit
-        terms = np.multiply(coeffs[:, None] * rows, waves, order="C")
-        sums = terms.sum(axis=1)
+        terms = coeffs[:, None] * rows * waves  # (5, terms, points)
+        sums = _term_sum(terms)
         dy = (-sums[0] + 8 * sums[1] - 8 * sums[2] + sums[3]) / (12.0 * h)
         value = sums[4]
-        dx = (terms[4] * (2j * math.pi * freqs[:, None])).sum(axis=0)
+        dx = _term_sum(terms[4] * (2j * math.pi * freqs[:, None]))
         out = sign * 2j * y * dx + 2.0 * y * dy + sign * self.k * value
-        return out.reshape(zs.shape)
+        return value.reshape(zs.shape), out.reshape(zs.shape)
 
     def to_json(self) -> dict:
         return form_to_json(self)

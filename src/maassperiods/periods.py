@@ -101,7 +101,11 @@ class BijectionConstants:
 
 @dataclass(frozen=True)
 class PeriodEvaluation:
-    """A transform value together with the contour used and the error budget."""
+    """A transform value together with the contour used and the error budget.
+
+    ``evaluations`` counts every integrand point, the scale probe that sets
+    the tolerance included.
+    """
 
     value: complex
     contour: str
@@ -129,14 +133,15 @@ def eta_integrand_kernel_raised(form: MaassForm, zeta: complex, mode: str = "com
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
         y = zs.imag
+        u, lowered_u = form.eval_ladder_many(zs, -1)
         if c_raise != 0:
-            a = c_raise * raised.eval_many(zs, zeta) * form.eval_many(zs) / y
+            a = c_raise * raised.eval_many(zs, zeta) * u / y
         else:
             a = np.zeros(zs.shape, dtype=complex)
         if lowered_vanishes:
             b = np.zeros(zs.shape, dtype=complex)
         else:
-            b = -plain.eval_many(zs, zeta) * form.lower_many(zs) / y
+            b = -plain.eval_many(zs, zeta) * lowered_u / y
         return a, b
 
     return omega
@@ -157,8 +162,9 @@ def eta_integrand_form_raised(form: MaassForm, zeta: complex, mode: str = "combi
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
         y = zs.imag
-        a = form.raise_many(zs) * plain.eval_many(zs, zeta) / y
-        b = -form.eval_many(zs) * c_lower * lowered.eval_many(zs, zeta) / y
+        u, raised_u = form.eval_ladder_many(zs, +1)
+        a = raised_u * plain.eval_many(zs, zeta) / y
+        b = -u * c_lower * lowered.eval_many(zs, zeta) / y
         return a, b
 
     return omega
@@ -177,11 +183,12 @@ def _ray_integrand_kernel_raised(form: MaassForm, zeta: complex, base: complex, 
         ts = np.asarray(ts, dtype=float)
         zs = base + 1j * ts
         y = base.imag + ts
+        u, lowered_u = form.eval_ladder_many(zs, -1)
         total = np.zeros(ts.shape, dtype=complex)
         if c_raise != 0:
-            total += 1j * c_raise * raised.eval_ray(base, ts, zeta) * form.eval_many(zs) / y
+            total += 1j * c_raise * raised.eval_ray(base, ts, zeta) * u / y
         if not form.is_embedding:
-            total += 1j * plain.eval_ray(base, ts, zeta) * form.lower_many(zs) / y
+            total += 1j * plain.eval_ray(base, ts, zeta) * lowered_u / y
         return total
 
     return phi
@@ -200,8 +207,9 @@ def _ray_integrand_form_raised(form: MaassForm, zeta: complex, base: complex, mo
         ts = np.asarray(ts, dtype=float)
         zs = base + 1j * ts
         y = base.imag + ts
-        a = form.raise_many(zs) * plain.eval_ray(base, ts, zeta) / y
-        b = -form.eval_many(zs) * c_lower * lowered.eval_ray(base, ts, zeta) / y
+        u, raised_u = form.eval_ladder_many(zs, +1)
+        a = raised_u * plain.eval_ray(base, ts, zeta) / y
+        b = -u * c_lower * lowered.eval_ray(base, ts, zeta) / y
         return 1j * a - 1j * b
 
     return phi
@@ -235,11 +243,12 @@ def arc_ray_integrand_kernel_raised(form: MaassForm, zeta: complex, endpoint: fl
         y = r * sech
         zs = zeta + dz
         vel = d * r * sech * (sech - 1j * np.tanh(s))
+        u, lowered_u = form.eval_ladder_many(zs, -1)
         total = np.zeros(ts.shape, dtype=complex)
         if c_raise != 0:
-            total += c_raise * raised._from_pieces(a, b, y) * form.eval_many(zs) * vel / y
+            total += c_raise * raised._from_pieces(a, b, y) * u * vel / y
         if not form.is_embedding:
-            total -= plain._from_pieces(a, b, y) * form.lower_many(zs) * np.conj(vel) / y
+            total -= plain._from_pieces(a, b, y) * lowered_u * np.conj(vel) / y
         return total
 
     return phi
@@ -306,7 +315,8 @@ class NearlyPeriodicFunction:
                 alpha = nu + 0.5 - 0.5 * k
             else:
                 alpha = nu - 0.5 - 0.5 * k
-        scale = _scale_probe_ray(phi, [0.3, 0.9, 2.1])
+        probes = [0.3, 0.9, 2.1]
+        scale = _scale_probe_ray(phi, probes)
         result = integrate_ray(
             phi,
             tol=_scaled_tol(self.settings, scale),
@@ -317,7 +327,7 @@ class NearlyPeriodicFunction:
             sign * result.value,
             f"ray {base:.4g} -> i*inf " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
-            result.evaluations,
+            result.evaluations + len(probes),
         )
 
 
@@ -383,7 +393,7 @@ class PeriodFunction:
             result.value,
             note + " " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
-            result.evaluations,
+            result.evaluations + probes.size,
         )
         return self._remember(zeta, out)
 

@@ -8,7 +8,9 @@ power substitution; power-law-oscillatory approaches to the real axis use
 a logarithmic substitution.  The core rule is an embedded Gauss pair
 (15/31 nodes) with bisection of the worst interval.  The integrand is
 called once per bisection, on both rules of both halves (92 points), and
-once per group of at most 8 initial panels (368 points).
+once per group of at most 8 initial panels (368 points).  The walks send
+their probes in blocks of 2, 4, 8, ... points, one call per block, and
+stop where a probe-by-probe walk would.
 """
 
 from __future__ import annotations
@@ -166,17 +168,50 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
 # truncation walks and substitutions
 
 
+def _probes(phi, budget, ts):
+    """Yield (t, |phi(t)|) for the probe points ts, in order.
+
+    The probes go to phi in blocks of 2, 4, 8, ... points, one call per
+    block, and the walk reading them stops wherever its own rule says.  A
+    probe past that point may leave phi's domain (on an arc y = r sech(s)
+    underflows), so a block whose call raises DomainError is replayed one
+    probe per call: the walk then raises, or stops, exactly where a
+    probe-by-probe walk would.  The budget is spent before each call, and a
+    block never takes more than the budget has left (at least one probe),
+    so the budget runs out at the same probe as well.
+    """
+    i, size = 0, 2
+    while i < len(ts):
+        block = ts[i : i + min(size, max(1, budget.limit - budget.used))]
+        i += len(block)
+        size *= 2
+        budget.spend(len(block))
+        try:
+            values = phi(np.array(block))
+        except DomainError:
+            values = None
+        if values is None:
+            for t in block:
+                budget.spend(1)
+                yield t, abs(complex(phi(np.array([t]))[0]))
+        else:
+            yield from zip(block, (abs(complex(v)) for v in values))
+
+
 def _walk_out(phi, budget, start: float, tol: float, factor: float = 1.7, cap: float = 1e7):
     """Find T beyond which the exponential tail is below tol; (T, tail).
 
-    Raises NonconvergenceError when the tail estimate is still above tol
-    at t = cap: the integrand then decays too slowly for truncation.
+    Probes t = start, start * factor, ... (see :func:`_probes`).  Raises
+    NonconvergenceError when the tail estimate is still above tol at
+    t = cap: the integrand then decays too slowly for truncation.
     """
+    ts = []
     t = start
-    prev = None
     while t < cap:
-        budget.spend(1)
-        m = abs(complex(phi(np.array([t]))[0]))
+        ts.append(t)
+        t *= factor
+    prev = None
+    for t, m in _probes(phi, budget, ts):
         if m == 0.0:
             return t, 0.0
         if prev is not None:
@@ -187,24 +222,48 @@ def _walk_out(phi, budget, start: float, tol: float, factor: float = 1.7, cap: f
                 if tail < tol:
                     return t, tail
         prev = (t, m)
-        t *= factor
     raise NonconvergenceError(0.0, float("inf"), budget.used)
 
 
 def _walk_in(phi, budget, t1: float, tol: float):
     """Find t_min near a parameter-0 endpoint with remaining mass below tol.
 
-    Raises NonconvergenceError when the mass has not fallen below tol by
-    t = 1e-280: the integrand is then too singular for a truncated start.
+    Probes t = t1/4, t1/24, ... (see :func:`_probes`) and stops at the
+    first with m t < tol, m = |phi(t)|.  For |phi| ~ t^a the mass below t
+    is m t / (1 + a), so the reported tail is m t max(1, 1/(1 + a)), with
+    a the local exponent through that probe and the one before it (the
+    one after it when the walk stops at its first probe).  Raises
+    NonconvergenceError when a <= -1 there, where that mass is unbounded,
+    and when the mass has not fallen below tol by t = 1e-280: the
+    integrand is then too singular for a truncated start.
     """
+    ts = []
     t = t1 / 4.0
     while t > 1e-280:
-        budget.spend(1)
-        m = abs(complex(phi(np.array([t]))[0]))
-        if m == 0.0 or m * t < tol:
-            return t, m * t
+        ts.append(t)
         t /= 6.0
+    probes = _probes(phi, budget, ts)
+    prev = None
+    for t, m in probes:
+        if m == 0.0:
+            return t, 0.0
+        if m * t < tol:
+            upper, lower = (prev, (t, m)) if prev is not None else ((t, m), next(probes, None))
+            a = _local_exponent(upper, lower)
+            if a <= -1.0:
+                raise NonconvergenceError(0.0, float("inf"), budget.used)
+            return t, m * t * max(1.0, 1.0 / (1.0 + a))
+        prev = (t, m)
     raise NonconvergenceError(0.0, float("inf"), budget.used)
+
+
+def _local_exponent(upper, lower) -> float:
+    """The a with |phi| ~ t^a through two probes (t, m), upper t first;
+    +inf when the lower probe is zero or missing (no slower decay seen)."""
+    if lower is None or lower[1] == 0.0:
+        return math.inf
+    (tu, mu), (tl, ml) = upper, lower
+    return (math.log(mu) - math.log(ml)) / (math.log(tu) - math.log(tl))
 
 
 def _power_substituted(phi, alpha: float):

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -130,9 +132,14 @@ def test_surrogate_operators_match_fd(surrogate):
         assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-6)
 
 
+def _in_term_order(rows):
+    """Sum of the rows, first to last, for every batch size."""
+    return functools.reduce(operator.add, rows)
+
+
 def _per_term_reference(form, zs):
     """(eval, raise, lower) of a surrogate with one table lookup per Fourier
-    term and one term sum per y-shift block."""
+    term and one term sum per y-shift block, in term order."""
     b = form.backend
     terms = [(c, n + b.kappa0) for n, c in enumerate(b.coefficients, start=1)]
     terms += [(c, b.kappa0 - n) for n, c in enumerate(b.negative_coefficients, start=1)]
@@ -151,14 +158,14 @@ def _per_term_reference(form, zs):
     x, y = zs.real, zs.imag
     waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
     at_y = rows(y)
-    value = (coeffs[:, None] * at_y * waves).sum(axis=0)
+    value = _in_term_order(coeffs[:, None] * at_y * waves)
     h = 1e-3 * np.minimum(1.0, y)
     sums = [
-        (coeffs[:, None] * rows(yy) * waves).sum(axis=0)
+        _in_term_order(coeffs[:, None] * rows(yy) * waves)
         for yy in (y + 2 * h, y + h, y - h, y - 2 * h)
     ]
     dy = (-sums[0] + 8 * sums[1] - 8 * sums[2] + sums[3]) / (12.0 * h)
-    dx = (coeffs[:, None] * at_y * waves * (2j * math.pi * freqs[:, None])).sum(axis=0)
+    dx = _in_term_order(coeffs[:, None] * at_y * waves * (2j * math.pi * freqs[:, None]))
     ops = [sign * 2j * y * dx + 2.0 * y * dy + sign * form.k * value for sign in (+1, -1)]
     return value, ops[0], ops[1]
 
@@ -186,6 +193,19 @@ def test_surrogate_one_table_call_per_kappa(request, monkeypatch, name, n_kappas
         assert len(calls) == len(set(calls)) == n_kappas
 
 
+@pytest.mark.parametrize("n", [1, 46, 368])
+@pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
+def test_eval_ladder_is_value_and_operator(request, name, n):
+    # the integrands' one form pass gives what the single-operator calls give
+    form = request.getfixturevalue(name)
+    rng = np.random.default_rng(n)
+    zs = rng.uniform(-1.0, 1.0, n) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+    for sign, operator_many in ((+1, form.raise_many), (-1, form.lower_many)):
+        u, e = form.eval_ladder_many(zs, sign)
+        assert np.array_equal(u, form.eval_many(zs))
+        assert np.array_equal(e, operator_many(zs))
+
+
 @pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
 def test_values_do_not_depend_on_the_batch(request, name):
     # quadrature batches many intervals into one integrand call, which
@@ -193,9 +213,12 @@ def test_values_do_not_depend_on_the_batch(request, name):
     form = request.getfixturevalue(name)
     rng = np.random.default_rng(46)
     zs = rng.uniform(-1.0, 1.0, 368) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(3.0), 368))
-    part = slice(100, 146)
     for method in (form.eval_many, form.raise_many, form.lower_many):
-        assert np.array_equal(method(zs[part]), method(zs)[part])
+        full = method(zs)
+        assert np.array_equal(method(zs[100:146]), full[100:146])
+        # a lone point, as the first probe of a walk or a scale probe sends
+        for i in range(100, 146):
+            assert np.array_equal(method(zs[i : i + 1]), full[i : i + 1])
 
 
 def test_operator_composition_identity(surrogate):

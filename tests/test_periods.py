@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from maassperiods import periods
 from maassperiods.branch import principal_pow
 from maassperiods.errors import (
     DegenerateBijectionError,
@@ -24,6 +25,8 @@ from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
+    _ray_integrand_form_raised,
+    _ray_integrand_kernel_raised,
     arc_ray_integrand_kernel_raised,
     derived_period,
     eichler_f,
@@ -35,6 +38,7 @@ from maassperiods.periods import (
     synthetic_nearly_periodic,
 )
 from maassperiods.quadrature import GeodesicPath, integrate_form, integrate_ray
+from maassperiods.specfun import WhittakerTable
 
 
 def test_bijection_constants_trivial_point():
@@ -329,3 +333,54 @@ def test_deformed_contour_matches_three_term_continuation(delta, settings):
         direct = period(zeta)
         via_relation = dslash(period, nu, v, T)(zeta) + dslash(period, nu, v, T_PRIME)(zeta)
         assert abs(direct - via_relation) <= 1e-7 * abs(direct)
+
+
+# the five transform integrands: (builder, whether it takes z or the
+# parameter t along its contour)
+_INTEGRANDS = {
+    "kernel-raised": (lambda form: eta_integrand_kernel_raised(form, 0.4 + 0.9j), "z"),
+    "form-raised": (lambda form: eta_integrand_form_raised(form, 0.4 + 0.9j), "z"),
+    "ray kernel-raised": (lambda form: _ray_integrand_kernel_raised(form, 0.2 - 0.8j, 0.2 + 0.8j), "t"),
+    "ray form-raised": (lambda form: _ray_integrand_form_raised(form, 0.4 + 0.9j, 0.4 + 0.9j), "t"),
+    "arc ray": (lambda form: arc_ray_integrand_kernel_raised(form, 0.4 + 0.9j, -1.0), "t"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 46, 368])
+@pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("name, n_kappas", [("surrogate", 1), ("surrogate_two_sided", 2)])
+def test_one_form_pass_per_integrand_call(request, monkeypatch, name, n_kappas, integrand, n):
+    form = request.getfixturevalue(name)
+    build, variable = _INTEGRANDS[integrand]
+    fn = build(form)
+    rng = np.random.default_rng(n)
+    ts = np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+    args = ts if variable == "t" else rng.uniform(-1.0, 1.0, n) + 1j * ts
+    calls = []
+    lookup = WhittakerTable.__call__
+
+    def counting(table, t):
+        calls.append(table.kappa)
+        return lookup(table, t)
+
+    monkeypatch.setattr(WhittakerTable, "__call__", counting)
+    fn(args)
+    assert len(calls) == len(set(calls)) == n_kappas
+
+
+@pytest.mark.parametrize(
+    "transform, quadrature_entry, zeta, probes",
+    [(PeriodFunction, "integrate_form", 1.5, 4), (NearlyPeriodicFunction, "integrate_ray", 0.3 + 0.7j, 3)],
+)
+def test_scale_probe_is_counted(delta, settings, monkeypatch, transform, quadrature_entry, zeta, probes):
+    # the probe points that set the tolerance count as evaluations too
+    results = []
+    original = getattr(periods, quadrature_entry)
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(periods, quadrature_entry, recording)
+    out = transform(delta, settings).eval(zeta)
+    assert out.evaluations == results[0].evaluations + probes

@@ -1,13 +1,18 @@
 import heapq
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from maassperiods import quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
-from maassperiods.periods import eta_integrand_kernel_raised
+from maassperiods.periods import (
+    NearlyPeriodicFunction,
+    PeriodFunction,
+    eta_integrand_kernel_raised,
+)
 from maassperiods.quadrature import (
     GeodesicPath,
     geodesic_image,
@@ -275,10 +280,11 @@ def test_one_integrand_call_per_bisection():
     phi = lambda t: np.exp(-t) / (0.01 + (t - 0.5) ** 2)
     got = integrate_ray(_counting(phi, sizes), tol=1e-12)
     assert sum(sizes) == got.evaluations
-    # the walk probes one point per call; then each of the two adaptive
-    # pieces evaluates its 4 initial panels in one call and each bisection
-    # both halves, both rules, in one call
-    batched = [n for n in sizes if n > 1]
+    # the walk probes in blocks of 2, 4, 8, ... points (never a multiple of
+    # 46); then each of the two adaptive pieces evaluates its 4 initial
+    # panels in one call and each bisection both halves, both rules, in one
+    # call
+    batched = [n for n in sizes if n % 46 == 0]
     assert batched[0] == 184 and batched.count(184) == 2
     assert set(batched) == {184, 92}
 
@@ -292,9 +298,188 @@ def test_initial_panels_at_most_eight_per_call():
         start_mode=("log",),
     )
     assert sum(sizes) == got.evaluations
-    batched = [n for n in sizes if n > 1]
+    batched = [n for n in sizes if n % 46 == 0]
     first_bisection = batched.index(92)
     initial = batched[:first_bisection]
     assert len(initial) > 2 and set(initial[:-1]) == {368}
     assert initial[-1] <= 368 and initial[-1] % 46 == 0
     assert set(batched[first_bisection:]) == {92}
+
+
+# ---------------------------------------------------------------------------
+# truncation walks: blocks of probes against a probe-by-probe reference
+
+
+def _probe(phi, budget, t):
+    budget.spend(1)
+    return abs(complex(phi(np.array([t]))[0]))
+
+
+def _sequential_walk_out(phi, budget, start, tol, factor=1.7, cap=1e7):
+    """Reference far walk: one probe per integrand call."""
+    t = start
+    prev = None
+    while t < cap:
+        m = _probe(phi, budget, t)
+        if m == 0.0:
+            return t, 0.0
+        if prev is not None and m < prev[1]:
+            rate = (math.log(prev[1]) - math.log(m)) / (t - prev[0])
+            tail = m / max(rate, 1e-6)
+            if tail < tol:
+                return t, tail
+        prev = (t, m)
+        t *= factor
+    raise NonconvergenceError(0.0, float("inf"), budget.used)
+
+
+def _sequential_walk_in(phi, budget, t1, tol):
+    """Reference start walk: one probe per integrand call; the tail is the
+    mass m t / (1 + a) below the stopping probe, with the exponent a taken
+    through the probe before it (after it, at the first probe)."""
+    t = t1 / 4.0
+    prev = None
+    while t > 1e-280:
+        m = _probe(phi, budget, t)
+        if m == 0.0:
+            return t, 0.0
+        if m * t < tol:
+            if prev is None:
+                (tu, mu), (tl, ml) = (t, m), (t / 6.0, _probe(phi, budget, t / 6.0))
+            else:
+                (tu, mu), (tl, ml) = prev, (t, m)
+            a = math.inf if ml == 0.0 else (math.log(mu) - math.log(ml)) / (math.log(tu) - math.log(tl))
+            if a <= -1.0:
+                raise NonconvergenceError(0.0, float("inf"), budget.used)
+            return t, m * t * max(1.0, 1.0 / (1.0 + a))
+        prev = (t, m)
+        t /= 6.0
+    raise NonconvergenceError(0.0, float("inf"), budget.used)
+
+
+def _recording(walk, log):
+    def recorded(*args, **kwargs):
+        out = walk(*args, **kwargs)
+        log.append(out)
+        return out
+
+    return recorded
+
+
+_WALK_CASES = {
+    "delta ray": lambda forms: integrate_form(
+        eta_integrand_kernel_raised(forms["delta"], 2.0 + 0.5j),
+        GeodesicPath.vertical_ray(0.0, +1),
+        tol=1e-8,
+        start_mode=("exp",),
+    ),
+    "arc": lambda forms: integrate_form(
+        eta_integrand_kernel_raised(forms["delta"], 2.0), GeodesicPath.arc(0.0, -1.0), tol=1e-6
+    ),
+    "log-start segment": lambda forms: integrate_form(
+        _oscillating_power,
+        GeodesicPath.polyline([0.0, 1.0 + 1.0j]),
+        tol=1e-12,
+        start_mode=("log",),
+    ),
+    "surrogate P on the axis": lambda forms: PeriodFunction(forms["surrogate"]).eval(1.3),
+    "two-sided f below the axis": lambda forms: NearlyPeriodicFunction(
+        forms["surrogate_two_sided"]
+    ).eval(0.2 - 0.8j),
+}
+
+
+@pytest.fixture
+def forms(delta, surrogate, surrogate_two_sided):
+    return {"delta": delta, "surrogate": surrogate, "surrogate_two_sided": surrogate_two_sided}
+
+
+def _run_with_walks(monkeypatch, run, walk_out, walk_in):
+    log = []
+    monkeypatch.setattr(quadrature, "_walk_out", _recording(walk_out, log))
+    monkeypatch.setattr(quadrature, "_walk_in", _recording(walk_in, log))
+    return run(), log
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_block_walks_match_sequential_reference(forms, monkeypatch, case):
+    run = lambda: _WALK_CASES[case](forms)
+    got, got_walks = _run_with_walks(monkeypatch, run, quadrature._walk_out, quadrature._walk_in)
+    want, want_walks = _run_with_walks(monkeypatch, run, _sequential_walk_out, _sequential_walk_in)
+    assert got_walks and got_walks == want_walks  # (t_far or t_min, tail) of each walk
+    assert got.value == want.value
+    err = "abs_error_estimate" if hasattr(got, "abs_error_estimate") else "abs_error"
+    assert getattr(got, err) == getattr(want, err)
+
+
+def _exp_decay_outside(limit, sizes):
+    """e^{-t}, raising DomainError as soon as a call holds a t above limit."""
+
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        sizes.append(t.size)
+        if np.any(t > limit):
+            raise DomainError(f"t = {t.max()!r} is outside the domain")
+        return np.exp(-t).astype(complex)
+
+    return phi
+
+
+def test_domain_error_past_the_stop_replays_the_block():
+    # the far walk from 1 stops at its 8th probe, t = 1.7^7 = 41.0; the
+    # third block (probes 7 to 14) runs past t = 60 and is replayed
+    sizes, ref_sizes = [], []
+    got = quadrature._walk_out(_exp_decay_outside(60.0, sizes), quadrature._Budget(10**6), 1.0, 1e-12)
+    budget = quadrature._Budget(10**6)
+    want = _sequential_walk_out(_exp_decay_outside(60.0, ref_sizes), budget, 1.0, 1e-12)
+    assert got == want and len(ref_sizes) == 8
+    assert sizes == [2, 4, 8, 1, 1]
+
+
+def test_domain_error_before_the_stop_raises_the_same_error():
+    # the probe t = 1.7^5 = 14.2 leaves the domain before the walk can stop
+    with pytest.raises(DomainError) as got:
+        quadrature._walk_out(_exp_decay_outside(10.0, []), quadrature._Budget(10**6), 1.0, 1e-12)
+    with pytest.raises(DomainError) as want:
+        _sequential_walk_out(_exp_decay_outside(10.0, []), quadrature._Budget(10**6), 1.0, 1e-12)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "walk, phi, args",
+    [
+        (quadrature._walk_out, lambda t: np.exp(-t), (1.0, 1e-12)),
+        (quadrature._walk_out, lambda t: np.exp(-0.05 * t), (12.0, 1e-10)),
+        (quadrature._walk_in, lambda t: t**-0.3, (1.0, 1e-12)),
+        (quadrature._walk_in, lambda t: np.exp(-1.0 / t), (1.0, 1e-10)),
+    ],
+)
+def test_walk_calls_grow_logarithmically(walk, phi, args):
+    sizes, ref_sizes = [], []
+    reference = _sequential_walk_out if walk is quadrature._walk_out else _sequential_walk_in
+    budget = quadrature._Budget(10**6)
+    got = walk(_counting(phi, sizes), budget, *args)
+    want = reference(_counting(phi, ref_sizes), quadrature._Budget(10**6), *args)
+    assert got == want
+    assert sum(sizes) == budget.used
+    probes = len(ref_sizes)
+    assert len(sizes) <= max(1, math.ceil(math.log2(probes)))
+
+
+# ---------------------------------------------------------------------------
+# the start walk's tail bounds the truncated mass
+
+
+@pytest.mark.parametrize("a", [-0.75 + 0.35j, -0.9 + 0.2j, -0.5 + 1.0j])
+def test_start_tail_bounds_the_error(a):
+    # |e^{-t} t^a| ~ t^{Re a}: the mass below t_min is m t_min / (1 + Re a)
+    got = integrate_ray(lambda t: np.exp(-t) * t**a, tol=1e-10, start_mode=("power", a))
+    exact = complex(mpmath.gamma(1 + mpmath.mpc(a)))
+    assert abs(got.value - exact) <= got.abs_error_estimate
+
+
+def test_start_walk_rejects_a_non_integrable_local_exponent():
+    # m t falls below tol at the first probe, but |phi| ~ t^(-1.2) there, so
+    # the mass below it is unbounded
+    with pytest.raises(NonconvergenceError):
+        integrate_ray(lambda t: 1e-20 * np.exp(-t) * t**-1.2, start_mode=("log",))

@@ -1,0 +1,50 @@
+"""The experiment scripts in scripts/ run end to end and print sane output."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_growth_scan():
+    report = json.loads(_run("growth_scan.py"))
+    samples = report["samples"]
+    # 8 dyadic points toward zero and 8 toward infinity
+    assert len(samples["p_small"]) == len(samples["p_large"]) == 8
+    assert all(math.isfinite(p) and p > 0 for p in samples["p_small"] + samples["p_large"])
+    assert report["pass"] is True
+    assert report["slope_at_infinity"] <= report["bound_at_infinity"] + 0.15
+
+
+def test_golden_period_table():
+    lines = _run("golden_period_table.py").splitlines()
+    rows = [line.split() for line in lines[1:8]]
+    assert len(rows) == 7
+    # P = -22 p on every sampled point: the relative differences are tiny
+    assert all(float(row[-1]) < 1e-10 for row in rows)
+    assert "fitted polynomial coefficients" in lines[9]
+    assert len(lines) == 10 + 11
+
+
+def test_run_verify_classical():
+    lines = _run("run_verify.py", "--suite", "classical").splitlines()
+    checks = [line for line in lines if line.startswith("[")]
+    assert checks and all(line.startswith("[ok   ]") for line in checks)
+    assert lines[-1].endswith("; 0 unexpected failures")
