@@ -11,7 +11,7 @@ import sys
 import time
 
 from maassperiods.config import Settings
-from maassperiods.verify import EXPECTED_FAILURES, SUITES, run_suite
+from maassperiods.verify import SUITES, run_suite
 
 
 def main() -> int:
@@ -24,23 +24,17 @@ def main() -> int:
     settings = Settings(q_terms=args.q_terms)
     started = time.perf_counter()
     report = run_suite(args.suite, settings, seed=args.seed)
-    genuine_failures = []
+    unexpected = report.unexpected_failures
     for entry in sorted(report.entries, key=lambda e: e.identity):
-        if entry.passed:
-            tag = "ok   "
-        elif entry.identity in EXPECTED_FAILURES:
-            tag = "known"
-        else:
-            tag = "FAIL "
-            genuine_failures.append(entry.identity)
+        tag = "ok   " if entry.passed else "FAIL " if entry.identity in unexpected else "known"
         print(
             f"[{tag}] {entry.identity:45s} residual {entry.max_residual:9.2e}"
             f"  tol {entry.tolerance:7.0e}  ({entry.samples} samples)"
         )
     wall = time.perf_counter() - started
     print(f"\n{len(report.entries)} identities in {wall:.1f}s; "
-          f"{len(genuine_failures)} unexpected failures")
-    return 0 if not genuine_failures else 1
+          f"{len(unexpected)} unexpected failures")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

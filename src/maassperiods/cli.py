@@ -27,9 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=argparse.SUPPRESS, help="seed for sampled checks"
     )
     common.add_argument(
-        "--tol", type=float, default=argparse.SUPPRESS, help="override the identity tolerance"
-    )
-    common.add_argument(
         "--out", default=argparse.SUPPRESS, help="write the report or table to this path"
     )
 
@@ -48,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(SUITES) + ["all"],
     )
-    p_verify.add_argument("--weight", help="restrict the multiplier suite to one weight")
-    p_verify.add_argument("--multiplier", choices=["trivial", "eta-power"], default="eta-power")
+    p_verify.add_argument(
+        "--weight", help="of the per-weight identities, run only those at 1/2, 3/2 or 12"
+    )
 
     p_poly = sub.add_parser(
         "period-poly", help="tabulate the classical period polynomial", parents=[common]
@@ -78,12 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_settings(args) -> Settings:
     config = getattr(args, "config", None)
-    settings = Settings.from_json(config) if config else Settings()
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        settings.identity_tol = tol
-    settings.seed = getattr(args, "seed", 0)
-    return settings
+    return Settings.from_json(config) if config else Settings()
 
 
 def _emit(text: str, args) -> None:
@@ -100,22 +93,13 @@ def _parse_nu(text: str) -> complex:
 
 
 def _cmd_verify(args, settings: Settings) -> int:
-    report = run_suite(
-        args.suite,
-        settings,
-        seed=settings.seed,
-        weight=args.weight,
-        multiplier_kind=args.multiplier,
-    )
+    report = run_suite(args.suite, settings, seed=getattr(args, "seed", 0), weight=args.weight)
     payload = report.to_json()
     payload["expected_failures"] = sorted(
         e["identity"] for e in payload["entries"] if e["identity"] in EXPECTED_FAILURES
     )
     _emit(json.dumps(payload, indent=2) + "\n", args)
-    genuine = [
-        e for e in payload["entries"] if not e["passed"] and e["identity"] not in EXPECTED_FAILURES
-    ]
-    return 0 if not genuine else 1
+    return 1 if report.unexpected_failures else 0
 
 
 def _cmd_period_poly(args, settings: Settings) -> int:

@@ -11,18 +11,14 @@ class Settings:
     """Tolerances, truncations and grid defaults.
 
     ``quad_tol`` is the absolute quadrature target (the transforms rescale
-    it to the integrand's size when a relative target is wanted);
-    ``identity_tol`` is the default assertion tolerance for verified
-    identities, two orders looser than quadrature.
+    it to the integrand's size when a relative target is wanted).  Each
+    verified identity carries its own tolerance (see ``verify``).
     """
 
     quad_tol: float = 1e-10
-    identity_tol: float = 1e-7
     max_evals: int = 2_000_000
     cusp_height: float = 12.0
     q_terms: int = 50
-    whittaker_terms: int = 12
-    seed: int = 0
     growth_exponents: tuple = (3, 10)
 
     @classmethod

@@ -229,12 +229,16 @@ def _walk_in(phi, budget, t1: float, tol: float):
     """Find t_min near a parameter-0 endpoint with remaining mass below tol.
 
     Probes t = t1/4, t1/24, ... (see :func:`_probes`) and stops at the
-    first with m t < tol, m = |phi(t)|.  For |phi| ~ t^a the mass below t
-    is m t / (1 + a), so the reported tail is m t max(1, 1/(1 + a)), with
-    a the local exponent through that probe and the one before it (the
-    one after it when the walk stops at its first probe).  Raises
-    NonconvergenceError when a <= -1 there, where that mass is unbounded,
-    and when the mass has not fallen below tol by t = 1e-280: the
+    first with m t < tol, m = |phi(t)|, and a > -1.  For |phi| ~ t^a the
+    mass below t is m t / (1 + a), so the reported tail is
+    m t max(1, 1/(1 + a)), with a the local exponent through that probe and
+    the one before it (the one after it at the first probe).  A probe with
+    a <= -1 is passed over: before the asymptotic regime |phi| can still
+    grow steeply as t falls, through a form's decay factor
+    e^{-2 pi lambda t}, with no singularity at 0.  Raises
+    NonconvergenceError when two consecutive exponents, each through two
+    probes with m t < tol, are <= -1: the mass below is then unbounded.
+    Also raises when the mass has not fallen below tol by t = 1e-280: the
     integrand is then too singular for a truncated start.
     """
     ts = []
@@ -244,16 +248,23 @@ def _walk_in(phi, budget, t1: float, tol: float):
         t /= 6.0
     probes = _probes(phi, budget, ts)
     prev = None
+    diverging = False  # the last exponent was <= -1 through two probes below tol
     for t, m in probes:
         if m == 0.0:
             return t, 0.0
         if m * t < tol:
             upper, lower = (prev, (t, m)) if prev is not None else ((t, m), next(probes, None))
             a = _local_exponent(upper, lower)
-            if a <= -1.0:
+            if a > -1.0:
+                return t, m * t * max(1.0, 1.0 / (1.0 + a))
+            below = upper[0] * upper[1] < tol and lower[0] * lower[1] < tol
+            if below and diverging:
                 raise NonconvergenceError(0.0, float("inf"), budget.used)
-            return t, m * t * max(1.0, 1.0 / (1.0 + a))
-        prev = (t, m)
+            diverging = below
+            prev = lower
+        else:
+            diverging = False
+            prev = (t, m)
     raise NonconvergenceError(0.0, float("inf"), budget.used)
 
 

@@ -1,9 +1,17 @@
-"""Identity verification suites behind the CLI.
+"""The identity registry behind ``maassperiods verify``, the scripts and the tests.
 
-Each suite returns a list of :class:`CheckResult`; every entry states the
-identity it checks, the sample count, the worst residual and the tolerance
-it was held to.  All sampling is driven by a seeded generator so failures
-reproduce.
+Each identity is one function registered with :func:`identity`, under its
+id, statement and tolerance.  It takes a :class:`Context` (the forms and
+transform objects every identity shares, built on first use) and its own
+generator, and returns ``(samples, max_residual)``; :func:`check` turns
+that into a :class:`CheckResult`.  The generator is seeded from the run's
+seed and the id alone, so an identity reports the same numbers whether it
+runs by itself, in its suite or in ``all``.
+
+A suite is the set of ids with one prefix (``periods.growth`` belongs to
+``periods``); ``SUITES`` maps each suite name to the callable that runs
+it, and :func:`run_suite` calls it through that dict.  Ids checked once per
+multiplier weight carry the weight, as in ``multiplier.minus-one[k=1/2]``.
 """
 
 from __future__ import annotations
@@ -11,11 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field, asdict
+import zlib
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .branch import factorizable, principal_arg, principal_pow, in_cut_plane
+from .branch import factorizable, in_cut_plane, principal_arg, principal_pow
 from .config import DEFAULTS, Settings
 from .errors import DegenerateBijectionError
 from .forms import (
@@ -30,14 +41,9 @@ from .forms import (
     surrogate_form,
     two_sided_surrogate,
 )
-from .kernel import (
-    CallableSection,
-    RKernel,
-    eta_form,
-    eta_form_many,
-    r_transform_check,
-)
+from .kernel import CallableSection, RKernel, eta_form, eta_form_many, r_transform_check
 from .modgroup import (
+    IDENTITY,
     INFINITY,
     MINUS_ONE,
     S,
@@ -56,10 +62,10 @@ from .periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
+    arc_ray_integrand_kernel_raised,
     derived_period,
     eichler_f,
     eichler_polynomial,
-    arc_ray_integrand_kernel_raised,
     eta_integrand_form_raised,
     eta_integrand_kernel_raised,
     f_to_P,
@@ -68,7 +74,27 @@ from .periods import (
 )
 from .quadrature import GeodesicPath, geodesic_image, integrate_form, integrate_ray
 
-__all__ = ["CheckResult", "VerificationReport", "run_suite", "SUITES"]
+__all__ = [
+    "CheckResult",
+    "Context",
+    "EXPECTED_FAILURES",
+    "REGISTRY",
+    "SUITES",
+    "VerificationReport",
+    "check",
+    "identity",
+    "run_suite",
+]
+
+# the multiplier weights an identity may be registered at
+WEIGHTS = ("1/2", "3/2", "12")
+
+EXPECTED_FAILURES = {
+    # The surrogate backend is translation-equivariant only; the identity
+    # tested here needs equivariance under the inversion generator, so the
+    # honest run of this check fails by design of the backend.
+    "periods.compatibility-surrogate",
+}
 
 
 @dataclass
@@ -95,6 +121,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
+    @property
+    def unexpected_failures(self) -> list:
+        """Ids of failed entries that are not in EXPECTED_FAILURES, sorted."""
+        return sorted(
+            e.identity for e in self.entries if not e.passed and e.identity not in EXPECTED_FAILURES
+        )
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -104,59 +137,157 @@ class VerificationReport:
         }
 
 
-def _random_words(rng, count, max_len=12):
+class Context:
+    """The forms and transform objects the identities share, built on first use.
+
+    One context serves one :func:`run_suite` call (or one test session): each
+    form is built once, and every identity that evaluates P or f of a form
+    goes through the same memo.
+    """
+
+    def __init__(self, settings: Settings = DEFAULTS):
+        self.settings = settings
+
+    @cached_property
+    def delta(self) -> MaassForm:
+        return delta_form(self.settings.q_terms)
+
+    @cached_property
+    def delta_coefficients(self) -> tuple:
+        """Delta's q-coefficients from q^0, as the classical transforms take them."""
+        return (0,) + delta_coefficients(self.settings.q_terms)
+
+    @cached_property
+    def surrogate(self) -> MaassForm:
+        return surrogate_form("1/2", 0.35j)
+
+    @cached_property
+    def two_sided(self) -> MaassForm:
+        return two_sided_surrogate("1/2", 0.35j)
+
+    @cached_property
+    def p_delta(self) -> PeriodFunction:
+        return PeriodFunction(self.delta, self.settings)
+
+    @cached_property
+    def f_delta(self) -> NearlyPeriodicFunction:
+        return NearlyPeriodicFunction(self.delta, self.settings)
+
+    @cached_property
+    def p_surrogate(self) -> PeriodFunction:
+        return PeriodFunction(self.surrogate, self.settings)
+
+    @cached_property
+    def f_surrogate(self) -> NearlyPeriodicFunction:
+        return NearlyPeriodicFunction(self.surrogate, self.settings)
+
+    @cached_property
+    def f_two_sided(self) -> NearlyPeriodicFunction:
+        return NearlyPeriodicFunction(self.two_sided, self.settings)
+
+
+@dataclass(frozen=True)
+class Identity:
+    id: str
+    statement: str
+    tolerance: float
+    run: Callable  # (ctx, rng) -> (samples, max_residual)
+
+
+REGISTRY: dict = {}
+
+
+def identity(ident: str, statement: str, tolerance: float, weights=None):
+    """Register the decorated function as identity ``ident``.
+
+    With ``weights`` it is registered once per weight, as ``ident[k=W]``,
+    and called with ``weight=W``.
+    """
+
+    def register(fn):
+        for weight in weights or (None,):
+            key = ident if weight is None else f"{ident}[k={weight}]"
+            if key in REGISTRY:
+                raise ValueError(f"identity {key!r} is registered twice")
+            run = fn if weight is None else (lambda ctx, rng, w=weight: fn(ctx, rng, weight=w))
+            REGISTRY[key] = Identity(key, statement, tolerance, run)
+        return fn
+
+    return register
+
+
+def check(ident: str, ctx: Context | None = None, seed: int = 0) -> CheckResult:
+    """Run one registered identity with its own generator."""
+    spec = REGISTRY[ident]
+    rng = np.random.default_rng([seed, zlib.crc32(ident.encode())])
+    samples, residual = spec.run(ctx or Context(), rng)
+    return CheckResult(ident, spec.statement, int(samples), float(residual), spec.tolerance)
+
+
+def _suite_of(ident: str) -> str:
+    return ident.split(".", 1)[0]
+
+
+def _words(rng, count, max_len=12, bound=math.inf):
+    """``count`` random words of 1..max_len letters S or T^n (|n| <= 3)
+    whose entries stay within ``bound``."""
     out = []
-    for _ in range(count):
-        m = GroupElement(1, 0, 0, 1)
-        for _ in range(rng.integers(1, max_len + 1)):
-            if rng.random() < 0.5:
-                m = m * S
-            else:
-                m = m * GroupElement(1, int(rng.integers(-3, 4)), 0, 1)
-        out.append(m)
-    return out
+    while len(out) < count:
+        lengths = rng.integers(1, max_len + 1, count).tolist()
+        # a letter is the shift n of T^n, or 4 for S
+        is_s = rng.random((count, max_len)) < 0.5
+        letters = np.where(is_s, 4, rng.integers(-3, 4, (count, max_len))).tolist()
+        for n, word in zip(lengths, letters):
+            a, b, c, d = 1, 0, 0, 1
+            for t in word[:n]:
+                a, b, c, d = (b, -a, d, -c) if t == 4 else (a, a * t + b, c, c * t + d)
+            if max(abs(a), abs(b), abs(c), abs(d)) <= bound:
+                out.append(GroupElement(a, b, c, d))
+    return out[:count]
 
 
 def _random_h(rng, count):
     return rng.uniform(-2, 2, count) + 1j * rng.uniform(0.2, 3.0, count)
 
 
+def _rel(value, reference) -> float:
+    return abs(value - reference) / abs(reference)
+
+
 # ---------------------------------------------------------------------------
-# branch suite
+# branch
 
 
-def suite_branch(settings: Settings, rng) -> list:
-    checks = []
+def _off_axis_points(rng):
+    return _random_h(rng, 200) * np.exp(1j * rng.uniform(-3, 3, 200))
 
-    zs = _random_h(rng, 200) * np.exp(1j * rng.uniform(-3, 3, 200))
+
+@identity("branch.pow-unit-exponents", "z^1 = z and z^0 = 1 on the principal branch", 1e-13)
+def _(ctx, rng):
+    zs = [z for z in _off_axis_points(rng) if z != 0]
     res = max(
-        max(abs(principal_pow(z, 1) - z) / abs(z) for z in zs if z != 0),
-        max(abs(principal_pow(z, 0) - 1) for z in zs if z != 0),
+        max(abs(principal_pow(z, 1) - z) / abs(z) for z in zs),
+        max(abs(principal_pow(z, 0) - 1) for z in zs),
     )
-    checks.append(
-        CheckResult(
-            "branch.pow-unit-exponents",
-            "z^1 = z and z^0 = 1 on the principal branch",
-            400,
-            res,
-            1e-13,
-        )
-    )
+    return 2 * len(zs), res
 
+
+@identity(
+    "branch.factorization",
+    "(z w)^a = z^a w^a whenever the factorization predicate holds",
+    1e-13,
+)
+def _(ctx, rng):
     worst = 0.0
     n_pairs = 0
-    for _ in range(100):
+    while n_pairs < 100:
         if rng.random() < 0.5:
             z = complex(rng.uniform(0.1, 4.0))
             w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if w == 0:
-                continue
         else:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if z == 0 or (z.imag == 0 and z.real <= 0):
-                continue
             w = complex(rng.uniform(0.1, 3.0)) * z.conjugate()
-        if not factorizable(z, w):
+        if z == 0 or w == 0 or not factorizable(z, w):
             continue
         n_pairs += 1
         for _ in range(10):
@@ -166,161 +297,118 @@ def suite_branch(settings: Settings, rng) -> list:
             lhs = principal_pow(z * w, alpha)
             rhs = principal_pow(z, alpha) * principal_pow(w, alpha)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    checks.append(
-        CheckResult(
-            "branch.factorization",
-            "(z w)^a = z^a w^a whenever the factorization predicate holds",
-            n_pairs * 10,
-            worst,
-            1e-13,
-        )
-    )
+    return n_pairs * 10, worst
 
-    neg = abs(principal_pow(-1.0, 0.5) - 1j)
-    checks.append(
-        CheckResult(
-            "branch.negative-axis",
-            "arg(-1) = +pi so (-1)^(1/2) = i",
-            1,
-            max(neg, abs(principal_arg(-1.0) - math.pi)),
-            1e-15,
-        )
-    )
 
+@identity("branch.negative-axis", "arg(-1) = +pi so (-1)^(1/2) = i", 1e-15)
+def _(ctx, rng):
+    return 1, max(abs(principal_pow(-1.0, 0.5) - 1j), abs(principal_arg(-1.0) - math.pi))
+
+
+@identity("branch.arg-conjugation", "arg(conj z) = -arg(z) off the cut", 1e-15)
+def _(ctx, rng):
+    zs = _off_axis_points(rng)
     worst = 0.0
     for z in zs:
         if z == 0 or (z.imag == 0 and z.real < 0):
             continue
         worst = max(worst, abs(principal_arg(z.conjugate()) + principal_arg(z)))
-    checks.append(
-        CheckResult(
-            "branch.arg-conjugation",
-            "arg(conj z) = -arg(z) off the cut",
-            len(zs),
-            worst,
-            1e-15,
-        )
-    )
+    return len(zs), worst
 
+
+@identity(
+    "branch.counterexample",
+    "two negative reals are not factorizable and the identity indeed fails",
+    0.5,
+)
+def _(ctx, rng):
     bad = abs(principal_pow((-1.0) * (-1.0), 0.5) - principal_pow(-1.0, 0.5) ** 2)
-    checks.append(
-        CheckResult(
-            "branch.counterexample",
-            "two negative reals are not factorizable and the identity indeed fails",
-            1,
-            0.0 if (not factorizable(-1.0, -1.0)) and bad > 1.9 else 1.0,
-            0.5,
-        )
-    )
-    return checks
+    return 1, 0.0 if (not factorizable(-1.0, -1.0)) and bad > 1.9 else 1.0
 
 
 # ---------------------------------------------------------------------------
-# group suite
+# group
 
 
-def suite_group(settings: Settings, rng) -> list:
-    checks = []
+@identity(
+    "group.action-identities",
+    "Im(gz) = Im z/|mu|^2 and g zeta - g z = (zeta - z)/(mu(g,zeta) mu(g,z))",
+    1e-12,
+)
+def _(ctx, rng):
     # the identities involve differences of size 1/|mu|^2, so keep entries
     # moderate or double rounding swamps the relative residual
-    mats = [g for g in _random_words(rng, 2000) if g.max_entry() <= 25][:1000]
+    mats = _words(rng, 1000, bound=25)
     zs = _random_h(rng, len(mats))
     worst = 0.0
     for g, z in zip(mats, zs):
         m = mu(g, z)
         gz = moebius(g, z)
         worst = max(worst, abs(gz.imag - z.imag / abs(m) ** 2) / (z.imag / abs(m) ** 2))
-    for g, z in zip(mats, zs):
         zeta = z + 0.8 + 0.9j  # keep the difference away from rounding scale
-        lhs = moebius(g, zeta) - moebius(g, z)
-        rhs = (zeta - z) / (mu(g, zeta) * mu(g, z))
+        lhs = moebius(g, zeta) - gz
+        rhs = (zeta - z) / (mu(g, zeta) * m)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    checks.append(
-        CheckResult(
-            "group.action-identities",
-            "Im(gz) = Im z/|mu|^2 and g zeta - g z = (zeta - z)/(mu(g,zeta) mu(g,z))",
-            2 * len(mats),
-            worst,
-            1e-12,
-        )
-    )
+    return 2 * len(mats), worst
 
-    fails = 0
-    max_over = 0.0
-    for g in _random_words(rng, 1000, max_len=20):
+
+def _decompositions(rng):
+    for g in _words(rng, 1000, max_len=20):
         word, sign = decompose(g)
+        yield g, word, sign
+
+
+@identity("group.decompose-roundtrip", "sign * product(word) reproduces the matrix exactly", 0.0)
+def _(ctx, rng):
+    fails = 0
+    for g, word, sign in _decompositions(rng):
         m = word.matrix()
         if sign == -1:
             m = -m
-        if (m.a, m.b, m.c, m.d) != (g.a, g.b, g.c, g.d):
-            fails += 1
-        bound = 6.0 * (1.0 + math.log2(max(1, g.max_entry())))
-        max_over = max(max_over, len(word) - bound)
-    checks.append(
-        CheckResult(
-            "group.decompose-roundtrip",
-            "sign * product(word) reproduces the matrix exactly",
-            1000,
-            float(fails),
-            0.0,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "group.word-length",
-            "token count <= 6 (1 + log2 max entry)",
-            1000,
-            max(0.0, max_over),
-            0.0,
-        )
-    )
+        fails += (m.a, m.b, m.c, m.d) != (g.a, g.b, g.c, g.d)
+    return 1000, float(fails)
 
-    violations = 0
+
+@identity("group.word-length", "token count <= 6 (1 + log2 max entry)", 0.0)
+def _(ctx, rng):
+    max_over = 0.0
+    for g, word, _ in _decompositions(rng):
+        max_over = max(max_over, len(word) - 6.0 * (1.0 + math.log2(max(1, g.max_entry()))))
+    return 1000, max_over
+
+
+@identity("group.cut-plane-monoid", "nonnegative-entry matrices map the cut plane into itself", 0.0)
+def _(ctx, rng):
     plus = []
     for _ in range(40):
-        m = GroupElement(1, 0, 0, 1)
+        m = IDENTITY
         for _ in range(4):
-            m = m * (GroupElement(1, int(rng.integers(0, 3)), 0, 1) if rng.random() < 0.5 else T_PRIME)
+            shift = GroupElement(1, int(rng.integers(0, 3)), 0, 1)
+            m = m * (shift if rng.random() < 0.5 else T_PRIME)
         if has_nonnegative_entries(m):
             plus.append(m)
     points = rng.uniform(0.1, 3, 100) + 1j * rng.uniform(-2, 2, 100)
-    for g in plus:
-        for z in points:
-            if not in_cut_plane(moebius(g, complex(z))):
-                violations += 1
-    checks.append(
-        CheckResult(
-            "group.cut-plane-monoid",
-            "nonnegative-entry matrices map the cut plane into itself",
-            len(plus) * len(points),
-            float(violations),
-            0.0,
-        )
-    )
+    violations = sum(not in_cut_plane(moebius(g, complex(z))) for g in plus for z in points)
+    return len(plus) * len(points), float(violations)
 
+
+@identity("group.moebius-examples", "S fixes i, T translates, S sends infinity to 0", 0.0)
+def _(ctx, rng):
     ok = (
         abs(moebius(S, 1j) - 1j) < 1e-15
         and abs(moebius(T, 3 + 4j) - (4 + 4j)) < 1e-15
         and abs(moebius(S, INFINITY) - 0.0) < 1e-15
         and moebius(T, INFINITY) is INFINITY
     )
-    checks.append(
-        CheckResult(
-            "group.moebius-examples",
-            "S fixes i, T translates, S sends infinity to 0",
-            4,
-            0.0 if ok else 1.0,
-            0.0,
-        )
-    )
-    return checks
+    return 4, 0.0 if ok else 1.0
 
 
 # ---------------------------------------------------------------------------
-# multiplier suite
+# multiplier
 
 
-def _b10_residual(v: MultiplierSystem, g, d, z) -> float:
+def consistency_residual(v: MultiplierSystem, g, d, z) -> float:
+    """|v(gd) e^{ik arg mu(gd,z)} - v(g) v(d) e^{ik arg mu(g,dz)} e^{ik arg mu(d,z)}|."""
     k = v.k
     lhs = v.evaluate(g * d) * cmath.exp(1j * k * principal_arg(mu(g * d, z)))
     rhs = (
@@ -332,221 +420,207 @@ def _b10_residual(v: MultiplierSystem, g, d, z) -> float:
     return abs(lhs - rhs)
 
 
-def suite_multiplier(settings: Settings, rng, weight=None, kind="eta-power") -> list:
-    checks = []
-    weights = [weight] if weight is not None else ["1/2", "3/2", "12"]
-    for wt in weights:
-        v = construct_trivial(wt) if kind == "trivial" else construct_eta_power(wt)
-        k = v.k
-        label = str(wt)
+@identity(
+    "multiplier.consistency",
+    "v(gd) e^{ik arg mu(gd,z)} = v(g) v(d) e^{ik arg mu(g,dz)} e^{ik arg mu(d,z)}",
+    1e-11,
+    weights=WEIGHTS,
+)
+def _(ctx, rng, weight):
+    v = construct_eta_power(weight)
+    mats = _words(rng, 1000, bound=50)
+    zs = _random_h(rng, 500)
+    pairs = zip(mats[0::2], mats[1::2], zs)
+    return 500, max(consistency_residual(v, g, d, complex(z)) for g, d, z in pairs)
 
-        worst = 0.0
-        count = 0
-        mats = _random_words(rng, 1200)
-        small = [g for g in mats if g.max_entry() <= 50]
-        zs = _random_h(rng, 500)
-        for i in range(500):
-            g = small[i % len(small)]
-            d = small[(2 * i + 1) % len(small)]
-            worst = max(worst, _b10_residual(v, g, d, complex(zs[i])))
-            count += 1
-        checks.append(
-            CheckResult(
-                f"multiplier.consistency[k={label}]",
-                "v(gd) e^{ik arg mu(gd,z)} = v(g) v(d) e^{ik arg mu(g,dz)} e^{ik arg mu(d,z)}",
-                count,
-                worst,
-                1e-11,
-            )
-        )
 
-        want = cmath.exp(-1j * k * math.pi)
-        checks.append(
-            CheckResult(
-                f"multiplier.minus-one[k={label}]",
-                "v((-1)) = e^{-ik pi}",
-                1,
-                abs(v.evaluate(MINUS_ONE) - want),
-                1e-13,
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"multiplier.s-squared[k={label}]",
-                "v(S)^2 = e^{-ik pi}",
-                1,
-                abs(v.v_s * v.v_s - want),
-                1e-13,
-            )
-        )
+@identity("multiplier.minus-one", "v((-1)) = e^{-ik pi}", 1e-13, weights=WEIGHTS)
+def _(ctx, rng, weight):
+    v = construct_eta_power(weight)
+    return 1, abs(v.evaluate(MINUS_ONE) - cmath.exp(-1j * v.k * math.pi))
 
-        direct = v.evaluate_word(GeneratorWord((("T", 1), ("S", 1), ("T", 1))), 1)
-        via_decompose = v.evaluate(T_PRIME)
-        checks.append(
-            CheckResult(
-                f"multiplier.word-independence[k={label}]",
-                "two words for the same element give the same value",
-                1,
-                abs(direct - via_decompose),
-                1e-12,
-            )
-        )
 
-        worst = 0.0
-        for g in small[:40]:
-            a = v.evaluate(g)
-            b = v.evaluate(g, base_point=0.37 + 1.11j)
-            worst = max(worst, abs(a - b))
-        checks.append(
-            CheckResult(
-                f"multiplier.base-point[k={label}]",
-                "folded values do not depend on the base point",
-                40,
-                worst,
-                1e-12,
-            )
-        )
-    return checks
+@identity("multiplier.s-squared", "v(S)^2 = e^{-ik pi}", 1e-13, weights=WEIGHTS)
+def _(ctx, rng, weight):
+    v = construct_eta_power(weight)
+    return 1, abs(v.v_s * v.v_s - cmath.exp(-1j * v.k * math.pi))
+
+
+@identity(
+    "multiplier.word-independence",
+    "two words for the same element give the same value",
+    1e-12,
+    weights=WEIGHTS,
+)
+def _(ctx, rng, weight):
+    v = construct_eta_power(weight)
+    direct = v.evaluate_word(GeneratorWord((("T", 1), ("S", 1), ("T", 1))), 1)
+    return 1, abs(direct - v.evaluate(T_PRIME))
+
+
+@identity(
+    "multiplier.base-point",
+    "folded values do not depend on the base point",
+    1e-12,
+    weights=WEIGHTS,
+)
+def _(ctx, rng, weight):
+    v = construct_eta_power(weight)
+    mats = _words(rng, 40, bound=50)
+    return 40, max(abs(v.evaluate(g) - v.evaluate(g, base_point=0.37 + 1.11j)) for g in mats)
 
 
 # ---------------------------------------------------------------------------
-# kernel suite
+# kernel
 
 
-def suite_kernel(settings: Settings, rng) -> list:
-    checks = []
+def _kernel_points(rng):
+    return complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.5)), float(rng.uniform(-3, 3))
+
+
+@identity("kernel.closed-form", "R_{0,-1/2}(z, zeta) = y / ((x - zeta)^2 + y^2)", 1e-12)
+def _(ctx, rng):
     closed = RKernel(0.0, -0.5)
-    pts = [(1j, 0.0, 1.0), (1j, 1.0, 0.5)]
-    worst = 0.0
-    for z, zeta, want in pts:
-        worst = max(worst, abs(closed.eval(z, zeta) - want))
+    worst = max(abs(closed.eval(1j, 0.0) - 1.0), abs(closed.eval(1j, 1.0) - 0.5))
     for _ in range(20):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.5))
-        zeta = float(rng.uniform(-3, 3))
+        z, zeta = _kernel_points(rng)
         want = z.imag / ((z.real - zeta) ** 2 + z.imag**2)
         worst = max(worst, abs(closed.eval(z, zeta) - want) / abs(want))
-    checks.append(
-        CheckResult(
-            "kernel.closed-form",
-            "R_{0,-1/2}(z, zeta) = y / ((x - zeta)^2 + y^2)",
-            22,
-            worst,
-            1e-12,
-        )
-    )
+    return 22, worst
 
+
+@identity(
+    "kernel.real-zeta-form",
+    "for real zeta the kernel equals e^{-ik arg(zeta-z)} (y/((zeta-z)(zeta-zbar)))^{1/2-nu}",
+    1e-13,
+)
+def _(ctx, rng):
+    k, nu = 0.5, 0.2
+    ker = RKernel(k, nu)
+    points = [_kernel_points(rng) for _ in range(20)] + [(1 + 1j, 0.0)]
     worst = 0.0
-    for _ in range(20):
-        k = 0.5
-        nu = 0.2
-        ker = RKernel(k, nu)
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.5))
-        zeta = float(rng.uniform(-3, 3))
-        direct = ker.eval(z, zeta)
+    for z, zeta in points:
         a = zeta - z
         b = zeta - z.conjugate()
-        alt = cmath.exp(-1j * k * principal_arg(a)) * principal_pow(
-            z.imag / (a * b), 0.5 - nu
-        )
-        worst = max(worst, abs(direct - alt) / abs(alt))
-    z0, zeta0 = 1 + 1j, 0.0
-    ker0 = RKernel(0.5, 0.2)
-    a0, b0 = zeta0 - z0, zeta0 - z0.conjugate()
-    alt0 = cmath.exp(-1j * 0.5 * principal_arg(a0)) * principal_pow(
-        z0.imag / (a0 * b0), 0.3
-    )
-    worst = max(worst, abs(ker0.eval(z0, zeta0) - alt0) / abs(alt0))
-    checks.append(
-        CheckResult(
-            "kernel.real-zeta-form",
-            "for real zeta the kernel equals e^{-ik arg(zeta-z)} (y/((zeta-z)(zeta-zbar)))^{1/2-nu}",
-            21,
-            worst,
-            1e-13,
-        )
-    )
+        alt = cmath.exp(-1j * k * principal_arg(a)) * principal_pow(z.imag / (a * b), 0.5 - nu)
+        worst = max(worst, abs(ker.eval(z, zeta) - alt) / abs(alt))
+    return len(points), worst
 
+
+@identity(
+    "kernel.transformation-law",
+    "R(gz, g zeta) = e^{ik arg mu(g,z)} mu(g,zeta)^{1-2nu} R(z, zeta) under all three clauses",
+    1e-11,
+)
+def _(ctx, rng):
     ker = RKernel(0.5, 0.31j)
-    worst = 0.0
-    n = 0
     # clause (1): mu(g, zeta) positive real
-    for zeta in (2.0, 0.7, 3.5):
-        for z in (1j, 0.4 + 1.3j, -0.2 + 0.8j):
-            worst = max(worst, r_transform_check(ker, S, z, zeta))
-            n += 1
+    cases = [(S, z, zeta) for zeta in (2.0, 0.7, 3.5) for z in (1j, 0.4 + 1.3j, -0.2 + 0.8j)]
     # translations are exact
-    worst = max(worst, r_transform_check(ker, T, 0.3 + 0.9j, 0.2 + 1.1j))
-    n += 1
-    # clause (2): g z on the vertical ray above g zeta
+    cases.append((T, 0.3 + 0.9j, 0.2 + 1.1j))
     s_inv = S.inverse()
-    for zeta in (1 + 1j, 0.5 + 0.6j):
-        for t in (0.5, 1.7):
-            gz = moebius(S, zeta) + 1j * t
-            z = moebius(s_inv, gz)
-            worst = max(worst, r_transform_check(ker, S, z, zeta))
-            n += 1
-    # clause (3): the mirror configuration below the axis
-    for zeta in (1 - 1j, 0.5 - 0.6j):
-        for t in (0.5, 1.7):
-            gzbar = moebius(S, zeta.conjugate()) + 1j * t
-            z = moebius(s_inv, gzbar).conjugate()
-            worst = max(worst, r_transform_check(ker, S, z, zeta))
-            n += 1
-    checks.append(
-        CheckResult(
-            "kernel.transformation-law",
-            "R(gz, g zeta) = e^{ik arg mu(g,z)} mu(g,zeta)^{1-2nu} R(z, zeta) under all three clauses",
-            n,
-            worst,
-            1e-11,
-        )
-    )
+    for t in (0.5, 1.7):
+        # clause (2): g z on the vertical ray above g zeta
+        for zeta in (1 + 1j, 0.5 + 0.6j):
+            cases.append((S, moebius(s_inv, moebius(S, zeta) + 1j * t), zeta))
+        # clause (3): the mirror configuration below the axis
+        for zeta in (1 - 1j, 0.5 - 0.6j):
+            z = moebius(s_inv, moebius(S, zeta.conjugate()) + 1j * t).conjugate()
+            cases.append((S, z, zeta))
+    return len(cases), max(r_transform_check(ker, g, z, zeta) for g, z, zeta in cases)
 
-    worst_lap = 0.0
-    worst_eig = 0.0
-    ker = RKernel(0.5, 0.31j)
-    lam = 0.25 - ker.nu**2
+
+def _kernel_fd_points(rng):
     for _ in range(10):
         z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 1.8))
-        zeta = complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
+        yield z, complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
+
+
+@identity(
+    "kernel.laplace-eigen",
+    "the kernel is a (1/4 - nu^2)-eigenfunction of the weight-k Laplacian",
+    1e-5,
+)
+def _(ctx, rng):
+    ker = RKernel(0.5, 0.31j)
+    lam = 0.25 - ker.nu**2
+    worst = 0.0
+    for z, zeta in _kernel_fd_points(rng):
         fn = lambda w: ker.eval(w, zeta)
-        lap = maass_laplacian_fd(fn, ker.k, z)
-        worst_lap = max(worst_lap, abs(lap - lam * fn(z)) / abs(lam * fn(z)))
-        for sign in (+1, -1):
-            op = maass_raise if sign > 0 else maass_lower
-            fd = op(fn, z, k=ker.k)
-            coeff = 1.0 - 2.0 * ker.nu + sign * ker.k
-            closed_val = coeff * RKernel(ker.k + 2 * sign, ker.nu).eval(z, zeta)
-            worst_eig = max(worst_eig, abs(fd - closed_val) / abs(closed_val))
-    checks.append(
-        CheckResult(
-            "kernel.laplace-eigen",
-            "the kernel is a (1/4 - nu^2)-eigenfunction of the weight-k Laplacian",
-            10,
-            worst_lap,
-            1e-5,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "kernel.ladder-eigen",
-            "E^{+-}_k shifts the kernel index by 2 with factor 1 - 2 nu +- k",
-            20,
-            worst_eig,
-            1e-6,
-        )
-    )
-    return checks
+        want = lam * fn(z)
+        worst = max(worst, abs(maass_laplacian_fd(fn, ker.k, z) - want) / abs(want))
+    return 10, worst
+
+
+@identity(
+    "kernel.ladder-eigen",
+    "E^{+-}_k shifts the kernel index by 2 with factor 1 - 2 nu +- k",
+    1e-6,
+)
+def _(ctx, rng):
+    ker = RKernel(0.5, 0.31j)
+    worst = 0.0
+    for z, zeta in _kernel_fd_points(rng):
+        fn = lambda w: ker.eval(w, zeta)
+        for sign, op in ((+1, maass_raise), (-1, maass_lower)):
+            shifted = RKernel(ker.k + 2 * sign, ker.nu)
+            want = (1.0 - 2.0 * ker.nu + sign * ker.k) * shifted.eval(z, zeta)
+            worst = max(worst, abs(op(fn, z, k=ker.k) - want) / abs(want))
+    return 20, worst
 
 
 # ---------------------------------------------------------------------------
-# Maass-Selberg suite
+# Maass-Selberg forms
+
+
+@identity(
+    "ms.closedness",
+    "the Maass-Selberg form of two matched eigenfunctions is closed (loop integral vanishes)",
+    1e-8,
+)
+def _(ctx, rng):
+    omega = eta_integrand_kernel_raised(ctx.delta, 3.0)
+    corners = [0.2 + 0.8j, 0.6 + 0.8j, 0.6 + 1.6j, 0.2 + 1.6j, 0.2 + 0.8j]
+    loop = 0.0 + 0.0j
+    scale = 0.0
+    for p, q in zip(corners[:-1], corners[1:]):
+        seg = integrate_form(omega, GeodesicPath.polyline([p, q]), tol=1e-12, settings=ctx.settings)
+        loop += seg.value
+        scale = max(scale, abs(seg.value))
+    return 4, abs(loop) / max(scale, 1e-30)
+
+
+@identity("ms.sum-identity", "eta_k(f,g) + eta_{-k}(g,f) = 4i d(fg) componentwise", 1e-6)
+def _(ctx, rng):
+    f = lambda z: complex(z).imag ** 0.3
+    g = lambda z: complex(z).imag ** 0.6
+    prod = lambda z: f(z) * g(z)
+    kk, z0, h = 0.5, 0.3 + 1.1j, 1e-4
+    lhs = eta_form(kk, f, g, z0)
+    rhs = eta_form(-kk, g, f, z0)
+    d_x = (prod(z0 + h) - prod(z0 - h)) / (2 * h)
+    d_y = (prod(z0 + 1j * h) - prod(z0 - 1j * h)) / (2 * h)
+    d_z = (d_x - 1j * d_y) / 2
+    d_zbar = (d_x + 1j * d_y) / 2
+    return 2, max(abs(lhs.A + rhs.A - 4j * d_z), abs(lhs.B + rhs.B - 4j * d_zbar))
+
+
+@identity(
+    "ms.reflection-symmetry",
+    "eta_k(f,g)(z) matches eta_k(g,f)(conj z) with dz and dzbar exchanged",
+    1e-6,
+)
+def _(ctx, rng):
+    sym = lambda z: abs(complex(z).imag) ** 0.4
+    zm = 0.5 - 1.2j
+    below = eta_form(0.5, sym, sym, zm)
+    above = eta_form(0.5, sym, sym, zm.conjugate())
+    return 2, max(abs(below.A - above.B), abs(below.B - above.A))
 
 
 def _pullback_form(omega_fn, v_val, g, z):
     """(A, B) of a slashed 1-form: v^{-1} times the Moebius pullback at z."""
-    gz = moebius(g, z)
-    sample = omega_fn(gz)
+    sample = omega_fn(moebius(g, z))
     m = mu(g, z)
     return (
         sample.A / (v_val * m * m),
@@ -554,73 +628,9 @@ def _pullback_form(omega_fn, v_val, g, z):
     )
 
 
-def suite_ms(settings: Settings, rng, delta: MaassForm | None = None) -> list:
-    checks = []
-    delta = delta or delta_form(settings.q_terms)
-    k, nu = delta.k, delta.nu
-
-    kernel = RKernel(-k, nu)
-    zeta = 3.0
-    omega = eta_integrand_kernel_raised(delta, zeta)
-    corners = [0.2 + 0.8j, 0.6 + 0.8j, 0.6 + 1.6j, 0.2 + 1.6j, 0.2 + 0.8j]
-    loop = 0.0 + 0.0j
-    scale = 0.0
-    for p, q in zip(corners[:-1], corners[1:]):
-        seg = integrate_form(omega, GeodesicPath.polyline([p, q]), tol=1e-12, settings=settings)
-        loop += seg.value
-        scale = max(scale, abs(seg.value))
-    checks.append(
-        CheckResult(
-            "ms.closedness",
-            "the Maass-Selberg form of two matched eigenfunctions is closed (loop integral vanishes)",
-            4,
-            abs(loop) / max(scale, 1e-30),
-            1e-8,
-        )
-    )
-
-    f = lambda z: complex(z).imag ** 0.3
-    g_fn = lambda z: complex(z).imag ** 0.6
+@identity("ms.slash-compatibility", "eta_k(f,g)|_0^v g = eta_k(f|_k^v g, g|_{-k}^1 g)", 1e-8)
+def _(ctx, rng):
     kk = 0.5
-    z0 = 0.3 + 1.1j
-    lhs = eta_form(kk, f, g_fn, z0)
-    rhs = eta_form(-kk, g_fn, f, z0)
-    h = 1e-4
-    d_z = (f(z0 + h) * g_fn(z0 + h) - f(z0 - h) * g_fn(z0 - h)) / (2 * h) / 2 + (
-        f(z0 + 1j * h) * g_fn(z0 + 1j * h) - f(z0 - 1j * h) * g_fn(z0 - 1j * h)
-    ) / (2j * h) / 2
-    d_zbar = (f(z0 + h) * g_fn(z0 + h) - f(z0 - h) * g_fn(z0 - h)) / (2 * h) / 2 - (
-        f(z0 + 1j * h) * g_fn(z0 + 1j * h) - f(z0 - 1j * h) * g_fn(z0 - 1j * h)
-    ) / (2j * h) / 2
-    res = max(
-        abs(lhs.A + rhs.A - 4j * d_z),
-        abs(lhs.B + rhs.B - 4j * d_zbar),
-    )
-    checks.append(
-        CheckResult(
-            "ms.sum-identity",
-            "eta_k(f,g) + eta_{-k}(g,f) = 4i d(fg) componentwise",
-            2,
-            res,
-            1e-6,
-        )
-    )
-
-    sym = lambda z: abs(complex(z).imag) ** 0.4
-    zm = 0.5 - 1.2j
-    below = eta_form(kk, sym, sym, zm)
-    above = eta_form(kk, sym, sym, zm.conjugate())
-    res = max(abs(below.A - above.B), abs(below.B - above.A))
-    checks.append(
-        CheckResult(
-            "ms.reflection-symmetry",
-            "eta_k(f,g)(z) matches eta_k(g,f)(conj z) with dz and dzbar exchanged",
-            2,
-            res,
-            1e-6,
-        )
-    )
-
     v = construct_eta_power("1/2")
     fs = lambda z: complex(z).imag ** 0.3 * (1 + 0.3 * cmath.cos(complex(z).real))
     gs = lambda z: complex(z).imag ** 0.6 * (1 + 0.2 * cmath.sin(0.7 * complex(z).real))
@@ -629,678 +639,546 @@ def suite_ms(settings: Settings, rng, delta: MaassForm | None = None) -> list:
         v_val = v.evaluate(g_elt)
         for _ in range(5):
             z = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
-            lhs_pair = _pullback_form(lambda w: eta_form(kk, fs, gs, w), v_val, g_elt, z)
-            f_sl = slash(fs, kk, v, g_elt)
-            g_sl = slash(gs, -kk, 1, g_elt)
-            rhs_sample = eta_form(kk, f_sl, g_sl, z)
-            worst = max(
-                worst,
-                abs(lhs_pair[0] - rhs_sample.A),
-                abs(lhs_pair[1] - rhs_sample.B),
-            )
-    checks.append(
-        CheckResult(
-            "ms.slash-compatibility",
-            "eta_k(f,g)|_0^v g = eta_k(f|_k^v g, g|_{-k}^1 g)",
-            10,
-            worst,
-            1e-8,
-        )
-    )
+            lhs = _pullback_form(lambda w: eta_form(kk, fs, gs, w), v_val, g_elt, z)
+            rhs = eta_form(kk, slash(fs, kk, v, g_elt), slash(gs, -kk, 1, g_elt), z)
+            worst = max(worst, abs(lhs[0] - rhs.A), abs(lhs[1] - rhs.B))
+    return 10, worst
 
-    nu_t = 0.3
-    s_exp = 0.5 - nu_t
-    kk2 = 0.5
-    ys = lambda z: complex(z).imag ** s_exp
-    e_plus = lambda z: (1 - 2 * nu_t + kk2) * complex(z).imag ** s_exp
-    e_minus = lambda z: (1 - 2 * nu_t + kk2) * complex(z).imag ** s_exp
+
+@identity(
+    "ms.raised-pair",
+    "eta_{k+2}(E+f, E-g) = (1+2nu+k)(1-2nu+k) eta_k(f,g) + 4i d((E+f)(E-g)), integrated",
+    1e-6,
+)
+def _(ctx, rng):
+    nu, kk = 0.3, 0.5
+    ys = lambda z: complex(z).imag ** (0.5 - nu)
+    e_plus = lambda z: (1 - 2 * nu + kk) * ys(z)
+    e_minus = e_plus
     z0, z1 = 0.2 + 0.9j, 0.5 + 1.4j
     seg = GeodesicPath.polyline([z0, z1])
-    lhs_int = integrate_form(
-        lambda zs: eta_form_many(kk2 + 2, CallableSection(e_plus), CallableSection(e_minus), zs),
+    lhs = integrate_form(
+        lambda zs: eta_form_many(kk + 2, CallableSection(e_plus), CallableSection(e_minus), zs),
         seg,
         tol=1e-11,
-        settings=settings,
+        settings=ctx.settings,
     ).value
-    rhs_int = integrate_form(
-        lambda zs: eta_form_many(kk2, CallableSection(ys), CallableSection(ys), zs),
+    pair = integrate_form(
+        lambda zs: eta_form_many(kk, CallableSection(ys), CallableSection(ys), zs),
         seg,
         tol=1e-11,
-        settings=settings,
+        settings=ctx.settings,
     ).value
     boundary = 4j * (e_plus(z1) * e_minus(z1) - e_plus(z0) * e_minus(z0))
-    lhs_val = lhs_int
-    rhs_val = (1 + 2 * nu_t + kk2) * (1 - 2 * nu_t + kk2) * rhs_int + boundary
-    checks.append(
-        CheckResult(
-            "ms.raised-pair",
-            "eta_{k+2}(E+f, E-g) = (1+2nu+k)(1-2nu+k) eta_k(f,g) + 4i d((E+f)(E-g)), integrated",
-            1,
-            abs(lhs_val - rhs_val) / max(abs(rhs_val), 1e-30),
-            1e-6,
-        )
-    )
+    rhs = (1 + 2 * nu + kk) * (1 - 2 * nu + kk) * pair + boundary
+    return 1, abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
-    worst = 0.0
-    v12 = delta.multiplier
+
+@identity(
+    "ms.moved-kernel",
+    "eta_{-k}(R(., g zeta), u)|_0^v g = mu(g, zeta)^{1-2nu} eta_{-k}(R(., zeta), u)",
+    1e-8,
+)
+def _(ctx, rng):
+    delta = ctx.delta
     zeta = 2.0
-    g_elt = S
-    v_val = v12.evaluate(g_elt)
-    omega_moved = eta_integrand_kernel_raised(delta, moebius(g_elt, zeta))
+    v_val = delta.multiplier.evaluate(S)
+    omega_moved = eta_integrand_kernel_raised(delta, moebius(S, zeta))
     omega_base = eta_integrand_kernel_raised(delta, zeta)
-    factor = principal_pow(mu(g_elt, zeta), 1 - 2 * delta.nu)
-    for z in (0.25j + 0.1, 0.8j - 0.3, 1.5j + 0.4):
-        z = complex(z)
-        gz = moebius(g_elt, z)
-        a_m, b_m = omega_moved(np.array([gz]))
-        m = mu(g_elt, z)
-        lhs_a = a_m[0] / (v_val * m * m)
-        lhs_b = b_m[0] / (v_val * m.conjugate() ** 2)
+    factor = principal_pow(mu(S, zeta), 1 - 2 * delta.nu)
+    worst = 0.0
+    for z in (0.1 + 0.25j, -0.3 + 0.8j, 0.4 + 1.5j):
+        a_m, b_m = omega_moved(np.array([moebius(S, z)]))
+        m = mu(S, z)
         a_b, b_b = omega_base(np.array([z]))
-        worst = max(
-            worst,
-            abs(lhs_a - factor * a_b[0]) / max(abs(factor * a_b[0]), 1e-30),
-            abs(lhs_b - factor * b_b[0]) / max(abs(factor * b_b[0]), 1e-30) if b_b[0] != 0 else 0.0,
-        )
-    checks.append(
-        CheckResult(
-            "ms.moved-kernel",
-            "eta_{-k}(R(., g zeta), u)|_0^v g = mu(g, zeta)^{1-2nu} eta_{-k}(R(., zeta), u)",
-            3,
-            worst,
-            1e-8,
-        )
-    )
-    return checks
+        lhs_a = a_m[0] / (v_val * m * m)
+        worst = max(worst, abs(lhs_a - factor * a_b[0]) / max(abs(factor * a_b[0]), 1e-30))
+        if b_b[0] != 0:
+            lhs_b = b_m[0] / (v_val * m.conjugate() ** 2)
+            worst = max(worst, abs(lhs_b - factor * b_b[0]) / max(abs(factor * b_b[0]), 1e-30))
+    return 3, worst
 
 
 # ---------------------------------------------------------------------------
-# quadrature suite
+# quadrature
 
 
-def suite_quad(settings: Settings, rng, delta: MaassForm | None = None) -> list:
-    checks = []
-    delta = delta or delta_form(settings.q_terms)
+def _exp_form(zs):
+    return np.exp(2j * math.pi * np.asarray(zs)), np.zeros(np.shape(zs), complex)
 
+
+@identity("quad.log-segment", "int of dz/y from i to 2i equals i log 2", 1e-12)
+def _(ctx, rng):
     omega = lambda zs: (1.0 / np.asarray(zs).imag, np.zeros(np.shape(zs), complex))
-    got = integrate_form(omega, GeodesicPath.polyline([1j, 2j]), tol=1e-13, settings=settings)
-    checks.append(
-        CheckResult(
-            "quad.log-segment",
-            "int of dz/y from i to 2i equals i log 2",
-            1,
-            abs(got.value - 1j * math.log(2)),
-            1e-12,
-        )
-    )
+    got = integrate_form(omega, GeodesicPath.polyline([1j, 2j]), tol=1e-13, settings=ctx.settings)
+    return 1, abs(got.value - 1j * math.log(2))
 
-    omega = lambda zs: (np.exp(2j * math.pi * np.asarray(zs)), np.zeros(np.shape(zs), complex))
-    got = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-15, settings=settings)
+
+@identity("quad.exponential-ray", "int of e^{2 pi i z} dz up the ray from i", 1e-11)
+def _(ctx, rng):
+    ray = GeodesicPath.vertical_ray(1j, +1)
+    got = integrate_form(_exp_form, ray, tol=1e-15, settings=ctx.settings)
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
-    checks.append(
-        CheckResult(
-            "quad.exponential-ray",
-            "int of e^{2 pi i z} dz up the ray from i",
-            1,
-            abs(got.value - want) / abs(want),
-            1e-11,
-        )
-    )
+    return 1, abs(got.value - want) / abs(want)
 
-    omega = eta_integrand_kernel_raised(delta, 3.0)
-    direct = integrate_form(
-        omega, GeodesicPath.vertical_ray(0.0, +1), tol=1e-7, start_mode=("exp",), settings=settings
-    ).value
-    scaled = abs(direct) * settings.quad_tol
-    direct = integrate_form(
-        omega, GeodesicPath.vertical_ray(0.0, +1), tol=scaled, start_mode=("exp",), settings=settings
-    ).value
+
+def _axis_integral(ctx):
+    """Delta's kernel-raised pairing at zeta = 3 on the axis, with the
+    tolerance scaled to it: (omega, tol, value)."""
+    omega = eta_integrand_kernel_raised(ctx.delta, 3.0)
+    axis = GeodesicPath.vertical_ray(0.0, +1)
+    rough = integrate_form(omega, axis, tol=1e-7, start_mode=("exp",), settings=ctx.settings).value
+    tol = abs(rough) * ctx.settings.quad_tol
+    value = integrate_form(omega, axis, tol=tol, start_mode=("exp",), settings=ctx.settings).value
+    return omega, tol, value
+
+
+@identity(
+    "quad.path-independence",
+    "a closed form integrates identically over homotopic contours",
+    1e-8,
+)
+def _(ctx, rng):
+    omega, tol, direct = _axis_integral(ctx)
     bent = integrate_form(
         omega,
         GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
-        tol=scaled,
+        tol=tol,
         start_mode=("exp",),
-        settings=settings,
+        settings=ctx.settings,
     ).value
-    checks.append(
-        CheckResult(
-            "quad.path-independence",
-            "a closed form integrates identically over homotopic contours",
-            2,
-            abs(direct - bent) / max(abs(direct), 1e-30),
-            1e-8,
-        )
-    )
+    return 2, abs(direct - bent) / max(abs(direct), 1e-30)
 
-    axis = direct
+
+@identity(
+    "quad.three-path-split",
+    "the axis integral equals the sum over the two image geodesics",
+    1e-8,
+)
+def _(ctx, rng):
+    omega, tol, axis = _axis_integral(ctx)
     shifted = integrate_form(
-        omega, GeodesicPath.arc(-1.0, INFINITY), tol=scaled, start_mode=("exp",), settings=settings
+        omega, GeodesicPath.arc(-1.0, INFINITY), tol=tol, start_mode=("exp",), settings=ctx.settings
     ).value
-    arc = integrate_form(
-        omega, GeodesicPath.arc(0.0, -1.0), tol=scaled, settings=settings
-    ).value
-    split = abs(axis - shifted - arc) / max(abs(axis), 1e-30)
-    checks.append(
-        CheckResult(
-            "quad.three-path-split",
-            "the axis integral equals the sum over the two image geodesics",
-            3,
-            split,
-            1e-8,
-        )
-    )
+    arc = integrate_form(omega, GeodesicPath.arc(0.0, -1.0), tol=tol, settings=ctx.settings).value
+    return 3, abs(axis - shifted - arc) / max(abs(axis), 1e-30)
 
+
+@identity("quad.endpoint-powers", "distance-to-endpoint powers integrate to 1/(1+alpha)", 1e-9)
+def _(ctx, rng):
+    d = 1.0 + 1.0j
     worst = 0.0
     for alpha in (-0.4, -0.2, 0.0):
-        d = 1.0 + 1.0j
 
-        def omega_pow(zs, alpha=alpha, d=d):
+        def omega(zs, alpha=alpha):
             t = np.asarray(zs, dtype=complex) / d
-            return (t.real.astype(complex) ** alpha / d, np.zeros(np.shape(zs), complex))
+            return t.real.astype(complex) ** alpha / d, np.zeros(np.shape(zs), complex)
 
         got = integrate_form(
-            omega_pow,
+            omega,
             GeodesicPath.polyline([0.0, d]),
             tol=1e-12,
             start_mode=("power", alpha),
-            settings=settings,
+            settings=ctx.settings,
         )
         worst = max(worst, abs(got.value - 1.0 / (1.0 + alpha)))
-    checks.append(
-        CheckResult(
-            "quad.endpoint-powers",
-            "distance-to-endpoint powers integrate to 1/(1+alpha)",
-            3,
-            worst,
-            1e-9,
-        )
-    )
+    return 3, worst
 
-    omega = lambda zs: (np.exp(2j * math.pi * np.asarray(zs)), np.zeros(np.shape(zs), complex))
-    loose = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-8, settings=settings)
-    tight = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=5e-9, settings=settings)
-    checks.append(
-        CheckResult(
-            "quad.error-estimate",
-            "halving the tolerance moves the value by less than the previous estimate",
-            2,
-            0.0 if abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-15) else 1.0,
-            0.0,
-        )
-    )
 
-    img = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), T.inverse())
-    ok_t = img.points == (-1.0, INFINITY)
-    img2 = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), T_PRIME.inverse())
-    ok_tp = img2.points == (0.0, -1.0)
-    img3 = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), S.inverse())
-    ok_s = img3.points[0] is INFINITY and img3.points[1] == 0.0
-    checks.append(
-        CheckResult(
-            "quad.geodesic-images",
-            "the axis maps to the expected geodesics under T^-1, (T')^-1, S^-1",
-            3,
-            0.0 if (ok_t and ok_tp and ok_s) else 1.0,
-            0.0,
-        )
-    )
-    return checks
+@identity(
+    "quad.error-estimate",
+    "halving the tolerance moves the value by less than the previous estimate",
+    0.0,
+)
+def _(ctx, rng):
+    ray = GeodesicPath.vertical_ray(1j, +1)
+    loose = integrate_form(_exp_form, ray, tol=1e-8, settings=ctx.settings)
+    tight = integrate_form(_exp_form, ray, tol=5e-9, settings=ctx.settings)
+    return 2, 0.0 if abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-15) else 1.0
+
+
+@identity(
+    "quad.geodesic-images",
+    "the axis maps to the expected geodesics under T^-1, (T')^-1, S^-1",
+    0.0,
+)
+def _(ctx, rng):
+    axis = GeodesicPath.vertical_ray(0.0, +1)
+    ok_t = geodesic_image(axis, T.inverse()).points == (-1.0, INFINITY)
+    ok_tp = geodesic_image(axis, T_PRIME.inverse()).points == (0.0, -1.0)
+    img = geodesic_image(axis, S.inverse())
+    ok_s = img.points[0] is INFINITY and img.points[1] == 0.0
+    return 3, 0.0 if (ok_t and ok_tp and ok_s) else 1.0
 
 
 # ---------------------------------------------------------------------------
-# periods suite
+# period functions and nearly periodic functions
 
 
-def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-30)
-
-
-def suite_periods(settings: Settings, rng, forms: dict | None = None) -> list:
-    checks = []
-    forms = forms or {}
-    delta = forms.get("delta") or delta_form(settings.q_terms)
-    surro = forms.get("surrogate") or surrogate_form("1/2", 0.35j)
-    surro2 = forms.get("surrogate2") or two_sided_surrogate("1/2", 0.35j)
-    coeffs0 = (0,) + delta_coefficients(settings.q_terms)
-
-    fD = NearlyPeriodicFunction(delta, settings)
-    pD = PeriodFunction(delta, settings)
-    fS = NearlyPeriodicFunction(surro, settings)
-    f2 = NearlyPeriodicFunction(surro2, settings)
-    pS = PeriodFunction(surro, settings)
-    v_t = surro.multiplier.v_t
-
-    worst = 0.0
+@identity(
+    "periods.near-periodicity",
+    "v(T)^{-1} f(zeta + 1) = f(zeta) for the half-integral surrogate",
+    1e-6,
+)
+def _(ctx, rng):
+    f = ctx.f_two_sided
+    v_t = ctx.two_sided.multiplier.v_t
     upper = [0.3 + 1.1j, -0.4 + 0.8j, 0.15 + 1.6j, 0.7 + 0.9j, -0.2 + 1.3j]
-    for z in upper + [w.conjugate() for w in upper]:
-        a = f2(z + 1) / v_t
-        b = f2(z)
-        worst = max(worst, _rel(a, b))
-    checks.append(
-        CheckResult(
-            "periods.near-periodicity",
-            "v(T)^{-1} f(zeta + 1) = f(zeta) for the half-integral surrogate",
-            10,
-            worst,
-            1e-6,
-        )
-    )
+    pts = upper + [w.conjugate() for w in upper]
+    return len(pts), max(_rel(f(z + 1) / v_t, f(z)) for z in pts)
 
+
+_EICHLER_POINTS = (0.3 + 1.3j, 0.5 + 1j, -0.4 + 0.9j, 0.8 + 1.7j, 0.1 + 0.8j)
+
+
+@identity("periods.classical-periodicity", "the classical ray transform is 1-periodic", 1e-9)
+def _(ctx, rng):
+    coeffs, s = ctx.delta_coefficients, ctx.settings
+    f_h = lambda z: eichler_f(coeffs, 12, z, s)
+    return len(_EICHLER_POINTS), max(_rel(f_h(z + 1), f_h(z)) for z in _EICHLER_POINTS)
+
+
+@identity(
+    "periods.classical-cocycle",
+    "f_h(zeta) - zeta^{k-2} f_h(-1/zeta) equals the period polynomial",
+    1e-7,
+)
+def _(ctx, rng):
+    coeffs, s = ctx.delta_coefficients, ctx.settings
     worst = 0.0
-    pts = [0.3 + 1.3j, 0.5 + 1j, -0.4 + 0.9j, 0.8 + 1.7j, 0.1 + 0.8j]
-    fh = {z: eichler_f(coeffs0, 12, z, settings) for z in pts}
-    for z in pts:
-        worst = max(worst, _rel(eichler_f(coeffs0, 12, z + 1, settings), fh[z]))
-    checks.append(
-        CheckResult(
-            "periods.classical-periodicity",
-            "the classical ray transform is 1-periodic",
-            5,
-            worst,
-            1e-8,
-        )
-    )
+    for z in _EICHLER_POINTS:
+        lhs = eichler_f(coeffs, 12, z, s) - z**10 * eichler_f(coeffs, 12, -1.0 / z, s)
+        worst = max(worst, _rel(lhs, eichler_polynomial(coeffs, 12, z, s)))
+    return len(_EICHLER_POINTS), worst
 
-    worst = 0.0
-    for z in pts:
-        lhs = fh[z] - z**10 * eichler_f(coeffs0, 12, -1.0 / z, settings)
-        rhs = eichler_polynomial(coeffs0, 12, z, settings)
-        worst = max(worst, _rel(lhs, rhs))
-    checks.append(
-        CheckResult(
-            "periods.classical-cocycle",
-            "f_h(zeta) - zeta^{k-2} f_h(-1/zeta) equals the period polynomial",
-            5,
-            worst,
-            1e-7,
-        )
-    )
 
-    worst = 0.0
-    vtriv = delta.multiplier
-    for zeta in (0.5, 1.0, 2.0, 4.0):
-        p0 = pD(zeta)
-        p1 = dslash(pD, delta.nu, vtriv, T)(zeta)
-        p2 = dslash(pD, delta.nu, vtriv, T_PRIME)(zeta)
-        scale = max(abs(p0), abs(p1), abs(p2), 1e-30)
-        worst = max(worst, abs(p0 - p1 - p2) / scale)
-    checks.append(
-        CheckResult(
-            "periods.three-term-classical",
-            "P = P||T + P||T' on the positive axis for the embedded form",
-            4,
-            worst,
-            1e-7,
-        )
-    )
+def _three_term_residual(period, nu, v, zeta) -> float:
+    p0 = period(zeta)
+    p1 = dslash(period, nu, v, T)(zeta)
+    p2 = dslash(period, nu, v, T_PRIME)(zeta)
+    return abs(p0 - p1 - p2) / max(abs(p0), abs(p1), abs(p2), 1e-30)
 
+
+@identity(
+    "periods.three-term-classical",
+    "P = P||T + P||T' on the positive axis for the embedded form",
+    1e-7,
+)
+def _(ctx, rng):
+    nu, v = ctx.delta.nu, ctx.delta.multiplier
+    pts = (0.5, 1.0, 2.0, 4.0)
+    return len(pts), max(_three_term_residual(ctx.p_delta, nu, v, z) for z in pts)
+
+
+# the synthetic nearly periodic function of weight 0 at nu = 0.3i, and its
+# derived period function
+_SYNTH_NU = 0.3j
+_SYNTH_POINTS = (
+    0.5 + 0.8j, 1.2 + 0.4j, -0.7 + 1.1j, 0.3 + 2.2j, 2.0 + 0.6j,
+    0.9 + 1.5j, 1.7 + 0.2j, -0.3 + 0.6j, 0.25 + 0.9j, 3.0 + 1.0j,
+)
+
+
+def _synthetic():
     synth = synthetic_nearly_periodic()
-    nu_s = 0.3j
     v0 = construct_trivial(0)
-    p_synth = derived_period(synth, 0, nu_s, v0)
-    worst = 0.0
-    pts_both = [0.5 + 0.8j, 1.2 + 0.4j, -0.7 + 1.1j, 0.3 + 2.2j, 2.0 + 0.6j]
-    pts_all = pts_both + [z.conjugate() for z in pts_both] + [0.5, 1.0, 2.0, 4.0]
-    for z in pts_all:
-        z = complex(z)
-        p0 = p_synth(z)
-        p1 = dslash(p_synth, nu_s, v0, T)(z)
-        p2 = dslash(p_synth, nu_s, v0, T_PRIME)(z)
-        scale = max(abs(p0), abs(p1), abs(p2), 1e-30)
-        worst = max(worst, abs(p0 - p1 - p2) / scale)
-    checks.append(
-        CheckResult(
-            "periods.three-term-synthetic",
-            "the transform of any nearly periodic function solves the three-term equation",
-            len(pts_all),
-            worst,
-            1e-9,
-        )
-    )
+    return synth, derived_period(synth, 0, _SYNTH_NU, v0), v0
 
-    worst = 0.0
-    const = BijectionConstants(0.0, nu_s)
-    for z in pts_both + [w.conjugate() for w in pts_both]:
-        back = P_to_f(p_synth, z, weight=0, nu=nu_s, multiplier=v0)
-        worst = max(worst, _rel(back, synth(z)))
-        g = lambda w: P_to_f(p_synth, w, weight=0, nu=nu_s, multiplier=v0)
-        again = f_to_P(g, z, weight=0, nu=nu_s, multiplier=v0)
-        worst = max(worst, _rel(again, p_synth(z)))
-    checks.append(
-        CheckResult(
-            "periods.bijection-roundtrip",
-            "the inversion formulas with constants c*+- are mutually inverse",
-            20,
-            worst,
-            1e-9,
-        )
-    )
 
+@identity(
+    "periods.three-term-synthetic",
+    "the transform of any nearly periodic function solves the three-term equation",
+    1e-9,
+)
+def _(ctx, rng):
+    _, period, v0 = _synthetic()
+    pts = list(_SYNTH_POINTS[:5])
+    pts += [z.conjugate() for z in pts] + [0.5, 1.0, 2.0, 4.0]
+    return len(pts), max(_three_term_residual(period, _SYNTH_NU, v0, complex(z)) for z in pts)
+
+
+@identity(
+    "periods.bijection-roundtrip",
+    "the inversion formulas with constants c*+- are mutually inverse",
+    1e-9,
+)
+def _(ctx, rng):
+    synth, period, v0 = _synthetic()
+    back = lambda w: P_to_f(period, w, weight=0, nu=_SYNTH_NU, multiplier=v0)
+    pts = list(_SYNTH_POINTS) + [z.conjugate() for z in _SYNTH_POINTS]
+    worst = 0.0
+    for z in pts:
+        worst = max(worst, _rel(back(z), synth(z)))
+        again = f_to_P(back, z, weight=0, nu=_SYNTH_NU, multiplier=v0)
+        worst = max(worst, abs(again - period(z)) / max(abs(period(z)), 1e-12))
+    return 2 * len(pts), worst
+
+
+@identity("periods.bijection-degenerate", "parameter pairs with c*+- = 0 are rejected", 0.0)
+def _(ctx, rng):
     try:
         BijectionConstants(0.0, 0.5)
-        rejected = 1.0
     except DegenerateBijectionError:
-        rejected = 0.0
-    checks.append(
-        CheckResult(
-            "periods.bijection-degenerate",
-            "parameter pairs with c*+- = 0 are rejected",
-            1,
-            rejected,
-            0.0,
-        )
-    )
+        return 1, 0.0
+    return 1, 1.0
 
-    worst = 0.0
-    for z in (1 + 0.5j, 1 - 0.5j, 2 + 1j, 0.8 - 1.2j):
-        direct = pD(z)
-        via_f = f_to_P(fD, z)
-        worst = max(worst, _rel(direct, via_f))
-    checks.append(
-        CheckResult(
-            "periods.compatibility-classical",
-            "the ray transform and the axis transform give the same period function",
-            4,
-            worst,
-            1e-6,
-        )
-    )
 
-    worst = 0.0
-    for z in (0.6 + 0.9j, 1.1 + 0.5j, 0.9 - 0.7j):
-        direct = pS(z)
-        via_f = f_to_P(fS, z)
-        worst = max(worst, _rel(direct, via_f))
-    checks.append(
-        CheckResult(
-            "periods.compatibility-surrogate",
-            "ray and axis transforms agree for the surrogate (fails: the surrogate is not inversion-equivariant)",
-            3,
-            worst,
-            1e-6,
-        )
-    )
+def _compatibility(period, f, pts):
+    return len(pts), max(_rel(f_to_P(f, z), period(z)) for z in pts)
 
-    # transform of the ray integral under T' (positive real part of mu);
+
+@identity(
+    "periods.compatibility-classical",
+    "the ray transform and the axis transform give the same period function",
+    1e-6,
+)
+def _(ctx, rng):
+    pts = (
+        1 + 0.5j, 1 - 0.5j, 2 + 1j, 0.8 - 1.2j,
+        0.6 + 0.9j, 1.1 + 0.5j, 0.9 - 0.7j, 1.4 + 0.3j, 0.5 - 1.2j, 2.0 + 0.8j,
+    )
+    return _compatibility(ctx.p_delta, ctx.f_delta, pts)
+
+
+@identity(
+    "periods.compatibility-surrogate",
+    "ray and axis transforms agree for the surrogate (fails: the surrogate is not inversion-equivariant)",
+    1e-6,
+)
+def _(ctx, rng):
+    return _compatibility(ctx.p_surrogate, ctx.f_surrogate, (0.6 + 0.9j, 1.1 + 0.5j, 0.9 - 0.7j))
+
+
+@identity(
+    "periods.ray-transform-action",
+    "f||T' integrates the same pairing along the geodesic toward (T')^{-1} infinity",
+    1e-7,
+)
+def _(ctx, rng):
+    # the transform of the ray integral under T' (positive real part of mu)
     # needs full equivariance, so it runs on the embedded form
+    delta = ctx.delta
     worst = 0.0
     for zeta in (0.4 + 0.9j, 1.1 + 0.6j):
-        lhs = dslash(fD, delta.nu, vtriv, T_PRIME)(zeta)
+        lhs = dslash(ctx.f_delta, delta.nu, delta.multiplier, T_PRIME)(zeta)
         phi = arc_ray_integrand_kernel_raised(delta, zeta, -1.0)
-        alpha = delta.nu - 1.5 + 0.5 * delta.k
         scale = max(abs(phi(np.array([t]))[0]) for t in (0.4, 1.0, 2.0))
         res = integrate_ray(
             phi,
-            tol=settings.quad_tol * max(1.0, scale),
-            start_mode=("power", alpha),
-            settings=settings,
+            tol=ctx.settings.quad_tol * max(1.0, scale),
+            start_mode=("power", delta.nu - 1.5 + 0.5 * delta.k),
+            settings=ctx.settings,
         )
-        worst = max(worst, _rel(lhs, res.value))
-    checks.append(
-        CheckResult(
-            "periods.ray-transform-action",
-            "f||T' integrates the same pairing along the geodesic toward (T')^{-1} infinity",
-            2,
-            worst,
-            1e-7,
-        )
-    )
+        worst = max(worst, _rel(res.value, lhs))
+    return 2, worst
 
+
+@identity(
+    "periods.slashed-axis-transform",
+    "P||g integrates over the geodesic from g^{-1} 0 to g^{-1} infinity",
+    1e-8,
+)
+def _(ctx, rng):
+    delta = ctx.delta
     worst = 0.0
-    for g_elt in (T, T_PRIME):
-        img = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), g_elt.inverse())
+    for g in (T, T_PRIME):
+        img = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), g.inverse())
         for zeta in (0.5, 1.0, 2.0):
-            lhs = dslash(pD, delta.nu, vtriv, g_elt)(zeta)
+            lhs = dslash(ctx.p_delta, delta.nu, delta.multiplier, g)(zeta)
             omega = eta_integrand_kernel_raised(delta, zeta)
-            res = integrate_form(
-                omega, img, tol=None, start_mode=("exp",), settings=settings
-            )
-            worst = max(worst, _rel(lhs, res.value))
-    checks.append(
-        CheckResult(
-            "periods.slashed-axis-transform",
-            "P||g integrates over the geodesic from g^{-1} 0 to g^{-1} infinity",
-            6,
-            worst,
-            1e-8,
-        )
-    )
+            res = integrate_form(omega, img, tol=None, start_mode=("exp",), settings=ctx.settings)
+            worst = max(worst, _rel(res.value, lhs))
+    return 6, worst
 
-    omega_r = eta_integrand_kernel_raised(delta, 3.0)
-    omega_u = eta_integrand_form_raised(delta, 3.0)
-    i_r = integrate_form(
-        omega_r, GeodesicPath.vertical_ray(0.0, +1), tol=None, start_mode=("exp",), settings=settings
-    ).value
-    i_u = integrate_form(
-        omega_u, GeodesicPath.vertical_ray(0.0, +1), tol=None, start_mode=("exp",), settings=settings
-    ).value
-    checks.append(
-        CheckResult(
-            "periods.pairing-independence",
-            "kernel-raised and form-raised pairings integrate to opposite values cusp-to-cusp",
-            2,
-            abs(i_r + i_u) / max(abs(i_r), 1e-30),
-            1e-8,
-        )
-    )
 
-    c1 = delta_coefficients(settings.q_terms)
-    half = MaassForm(12, delta.multiplier, 5.5, type(delta.backend)(tuple(2 * c for c in c1)))
-    p_half = PeriodFunction(half, settings)
-    worst = 0.0
-    for zeta in (0.7, 1 + 0.6j):
-        worst = max(worst, _rel(p_half(zeta), 2.0 * pD(zeta)))
-    checks.append(
-        CheckResult(
-            "periods.linearity",
-            "the transforms are linear in the cusp form",
-            2,
-            worst,
-            1e-10,
-        )
+@identity(
+    "periods.pairing-independence",
+    "kernel-raised and form-raised pairings integrate to opposite values cusp-to-cusp",
+    1e-8,
+)
+def _(ctx, rng):
+    axis, s = GeodesicPath.vertical_ray(0.0, +1), ctx.settings
+    i_r, i_u = (
+        integrate_form(omega(ctx.delta, 3.0), axis, tol=None, start_mode=("exp",), settings=s).value
+        for omega in (eta_integrand_kernel_raised, eta_integrand_form_raised)
     )
+    return 2, abs(i_r + i_u) / max(abs(i_r), 1e-30)
 
-    report_d = growth_check(pD, settings)
-    report_s = growth_check(pS, settings)
-    worst = 0.0
-    if abs(report_d.slope_at_infinity - 10.0) > 0.1:
-        worst = max(worst, abs(report_d.slope_at_infinity - 10.0))
-    if report_s.slope_at_infinity > -0.85:
-        worst = max(worst, report_s.slope_at_infinity + 0.85)
-    if report_s.slope_at_zero < -0.15:
-        worst = max(worst, -(report_s.slope_at_zero + 0.15))
-    checks.append(
-        CheckResult(
-            "periods.growth",
-            "log-log slopes: embedded form 10 +- 0.1 at infinity; surrogate <= -0.85 there and >= -0.15 at zero",
-            32,
-            worst,
-            0.0,
-            )
+
+@identity("periods.linearity", "the transforms are linear in the cusp form", 1e-10)
+def _(ctx, rng):
+    delta = ctx.delta
+    backend = type(delta.backend)(tuple(2 * c for c in delta.backend.coefficients))
+    doubled = MaassForm(12, delta.multiplier, 5.5, backend)
+    p_doubled = PeriodFunction(doubled, ctx.settings)
+    pts = (0.7, 1 + 0.6j)
+    return len(pts), max(_rel(2.0 * ctx.p_delta(z), p_doubled(z)) for z in pts)
+
+
+@identity(
+    "periods.growth",
+    "log-log slopes: embedded form 10 +- 0.1 at infinity; surrogate <= -0.85 there and >= -0.15 at zero",
+    0.0,
+)
+def _(ctx, rng):
+    report_d = growth_check(ctx.p_delta, ctx.settings)
+    report_s = growth_check(ctx.p_surrogate, ctx.settings)
+    off = abs(report_d.slope_at_infinity - 10.0)
+    worst = max(
+        off if off > 0.1 else 0.0,
+        report_s.slope_at_infinity + 0.85,
+        -(report_s.slope_at_zero + 0.15),
     )
+    if not report_s.passes:
+        worst = max(worst, 1.0)
+    return 32, worst
 
-    worst = 0.0
+
+@identity(
+    "periods.holomorphy",
+    "the extended period function has vanishing conj-z derivative on the cut plane",
+    1e-6,
+)
+def _(ctx, rng):
+    p = ctx.p_delta
     h = 0.02
+    worst = 0.0
     for zeta in (1.3 + 0.4j, -0.8 + 1.5j, 0.5 - 1.1j):
+
         def d5(direction):
             return (
-                -pD(zeta + 2 * h * direction)
-                + 8 * pD(zeta + h * direction)
-                - 8 * pD(zeta - h * direction)
-                + pD(zeta - 2 * h * direction)
+                -p(zeta + 2 * h * direction)
+                + 8 * p(zeta + h * direction)
+                - 8 * p(zeta - h * direction)
+                + p(zeta - 2 * h * direction)
             ) / (12 * h)
 
         d_zbar = 0.5 * (d5(1.0) + 1j * d5(1j))
-        scale = max(abs(pD(zeta)), 1e-3)
-        worst = max(worst, abs(d_zbar) / scale)
-    checks.append(
-        CheckResult(
-            "periods.holomorphy",
-            "the extended period function has vanishing conj-z derivative on the cut plane",
-            3,
-            worst,
-            1e-6,
-        )
-    )
-    return checks
+        worst = max(worst, abs(d_zbar) / max(abs(p(zeta)), 1e-3))
+    return 3, worst
 
 
 # ---------------------------------------------------------------------------
-# classical suite
+# the classical weight-12 case: Delta and its period polynomial
 
 
-def suite_classical(settings: Settings, rng, forms: dict | None = None) -> list:
-    checks = []
-    forms = forms or {}
-    delta = forms.get("delta") or delta_form(settings.q_terms)
-    coeffs0 = (0,) + delta_coefficients(settings.q_terms)
-    k = 12
+_GOLDEN_POINTS = (0.5, 1.0, 2.0, 1 + 0.5j, 1 - 0.5j)
 
-    pD = PeriodFunction(delta, settings)
-    golden_pts = [0.5, 1.0, 2.0, 1 + 0.5j, 1 - 0.5j]
+
+@identity(
+    "classical.golden-period",
+    "P at nu = (k-1)/2 equals (2-2k) times the period polynomial",
+    1e-7,
+)
+def _(ctx, rng):
     worst = 0.0
-    for zeta in golden_pts:
-        p_val = eichler_polynomial(coeffs0, k, zeta, settings)
-        P_val = pD(zeta)
-        worst = max(worst, abs(P_val + 22.0 * p_val) / (1.0 + abs(p_val)))
-    checks.append(
-        CheckResult(
-            "classical.golden-period",
-            "P at nu = (k-1)/2 equals (2-2k) times the period polynomial",
-            len(golden_pts),
-            worst,
-            1e-7,
-        )
-    )
+    for zeta in _GOLDEN_POINTS:
+        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta, ctx.settings)
+        worst = max(worst, abs(ctx.p_delta(zeta) + 22.0 * p_val) / (1.0 + abs(p_val)))
+    return len(_GOLDEN_POINTS), worst
 
-    lower = MaassForm(12, delta.multiplier, -5.5, delta.backend)
-    p_lower = PeriodFunction(lower, settings)
+
+@identity("classical.vanishing-period", "P at nu = (1-k)/2 vanishes identically", 1e-8)
+def _(ctx, rng):
+    delta = ctx.delta
+    p_lower = PeriodFunction(MaassForm(12, delta.multiplier, -5.5, delta.backend), ctx.settings)
     worst = 0.0
-    for zeta in golden_pts:
-        p_val = eichler_polynomial(coeffs0, k, zeta, settings)
+    for zeta in _GOLDEN_POINTS:
+        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta, ctx.settings)
         worst = max(worst, abs(p_lower(zeta)) / (1.0 + abs(p_val)))
-    checks.append(
-        CheckResult(
-            "classical.vanishing-period",
-            "P at nu = (1-k)/2 vanishes identically",
-            len(golden_pts),
-            worst,
-            1e-8,
-        )
-    )
+    return len(_GOLDEN_POINTS), worst
 
-    rng_pts = [complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0)) for _ in range(10)]
-    worst1 = 0.0
-    worst2 = 0.0
-    scale = 1.0
-    for zeta in rng_pts:
-        p0 = eichler_polynomial(coeffs0, k, zeta, settings)
-        scale = max(abs(p0), 1e-10)
-        r1 = p0 + zeta ** (k - 2) * eichler_polynomial(coeffs0, k, -1.0 / zeta, settings)
-        worst1 = max(worst1, abs(r1) / scale)
-        r2 = (
-            p0
-            + (zeta + 1) ** (k - 2) * eichler_polynomial(coeffs0, k, -1.0 / (zeta + 1), settings)
-            + zeta ** (k - 2) * eichler_polynomial(coeffs0, k, -(zeta + 1) / zeta, settings)
-        )
-        worst2 = max(worst2, abs(r2) / scale)
-    checks.append(
-        CheckResult(
-            "classical.inversion-relation",
-            "p(zeta) + zeta^{k-2} p(-1/zeta) = 0",
-            10,
-            worst1,
-            1e-7,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "classical.three-term-relation",
-            "p + (zeta+1)^{k-2} p(-1/(zeta+1)) + zeta^{k-2} p(-(zeta+1)/zeta) = 0",
-            10,
-            worst2,
-            1e-7,
-        )
-    )
 
-    fD = NearlyPeriodicFunction(delta, settings)
+def _polynomial_relations(ctx, rng):
+    """p(zeta) and a callable p for 10 random zeta; the relations divide by |p(zeta)|."""
+    coeffs, s = ctx.delta_coefficients, ctx.settings
+    p = lambda w: eichler_polynomial(coeffs, 12, w, s)
+    for _ in range(10):
+        zeta = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+        yield zeta, p(zeta), p
+
+
+@identity("classical.inversion-relation", "p(zeta) + zeta^{k-2} p(-1/zeta) = 0", 1e-7)
+def _(ctx, rng):
     worst = 0.0
-    for zeta in (0.5 + 1j, 0.3 + 1.3j):
-        lhs = fD(zeta)
-        rhs = -22.0 * eichler_f(coeffs0, k, zeta, settings)
-        worst = max(worst, _rel(lhs, rhs))
-    checks.append(
-        CheckResult(
-            "classical.ray-comparison",
-            "the ray transform of the embedded form is (2-2k) times the classical one",
-            2,
-            worst,
-            1e-7,
-        )
-    )
+    for zeta, p0, p in _polynomial_relations(ctx, rng):
+        worst = max(worst, abs(p0 + zeta**10 * p(-1.0 / zeta)) / max(abs(p0), 1e-10))
+    return 10, worst
 
+
+@identity(
+    "classical.three-term-relation",
+    "p + (zeta+1)^{k-2} p(-1/(zeta+1)) + zeta^{k-2} p(-(zeta+1)/zeta) = 0",
+    1e-7,
+)
+def _(ctx, rng):
+    worst = 0.0
+    for zeta, p0, p in _polynomial_relations(ctx, rng):
+        r = p0 + (zeta + 1) ** 10 * p(-1.0 / (zeta + 1)) + zeta**10 * p(-(zeta + 1) / zeta)
+        worst = max(worst, abs(r) / max(abs(p0), 1e-10))
+    return 10, worst
+
+
+@identity(
+    "classical.ray-comparison",
+    "the ray transform of the embedded form is (2-2k) times the classical one",
+    1e-7,
+)
+def _(ctx, rng):
+    pts = (0.5 + 1j, 0.3 + 1.3j)
+    want = lambda z: -22.0 * eichler_f(ctx.delta_coefficients, 12, z, ctx.settings)
+    return len(pts), max(_rel(ctx.f_delta(z), want(z)) for z in pts)
+
+
+@identity(
+    "classical.polynomiality",
+    "a degree-10 interpolation through 11 nodes extrapolates the transform",
+    1e-8,
+)
+def _(ctx, rng):
+    p = lambda x: eichler_polynomial(ctx.delta_coefficients, 12, complex(x), ctx.settings)
     nodes = 1.0 + 0.5 * (1 + np.cos(np.pi * (2 * np.arange(1, 12) - 1) / 22.0))
-    vals = [eichler_polynomial(coeffs0, k, complex(x), settings) for x in nodes]
-    fit = np.polyfit(nodes, vals, 10)
-    pred = complex(np.polyval(fit, 3.0))
-    direct = eichler_polynomial(coeffs0, k, 3.0, settings)
-    checks.append(
-        CheckResult(
-            "classical.polynomiality",
-            "a degree-10 interpolation through 11 nodes extrapolates the transform",
-            12,
-            _rel(pred, direct),
-            1e-8,
-        )
-    )
-    return checks
+    fit = np.polyfit(nodes, [p(x) for x in nodes], 10)
+    return 12, _rel(complex(np.polyval(fit, 3.0)), p(3.0))
 
 
-SUITES = {
-    "branch": suite_branch,
-    "group": suite_group,
-    "multiplier": suite_multiplier,
-    "kernel": suite_kernel,
-    "ms": suite_ms,
-    "quad": suite_quad,
-    "periods": suite_periods,
-    "classical": suite_classical,
-}
+# ---------------------------------------------------------------------------
+# suites
 
-EXPECTED_FAILURES = {
-    # The surrogate backend is translation-equivariant only; the identity
-    # tested here needs equivariance under the inversion generator, so the
-    # honest run of this check fails by design of the backend.
-    "periods.compatibility-surrogate",
-}
+
+def _ids(suite: str, weight=None) -> list:
+    """The ids of one suite, in registration order; with a weight, only
+    the weight-tagged ids of that weight are kept."""
+    keep = lambda i: weight is None or "[k=" not in i or i.endswith(f"[k={weight}]")
+    return [i for i in REGISTRY if _suite_of(i) == suite and keep(i)]
+
+
+def _suite(name: str) -> Callable:
+    def run(ctx: Context, seed: int, weight=None) -> list:
+        return [check(i, ctx, seed) for i in _ids(name, weight)]
+
+    return run
+
+
+SUITES = {name: _suite(name) for name in dict.fromkeys(_suite_of(i) for i in REGISTRY)}
 
 
 def run_suite(
-    name: str,
-    settings: Settings = DEFAULTS,
-    seed: int = 0,
-    weight=None,
-    multiplier_kind: str = "eta-power",
+    name: str, settings: Settings = DEFAULTS, seed: int = 0, weight=None
 ) -> VerificationReport:
-    rng = np.random.default_rng(seed)
+    """Run one suite, or every suite for ``name == "all"``, with one shared context.
+
+    ``weight`` keeps, of the weight-tagged ids, those registered at that
+    weight ("1/2", "3/2" or "12").
+    """
+    if weight is not None and str(weight) not in WEIGHTS:
+        raise ValueError(
+            f"weight {weight!r}: identities are registered at weights {', '.join(WEIGHTS)}"
+        )
+    weight = None if weight is None else str(weight)
+    ctx = Context(settings)
     started = time.perf_counter()
-    if name == "all":
-        entries = []
-        shared = {"delta": delta_form(settings.q_terms)}
-        for key, fn in SUITES.items():
-            entries.extend(_call_suite(fn, settings, rng, weight, multiplier_kind, shared))
-    else:
-        fn = SUITES[name]
-        shared = {"delta": delta_form(settings.q_terms)} if name in ("ms", "quad", "periods", "classical") else None
-        entries = _call_suite(fn, settings, rng, weight, multiplier_kind, shared)
+    entries = []
+    for suite in SUITES if name == "all" else [name]:
+        entries.extend(SUITES[suite](ctx, seed, weight))
     return VerificationReport(name, entries, time.perf_counter() - started)
-
-
-def _call_suite(fn, settings, rng, weight, multiplier_kind, shared):
-    if fn is suite_multiplier:
-        return fn(settings, rng, weight=weight, kind=multiplier_kind)
-    if fn in (suite_ms, suite_quad):
-        return fn(settings, rng, delta=(shared or {}).get("delta"))
-    if fn in (suite_periods, suite_classical):
-        return fn(settings, rng, forms=shared)
-    return fn(settings, rng)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings as hyp_settings
 
-from maassperiods import Settings, delta_form, surrogate_form
-from maassperiods.forms import delta_coefficients, two_sided_surrogate
+from maassperiods import Settings
+from maassperiods.verify import Context
 
 hyp_settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 hyp_settings.load_profile("ci")
@@ -15,23 +15,29 @@ def settings():
 
 
 @pytest.fixture(scope="session")
-def delta():
-    return delta_form(50)
+def context(settings):
+    """The forms and transform objects of the verify registry, one per session."""
+    return Context(settings)
 
 
 @pytest.fixture(scope="session")
-def delta_uh_coefficients():
-    return (0,) + delta_coefficients(50)
+def delta(context):
+    return context.delta
 
 
 @pytest.fixture(scope="session")
-def surrogate():
-    return surrogate_form("1/2", 0.35j)
+def delta_uh_coefficients(context):
+    return context.delta_coefficients
 
 
 @pytest.fixture(scope="session")
-def surrogate_two_sided():
-    return two_sided_surrogate("1/2", 0.35j)
+def surrogate(context):
+    return context.surrogate
+
+
+@pytest.fixture(scope="session")
+def surrogate_two_sided(context):
+    return context.two_sided
 
 
 @pytest.fixture(scope="session")

@@ -102,11 +102,29 @@ def test_cli_bad_weight_exits_2(capsys):
 
 
 def test_settings_roundtrip(tmp_path):
-    s = Settings(quad_tol=1e-9, seed=7)
+    s = Settings(quad_tol=1e-9, q_terms=30)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(s.to_json()))
     back = Settings.from_json(path)
-    assert back.quad_tol == 1e-9 and back.seed == 7
+    assert back == s
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["verify", "--suite", "group", "--tol", "1e-300"], None),
+        (["verify", "--suite", "multiplier", "--multiplier", "trivial"], None),
+        (["verify", "--suite", "multiplier", "--weight", "5/2"], None),
+        (["verify", "--suite", "group"], {"identity_tol": 1e-300}),
+        (["verify", "--suite", "kernel"], {"seed": 7}),
+    ],
+)
+def test_removed_options_and_keys_exit_2(args, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["--config", str(path)] + args
+    assert main(args) == 2
 
 
 def test_expected_failures_documented():

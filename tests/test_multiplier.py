@@ -1,10 +1,9 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 
-from maassperiods.branch import principal_arg, principal_pow
+from maassperiods.branch import principal_pow
 from maassperiods.errors import InvalidMultiplierError, InvalidWeightError
 from maassperiods.modgroup import (
     IDENTITY,
@@ -14,8 +13,6 @@ from maassperiods.modgroup import (
     T_PRIME,
     GeneratorWord,
     GroupElement,
-    moebius,
-    mu,
 )
 from maassperiods.multiplier import (
     MultiplierSystem,
@@ -23,6 +20,7 @@ from maassperiods.multiplier import (
     construct_trivial,
     parse_weight,
 )
+from maassperiods.verify import consistency_residual
 
 
 def eta(z: complex, terms: int = 40) -> complex:
@@ -104,18 +102,6 @@ def test_parse_weight():
         parse_weight("1/3")
 
 
-def _consistency_residual(v, g, d, z):
-    k = v.k
-    lhs = v.evaluate(g * d) * cmath.exp(1j * k * principal_arg(mu(g * d, z)))
-    rhs = (
-        v.evaluate(g)
-        * v.evaluate(d)
-        * cmath.exp(1j * k * principal_arg(mu(g, moebius(d, z))))
-        * cmath.exp(1j * k * principal_arg(mu(d, z)))
-    )
-    return abs(lhs - rhs)
-
-
 @pytest.mark.parametrize("weight", ["1/2", "3/2", "12"])
 def test_consistency_relation_sampled(weight, rng):
     v = construct_eta_power(weight)
@@ -131,5 +117,5 @@ def test_consistency_relation_sampled(weight, rng):
         g = mats[i % len(mats)]
         d = mats[(3 * i + 1) % len(mats)]
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        worst = max(worst, _consistency_residual(v, g, d, z))
+        worst = max(worst, consistency_residual(v, g, d, z))
     assert worst <= 1e-11

@@ -7,6 +7,7 @@ import pytest
 
 from maassperiods import quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
+from maassperiods.forms import surrogate_form, two_sided_surrogate
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
 from maassperiods.periods import (
     NearlyPeriodicFunction,
@@ -483,3 +484,40 @@ def test_start_walk_rejects_a_non_integrable_local_exponent():
     # the mass below it is unbounded
     with pytest.raises(NonconvergenceError):
         integrate_ray(lambda t: 1e-20 * np.exp(-t) * t**-1.2, start_mode=("log",))
+
+
+# f of a surrogate high above (or below) the axis: the first start-walk
+# probes lie before the asymptotic regime, where |phi| still grows through
+# the form's decay factor as t falls, so their local exponent is <= -1
+# although the integrand is integrable at 0
+_DEFAULT = dict(weight="1/2", nu=0.35j)
+_ONE_TERM = dict(_DEFAULT, coefficients=(0.0, 1.0))
+_HIGH_POINTS = {
+    "default": (surrogate_form, _DEFAULT, (4.5j, 5j, 6j, 8j)),
+    "two-sided": (two_sided_surrogate, _DEFAULT, (4.5j, 5j, 6j, 8j, 0.4 - 6j)),
+    "one-term": (surrogate_form, _ONE_TERM, (2.5j, 3j, 0.3 + 2.2j, 0.3 - 2.2j, -3j, 0.3 + 2.1j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HIGH_POINTS))
+def test_start_walk_passes_over_pre_asymptotic_probes(name):
+    build, kwargs, points = _HIGH_POINTS[name]
+    f = NearlyPeriodicFunction(build(**kwargs))
+    for zeta in points:
+        out = f.eval(zeta)
+        assert math.isfinite(abs(out.value)) and 0 < out.abs_error < 1e-10
+
+
+def test_reported_error_bounds_the_true_error_of_a_one_term_f():
+    # one Fourier term of frequency lam = 2 + kappa0 has f(zeta) = c e(lam zeta)
+    # above the axis, so f(z1) - e(lam (z1 - z2)) f(z2) = 0 exactly
+    form = surrogate_form(**_ONE_TERM)
+    lam = 2 + form.kappa0
+    f = NearlyPeriodicFunction(form)
+    points = (0.3 + 1.1j, 0.2 + 1.6j, 0.4 + 1.8j, 0.1 + 2j, 2.5j, 3j, 0.3 + 2.2j, 0.3 + 2.1j)
+    out = {z: f.eval(z) for z in points}
+    for i, z1 in enumerate(points):
+        for z2 in points[i + 1 :]:
+            phase = np.exp(2j * math.pi * lam * (z1 - z2))
+            true = abs(out[z1].value - phase * out[z2].value)
+            assert true <= out[z1].abs_error + abs(phase) * out[z2].abs_error, (z1, z2)
