@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings as hyp_settings
 
 from maassperiods import Settings
-from maassperiods.verify import Context
+from maassperiods.verify import Context, check
 
 hyp_settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 hyp_settings.load_profile("ci")
@@ -18,6 +18,20 @@ def settings():
 def context(settings):
     """The forms and transform objects of the verify registry, one per session."""
     return Context(settings)
+
+
+@pytest.fixture(scope="session")
+def holds(context):
+    """Assert that each named registry identity holds on the session context."""
+
+    def run(*idents):
+        for ident in idents:
+            result = check(ident, context)
+            assert result.passed, (
+                f"{ident}: {result.max_residual:.3e} > tolerance {result.tolerance:.0e}"
+            )
+
+    return run
 
 
 @pytest.fixture(scope="session")

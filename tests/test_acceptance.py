@@ -1,354 +1,51 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""The paper's acceptance criteria, each as the registered ``verify``
+identities that check it. The identities are written once, in
+``maassperiods.verify``; criterion 8 (the Maass operator identities) is
+checked in ``test_forms`` and ``test_kernel``, and criterion 6 on the
+surrogate is the strict expected failure of ``test_verify``."""
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 6 is implemented faithfully and marked as a strict
-expected failure: the surrogate backend is translation-equivariant only,
-and the identity it asserts provably needs equivariance under the
-inversion generator (see the honest embedded-form version right below it,
-which passes at machine precision).
-"""
-
-import cmath
-import math
-
-import numpy as np
-import pytest
-
-from maassperiods.forms import MaassForm, delta_coefficients, dslash, maass_lower, maass_raise
-from maassperiods.kernel import RKernel, kernel_eigen_apply, r_transform_check, eta_form
-from maassperiods.modgroup import MINUS_ONE, S, T, T_PRIME, IDENTITY, GroupElement, moebius, mu
-from maassperiods.multiplier import construct_eta_power, construct_trivial
-from maassperiods.branch import principal_arg
-from maassperiods.periods import (
-    NearlyPeriodicFunction,
-    PeriodFunction,
-    P_to_f,
-    derived_period,
-    eichler_f,
-    eichler_polynomial,
-    eta_integrand_kernel_raised,
-    f_to_P,
-    growth_check,
-    synthetic_nearly_periodic,
-)
-from maassperiods.errors import DegenerateBijectionError
-from maassperiods.quadrature import GeodesicPath, integrate_form
-from maassperiods.forms import maass_laplacian_fd
+from maassperiods.verify import WEIGHTS
 
 
-def _report(criterion: str, worst: float, tol: float) -> None:
-    status = "PASS" if worst <= tol else "FAIL"
-    print(f"[{status}] {criterion}: max residual {worst:.3e} (tolerance {tol:.0e})")
-    assert worst <= tol, f"{criterion}: {worst:.3e} > {tol:.0e}"
+def test_criterion_1_classical_golden(holds):
+    holds("classical.golden-period", "classical.vanishing-period")
 
 
-GOLDEN_POINTS = (0.5, 1.0, 2.0, 1 + 0.5j, 1 - 0.5j)
+def test_criterion_2_period_polynomial_relations(holds):
+    holds("classical.inversion-relation", "classical.three-term-relation")
 
 
-def test_criterion_1_classical_golden(delta, delta_uh_coefficients, settings):
-    period = PeriodFunction(delta, settings)
-    worst = 0.0
-    for zeta in GOLDEN_POINTS:
-        p_val = eichler_polynomial(delta_uh_coefficients, 12, zeta, settings)
-        worst = max(worst, abs(period(zeta) + 22.0 * p_val) / (1 + abs(p_val)))
-    _report("1a period function matches -22 x period polynomial", worst, 1e-7)
-
-    lowered = MaassForm(12, delta.multiplier, -5.5, delta.backend)
-    p_low = PeriodFunction(lowered, settings)
-    worst = 0.0
-    for zeta in GOLDEN_POINTS:
-        p_val = eichler_polynomial(delta_uh_coefficients, 12, zeta, settings)
-        worst = max(worst, abs(p_low(zeta)) / (1 + abs(p_val)))
-    _report("1b period function vanishes at the mirror spectral point", worst, 1e-8)
+def test_criterion_3_periodicity(holds):
+    holds("periods.classical-periodicity", "periods.classical-cocycle", "periods.near-periodicity")
 
 
-def test_criterion_2_period_polynomial_relations(delta_uh_coefficients, settings, rng):
-    k = 12
-    worst1 = worst2 = 0.0
-    for _ in range(10):
-        zeta = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
-        p0 = eichler_polynomial(delta_uh_coefficients, k, zeta, settings)
-        scale = max(abs(p0), 1e-10)
-        r1 = p0 + zeta ** (k - 2) * eichler_polynomial(
-            delta_uh_coefficients, k, -1.0 / zeta, settings
-        )
-        worst1 = max(worst1, abs(r1) / scale)
-        r2 = (
-            p0
-            + (zeta + 1) ** (k - 2)
-            * eichler_polynomial(delta_uh_coefficients, k, -1.0 / (zeta + 1), settings)
-            + zeta ** (k - 2)
-            * eichler_polynomial(delta_uh_coefficients, k, -(zeta + 1) / zeta, settings)
-        )
-        worst2 = max(worst2, abs(r2) / scale)
-    _report("2a inversion relation of the period polynomial", worst1, 1e-7)
-    _report("2b three-term relation of the period polynomial", worst2, 1e-7)
+def test_criterion_4_three_term(holds):
+    holds("periods.three-term-classical", "periods.three-term-synthetic")
 
 
-def test_criterion_3_periodicity(delta_uh_coefficients, surrogate_two_sided, settings):
-    pts = [0.3 + 1.3j, 0.5 + 1j, -0.4 + 0.9j, 0.8 + 1.7j, 0.1 + 0.8j]
-    worst_p = worst_c = 0.0
-    for z in pts:
-        fh = eichler_f(delta_uh_coefficients, 12, z, settings)
-        worst_p = max(
-            worst_p,
-            abs(eichler_f(delta_uh_coefficients, 12, z + 1, settings) - fh) / abs(fh),
-        )
-        p = eichler_polynomial(delta_uh_coefficients, 12, z, settings)
-        lhs = fh - z**10 * eichler_f(delta_uh_coefficients, 12, -1 / z, settings)
-        worst_c = max(worst_c, abs(lhs - p) / abs(p))
-    _report("3a classical ray transform is 1-periodic", worst_p, 1e-8)
-    _report("3b classical cocycle recovers the period polynomial", worst_c, 1e-7)
-
-    f = NearlyPeriodicFunction(surrogate_two_sided, settings)
-    v_t = surrogate_two_sided.multiplier.v_t
-    upper = [0.3 + 1.1j, -0.4 + 0.8j, 0.15 + 1.6j, 0.7 + 0.9j, -0.2 + 1.3j]
-    worst = 0.0
-    for z in upper + [w.conjugate() for w in upper]:
-        worst = max(worst, abs(f(z + 1) / v_t - f(z)) / abs(f(z)))
-    _report("3c surrogate near-periodicity on both half-planes", worst, 1e-6)
+def test_criterion_5_bijection(holds):
+    holds("periods.bijection-roundtrip", "periods.bijection-degenerate")
 
 
-def test_criterion_4_three_term(delta, settings):
-    period = PeriodFunction(delta, settings)
-    v = delta.multiplier
-    worst = 0.0
-    for zeta in (0.5, 1.0, 2.0, 4.0):
-        p0 = period(zeta)
-        p1 = dslash(period, delta.nu, v, T)(zeta)
-        p2 = dslash(period, delta.nu, v, T_PRIME)(zeta)
-        worst = max(worst, abs(p0 - p1 - p2) / max(abs(p0), abs(p1), abs(p2)))
-    _report("4a three-term equation along the embedded form", worst, 1e-7)
-
-    synth = synthetic_nearly_periodic()
-    nu, v0 = 0.3j, construct_trivial(0)
-    p_synth = derived_period(synth, 0, nu, v0)
-    worst = 0.0
-    for zeta in (0.5, 1.0, 2.0, 4.0):
-        p0 = p_synth(zeta)
-        p1 = dslash(p_synth, nu, v0, T)(zeta)
-        p2 = dslash(p_synth, nu, v0, T_PRIME)(zeta)
-        worst = max(worst, abs(p0 - p1 - p2) / max(abs(p0), abs(p1), abs(p2)))
-    _report("4b three-term equation for the synthetic-derived function", worst, 1e-7)
+def test_criterion_6_compatibility_embedded_form(holds):
+    holds("periods.compatibility-classical")
 
 
-def test_criterion_5_bijection(settings):
-    synth = synthetic_nearly_periodic()
-    nu, v0 = 0.3j, construct_trivial(0)
-    period = derived_period(synth, 0, nu, v0)
-    pts = [0.5 + 0.8j, 1.2 + 0.4j, -0.7 + 1.1j, 0.3 + 2.2j, 2.0 + 0.6j,
-           0.9 + 1.5j, 1.7 + 0.2j, -0.3 + 0.6j, 0.25 + 0.9j, 3.0 + 1.0j]
-    worst = 0.0
-    for z in pts + [w.conjugate() for w in pts]:
-        back = P_to_f(period, z, weight=0, nu=nu, multiplier=v0)
-        worst = max(worst, abs(back - synth(z)) / abs(synth(z)))
-        fwd = f_to_P(
-            lambda w: P_to_f(period, w, weight=0, nu=nu, multiplier=v0),
-            z,
-            weight=0,
-            nu=nu,
-            multiplier=v0,
-        )
-        worst = max(worst, abs(fwd - period(z)) / max(abs(period(z)), 1e-12))
-    _report("5a bijection roundtrips on both half-planes", worst, 1e-9)
-
-    try:
-        DegenerateBijectionError_raised = False
-        from maassperiods.periods import BijectionConstants
-
-        BijectionConstants(0.0, 0.5)
-    except DegenerateBijectionError:
-        DegenerateBijectionError_raised = True
-    _report("5b degenerate constants rejected", 0.0 if DegenerateBijectionError_raised else 1.0, 0.0)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "spec defect: the identity is the compatibility lemma, whose proof "
-        "maps the 0->zeta contour piece by the inversion generator and so "
-        "requires u|S = u; the surrogate backend is translation-equivariant "
-        "only, and the mismatch integral of u - u|S is O(1) at these points. "
-        "The honest embedded-form version passes at 1e-14 (next test)."
-    ),
-)
-def test_criterion_6_compatibility_surrogate(surrogate, settings):
-    f = NearlyPeriodicFunction(surrogate, settings)
-    period = PeriodFunction(surrogate, settings)
-    worst = 0.0
-    for zeta in (0.6 + 0.9j, 1.1 + 0.5j, 0.9 - 0.7j, 1.4 + 0.3j, 0.5 - 1.2j, 2.0 + 0.8j):
-        direct = period(zeta)
-        via = f_to_P(f, zeta)
-        worst = max(worst, abs(direct - via) / abs(direct))
-    _report("6 ray/axis compatibility for the surrogate backend", worst, 1e-6)
-
-
-def test_criterion_6_compatibility_embedded_form(delta, settings):
-    f = NearlyPeriodicFunction(delta, settings)
-    period = PeriodFunction(delta, settings)
-    worst = 0.0
-    for zeta in (0.6 + 0.9j, 1.1 + 0.5j, 0.9 - 0.7j, 1.4 + 0.3j, 0.5 - 1.2j, 2.0 + 0.8j):
-        direct = period(zeta)
-        via = f_to_P(f, zeta)
-        worst = max(worst, abs(direct - via) / abs(direct))
-    _report("6' ray/axis compatibility for the fully equivariant form", worst, 1e-6)
-
-
-def test_criterion_7_kernel_and_form_identities(delta, settings, rng):
-    closed = RKernel(0.0, -0.5)
-    worst = max(
-        abs(closed.eval(1j, 0.0) - 1.0),
-        abs(closed.eval(1j, 1.0) - 0.5),
+def test_criterion_7_kernel_and_form_identities(holds):
+    holds(
+        "kernel.closed-form",
+        "kernel.transformation-law",
+        "ms.closedness",
+        "ms.sum-identity",
+        "ms.reflection-symmetry",
+        "ms.moved-kernel",
     )
-    for _ in range(10):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.5))
-        zeta = float(rng.uniform(-3, 3))
-        want = z.imag / ((z.real - zeta) ** 2 + z.imag**2)
-        worst = max(worst, abs(closed.eval(z, zeta) - want) / want)
-    _report("7a weight-zero kernel closed form", worst, 1e-12)
-
-    ker = RKernel(0.5, 0.31j)
-    worst = 0.0
-    for zeta in (2.0, 0.7):
-        worst = max(worst, r_transform_check(ker, S, 1j, zeta))
-    zeta = 1 + 1j
-    z = moebius(S.inverse(), moebius(S, zeta) + 0.5j)
-    worst = max(worst, r_transform_check(ker, S, z, zeta))
-    zeta = 1 - 1j
-    z = moebius(S.inverse(), moebius(S, zeta.conjugate()) + 0.5j).conjugate()
-    worst = max(worst, r_transform_check(ker, S, z, zeta))
-    _report("7b kernel transformation law under all three clauses", worst, 1e-11)
-
-    omega = eta_integrand_kernel_raised(delta, 3.0)
-    corners = [0.2 + 0.8j, 0.6 + 0.8j, 0.6 + 1.6j, 0.2 + 1.6j, 0.2 + 0.8j]
-    loop = 0.0 + 0.0j
-    scale = 0.0
-    for p, q in zip(corners[:-1], corners[1:]):
-        seg = integrate_form(omega, GeodesicPath.polyline([p, q]), tol=1e-11, settings=settings)
-        loop += seg.value
-        scale = max(scale, abs(seg.value))
-    _report("7c closedness of the pairing 1-form (loop integral)", abs(loop) / scale, 1e-8)
-
-    f = lambda z: complex(z).imag ** 0.3
-    g = lambda z: complex(z).imag ** 0.6
-    kk = 0.5
-    z0 = 0.3 + 1.1j
-    lhs = eta_form(kk, f, g, z0)
-    rhs = eta_form(-kk, g, f, z0)
-    h = 1e-4
-    prod = lambda w: f(w) * g(w)
-    d_z = ((prod(z0 + h) - prod(z0 - h)) / (2 * h)
-           - 1j * (prod(z0 + 1j * h) - prod(z0 - 1j * h)) / (2 * h)) / 2
-    d_zbar = ((prod(z0 + h) - prod(z0 - h)) / (2 * h)
-              + 1j * (prod(z0 + 1j * h) - prod(z0 - 1j * h)) / (2 * h)) / 2
-    worst = max(abs(lhs.A + rhs.A - 4j * d_z), abs(lhs.B + rhs.B - 4j * d_zbar))
-    _report("7d sum of the two pairings is an exact differential", worst, 1e-6)
-
-    sym = lambda z: abs(complex(z).imag) ** 0.4
-    zm = 0.5 - 1.2j
-    below = eta_form(kk, sym, sym, zm)
-    above = eta_form(kk, sym, sym, zm.conjugate())
-    worst = max(abs(below.A - above.B), abs(below.B - above.A))
-    _report("7e reflection symmetry of the pairing", worst, 1e-6)
-
-    v12 = delta.multiplier
-    zeta = 2.0
-    v_val = v12.evaluate(S)
-    omega_moved = eta_integrand_kernel_raised(delta, moebius(S, zeta))
-    omega_base = eta_integrand_kernel_raised(delta, zeta)
-    from maassperiods.branch import principal_pow
-
-    factor = principal_pow(mu(S, zeta), 1 - 2 * delta.nu)
-    worst = 0.0
-    for z in (0.25j + 0.1, 0.8j - 0.3, 1.5j + 0.4):
-        z = complex(z)
-        gz = moebius(S, z)
-        a_m, _ = omega_moved(np.array([gz]))
-        m = mu(S, z)
-        lhs_a = a_m[0] / (v_val * m * m)
-        a_b, _ = omega_base(np.array([z]))
-        worst = max(worst, abs(lhs_a - factor * a_b[0]) / abs(factor * a_b[0]))
-    _report("7f combined transformation of the moved-kernel pairing", worst, 1e-8)
 
 
-def test_criterion_8_operator_identities(delta, surrogate, rng):
-    worst = 0.0
-    for _ in range(20):
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
-        scale = max(abs(delta.eval(z)), 1e-3)
-        worst = max(worst, abs(maass_lower(delta.eval, z, k=12.0)) / max(1.0, scale))
-    _report("8a lowering annihilates the embedded form (finite differences)", worst, 1e-10)
-
-    k, nu = surrogate.k, surrogate.nu
-    z = 0.2 + 0.9j
-    inner = lambda w: maass_lower(surrogate, w)
-    lhs = maass_raise(inner, z, k=k - 2)
-    rhs = (1 + 2 * nu - k) * (-1 + 2 * nu + k) * surrogate.eval(z)
-    _report("8b ladder composition identity on the surrogate", abs(lhs - rhs) / abs(rhs), 1e-4)
-
-    fn = lambda z: complex(z).imag ** (0.5 - 0.3)
-    z = 1j
-    worst = max(
-        abs(maass_raise(fn, z, k=0.5) - (1 - 0.6 + 0.5) * fn(z)) / abs(fn(z)),
-        abs(maass_lower(fn, z, k=0.5) - (1 - 0.6 - 0.5) * fn(z)) / abs(fn(z)),
-    )
-    _report("8c ladder eigenvalue on the power eigenfunction", worst, 1e-6)
-
-    ker = RKernel(0.5, 0.31j)
-    zeta = 3.2 + 0.1j
-    z = 0.3 + 1.2j
-    fn = lambda w: ker.eval(w, zeta)
-    worst = 0.0
-    for sign, op in ((+1, maass_raise), (-1, maass_lower)):
-        coeff, shifted = kernel_eigen_apply(ker, sign, ker.k)
-        want = coeff * shifted.eval(z, zeta)
-        worst = max(worst, abs(op(fn, z, k=ker.k) - want) / abs(want))
-    _report("8d kernel ladder relations by finite differences", worst, 1e-6)
+def test_criterion_9_multiplier_suite(holds):
+    names = ("consistency", "minus-one", "s-squared")
+    holds(*(f"multiplier.{name}[k={w}]" for w in WEIGHTS for name in names))
 
 
-def test_criterion_9_multiplier_suite(rng):
-    worst_b10 = 0.0
-    count = 0
-    for wt in ("1/2", "3/2", "12"):
-        v = construct_eta_power(wt)
-        mats = []
-        for _ in range(400):
-            m = IDENTITY
-            for _ in range(int(rng.integers(1, 9))):
-                m = m * (S if rng.random() < 0.5 else GroupElement(1, int(rng.integers(-3, 4)), 0, 1))
-            if m.max_entry() <= 50:
-                mats.append(m)
-        for i in range(167):
-            g = mats[i % len(mats)]
-            d = mats[(3 * i + 1) % len(mats)]
-            z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-            lhs = v.evaluate(g * d) * cmath.exp(1j * v.k * principal_arg(mu(g * d, z)))
-            rhs = (
-                v.evaluate(g)
-                * v.evaluate(d)
-                * cmath.exp(1j * v.k * principal_arg(mu(g, moebius(d, z))))
-                * cmath.exp(1j * v.k * principal_arg(mu(d, z)))
-            )
-            worst_b10 = max(worst_b10, abs(lhs - rhs))
-            count += 1
-    assert count >= 500
-    _report("9a consistency relation over 500 seeded pairs", worst_b10, 1e-11)
-
-    worst = 0.0
-    for wt in ("1/2", "3/2", "12"):
-        v = construct_eta_power(wt)
-        want = cmath.exp(-1j * v.k * math.pi)
-        worst = max(worst, abs(v.evaluate(MINUS_ONE) - want), abs(v.v_s**2 - want))
-    _report("9b central value and the squared inversion value", worst, 1e-13)
-
-
-def test_criterion_10_growth(delta, surrogate, settings):
-    report_d = growth_check(PeriodFunction(delta, settings), settings)
-    worst = abs(report_d.slope_at_infinity - 10.0)
-    _report("10a embedded-form slope at infinity is 10 +- 0.1", worst, 0.1)
-
-    report_s = growth_check(PeriodFunction(surrogate, settings), settings)
-    worst_inf = max(0.0, report_s.slope_at_infinity + 0.85)
-    worst_zero = max(0.0, -(report_s.slope_at_zero + 0.15))
-    _report("10b surrogate slope at infinity <= -0.85", worst_inf, 0.0)
-    _report("10c surrogate slope at zero >= -0.15", worst_zero, 0.0)
+def test_criterion_10_growth(holds):
+    holds("periods.growth")

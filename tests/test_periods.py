@@ -34,6 +34,10 @@ def test_bijection_constants_trivial_point():
     assert c.c_minus == pytest.approx(2.0)
 
 
+def test_bijection_roundtrip(holds):
+    holds("periods.bijection-roundtrip")
+
+
 def test_recovered_function_is_nearly_periodic():
     synth = synthetic_nearly_periodic()
     nu = 0.3j
@@ -80,10 +84,22 @@ def test_zero_form_maps_to_zero():
     assert p(1.7) == 0
 
 
+def test_classical_golden_points(holds):
+    holds("classical.golden-period")
+
+
 def test_vanishing_spectral_point(delta, settings):
     # P vanishes there too: classical.vanishing-period
     lower = MaassForm(12, delta.multiplier, -5.5, delta.backend)
     assert NearlyPeriodicFunction(lower, settings)(0.5 + 1j) == 0
+
+
+def test_period_polynomial_relations(holds):
+    holds("classical.inversion-relation", "classical.three-term-relation")
+
+
+def test_eichler_f_periodic_and_cocycle(holds):
+    holds("periods.classical-periodicity", "periods.classical-cocycle")
 
 
 def test_eichler_requires_cuspidal_even_weight(delta_uh_coefficients):
@@ -117,6 +133,14 @@ def test_lower_branch_collapses_to_classical(delta, delta_uh_coefficients, setti
             omega, GeodesicPath.vertical_ray(base, +1), tol=1e-11, settings=settings
         ).value
         assert abs(f(zeta) - (2 - 2 * k) * classical) <= 1e-7 * abs(f(zeta))
+
+
+def test_classical_compatibility_both_half_planes(holds):
+    holds("periods.compatibility-classical")
+
+
+def test_growth_reports(holds):
+    holds("periods.growth")
 
 
 def test_period_evaluation_metadata(surrogate, settings):

@@ -3,7 +3,7 @@ does not depend on what else runs."""
 
 import pytest
 
-from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, check, identity, run_suite
+from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, identity, run_suite
 
 _XFAIL = pytest.mark.xfail(
     strict=True,
@@ -19,9 +19,8 @@ _XFAIL = pytest.mark.xfail(
     "ident",
     [pytest.param(i, id=i, marks=_XFAIL if i in EXPECTED_FAILURES else ()) for i in REGISTRY],
 )
-def test_identity(ident, context):
-    result = check(ident, context)
-    assert result.passed, f"{ident}: {result.max_residual:.3e} > tolerance {result.tolerance:.0e}"
+def test_identity(ident, holds):
+    holds(ident)
 
 
 def test_ids_are_unique_and_expected_failures_registered():
