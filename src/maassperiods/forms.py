@@ -21,7 +21,9 @@ Two backends:
 
 The transform integrands take u and E^+u (or E^-u) from one pass,
 :meth:`MaassForm.eval_ladder_many`: one q-expansion for the embedding, one
-table lookup per Whittaker index for the surrogate.
+table lookup per Whittaker index for the surrogate, which returns W and
+t W'(t) together, so E^+-u is exact termwise there too.  Forms with the same
+Whittaker index share one table per process.
 """
 
 from __future__ import annotations
@@ -181,7 +183,14 @@ def q_expansion(coefficients, zs: np.ndarray, derivative: bool = False) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# surrogate term sums
+# surrogate tables and term sums
+
+
+@lru_cache(maxsize=32)
+def _whittaker_table(kappa: float, nu: complex) -> WhittakerTable:
+    """One table per (kappa, nu) in a process, shared by every form that
+    uses the index (the one- and two-sided surrogates share W_{k/2, nu})."""
+    return WhittakerTable(kappa, nu)
 
 
 def _term_sum(terms: np.ndarray) -> np.ndarray:
@@ -316,7 +325,8 @@ class MaassForm:
         return self._surrogate_eval(zs)
 
     def raise_many(self, zs: np.ndarray) -> np.ndarray:
-        """E^+_k u, analytically termwise."""
+        """E^+_k u, termwise exact: the q-series derivative for the
+        embedding, each Whittaker table's t W'(t) for the surrogate."""
         return self.eval_ladder_many(zs, +1)[1]
 
     def lower_many(self, zs: np.ndarray) -> np.ndarray:
@@ -327,8 +337,8 @@ class MaassForm:
         """(u, E^+_k u) for sign +1, (u, E^-_k u) for sign -1, from one pass.
 
         u equals ``eval_many`` bit for bit: the embedding takes both arrays
-        from one q-expansion (E^- u is zero), and the surrogate's operator
-        sums u as its unshifted block.
+        from one q-expansion (E^- u is zero), and the surrogate takes W and
+        t W'(t) from one lookup per Whittaker index.
         """
         zs = np.asarray(zs, dtype=complex)
         if np.any(zs.imag <= 0):
@@ -370,14 +380,15 @@ class MaassForm:
                 ]
             )
             kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0)
-            tables = {}
-            for kap in np.unique(kappas):
-                tables[float(kap)] = WhittakerTable(float(kap), self.nu)
+            tables = {
+                float(kap): _whittaker_table(float(kap), self.nu) for kap in np.unique(kappas)
+            }
             self._tables = (coeffs, freqs, kappas, tables)
         return self._tables
 
-    def _surrogate_radial(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of W(4 pi |freq| y) values, one row per Fourier term.
+    def _surrogate_radial(self, y: np.ndarray, log_derivative: bool = False) -> np.ndarray:
+        """W(4 pi |freq| y), one row per Fourier term, stacked on a leading
+        axis with t W'(t) at the same arguments when ``log_derivative``.
 
         All terms sharing a Whittaker index go through their table in one
         lookup of the flattened (terms x points) argument matrix, so a
@@ -385,44 +396,43 @@ class MaassForm:
         lookup is element-wise, so the grouping does not change any value.
         """
         coeffs, freqs, kappas, tables = self._spectral_data()
-        rows = np.empty((len(coeffs), y.size), dtype=complex)
+        rows = np.empty((1 + log_derivative, len(coeffs), y.size), dtype=complex)
         for kap, table in tables.items():
             group = kappas == kap
             args = 4.0 * math.pi * np.abs(freqs[group])[:, None] * y[None, :]
-            rows[group] = table(args.ravel()).reshape(args.shape)
+            flat = args.ravel()
+            got = table.with_log_derivative(flat) if log_derivative else (table(flat),)
+            for row, values in zip(rows, got):
+                row[group] = values.reshape(args.shape)
         return rows
 
     def _surrogate_eval(self, zs: np.ndarray) -> np.ndarray:
         flat = zs.ravel()
         x, y = flat.real, flat.imag
         coeffs, freqs, _, _ = self._spectral_data()
-        rows = self._surrogate_radial(y)
+        rows = self._surrogate_radial(y)[0]
         waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
         return _term_sum(coeffs[:, None] * rows * waves).reshape(zs.shape)
 
     def _surrogate_op(self, zs: np.ndarray, sign: int) -> tuple:
-        """(u, E^{+-}_k u) by exact x-derivative and 5-point differencing in y.
+        """(u, E^{+-}_k u) = (u, +-2iy u_x + 2y u_y +- k u), termwise exact.
 
-        The four shifted heights and y itself are stacked into one radial
-        lookup (one table call per Whittaker index), and each of the five
-        blocks is summed over terms in term order; the unshifted block is
-        u, equal to ``_surrogate_eval`` bit for bit.
+        Each term c W(t) e(lambda x), t = 4 pi |lambda| y, has
+        y d/dy = c t W'(t) e(lambda x), so one table lookup per Whittaker
+        index gives both W and t W' (the table's own Chebyshev derivative).
+        Every sum runs over terms in term order, and u equals
+        ``_surrogate_eval`` bit for bit.
         """
         flat = zs.ravel()
         x, y = flat.real, flat.imag
-        n = flat.size
         coeffs, freqs, _, _ = self._spectral_data()
         waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
-
-        h = 1e-3 * np.minimum(1.0, y)
-        stacked = np.concatenate([y + 2 * h, y + h, y - h, y - 2 * h, y])
-        rows = self._surrogate_radial(stacked).reshape(len(coeffs), 5, n).swapaxes(0, 1)
-        terms = coeffs[:, None] * rows * waves  # (5, terms, points)
-        sums = _term_sum(terms)
-        dy = (-sums[0] + 8 * sums[1] - 8 * sums[2] + sums[3]) / (12.0 * h)
-        value = sums[4]
-        dx = _term_sum(terms[4] * (2j * math.pi * freqs[:, None]))
-        out = sign * 2j * y * dx + 2.0 * y * dy + sign * self.k * value
+        rows, slopes = self._surrogate_radial(y, log_derivative=True)
+        terms = coeffs[:, None] * rows * waves
+        value = _term_sum(terms)
+        dx = _term_sum(terms * (2j * math.pi * freqs[:, None]))
+        y_dy = _term_sum(coeffs[:, None] * slopes * waves)
+        out = sign * 2j * y * dx + 2.0 * y_dy + sign * self.k * value
         return value.reshape(zs.shape), out.reshape(zs.shape)
 
     def to_json(self) -> dict:

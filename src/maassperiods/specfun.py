@@ -228,8 +228,9 @@ class WhittakerTable:
     whose dynamic range per panel is tame, so the fit keeps relative
     accuracy even where W decays through dozens of orders; the exponential
     and the power are restored at lookup.  Built once per (kappa, mu) pair;
-    lookups are vectorised.  Beyond ``t_max`` the function is below 1e-60
-    and is returned as exactly zero.
+    lookups are vectorised, and :meth:`with_log_derivative` also returns
+    t W'(t) from the derivative of the same series.  Beyond ``t_max`` the
+    function is below 1e-60 and is returned as exactly zero.
     """
 
     DEGREE = 22
@@ -255,8 +256,21 @@ class WhittakerTable:
         self.coeffs = np.ascontiguousarray(np.array(coeffs).T)
 
     def __call__(self, t) -> np.ndarray:
+        return self._lookup(t, False)[0]
+
+    def with_log_derivative(self, t) -> tuple:
+        """(W(t), t W'(t)) from one lookup; W equals ``__call__`` bit for bit.
+
+        With s = log t and g(s) = W e^{t/2} t^{-kappa} the tabulated factor,
+        t W'(t) = e^{-t/2} t^kappa [g'(s) + (kappa - t/2) g(s)], and g' comes
+        from the derivative of the Clenshaw recurrence, run beside it on the
+        same coefficients.
+        """
+        return self._lookup(t, True)
+
+    def _lookup(self, t, log_derivative: bool) -> tuple:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(ts.shape, dtype=complex)
+        outs = [np.zeros(ts.shape, dtype=complex) for _ in range(1 + log_derivative)]
         s = np.full(ts.shape, -np.inf)
         positive = ts > 0
         s[positive] = np.log(ts[positive])
@@ -272,14 +286,25 @@ class WhittakerTable:
         hi = self.edges[idx + 1]
         x = (2.0 * s[inside] - (hi + lo)) / (hi - lo)
         # Clenshaw with per-point coefficients, vectorised over points; one
-        # degree is gathered at a time, so no (points x degree) copy is made
+        # degree is gathered at a time, so no (points x degree) copy is made.
+        # d1, d2 are the x-derivatives of b1, b2:
+        # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
         c = self.coeffs
         b1 = np.zeros(x.shape, dtype=complex)
         b2 = np.zeros(x.shape, dtype=complex)
+        d1 = np.zeros(x.shape, dtype=complex)
+        d2 = np.zeros(x.shape, dtype=complex)
         two_x = 2.0 * x
         for j in range(self.DEGREE, 0, -1):
+            if log_derivative:
+                d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
             b1, b2 = c[j][idx] + two_x * b1 - b2, b1
         vals = c[0][idx] + x * b1 - b2
         t_in = ts[inside]
-        out[inside] = vals * np.exp(-t_in / 2.0) * t_in**self.kappa
-        return out if np.ndim(t) else out.reshape(())[()]
+        decay = np.exp(-t_in / 2.0)
+        power = t_in**self.kappa
+        outs[0][inside] = vals * decay * power
+        if log_derivative:
+            slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
+            outs[1][inside] = (slope + (self.kappa - t_in / 2.0) * vals) * decay * power
+        return tuple(out if np.ndim(t) else out.reshape(())[()] for out in outs)

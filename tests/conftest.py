@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings as hyp_settings
 
 from maassperiods import Settings
+from maassperiods.specfun import WhittakerTable
 from maassperiods.verify import Context, check
 
 hyp_settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
@@ -57,3 +58,19 @@ def surrogate_two_sided(context):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def table_lookups(monkeypatch):
+    """The index of every Whittaker table lookup made while the test runs,
+    through either lookup entry point."""
+    calls = []
+    for name in ("__call__", "with_log_derivative"):
+        lookup = getattr(WhittakerTable, name)
+
+        def counting(table, t, lookup=lookup):
+            calls.append(table.kappa)
+            return lookup(table, t)
+
+        monkeypatch.setattr(WhittakerTable, name, counting)
+    return calls

@@ -5,22 +5,14 @@ import pytest
 
 from maassperiods.branch import principal_pow
 from maassperiods.errors import InvalidMultiplierError, InvalidWeightError
-from maassperiods.modgroup import (
-    IDENTITY,
-    MINUS_ONE,
-    S,
-    T,
-    T_PRIME,
-    GeneratorWord,
-    GroupElement,
-)
+from maassperiods.modgroup import T_PRIME, GeneratorWord
 from maassperiods.multiplier import (
     MultiplierSystem,
     construct_eta_power,
     construct_trivial,
     parse_weight,
 )
-from maassperiods.verify import consistency_residual
+from maassperiods.verify import WEIGHTS
 
 
 def eta(z: complex, terms: int = 40) -> complex:
@@ -51,12 +43,9 @@ def test_eta_power_s_value_against_eta_quotient():
     assert abs(v.v_s - cmath.exp(-1j * math.pi / 4)) <= 1e-15
 
 
-@pytest.mark.parametrize("weight", ["1/2", "3/2", "12"])
-def test_minus_one_and_s_squared(weight):
-    v = construct_eta_power(weight)
-    want = cmath.exp(-1j * v.k * math.pi)
-    assert abs(v.evaluate(MINUS_ONE) - want) <= 1e-13
-    assert abs(v.v_s * v.v_s - want) <= 1e-13
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_minus_one_and_s_squared(weight, holds):
+    holds(f"multiplier.minus-one[k={weight}]", f"multiplier.s-squared[k={weight}]")
 
 
 def test_minus_one_via_explicit_word():
@@ -78,16 +67,12 @@ def test_k12_eta_power_is_trivial():
     assert abs(v.v_s - 1) <= 1e-14
 
 
-def test_word_independence():
-    v = construct_eta_power("1/2")
-    direct = v.evaluate_word(GeneratorWord((("T", 1), ("S", 1), ("T", 1))))
-    assert abs(direct - v.evaluate(T_PRIME)) <= 1e-12
+def test_word_independence(holds):
+    holds(*(f"multiplier.word-independence[k={w}]" for w in WEIGHTS))
 
 
-def test_base_point_independence():
-    v = construct_eta_power("3/2")
-    g = T_PRIME * S * T.inverse()
-    assert abs(v.evaluate(g) - v.evaluate(g, base_point=0.7 + 0.9j)) <= 1e-12
+def test_base_point_independence(holds):
+    holds(*(f"multiplier.base-point[k={w}]" for w in WEIGHTS))
 
 
 def test_inconsistent_generators_rejected():
@@ -102,20 +87,6 @@ def test_parse_weight():
         parse_weight("1/3")
 
 
-@pytest.mark.parametrize("weight", ["1/2", "3/2", "12"])
-def test_consistency_relation_sampled(weight, rng):
-    v = construct_eta_power(weight)
-    mats = []
-    for _ in range(120):
-        m = IDENTITY
-        for _ in range(int(rng.integers(1, 9))):
-            m = m * (S if rng.random() < 0.5 else GroupElement(1, int(rng.integers(-3, 4)), 0, 1))
-        if m.max_entry() <= 50:
-            mats.append(m)
-    worst = 0.0
-    for i in range(200):
-        g = mats[i % len(mats)]
-        d = mats[(3 * i + 1) % len(mats)]
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        worst = max(worst, consistency_residual(v, g, d, z))
-    assert worst <= 1e-11
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_consistency_relation_sampled(weight, holds):
+    holds(f"multiplier.consistency[k={weight}]")

@@ -25,7 +25,6 @@ from maassperiods.periods import (
     synthetic_nearly_periodic,
 )
 from maassperiods.quadrature import GeodesicPath, integrate_form
-from maassperiods.specfun import WhittakerTable
 
 
 def test_bijection_constants_trivial_point():
@@ -190,23 +189,15 @@ _INTEGRANDS = {
 @pytest.mark.parametrize("n", [1, 46, 368])
 @pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
 @pytest.mark.parametrize("name, n_kappas", [("surrogate", 1), ("surrogate_two_sided", 2)])
-def test_one_form_pass_per_integrand_call(request, monkeypatch, name, n_kappas, integrand, n):
+def test_one_form_pass_per_integrand_call(request, table_lookups, name, n_kappas, integrand, n):
     form = request.getfixturevalue(name)
     build, variable = _INTEGRANDS[integrand]
     fn = build(form)
     rng = np.random.default_rng(n)
     ts = np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
     args = ts if variable == "t" else rng.uniform(-1.0, 1.0, n) + 1j * ts
-    calls = []
-    lookup = WhittakerTable.__call__
-
-    def counting(table, t):
-        calls.append(table.kappa)
-        return lookup(table, t)
-
-    monkeypatch.setattr(WhittakerTable, "__call__", counting)
     fn(args)
-    assert len(calls) == len(set(calls)) == n_kappas
+    assert len(table_lookups) == len(set(table_lookups)) == n_kappas
 
 
 @pytest.mark.parametrize(

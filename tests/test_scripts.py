@@ -48,3 +48,28 @@ def test_run_verify_classical():
     checks = [line for line in lines if line.startswith("[")]
     assert checks and all(line.startswith("[ok   ]") for line in checks)
     assert lines[-1].endswith("; 0 unexpected failures")
+
+
+def test_traced_benchmark_worker_runs(tmp_path):
+    # the benchmark's tracer wraps library methods with their argument lists,
+    # so a traced run fails if a wrapped entry point changes its signature
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(ROOT, "perfbench", "worker.py"),
+            "transforms",
+            "--workload",
+            "surrogate-transforms",
+            "--seed",
+            "1",
+            "--seconds",
+            "0",
+            "--trace",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "layers" in json.loads(proc.stdout.splitlines()[-1])

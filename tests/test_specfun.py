@@ -127,6 +127,25 @@ def test_whittaker_table_matches_direct():
 def test_whittaker_table_beyond_cutoff_is_zero():
     table = WhittakerTable(0.25, 0.35j)
     assert table(500.0) == 0.0
+    assert table.with_log_derivative(500.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kappa,mu",
+    [(0.25, 0.35j), (-0.25, 0.35j), (0.75, 0.1j), (-0.75, 0.2 + 0.3j), (0.25, 0.2)],
+)
+def test_whittaker_table_log_derivative_against_mpmath(kappa, mu):
+    # t W'(t) from the table's Chebyshev series against a 30-digit numerical
+    # derivative of mpmath's W; W itself is the plain lookup, bit for bit
+    table = WhittakerTable(kappa, mu)
+    ts = np.geomspace(1e-3, 300.0, 20)
+    w, t_dw = table.with_log_derivative(ts)
+    assert np.array_equal(w, table(ts))
+    with mpmath.workdps(30):
+        for t, got in zip(ts, t_dw):
+            ref_w = complex(mpmath.whitw(kappa, mu, t))
+            ref = complex(t * mpmath.diff(lambda s: mpmath.whitw(kappa, mu, s), t))
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), abs(ref_w)), t
 
 
 def test_whittaker_table_below_range_raises():
