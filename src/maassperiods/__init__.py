@@ -16,7 +16,7 @@ from .forms import (
     slash,
     surrogate_form,
 )
-from .kernel import OneFormSample, RKernel, eta_form, r_eval, r_transform_check
+from .kernel import OneFormSample, RKernel, eta_form, r_transform_check
 from .modgroup import INFINITY, GroupElement, S, T, T_PRIME, decompose, moebius, mu
 from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from .periods import (
@@ -81,7 +81,6 @@ __all__ = [
     "mu",
     "principal_arg",
     "principal_pow",
-    "r_eval",
     "r_transform_check",
     "run_suite",
     "slash",

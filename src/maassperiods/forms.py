@@ -484,36 +484,30 @@ def _fd_step(z: complex) -> float:
     return 1e-3 * min(1.0, abs(z.imag))
 
 
-def maass_raise(f, z: complex, k: float | None = None, method: str = "auto") -> complex:
+def maass_raise(f, z: complex, k: float | None = None) -> complex:
     """E^+_k f at z; analytic for form backends, finite differences otherwise."""
-    return _maass_op(f, z, k, method, +1)
+    return _maass_op(f, z, k, +1)
 
 
-def maass_lower(f, z: complex, k: float | None = None, method: str = "auto") -> complex:
+def maass_lower(f, z: complex, k: float | None = None) -> complex:
     """E^-_k f at z."""
-    return _maass_op(f, z, k, method, -1)
+    return _maass_op(f, z, k, -1)
 
 
-def _maass_op(f, z, k, method, sign):
+def _maass_op(f, z, k, sign):
     z = complex(z)
-    if isinstance(f, MaassForm) and method == "auto":
-        arr = np.array([z])
-        vals = f.raise_many(arr) if sign > 0 else f.lower_many(arr)
-        return complex(vals[0])
     if isinstance(f, MaassForm):
-        k = f.k
-        fn = f.eval
-    elif isinstance(f, ConjugateForm):
-        if k is None:
-            k = f.k
-        fn = f.eval
-    else:
-        if k is None:
+        if k is not None and abs(k - f.k) > 1e-12:
+            raise ValueError(f"operator weight {k} does not match form weight {f.k}")
+        arr = np.array([z])
+        return complex((f.raise_many(arr) if sign > 0 else f.lower_many(arr))[0])
+    if k is None:
+        if not isinstance(f, ConjugateForm):
             raise ValueError("a weight is required for generic functions")
-        fn = f
+        k = f.k
     y = z.imag
-    fx, fy = _fd_partials(fn, z, _fd_step(z))
-    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * fn(z)
+    fx, fy = _fd_partials(f, z, _fd_step(z))
+    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * f(z)
 
 
 def maass_laplacian_fd(fn: Callable, k: float, z: complex, h: float | None = None) -> complex:

@@ -20,38 +20,35 @@ powers are principal.  Two evaluation modes are provided:
   through zeta, which is what the deformed contours for the holomorphic
   extension to the cut plane require.
 
-Applying a Maass operator to the kernel shifts its first index by 2; this
-is exact and is used instead of differencing whenever a kernel sits inside
-an integrand.  The matching operator weight is the first index on the upper
-half-plane and its negative on the lower one.
+Applying a Maass operator to the kernel shifts its first index by 2
+(``kernel_eigen_apply``); this is exact, and the transform integrands in
+``periods`` build on it instead of differencing.
+
+``eta_form`` evaluates the Maass-Selberg 1-form of two callables at a
+point through ``maass_raise``/``maass_lower``: exact for a ``MaassForm``,
+finite differences otherwise.  It is the oracle the exact integrands are
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .branch import arg_array, pow_array
 from .errors import DomainError, RDomainError
-from .forms import ConjugateForm, MaassForm, maass_lower, maass_raise
+from .forms import maass_lower, maass_raise
 from .modgroup import GroupElement, moebius, mu
 from .branch import principal_arg, principal_pow, in_cut_plane
 
 __all__ = [
     "RKernel",
     "OneFormSample",
-    "r_eval",
     "r_transform_check",
     "kernel_eigen_apply",
     "eta_form",
     "eta_form_many",
-    "KernelSection",
-    "ConjugateKernelSection",
-    "FormSection",
-    "CallableSection",
-    "section_of",
 ]
 
 
@@ -111,12 +108,7 @@ class RKernel:
         return ratio * np.exp(s * np.log(y)) * pow_array(a, -s) * pow_array(b, -s)
 
 
-def r_eval(kernel: RKernel, z: complex, zeta: complex) -> complex:
-    """Kernel value at a single pair, with exact domain checks."""
-    return kernel.eval(z, zeta)
-
-
-def kernel_eigen_apply(kernel: RKernel, sign: int, weight: float, upper: bool = True) -> tuple:
+def kernel_eigen_apply(kernel: RKernel, sign: int, weight: float) -> tuple:
     """Closed form of E^{sign}_{weight} applied to z -> R(z, zeta).
 
     Valid when the operator weight equals the kernel index; because the
@@ -180,101 +172,6 @@ def r_transform_check(
 
 
 # ---------------------------------------------------------------------------
-# sections: things the Maass-Selberg form can pair
-
-
-class KernelSection:
-    """z -> R(z, zeta) with exact eigen-application of the Maass operators."""
-
-    def __init__(self, kernel: RKernel, zeta: complex):
-        self.kernel = kernel
-        self.zeta = complex(zeta)
-
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        return self.kernel.eval_many(zs, self.zeta)
-
-    def e_values(self, sign: int, weight: float, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        coeff, shifted = kernel_eigen_apply(self.kernel, sign, weight)
-        if coeff == 0:
-            return np.zeros(zs.shape, dtype=complex)
-        return coeff * shifted.eval_many(zs, self.zeta)
-
-
-class ConjugateKernelSection:
-    """z -> R(conj z, zeta); operators act through the reflection."""
-
-    def __init__(self, kernel: RKernel, zeta: complex):
-        self.kernel = kernel
-        self.zeta = complex(zeta)
-
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        return self.kernel.eval_many(np.conj(np.asarray(zs, dtype=complex)), self.zeta)
-
-    def e_values(self, sign: int, weight: float, zs: np.ndarray) -> np.ndarray:
-        # (E^+_w [R o conj])(z) = (E^-_{-w} R)(conj z), and vice versa
-        zs = np.conj(np.asarray(zs, dtype=complex))
-        coeff, shifted = kernel_eigen_apply(self.kernel, -sign, -weight)
-        if coeff == 0:
-            return np.zeros(zs.shape, dtype=complex)
-        return coeff * shifted.eval_many(zs, self.zeta)
-
-
-class FormSection:
-    """A Maass form or its conjugate, with analytic operator application."""
-
-    def __init__(self, form):
-        self.form = form
-
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        return self.form.eval_many(zs)
-
-    def e_values(self, sign: int, weight: float, zs: np.ndarray) -> np.ndarray:
-        if isinstance(self.form, MaassForm):
-            if abs(weight - self.form.k) > 1e-12:
-                raise ValueError(
-                    f"operator weight {weight} does not match form weight {self.form.k}"
-                )
-            return self.form.raise_many(zs) if sign > 0 else self.form.lower_many(zs)
-        # conjugate form: generic differencing at its own weight
-        zs = np.asarray(zs, dtype=complex)
-        op = maass_raise if sign > 0 else maass_lower
-        return np.array([op(self.form.eval, complex(z), k=weight) for z in zs.ravel()]).reshape(
-            zs.shape
-        )
-
-
-class CallableSection:
-    """A bare callable; operators by 5-point finite differences."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        return np.array([self.fn(complex(z)) for z in zs.ravel()]).reshape(zs.shape)
-
-    def e_values(self, sign: int, weight: float, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        op = maass_raise if sign > 0 else maass_lower
-        return np.array([op(self.fn, complex(z), k=weight) for z in zs.ravel()]).reshape(zs.shape)
-
-
-def section_of(obj, zeta=None):
-    if isinstance(obj, (KernelSection, ConjugateKernelSection, FormSection, CallableSection)):
-        return obj
-    if isinstance(obj, RKernel):
-        if zeta is None:
-            raise ValueError("a kernel section needs its second argument")
-        return KernelSection(obj, zeta)
-    if isinstance(obj, (MaassForm, ConjugateForm)):
-        return FormSection(obj)
-    if callable(obj):
-        return CallableSection(obj)
-    raise TypeError(f"cannot build a section from {obj!r}")
-
-
-# ---------------------------------------------------------------------------
 # the Maass-Selberg form
 
 
@@ -291,26 +188,25 @@ class OneFormSample:
         return self.A * velocity + self.B * velocity.conjugate()
 
 
-def eta_form_many(k: float, fsec, gsec, zs: np.ndarray) -> tuple:
-    """Coefficient arrays (A, B) of eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}-."""
-    zs = np.asarray(zs, dtype=complex)
-    y = zs.imag
-    a = fsec.e_values(+1, k, zs) * gsec.values(zs) / y
-    b = -fsec.values(zs) * gsec.e_values(-1, -k, zs) / y
-    return a, b
+def eta_form(k: float, f, g, z: complex) -> OneFormSample:
+    """eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}- at one point.
 
-
-def eta_form(k: float, f, g, z: complex, zeta=None) -> OneFormSample:
-    """The Maass-Selberg form of a pair at one point.
-
-    ``f`` and ``g`` may be Maass forms, conjugate forms, R-kernels (then
-    ``zeta`` supplies the second argument) or bare callables.
+    ``f`` and ``g`` are callables of weight k and -k: Maass forms, conjugate
+    forms or bare functions.
     """
     z = complex(z)
     if z.imag == 0:
         raise DomainError("the Maass-Selberg form lives off the real axis")
-    fsec = section_of(f, zeta)
-    gsec = section_of(g, zeta)
-    zs = np.array([z])
-    a, b = eta_form_many(float(k), fsec, gsec, zs)
-    return OneFormSample(A=complex(a[0]), B=complex(b[0]), at=z)
+    y = z.imag
+    a = maass_raise(f, z, k=k) * g(z) / y
+    b = -f(z) * maass_lower(g, z, k=-k) / y
+    return OneFormSample(A=complex(a), B=complex(b), at=z)
+
+
+def eta_form_many(k: float, f, g, zs: np.ndarray) -> tuple:
+    """Coefficient arrays (A, B) of :func:`eta_form` at each point."""
+    zs = np.asarray(zs, dtype=complex)
+    samples = [eta_form(k, f, g, z) for z in zs.ravel()]
+    a = np.array([s.A for s in samples], dtype=complex).reshape(zs.shape)
+    b = np.array([s.B for s in samples], dtype=complex).reshape(zs.shape)
+    return a, b

@@ -9,19 +9,20 @@ to the left of zeta and conj(zeta) (factored kernel branch).  The nearly
 periodic function integrates the same Maass-Selberg pairing along the ray
 from zeta (resp. conj(zeta)) to i*infinity.
 
-Two equivalent pairings are available for the integrand: the kernel in the
-raised slot (``eta_{-k}(R, u)``) or the form in the raised slot
-(``eta_k(u, R)`` with an overall sign).  They differ by an exact
-differential, so they integrate identically whenever both converge - but at
-the moving endpoint z -> zeta the raising operator must not fall on the
-factor that vanishes there, or the integrand picks up a non-integrable
-power for small weights.  Accordingly the upper-half-plane branch of f uses
-the form-raised pairing (kernel singularity (zeta-z)^{nu-1/2+k/2}) and the
-lower branch integrates the kernel-raised pairing from conj(zeta), where
+One pairing builds every integrand, with a ``ladder`` that picks the raised
+slot: -1 raises the kernel (``eta_{-k}(R, u)``), +1 raises the form
+(``eta_k(u, R)``, taken with an overall minus sign).  The two differ by an
+exact differential, so they integrate identically whenever both
+converge - but at the moving endpoint z -> zeta the raising operator must
+not fall on the factor that vanishes there, or the integrand picks up a
+non-integrable power for small weights.  Accordingly the upper-half-plane
+branch of f raises the form (kernel singularity (zeta-z)^{nu-1/2+k/2}) and
+the lower branch raises the kernel and integrates from conj(zeta), where
 the roles of the two kernel factors swap.  For the holomorphic embedding
-both pairings converge and agree, and the kernel-raised one collapses to
-the classical Eichler integrand because the lowering operator kills the
-form.
+both converge and agree; f and P raise the kernel, which collapses the
+pairing to the classical Eichler integrand because the lowering operator
+kills the form.  Each contour supplies only its points, its kernel values
+and its velocity.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     UnsupportedSpectralParameterError,
 )
 from .forms import MaassForm, q_expansion
-from .kernel import RKernel
+from .kernel import RKernel, kernel_eigen_apply
 from .modgroup import INFINITY, S
 from .multiplier import MultiplierSystem
 from .quadrature import GeodesicPath, integrate_form, integrate_ray
@@ -57,9 +58,9 @@ __all__ = [
     "eichler_f",
     "growth_check",
     "GrowthReport",
-    "eta_integrand_kernel_raised",
-    "eta_integrand_form_raised",
-    "arc_ray_integrand_kernel_raised",
+    "eta_integrand",
+    "ray_integrand",
+    "arc_ray_integrand",
     "synthetic_nearly_periodic",
     "derived_period",
     "holomorphic_series_eval",
@@ -114,122 +115,74 @@ class PeriodEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# integrand builders
+# integrand builders: one pairing, pulled back along each contour
 
 
-def eta_integrand_kernel_raised(form: MaassForm, zeta: complex, mode: str = "combined"):
-    """eta_{-k}(R_{-k,nu}(., zeta), u) as an array integrand.
+def _pairing(form: MaassForm, ladder: int, mode: str = "combined"):
+    """The Maass-Selberg pairing of R = R_{-k,nu}(., zeta) with u, as
+    ``pair(zs, y, kernel_at) -> (A, B)``.
 
-    dz part:   (1 - 2 nu - k) R_{2-k,nu}(z, zeta) u(z) / y
-    dzbar part:       - R_{-k,nu}(z, zeta) (E-_k u)(z) / y
+    ``ladder`` -1 is eta_{-k}(R, u), with the kernel raised; +1 is
+    eta_k(u, R), with the form raised.  ``kernel_at`` evaluates an RKernel
+    at the contour's points, so each contour supplies its own exact
+    differences.  A factor that vanishes identically - a zero kernel
+    coefficient, or E^- u of the embedding - is skipped without evaluating
+    its kernel.
     """
-    k, nu = form.k, form.nu
+    kernel = RKernel(-form.k, form.nu, mode)
+    coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
+    form_op_vanishes = ladder < 0 and form.is_embedding
+
+    def pair(zs, y, kernel_at):
+        u, op_u = form.eval_ladder_many(zs, ladder)
+        zero = np.zeros(np.shape(y), dtype=complex)
+        # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y: each slot
+        # pairs one side's operator with the other side's values
+        kernel_op = zero if coefficient == 0 else coefficient * kernel_at(shifted) * u / y
+        form_op = zero if form_op_vanishes else kernel_at(kernel) * op_u / y
+        return (kernel_op, -form_op) if ladder < 0 else (form_op, -kernel_op)
+
+    return pair
+
+
+def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, mode: str = "combined"):
+    """The pairing as an array integrand z -> (A, B) for ``integrate_form``."""
     zeta = complex(zeta)
-    c_raise = 1.0 - 2.0 * nu - k
-    raised = RKernel(2.0 - k, nu, mode)
-    plain = RKernel(-k, nu, mode)
-    lowered_vanishes = form.is_embedding
+    pair = _pairing(form, ladder, mode)
 
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
-        y = zs.imag
-        u, lowered_u = form.eval_ladder_many(zs, -1)
-        if c_raise != 0:
-            a = c_raise * raised.eval_many(zs, zeta) * u / y
-        else:
-            a = np.zeros(zs.shape, dtype=complex)
-        if lowered_vanishes:
-            b = np.zeros(zs.shape, dtype=complex)
-        else:
-            b = -plain.eval_many(zs, zeta) * lowered_u / y
-        return a, b
+        return pair(zs, zs.imag, lambda kernel: kernel.eval_many(zs, zeta))
 
     return omega
 
 
-def eta_integrand_form_raised(form: MaassForm, zeta: complex, mode: str = "combined"):
-    """eta_k(u, R_{-k,nu}(., zeta)) as an array integrand.
-
-    dz part:    (E+_k u)(z) R_{-k,nu}(z, zeta) / y
-    dzbar part:  - u(z) (1 - 2 nu + k) R_{-k-2,nu}(z, zeta) / y
-    """
-    k, nu = form.k, form.nu
-    zeta = complex(zeta)
-    c_lower = 1.0 - 2.0 * nu + k
-    plain = RKernel(-k, nu, mode)
-    lowered = RKernel(-k - 2.0, nu, mode)
-
-    def omega(zs):
-        zs = np.asarray(zs, dtype=complex)
-        y = zs.imag
-        u, raised_u = form.eval_ladder_many(zs, +1)
-        a = raised_u * plain.eval_many(zs, zeta) / y
-        b = -u * c_lower * lowered.eval_many(zs, zeta) / y
-        return a, b
-
-    return omega
-
-
-def _ray_integrand_kernel_raised(form: MaassForm, zeta: complex, base: complex, mode: str = "combined"):
-    """Pullback of eta_{-k}(R(., zeta), u) along z = base + i t, exact offsets."""
-    k, nu = form.k, form.nu
+def ray_integrand(form: MaassForm, zeta: complex, base: complex, ladder: int):
+    """Pullback of the pairing along z = base + i t, with exact offsets."""
     zeta = complex(zeta)
     base = complex(base)
-    c_raise = 1.0 - 2.0 * nu - k
-    raised = RKernel(2.0 - k, nu, mode)
-    plain = RKernel(-k, nu, mode)
+    pair = _pairing(form, ladder)
 
     def phi(ts):
         ts = np.asarray(ts, dtype=float)
-        zs = base + 1j * ts
-        y = base.imag + ts
-        u, lowered_u = form.eval_ladder_many(zs, -1)
-        total = np.zeros(ts.shape, dtype=complex)
-        if c_raise != 0:
-            total += 1j * c_raise * raised.eval_ray(base, ts, zeta) * u / y
-        if not form.is_embedding:
-            total += 1j * plain.eval_ray(base, ts, zeta) * lowered_u / y
-        return total
-
-    return phi
-
-
-def _ray_integrand_form_raised(form: MaassForm, zeta: complex, base: complex, mode: str = "combined"):
-    """Pullback of eta_k(u, R(., zeta)) along z = base + i t, exact offsets."""
-    k, nu = form.k, form.nu
-    zeta = complex(zeta)
-    base = complex(base)
-    c_lower = 1.0 - 2.0 * nu + k
-    plain = RKernel(-k, nu, mode)
-    lowered = RKernel(-k - 2.0, nu, mode)
-
-    def phi(ts):
-        ts = np.asarray(ts, dtype=float)
-        zs = base + 1j * ts
-        y = base.imag + ts
-        u, raised_u = form.eval_ladder_many(zs, +1)
-        a = raised_u * plain.eval_ray(base, ts, zeta) / y
-        b = -u * c_lower * lowered.eval_ray(base, ts, zeta) / y
+        a, b = pair(base + 1j * ts, base.imag + ts, lambda kernel: kernel.eval_ray(base, ts, zeta))
         return 1j * a - 1j * b
 
     return phi
 
 
-def arc_ray_integrand_kernel_raised(form: MaassForm, zeta: complex, endpoint: float, mode: str = "combined"):
+def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
     """Pullback of eta_{-k}(R(., zeta), u) along the geodesic from zeta to a
     real boundary point, in arclength offset from zeta with exact kernel
     differences (tanh/sech differences formed stably near the start)."""
     zeta = complex(zeta)
     endpoint = float(endpoint)
-    k, nu = form.k, form.nu
     c = (abs(zeta) ** 2 - endpoint**2) / (2.0 * (zeta.real - endpoint))
     r = abs(endpoint - c)
     s0 = math.atanh(max(-1 + 1e-15, min(1 - 1e-15, (zeta.real - c) / r)))
     d = 1.0 if endpoint > c else -1.0
-    c_raise = 1.0 - 2.0 * nu - k
-    raised = RKernel(2.0 - k, nu, mode)
-    plain = RKernel(-k, nu, mode)
     two_im = zeta - zeta.conjugate()
+    pair = _pairing(form, -1)
 
     def phi(ts):
         ts = np.asarray(ts, dtype=float)
@@ -238,18 +191,10 @@ def arc_ray_integrand_kernel_raised(form: MaassForm, zeta: complex, endpoint: fl
         sech = 1.0 / cosh_s
         scale = 1.0 / (cosh_s * math.cosh(s0))
         dz = r * np.sinh(d * ts) * scale - 2j * r * np.sinh(0.5 * (s + s0)) * np.sinh(0.5 * d * ts) * scale
-        a = -dz
-        b = two_im - np.conj(dz)
         y = r * sech
-        zs = zeta + dz
         vel = d * r * sech * (sech - 1j * np.tanh(s))
-        u, lowered_u = form.eval_ladder_many(zs, -1)
-        total = np.zeros(ts.shape, dtype=complex)
-        if c_raise != 0:
-            total += c_raise * raised._from_pieces(a, b, y) * u * vel / y
-        if not form.is_embedding:
-            total -= plain._from_pieces(a, b, y) * lowered_u * np.conj(vel) / y
-        return total
+        a, b = pair(zeta + dz, y, lambda kernel: kernel._from_pieces(-dz, two_im - np.conj(dz), y))
+        return a * vel + b * np.conj(vel)
 
     return phi
 
@@ -299,22 +244,20 @@ class NearlyPeriodicFunction:
         if zeta.imag > 0:
             base = zeta
             if form.is_embedding:
-                phi = _ray_integrand_kernel_raised(form, zeta, base)
-                sign = 1.0
+                ladder = -1
                 alpha = nu - 1.5 + 0.5 * k  # kernel-raised dz singularity
             else:
-                phi = _ray_integrand_form_raised(form, zeta, base)
-                sign = -1.0
+                ladder = +1
                 alpha = nu - 0.5 + 0.5 * k
         else:
             base = zeta.conjugate()
-            phi = _ray_integrand_kernel_raised(form, zeta, base)
-            sign = 1.0
+            ladder = -1
             # dzbar part dominates at the conjugate endpoint unless it vanishes
             if form.is_embedding:
                 alpha = nu + 0.5 - 0.5 * k
             else:
                 alpha = nu - 0.5 - 0.5 * k
+        phi = ray_integrand(form, zeta, base, ladder)
         probes = [0.3, 0.9, 2.1]
         scale = _scale_probe_ray(phi, probes)
         result = integrate_ray(
@@ -323,8 +266,9 @@ class NearlyPeriodicFunction:
             start_mode=("power", alpha),
             settings=self.settings,
         )
+        # the form-raised pairing integrates to minus the kernel-raised one
         return PeriodEvaluation(
-            sign * result.value,
+            -ladder * result.value,
             f"ray {base:.4g} -> i*inf " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
             result.evaluations + len(probes),
@@ -365,7 +309,6 @@ class PeriodFunction:
         form = self.form
         cusp_mode = ("exp",) if form.cusp_profile == "exponential" else ("log",)
         if zeta.real > 0:
-            omega = eta_integrand_kernel_raised(form, zeta, mode="factored")
             path = GeodesicPath.vertical_ray(0.0, +1)
             note = "imaginary axis"
             probes = 1j * np.array([0.4, 0.9, 1.7, 3.0])
@@ -375,12 +318,12 @@ class PeriodFunction:
                 eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
             h0 = min(eps, 0.5 * abs(zeta.imag))
             top = max(1.0, 2.0 * abs(zeta))
-            omega = eta_integrand_kernel_raised(form, zeta, mode="factored")
             path = GeodesicPath.polyline(
                 [0.0, complex(-eps, h0), complex(-eps, top), INFINITY]
             )
             note = f"deformed polyline eps={eps:.3g}"
             probes = complex(-eps, 0) + 1j * np.array([h0 + 0.3, top * 0.5, top])
+        omega = eta_integrand(form, zeta, mode="factored")
         scale = _scale_probe(omega, probes)
         result = integrate_form(
             omega,

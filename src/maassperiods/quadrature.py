@@ -47,8 +47,10 @@ class QuadratureResult:
 class GeodesicPath:
     """A vertical ray, a geodesic arc, or a polyline of straight pieces.
 
-    Arc endpoints may be real numbers, :data:`INFINITY`, or one interior
-    point; boundary endpoints mean the full geodesic into that point.
+    Arc endpoints are real numbers or :data:`INFINITY`, and mean the full
+    geodesic into that point; an interior endpoint raises DomainError
+    (transforms from an interior point pull their integrand back along
+    their own contour and call ``integrate_ray``).
     Polyline vertices are finite (the first may be real); an
     :data:`INFINITY` final vertex appends a vertical ray.
     """
@@ -490,73 +492,37 @@ def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
 
 
 def _make_arc(e1, e2, settings: Settings) -> Callable:
-    finite1 = e1 is not INFINITY
-    finite2 = e2 is not INFINITY
-    if not finite1 and not finite2:
+    if any(e is not INFINITY and complex(e).imag != 0.0 for e in (e1, e2)):
+        raise DomainError(
+            "arc endpoints must be real or INFINITY; a transform from an "
+            "interior point integrates its own pulled-back integrand"
+        )
+    if e1 is INFINITY and e2 is INFINITY:
         raise DomainError("a geodesic needs a finite endpoint")
-    if not finite2:
-        p = complex(e1)
-        inner = _make_ray(p, +1, settings)
-        return inner
-    if not finite1:
-        p = complex(e2)
-        inner = _make_ray(p, +1, settings)
+    if e2 is INFINITY:
+        return _make_ray(complex(e1), +1, settings)
+    if e1 is INFINITY:
+        inner = _make_ray(complex(e2), +1, settings)
 
         def run(omega, tol, budget, smode, emode):
             val, err, note = inner(omega, tol, budget, smode, emode)
             return -val, err, note + " reversed"
 
         return run
-    a, b = complex(e1), complex(e2)
-    if a.imag == 0.0 and b.imag == 0.0:
-        if a.real == b.real:
-            raise DomainError("degenerate geodesic")
-        c = 0.5 * (a.real + b.real)
-        r = 0.5 * abs(b.real - a.real)
-        flip = a.real > b.real  # standard parametrisation runs left to right
-
-        def run(omega, tol, budget, smode, emode):
-            phi = _arc_phi(omega, c, r)
-            far_l, tail_l = _walk_out(lambda s: phi(-s), budget, 4.0, tol / 10.0)
-            far_r, tail_r = _walk_out(phi, budget, 4.0, tol / 10.0)
-            val, err = _adaptive(phi, -far_l, far_r, tol, budget, initial=8)
-            if flip:
-                val = -val
-            return val, err + tail_l + tail_r, "arc"
-
-        return run
-    # one interior endpoint, one boundary endpoint
-    if a.imag != 0.0 and b.imag == 0.0:
-        interior, boundary, flip = a, b.real, False
-    elif b.imag != 0.0 and a.imag == 0.0:
-        interior, boundary, flip = b, a.real, True
-    else:
-        raise DomainError("arcs between two interior points are not supported")
-    if interior.imag < 0:
-        raise DomainError("interior arc endpoints must lie in the upper half-plane")
-    c = (abs(interior) ** 2 - boundary**2) / (2.0 * (interior.real - boundary))
-    r = abs(boundary - c)
-    s_int = math.atanh(max(-1 + 1e-15, min(1 - 1e-15, (interior.real - c) / r)))
-    toward_right = boundary > c
+    a, b = complex(e1).real, complex(e2).real
+    if a == b:
+        raise DomainError("degenerate geodesic")
+    c = 0.5 * (a + b)
+    r = 0.5 * abs(b - a)
+    flip = a > b  # standard parametrisation runs left to right
 
     def run(omega, tol, budget, smode, emode):
         phi = _arc_phi(omega, c, r)
-        if emode is not None:
-            raise DomainError("singular handling is start-side only; reverse the path")
-        # shift so the interior endpoint sits at parameter 0
-        if toward_right:
-            local = lambda t: phi(s_int + np.asarray(t, dtype=float))
-        else:
-            local = lambda t: phi(s_int - np.asarray(t, dtype=float))
-        far, tail = _walk_out(local, budget, 4.0, tol / 10.0)
-        anchor = min(1.0, 0.5 * far)
-        val0, err0, tag = _start_handled(local, anchor, smode, 0.5 * tol, budget)
-        val1, err1 = _adaptive(local, anchor, far, 0.5 * tol, budget)
-        val = val0 + val1
-        if not toward_right:
-            val = -val
+        far_l, tail_l = _walk_out(lambda s: phi(-s), budget, 4.0, tol / 10.0)
+        far_r, tail_r = _walk_out(phi, budget, 4.0, tol / 10.0)
+        val, err = _adaptive(phi, -far_l, far_r, tol, budget, initial=8)
         if flip:
             val = -val
-        return val, err0 + err1 + tail, f"arc from interior [{tag}]"
+        return val, err + tail_l + tail_r, "arc"
 
     return run

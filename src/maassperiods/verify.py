@@ -41,7 +41,7 @@ from .forms import (
     surrogate_form,
     two_sided_surrogate,
 )
-from .kernel import CallableSection, RKernel, eta_form, eta_form_many, r_transform_check
+from .kernel import RKernel, eta_form, eta_form_many, r_transform_check
 from .modgroup import (
     IDENTITY,
     INFINITY,
@@ -62,12 +62,11 @@ from .periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
-    arc_ray_integrand_kernel_raised,
+    arc_ray_integrand,
     derived_period,
     eichler_f,
     eichler_polynomial,
-    eta_integrand_form_raised,
-    eta_integrand_kernel_raised,
+    eta_integrand,
     f_to_P,
     growth_check,
     synthetic_nearly_periodic,
@@ -579,7 +578,7 @@ def _(ctx, rng):
     1e-8,
 )
 def _(ctx, rng):
-    omega = eta_integrand_kernel_raised(ctx.delta, 3.0)
+    omega = eta_integrand(ctx.delta, 3.0)
     corners = [0.2 + 0.8j, 0.6 + 0.8j, 0.6 + 1.6j, 0.2 + 1.6j, 0.2 + 0.8j]
     loop = 0.0 + 0.0j
     scale = 0.0
@@ -658,13 +657,13 @@ def _(ctx, rng):
     z0, z1 = 0.2 + 0.9j, 0.5 + 1.4j
     seg = GeodesicPath.polyline([z0, z1])
     lhs = integrate_form(
-        lambda zs: eta_form_many(kk + 2, CallableSection(e_plus), CallableSection(e_minus), zs),
+        lambda zs: eta_form_many(kk + 2, e_plus, e_minus, zs),
         seg,
         tol=1e-11,
         settings=ctx.settings,
     ).value
     pair = integrate_form(
-        lambda zs: eta_form_many(kk, CallableSection(ys), CallableSection(ys), zs),
+        lambda zs: eta_form_many(kk, ys, ys, zs),
         seg,
         tol=1e-11,
         settings=ctx.settings,
@@ -683,8 +682,8 @@ def _(ctx, rng):
     delta = ctx.delta
     zeta = 2.0
     v_val = delta.multiplier.evaluate(S)
-    omega_moved = eta_integrand_kernel_raised(delta, moebius(S, zeta))
-    omega_base = eta_integrand_kernel_raised(delta, zeta)
+    omega_moved = eta_integrand(delta, moebius(S, zeta))
+    omega_base = eta_integrand(delta, zeta)
     factor = principal_pow(mu(S, zeta), 1 - 2 * delta.nu)
     worst = 0.0
     for z in (0.1 + 0.25j, -0.3 + 0.8j, 0.4 + 1.5j):
@@ -725,7 +724,7 @@ def _(ctx, rng):
 def _axis_integral(ctx):
     """Delta's kernel-raised pairing at zeta = 3 on the axis, with the
     tolerance scaled to it: (omega, tol, value)."""
-    omega = eta_integrand_kernel_raised(ctx.delta, 3.0)
+    omega = eta_integrand(ctx.delta, 3.0)
     axis = GeodesicPath.vertical_ray(0.0, +1)
     rough = integrate_form(omega, axis, tol=1e-7, start_mode=("exp",), settings=ctx.settings).value
     tol = abs(rough) * ctx.settings.quad_tol
@@ -961,7 +960,7 @@ def _(ctx, rng):
     worst = 0.0
     for zeta in (0.4 + 0.9j, 1.1 + 0.6j):
         lhs = dslash(ctx.f_delta, delta.nu, delta.multiplier, T_PRIME)(zeta)
-        phi = arc_ray_integrand_kernel_raised(delta, zeta, -1.0)
+        phi = arc_ray_integrand(delta, zeta, -1.0)
         scale = max(abs(phi(np.array([t]))[0]) for t in (0.4, 1.0, 2.0))
         res = integrate_ray(
             phi,
@@ -985,7 +984,7 @@ def _(ctx, rng):
         img = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), g.inverse())
         for zeta in (0.5, 1.0, 2.0):
             lhs = dslash(ctx.p_delta, delta.nu, delta.multiplier, g)(zeta)
-            omega = eta_integrand_kernel_raised(delta, zeta)
+            omega = eta_integrand(delta, zeta)
             res = integrate_form(omega, img, tol=None, start_mode=("exp",), settings=ctx.settings)
             worst = max(worst, _rel(res.value, lhs))
     return 6, worst
@@ -999,8 +998,8 @@ def _(ctx, rng):
 def _(ctx, rng):
     axis, s = GeodesicPath.vertical_ray(0.0, +1), ctx.settings
     i_r, i_u = (
-        integrate_form(omega(ctx.delta, 3.0), axis, tol=None, start_mode=("exp",), settings=s).value
-        for omega in (eta_integrand_kernel_raised, eta_integrand_form_raised)
+        integrate_form(eta_integrand(ctx.delta, 3.0, ladder), axis, tol=None, start_mode=("exp",), settings=s).value
+        for ladder in (-1, +1)
     )
     return 2, abs(i_r + i_u) / max(abs(i_r), 1e-30)
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -12,19 +13,19 @@ from maassperiods.kernel import (
     RKernel,
     eta_form,
     kernel_eigen_apply,
-    r_eval,
     r_transform_check,
 )
 from maassperiods.modgroup import S, T, moebius
+from maassperiods.periods import eta_integrand
 
 
 def test_weight_zero_closed_form():
     ker = RKernel(0.0, -0.5)
-    assert r_eval(ker, 1j, 0.0) == pytest.approx(1.0, abs=1e-13)
-    assert r_eval(ker, 1j, 1.0) == pytest.approx(0.5, abs=1e-13)
+    assert ker.eval(1j, 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert ker.eval(1j, 1.0) == pytest.approx(0.5, abs=1e-13)
     z, zeta = 0.7 + 1.4j, -2.3
     want = z.imag / ((z.real - zeta) ** 2 + z.imag**2)
-    assert r_eval(ker, z, zeta) == pytest.approx(want, rel=1e-13)
+    assert ker.eval(z, zeta) == pytest.approx(want, rel=1e-13)
 
 
 def test_real_zeta_representation():
@@ -182,12 +183,26 @@ def test_eta_form_reflection_symmetry():
     assert abs(below.B - above.A) <= 1e-6
 
 
-def test_eta_form_with_kernel_and_form(delta):
-    ker = RKernel(-12.0, 5.5)
-    sample = eta_form(-12.0, ker, delta, 0.4 + 0.9j, zeta=3.0)
-    # dzbar coefficient vanishes because lowering kills the embedding
-    assert sample.B == 0
-    assert sample.A != 0
+def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
+    # the exact pairing of the transforms against eta_form on callables,
+    # which differences the kernel: eta_{-k}(R, u) for ladder -1 and
+    # eta_k(u, R) for ladder +1
+    rng = np.random.default_rng(5)
+    for form, zeta in itertools.product((delta, surrogate, surrogate_two_sided), (0.4 + 0.9j, 3.0, 0.2 - 0.8j)):
+        k = form.k
+        kernel = lambda w: RKernel(-k, form.nu).eval(w, zeta)
+        zs = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.3, 2.0, 5)
+        oracles = {-1: lambda z: eta_form(-k, kernel, form, z), +1: lambda z: eta_form(k, form, kernel, z)}
+        for ladder, oracle in oracles.items():
+            a, b = eta_integrand(form, zeta, ladder)(zs)
+            for z, a_z, b_z in zip(zs, a, b):
+                want = oracle(z)
+                scale = max(abs(want.A), abs(want.B))
+                assert abs(a_z - want.A) <= 1e-5 * scale
+                assert abs(b_z - want.B) <= 1e-5 * scale
+            if form.is_embedding and ladder == -1:
+                # the dzbar coefficient vanishes because lowering kills the embedding
+                assert np.all(b == 0) and np.all(a != 0)
 
 
 def test_one_form_pullback():

@@ -13,15 +13,13 @@ from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
-    _ray_integrand_form_raised,
-    _ray_integrand_kernel_raised,
-    arc_ray_integrand_kernel_raised,
+    arc_ray_integrand,
     derived_period,
     eichler_f,
     eichler_polynomial,
-    eta_integrand_form_raised,
-    eta_integrand_kernel_raised,
+    eta_integrand,
     f_to_P,
+    ray_integrand,
     synthetic_nearly_periodic,
 )
 from maassperiods.quadrature import GeodesicPath, integrate_form
@@ -178,11 +176,11 @@ def test_deformed_contour_matches_three_term_continuation(delta, settings):
 # the five transform integrands: (builder, whether it takes z or the
 # parameter t along its contour)
 _INTEGRANDS = {
-    "kernel-raised": (lambda form: eta_integrand_kernel_raised(form, 0.4 + 0.9j), "z"),
-    "form-raised": (lambda form: eta_integrand_form_raised(form, 0.4 + 0.9j), "z"),
-    "ray kernel-raised": (lambda form: _ray_integrand_kernel_raised(form, 0.2 - 0.8j, 0.2 + 0.8j), "t"),
-    "ray form-raised": (lambda form: _ray_integrand_form_raised(form, 0.4 + 0.9j, 0.4 + 0.9j), "t"),
-    "arc ray": (lambda form: arc_ray_integrand_kernel_raised(form, 0.4 + 0.9j, -1.0), "t"),
+    "kernel-raised": (lambda form: eta_integrand(form, 0.4 + 0.9j, -1), "z"),
+    "form-raised": (lambda form: eta_integrand(form, 0.4 + 0.9j, +1), "z"),
+    "ray kernel-raised": (lambda form: ray_integrand(form, 0.2 - 0.8j, 0.2 + 0.8j, -1), "t"),
+    "ray form-raised": (lambda form: ray_integrand(form, 0.4 + 0.9j, 0.4 + 0.9j, +1), "t"),
+    "arc ray": (lambda form: arc_ray_integrand(form, 0.4 + 0.9j, -1.0), "t"),
 }
 
 
@@ -198,6 +196,50 @@ def test_one_form_pass_per_integrand_call(request, table_lookups, name, n_kappas
     args = ts if variable == "t" else rng.uniform(-1.0, 1.0, n) + 1j * ts
     fn(args)
     assert len(table_lookups) == len(set(table_lookups)) == n_kappas
+
+
+_FORMS = ["delta", "surrogate", "surrogate_two_sided"]
+
+
+def _offsets():
+    return np.sort(np.random.default_rng(46).uniform(0.05, 3.0, 46))
+
+
+def _worst_relative(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "zeta, base, ladder",
+    [(0.4 + 0.9j, 0.4 + 0.9j, -1), (0.4 + 0.9j, 0.4 + 0.9j, +1), (0.2 - 0.8j, 0.2 + 0.8j, -1)],
+)
+@pytest.mark.parametrize("name", _FORMS)
+def test_ray_pullback_matches_eta_integrand(request, name, zeta, base, ladder):
+    # the exact-offset ray is i A - i B of the z-array integrand on z = base + i t
+    form = request.getfixturevalue(name)
+    ts = _offsets()
+    a, b = eta_integrand(form, zeta, ladder)(base + 1j * ts)
+    got = ray_integrand(form, zeta, base, ladder)(ts)
+    assert _worst_relative(got, 1j * a - 1j * b) <= 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0.4 + 0.9j, 1.1 + 0.6j])
+@pytest.mark.parametrize("name", _FORMS)
+def test_arc_pullback_matches_eta_integrand(request, name, zeta):
+    # the geodesic from zeta to -1 is z(s) = c + r tanh s + i r sech s,
+    # with s = s0 + d t running from zeta toward the endpoint
+    form = request.getfixturevalue(name)
+    c = (abs(zeta) ** 2 - 1.0) / (2.0 * (zeta.real + 1.0))
+    r = abs(-1.0 - c)
+    s0 = math.atanh((zeta.real - c) / r)
+    d = 1.0 if -1.0 > c else -1.0
+    s = s0 + d * _offsets()
+    sech = 1.0 / np.cosh(s)
+    zs = c + r * np.tanh(s) + 1j * r * sech
+    velocity = d * r * sech * (sech - 1j * np.tanh(s))
+    a, b = eta_integrand(form, zeta, -1)(zs)
+    got = arc_ray_integrand(form, zeta, -1.0)(_offsets())
+    assert _worst_relative(got, a * velocity + b * np.conj(velocity)) <= 1e-12
 
 
 @pytest.mark.parametrize(

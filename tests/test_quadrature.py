@@ -12,7 +12,7 @@ from maassperiods.modgroup import INFINITY, S, T, T_PRIME
 from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
-    eta_integrand_kernel_raised,
+    eta_integrand,
 )
 from maassperiods.quadrature import (
     GeodesicPath,
@@ -127,7 +127,7 @@ def test_error_estimate_dominates_refinement():
 
 
 def test_closed_form_path_independence(delta):
-    omega = eta_integrand_kernel_raised(delta, 3.0)
+    omega = eta_integrand(delta, 3.0)
     straight = integrate_form(
         omega, GeodesicPath.vertical_ray(0.0, +1), tol=1e-6, start_mode=("exp",)
     )
@@ -141,7 +141,7 @@ def test_closed_form_path_independence(delta):
 
 
 def test_three_path_split(delta):
-    omega = eta_integrand_kernel_raised(delta, 2.0)
+    omega = eta_integrand(delta, 2.0)
     axis = integrate_form(
         omega, GeodesicPath.vertical_ray(0.0, +1), tol=1e-6, start_mode=("exp",)
     ).value
@@ -185,6 +185,14 @@ def test_integrate_ray_offsets():
 def test_polyline_rejects_interior_infinity():
     with pytest.raises(DomainError):
         GeodesicPath.polyline([0.0, INFINITY, 1j])
+
+
+@pytest.mark.parametrize("ends", [(0.4 + 0.9j, -1.0), (-1.0, 0.4 + 0.9j), (0.4 + 0.9j, INFINITY)])
+def test_arc_rejects_interior_endpoint(ends):
+    # transforms from an interior point pull back along their own contour
+    omega = _pure_dz(lambda zs: np.ones(zs.shape, dtype=complex))
+    with pytest.raises(DomainError):
+        integrate_form(omega, GeodesicPath.arc(*ends), tol=1e-8)
 
 
 def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
@@ -236,7 +244,7 @@ def _oscillating_power(zs):
 
 _BATCHED_CASES = {
     "delta ray": lambda delta: integrate_form(
-        eta_integrand_kernel_raised(delta, 2.0 + 0.5j),
+        eta_integrand(delta, 2.0 + 0.5j),
         GeodesicPath.vertical_ray(0.0, +1),
         tol=1e-8,
         start_mode=("exp",),
@@ -369,13 +377,13 @@ def _recording(walk, log):
 
 _WALK_CASES = {
     "delta ray": lambda forms: integrate_form(
-        eta_integrand_kernel_raised(forms["delta"], 2.0 + 0.5j),
+        eta_integrand(forms["delta"], 2.0 + 0.5j),
         GeodesicPath.vertical_ray(0.0, +1),
         tol=1e-8,
         start_mode=("exp",),
     ),
     "arc": lambda forms: integrate_form(
-        eta_integrand_kernel_raised(forms["delta"], 2.0), GeodesicPath.arc(0.0, -1.0), tol=1e-6
+        eta_integrand(forms["delta"], 2.0), GeodesicPath.arc(0.0, -1.0), tol=1e-6
     ),
     "log-start segment": lambda forms: integrate_form(
         _oscillating_power,

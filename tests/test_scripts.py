@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -50,7 +52,8 @@ def test_run_verify_classical():
     assert lines[-1].endswith("; 0 unexpected failures")
 
 
-def test_traced_benchmark_worker_runs(tmp_path):
+@pytest.mark.parametrize("workload", ["delta-transforms", "delta-continuation", "surrogate-transforms"])
+def test_traced_benchmark_worker_runs(tmp_path, workload):
     # the benchmark's tracer wraps library methods with their argument lists,
     # so a traced run fails if a wrapped entry point changes its signature
     proc = subprocess.run(
@@ -59,7 +62,7 @@ def test_traced_benchmark_worker_runs(tmp_path):
             os.path.join(ROOT, "perfbench", "worker.py"),
             "transforms",
             "--workload",
-            "surrogate-transforms",
+            workload,
             "--seed",
             "1",
             "--seconds",
