@@ -125,9 +125,7 @@ def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
         out = np.empty(ys.shape, dtype=complex)
         out[small] = _whittaker_series(kappa, mu, ys[small])
         if np.any(~small):
-            out[~small] = np.asarray(
-                whittaker_w(WhittakerParams(kappa, mu), ys[~small]), dtype=complex
-            )
+            out[~small] = np.asarray(whittaker_w(params, ys[~small]), dtype=complex)
         return complex(out[0]) if scalar else out
     if alpha.real <= 0:
         mu = -mu
@@ -150,7 +148,7 @@ def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
     eu = np.exp(nodes)
     base = np.exp(-eu + nodes * alpha)
     out = np.empty(ys.shape, dtype=complex)
-    chunk = 256
+    chunk = max(1, 2**15 // nodes.size)  # rows per block of at most 2**15 factor entries
     for i in range(0, ys.size, chunk):
         yy = ys[i : i + chunk]
         factor = (1.0 + eu[None, :] / yy[:, None]) ** beta
@@ -170,13 +168,9 @@ def _whittaker_recurrence(kappa: float, mu: complex, ys: np.ndarray) -> np.ndarr
     convergent series instead when the connection formula is available.
     """
     out = np.empty(ys.shape, dtype=complex)
-    small = ys <= 0.5
-    if np.any(small) and _series_applicable(mu):
-        out[small] = _whittaker_series(kappa, mu, ys[small])
-        small_done = True
-    else:
-        small_done = False
-    rest = ~small if small_done else np.ones(ys.shape, dtype=bool)
+    rest = ys > 0.5 if _series_applicable(mu) else np.ones(ys.shape, dtype=bool)
+    if not np.all(rest):
+        out[~rest] = _whittaker_series(kappa, mu, ys[~rest])
     if np.any(rest):
         yr = ys[rest]
         need = 0.25 - max((mu - kappa + 0.5).real, (-mu - kappa + 0.5).real)
@@ -227,33 +221,47 @@ class WhittakerTable:
     The cached quantity is the slowly varying factor W(t) e^{t/2} t^{-kappa},
     whose dynamic range per panel is tame, so the fit keeps relative
     accuracy even where W decays through dozens of orders; the exponential
-    and the power are restored at lookup.  Built once per (kappa, mu) pair;
-    lookups are vectorised, and :meth:`with_log_derivative` also returns
-    t W'(t) from the derivative of the same series.  Beyond ``t_max`` the
-    function is below 1e-60 and is returned as exactly zero.
+    and the power are restored at lookup.  Built once per (kappa, mu) pair in
+    one pass: one :func:`whittaker_w` call on all panels' Chebyshev points and
+    one fixed interpolation matrix.  ``DEGREE`` is where every panel's
+    coefficients reach the integral's noise on the pairs in use (about 1e-15
+    of the largest, by degree 11-13): a higher degree only fits noise and
+    lengthens every lookup's Clenshaw loop.  A pair the degree does not
+    resolve raises :class:`UnsupportedParameterError`.  Lookups are
+    vectorised, and :meth:`with_log_derivative` also returns t W'(t) from the
+    derivative of the same series.  Beyond ``t_max`` W is below 1e-60 and is
+    returned as exactly zero; t below ``t_min``, NaN, zero and negative t
+    included, raises :class:`DomainError`.
     """
 
-    DEGREE = 22
+    DEGREE = 14
+    # values at the Chebyshev points x_j of the second kind -> coefficients, inverting
+    # T_k(x_j) = cos(k arccos x_j) directly: numpy.polynomial would load at import
+    _NODES = np.cos(np.pi * np.arange(DEGREE + 1) / DEGREE)
+    _FIT = np.linalg.inv(np.cos(np.arange(DEGREE + 1) * np.arccos(_NODES)[:, None]))
+    # last over largest coefficient of a panel: <= 40 eps on the pairs in use, 3e6 at mu = 5i
+    TAIL_TOL = 1024 * np.finfo(float).eps
 
     def __init__(self, kappa: float, mu: complex, t_min: float = 1e-40, t_max: float = 320.0):
         self.params = WhittakerParams(kappa, mu)
         self.kappa = float(kappa)
-        self.s_lo = math.log(t_min)
-        self.s_hi = math.log(t_max)
-        n_panels = int(math.ceil(self.s_hi - self.s_lo))
-        self.edges = np.linspace(self.s_lo, self.s_hi, n_panels + 1)
-        # Chebyshev points of the second kind on each panel
-        theta = np.pi * np.arange(self.DEGREE + 1) / self.DEGREE
-        ref = np.cos(theta)
-        coeffs = []
-        for lo, hi in zip(self.edges[:-1], self.edges[1:]):
-            s_nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * ref
-            t_nodes = np.exp(s_nodes)
-            vals = np.asarray(whittaker_w(self.params, t_nodes), dtype=complex)
-            vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
-            coeffs.append(np.polynomial.chebyshev.chebfit(ref, vals, self.DEGREE))
+        self.t_min = t_min
+        s_lo, self.s_hi = math.log(t_min), math.log(t_max)
+        self.edges = np.linspace(s_lo, self.s_hi, int(math.ceil(self.s_hi - s_lo)) + 1)
+        # nodes as the lookup maps them back, s = mid + half x
+        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        t_nodes = np.exp(mid[:, None] + half[:, None] * self._NODES)
+        vals = np.asarray(whittaker_w(self.params, t_nodes.ravel())).reshape(t_nodes.shape)
+        vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
         # degree-major, so a lookup gathers one contiguous row per degree
-        self.coeffs = np.ascontiguousarray(np.array(coeffs).T)
+        self.coeffs = self._FIT @ vals.T
+        tail = np.abs(self.coeffs[-1]) / np.max(np.abs(self.coeffs), axis=0)
+        if not np.all(tail <= self.TAIL_TOL):
+            raise UnsupportedParameterError(
+                f"a degree-{self.DEGREE} Chebyshev table does not resolve W_{{{kappa}, {mu}}}: "
+                f"a panel's last coefficient is {np.max(tail):.1e} of its largest"
+            )
 
     def __call__(self, t) -> np.ndarray:
         return self._lookup(t, False)[0]
@@ -270,18 +278,13 @@ class WhittakerTable:
 
     def _lookup(self, t, log_derivative: bool) -> tuple:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(ts >= self.t_min):  # NaN, zero and negative t fail too
+            raise DomainError(f"table lookup requires t >= {self.t_min}, got {ts.min()}")
         outs = [np.zeros(ts.shape, dtype=complex) for _ in range(1 + log_derivative)]
-        s = np.full(ts.shape, -np.inf)
-        positive = ts > 0
-        s[positive] = np.log(ts[positive])
-        inside = (s >= self.s_lo) & (s <= self.s_hi)
-        if np.any(s[positive] < self.s_lo):
-            raise DomainError("argument below the tabulated range")
-        idx = np.clip(
-            np.searchsorted(self.edges, s[inside], side="right") - 1,
-            0,
-            len(self.edges) - 2,
-        )
+        s = np.log(ts)
+        inside = s <= self.s_hi
+        idx = np.searchsorted(self.edges, s[inside], side="right") - 1
+        idx = np.clip(idx, 0, len(self.edges) - 2)
         lo = self.edges[idx]
         hi = self.edges[idx + 1]
         x = (2.0 * s[inside] - (hi + lo)) / (hi - lo)
@@ -290,10 +293,7 @@ class WhittakerTable:
         # d1, d2 are the x-derivatives of b1, b2:
         # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
         c = self.coeffs
-        b1 = np.zeros(x.shape, dtype=complex)
-        b2 = np.zeros(x.shape, dtype=complex)
-        d1 = np.zeros(x.shape, dtype=complex)
-        d2 = np.zeros(x.shape, dtype=complex)
+        b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=complex)  # rebound, never written
         two_x = 2.0 * x
         for j in range(self.DEGREE, 0, -1):
             if log_derivative:

@@ -101,6 +101,11 @@ def test_cli_bad_weight_exits_2(capsys):
     assert main(["period-function", "--weight", "1/3", "--nu", "0.3i"]) == 2
 
 
+def test_cli_unresolved_whittaker_index_exits_2(capsys):
+    assert main(["period-function", "--weight", "1/2", "--nu", "5i"]) == 2
+    assert "does not resolve W_{0.25, 5j}" in capsys.readouterr().err
+
+
 def test_settings_roundtrip(tmp_path):
     s = Settings(quad_tol=1e-9, q_terms=30)
     path = tmp_path / "s.json"

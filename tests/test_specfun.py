@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from maassperiods import specfun
 from maassperiods.errors import DomainError, UnsupportedParameterError
 from maassperiods.specfun import (
     WhittakerParams,
@@ -130,10 +131,65 @@ def test_whittaker_table_beyond_cutoff_is_zero():
     assert table.with_log_derivative(500.0) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "kappa,mu",
-    [(0.25, 0.35j), (-0.25, 0.35j), (0.75, 0.1j), (-0.75, 0.2 + 0.3j), (0.25, 0.2)],
-)
+TABLE_PAIRS = [(0.25, 0.35j), (-0.25, 0.35j), (0.75, 0.1j), (-0.75, 0.2 + 0.3j), (0.25, 0.2)]
+
+
+@pytest.mark.parametrize("kappa,mu", TABLE_PAIRS + [(0.25, 2j)])
+def test_whittaker_table_against_mpmath(kappa, mu):
+    # W and t W'(t) against 30-digit mpmath, the latter from the exact
+    # t W' = (t/2 - kappa) W - W_{kappa+1,mu} (DLMF 13.15.23); |Im mu| = 2
+    # is about as far as the table's degree resolves
+    table = WhittakerTable(kappa, mu)
+    ts = np.geomspace(1e-3, 300.0, 40)
+    w, t_dw = table.with_log_derivative(ts)
+    with mpmath.workdps(30):
+        for t, got_w, got_dw in zip(ts, w, t_dw):
+            ref_w = mpmath.whitw(kappa, mu, t)
+            ref_dw = complex((t / 2 - kappa) * ref_w - mpmath.whitw(kappa + 1, mu, t))
+            ref_w = complex(ref_w)
+            scale = max(abs(ref_w), abs(ref_dw))
+            assert abs(got_w - ref_w) <= 1e-12 * scale, t
+            assert abs(got_dw - ref_dw) <= 1e-12 * scale, t
+
+
+def test_whittaker_table_builds_from_one_call(monkeypatch):
+    # every panel's nodes go through one whittaker_w call; the calls that
+    # whittaker_w makes itself (series split, index recurrence) are inner
+    sizes, depth = [], [0]
+    original = specfun.whittaker_w
+
+    def counting(params, y):
+        if not depth[0]:
+            sizes.append(np.size(y))
+        depth[0] += 1
+        try:
+            return original(params, y)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(specfun, "whittaker_w", counting)
+    for kappa, mu in TABLE_PAIRS + [(1.25, 0.35j)]:
+        sizes.clear()
+        table = WhittakerTable(kappa, mu)
+        assert sizes == [table.coeffs.size], (kappa, mu)
+
+
+def test_whittaker_table_unresolved_index_raises():
+    # at mu = 5i a panel's last coefficient is 7e-10 of its largest: W is not resolved
+    with pytest.raises(UnsupportedParameterError, match="does not resolve"):
+        WhittakerTable(0.25, 5j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_whittaker_table_rejects_nan_zero_and_negative(bad):
+    table = WhittakerTable(0.25, 0.35j)
+    for lookup in (table, table.with_log_derivative):
+        for t in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError):
+                lookup(t)
+
+
+@pytest.mark.parametrize("kappa,mu", TABLE_PAIRS)
 def test_whittaker_table_log_derivative_against_mpmath(kappa, mu):
     # t W'(t) from the table's Chebyshev series against a 30-digit numerical
     # derivative of mpmath's W; W itself is the plain lookup, bit for bit
