@@ -29,7 +29,7 @@ def main() -> int:
         tag = "ok   " if entry.passed else "FAIL " if entry.identity in unexpected else "known"
         print(
             f"[{tag}] {entry.identity:45s} residual {entry.max_residual:9.2e}"
-            f"  tol {entry.tolerance:7.0e}  ({entry.samples} samples)"
+            f"  tol {entry.tolerance:7.0e}  ({entry.samples} samples, {entry.wall_time:.2f}s)"
         )
     wall = time.perf_counter() - started
     print(f"\n{len(report.entries)} identities in {wall:.1f}s; "

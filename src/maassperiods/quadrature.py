@@ -6,11 +6,12 @@ truncated by magnitude walks with a tail estimate folded into the error
 budget; endpoint singularities of exponent in (-1, 0) are removed by a
 power substitution; power-law-oscillatory approaches to the real axis use
 a logarithmic substitution.  The core rule is an embedded Gauss pair
-(15/31 nodes) with bisection of the worst interval.  The integrand is
-called once per bisection, on both rules of both halves (92 points), and
-once per group of at most 8 initial panels (368 points).  The walks send
-their probes in blocks of 2, 4, 8, ... points, one call per block, and
-stop where a probe-by-probe walk would.
+(15/31 nodes) with bisection of the worst interval.  Every adaptive piece
+starts from 4 panels (8 on an arc) in one integrand call, and bisection
+places the rest; the log-substituted start piece refines from there like
+any other.  Each bisection is one call, on both rules of both halves (92
+points).  The walks send their probes in blocks of 2, 4, 8, ... points,
+one call per block, and stop where a probe-by-probe walk would.
 """
 
 from __future__ import annotations
@@ -103,21 +104,15 @@ class _Budget:
             raise NonconvergenceError(0.0, float("inf"), self.used)
 
 
-# Initial panels per integrand call: 8 x 46 = 368 points.  Larger calls
-# save little per-call cost and raise the integrand's peak memory.
-_PANELS_PER_CALL = 8
-
-
 def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int = 4):
     """Integrate phi over [a, b] to tol, bisecting the interval of largest error.
 
     Each interval gets the embedded 15/31-point Gauss pair, and ``phi``
-    sees the nodes of several intervals in one call: the ``initial``
-    panels at most ``_PANELS_PER_CALL`` at a time, then both halves of
-    each bisection together (92 points).  Raises NonconvergenceError, with
-    the partial value and its error, when the total error still exceeds
-    tol but the worst interval has reached the width floor or an error
-    below tol * 1e-3.
+    sees the nodes of several intervals in one call: all ``initial`` panels
+    at once, then both halves of each bisection together (92 points).
+    Raises NonconvergenceError, with the partial value and its error, when
+    the total error still exceeds tol but the worst interval has reached
+    the width floor or an error below tol * 1e-3.
     """
     x15, w15 = _gauss_rule(15)
     x31, w31 = _gauss_rule(31)
@@ -138,13 +133,10 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
 
     edges = np.linspace(a, b, initial + 1)
     los, his = edges[:-1], edges[1:]
-    panels = []
-    for k in range(0, initial, _PANELS_PER_CALL):
-        panels += gauss(los[k : k + _PANELS_PER_CALL], his[k : k + _PANELS_PER_CALL])
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
-    for lo, hi, (val, err) in zip(los, his, panels):
+    for lo, hi, (val, err) in zip(los, his, gauss(los, his)):
         total += val
         total_err += err
         heapq.heappush(heap, (-err, lo, hi, val))
@@ -322,10 +314,7 @@ def _start_handled(phi, t_hi: float, mode, tol, budget):
             return val, err, f"power({alpha.real:.3g})"
     if tag == "log":
         t_min, tail = _walk_in(phi, budget, t_hi, tol / 10.0)
-        n_panels = max(4, int(math.log(t_hi / t_min)))
-        val, err = _adaptive(
-            _log_substituted(phi), math.log(t_min), math.log(t_hi), tol, budget, initial=n_panels
-        )
+        val, err = _adaptive(_log_substituted(phi), math.log(t_min), math.log(t_hi), tol, budget)
         return val, err + tail, "log"
     if tag == "exp":
         t_min, tail = _walk_in(phi, budget, t_hi, tol / 10.0)

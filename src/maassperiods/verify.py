@@ -5,8 +5,8 @@ id, statement and tolerance.  It takes a :class:`Context` (the forms and
 transform objects every identity shares, built on first use) and its own
 generator, and returns ``(samples, max_residual)``; :func:`check` turns
 that into a :class:`CheckResult`.  The generator is seeded from the run's
-seed and the id alone, so an identity reports the same numbers whether it
-runs by itself, in its suite or in ``all``.
+seed and the id alone, so an identity reports the same samples and residual
+whether it runs by itself, in its suite or in ``all``.
 
 A suite is the set of ids with one prefix (``periods.growth`` belongs to
 ``periods``); ``SUITES`` maps each suite name to the callable that runs
@@ -103,6 +103,7 @@ class CheckResult:
     samples: int
     max_residual: float
     tolerance: float
+    wall_time: float = field(compare=False)  # seconds; not part of the result
     passed: bool = field(init=False)
     note: str = ""
 
@@ -216,11 +217,17 @@ def identity(ident: str, statement: str, tolerance: float, weights=None):
 
 
 def check(ident: str, ctx: Context | None = None, seed: int = 0) -> CheckResult:
-    """Run one registered identity with its own generator."""
+    """Run one registered identity with its own generator, and time it.
+
+    The time includes building any shared form or transform object this
+    identity is the first in its context to use.
+    """
     spec = REGISTRY[ident]
     rng = np.random.default_rng([seed, zlib.crc32(ident.encode())])
+    started = time.perf_counter()
     samples, residual = spec.run(ctx or Context(), rng)
-    return CheckResult(ident, spec.statement, int(samples), float(residual), spec.tolerance)
+    wall = time.perf_counter() - started
+    return CheckResult(ident, spec.statement, int(samples), float(residual), spec.tolerance, wall)
 
 
 def _suite_of(ident: str) -> str:

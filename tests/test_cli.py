@@ -21,7 +21,10 @@ def test_run_suite_entries_have_contract_fields():
     payload = report.to_json()
     assert payload["pass"] is True
     for entry in payload["entries"]:
-        assert set(entry) >= {"identity", "statement", "samples", "max_residual", "tolerance", "passed"}
+        assert set(entry) >= {
+            "identity", "statement", "samples", "max_residual", "tolerance", "wall_time", "passed"
+        }
+    assert 0 < sum(e["wall_time"] for e in payload["entries"]) <= payload["wall_time_seconds"]
     # report assembly is order-stable
     ids = [e["identity"] for e in payload["entries"]]
     assert ids == sorted(ids)

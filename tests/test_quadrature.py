@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from maassperiods import quadrature
+from maassperiods import Settings, quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
 from maassperiods.forms import surrogate_form, two_sided_surrogate
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
@@ -236,8 +236,8 @@ def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
 
 def _oscillating_power(zs):
     # |t|^(-0.3 + 20i) along the segment from 0 to 1 + i: at tol 1e-12 the
-    # log start walks down to t ~ 1e-19, so the log variable gets over 40
-    # initial panels
+    # log start walks down to t ~ 1e-19, so the log variable spans over 40
+    # units and oscillates about 3 times per unit
     t = np.asarray(zs, dtype=complex) / (1.0 + 1.0j)
     return np.exp((-0.3 + 20.0j) * np.log(t.real)), np.zeros(np.shape(zs), complex)
 
@@ -298,7 +298,9 @@ def test_one_integrand_call_per_bisection():
     assert set(batched) == {184, 92}
 
 
-def test_initial_panels_at_most_eight_per_call():
+def test_log_start_refines_from_four_panels_in_one_call():
+    # the log piece of the oscillating power starts, like every other
+    # piece, from 4 panels in one call; bisection places the rest
     sizes = []
     got = integrate_form(
         _counting(_oscillating_power, sizes),
@@ -307,12 +309,9 @@ def test_initial_panels_at_most_eight_per_call():
         start_mode=("log",),
     )
     assert sum(sizes) == got.evaluations
-    batched = [n for n in sizes if n % 46 == 0]
-    first_bisection = batched.index(92)
-    initial = batched[:first_bisection]
-    assert len(initial) > 2 and set(initial[:-1]) == {368}
-    assert initial[-1] <= 368 and initial[-1] % 46 == 0
-    assert set(batched[first_bisection:]) == {92}
+    first = sizes.index(184)
+    assert all(n % 46 for n in sizes[:first])  # the start walk's probe blocks
+    assert len(sizes) > first + 1 and set(sizes[first + 1 :]) == {92}
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +478,33 @@ def test_walk_calls_grow_logarithmically(walk, phi, args):
 # the start walk's tail bounds the truncated mass
 
 
-@pytest.mark.parametrize("a", [-0.75 + 0.35j, -0.9 + 0.2j, -0.5 + 1.0j])
+@pytest.mark.parametrize(
+    "a",
+    [-0.75 + 0.35j, -0.9 + 0.2j, -0.5 + 1.0j, -0.5 + 2.0j, -0.9 + 0.1j, -0.25 - 1.2j, -0.6 + 3.0j],
+)
 def test_start_tail_bounds_the_error(a):
-    # |e^{-t} t^a| ~ t^{Re a}: the mass below t_min is m t_min / (1 + Re a)
+    # |e^{-t} t^a| ~ t^{Re a}: the mass below t_min is m t_min / (1 + Re a).
+    # Gamma(1 + a) is an independent oracle for the log-substituted start; a
+    # large Im a checks that its few wide initial panels do not converge
+    # falsely on the oscillation
     got = integrate_ray(lambda t: np.exp(-t) * t**a, tol=1e-10, start_mode=("power", a))
     exact = complex(mpmath.gamma(1 + mpmath.mpc(a)))
     assert abs(got.value - exact) <= got.abs_error_estimate
+    assert got.evaluations <= 1500
+
+
+@pytest.mark.parametrize("transform", ["surrogate P at 1", "two-sided f at 0.2-0.7i"])
+def test_surrogate_log_start_count_and_accuracy(surrogate, surrogate_two_sided, transform):
+    # both start at a power-law endpoint with complex exponent (cusp 0 for
+    # P, zeta for f below the axis), so the log piece dominates their count
+    build, form, zeta = {
+        "surrogate P at 1": (PeriodFunction, surrogate, 1.0),
+        "two-sided f at 0.2-0.7i": (NearlyPeriodicFunction, surrogate_two_sided, 0.2 - 0.7j),
+    }[transform]
+    got = build(form).eval(zeta)
+    tight = build(form, Settings(quad_tol=1e-14)).eval(zeta)
+    assert got.evaluations <= 1000
+    assert abs(got.value - tight.value) <= got.abs_error
 
 
 def test_start_walk_rejects_a_non_integrable_local_exponent():
