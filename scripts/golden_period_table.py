@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Print the desk-scale golden comparison: the period function of the
 weight-12 discriminant form against -22 times its period polynomial,
-together with the fitted polynomial coefficients."""
+together with the polynomial's exact coefficients from the L-values."""
 
-import numpy as np
-
-from maassperiods import PeriodFunction, delta_form, eichler_polynomial
+from maassperiods import PeriodFunction, delta_form, eichler_polynomial, period_polynomial
 from maassperiods.forms import delta_coefficients
 
 
@@ -21,11 +19,8 @@ def main() -> None:
         diff = abs(p_per + 22 * p_val) / (1 + abs(p_val))
         print(f"{zeta!s:>10s} {p_per:>28.12g} {-22 * p_val:>28.12g} {diff:>10.2e}")
 
-    nodes = np.linspace(0.5, 2.5, 11)
-    vals = [eichler_polynomial(coeffs, 12, complex(x)) for x in nodes]
-    fit = np.polyfit(nodes, vals, 10)[::-1]
-    print("\nfitted polynomial coefficients (degree ascending):")
-    for degree, c in enumerate(fit):
+    print("\nperiod polynomial coefficients from L-values (degree ascending):")
+    for degree, c in enumerate(period_polynomial(coeffs, 12)):
         print(f"  {degree:2d}: {complex(c):+.12e}")
 
 

@@ -30,6 +30,7 @@ from .periods import (
     eichler_polynomial,
     f_to_P,
     growth_check,
+    period_polynomial,
 )
 from .quadrature import GeodesicPath, QuadratureResult, geodesic_image, integrate_form
 from .specfun import WhittakerParams, bessel_k, gamma_complex, whittaker_w
@@ -79,6 +80,7 @@ __all__ = [
     "maass_raise",
     "moebius",
     "mu",
+    "period_polynomial",
     "principal_arg",
     "principal_pow",
     "r_transform_check",

@@ -14,7 +14,7 @@ from .config import Settings
 from .errors import DomainError
 from .forms import delta_coefficients, surrogate_form
 from .multiplier import InvalidWeightError, parse_weight
-from .periods import PeriodFunction, eichler_polynomial, growth_check
+from .periods import PeriodFunction, eichler_polynomial, growth_check, period_polynomial
 from .verify import EXPECTED_FAILURES, SUITES, run_suite
 
 
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "period-poly", help="tabulate the classical period polynomial", parents=[common]
     )
     p_poly.add_argument("--form", default="delta", choices=["delta"])
-    p_poly.add_argument("--samples", type=int, default=11)
+    p_poly.add_argument("--samples", type=int, default=11, help="sample rows on [0.5, 2.5]")
 
     p_pf = sub.add_parser(
         "period-function", help="tabulate a period function on a grid", parents=[common]
@@ -103,23 +103,19 @@ def _cmd_verify(args, settings: Settings) -> int:
 
 
 def _cmd_period_poly(args, settings: Settings) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     coeffs = (0,) + delta_coefficients(settings.q_terms)
-    n = args.samples
-    xs = np.linspace(0.5, 2.5, n)
-    rows = []
-    for x in xs:
-        val = eichler_polynomial(coeffs, 12, complex(x), settings)
-        rows.append((x, val.real, val.imag))
-    fit = np.polyfit(xs, [complex(r[1], r[2]) for r in rows], min(10, n - 1))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["zeta", "re_p", "im_p"])
-    for row in rows:
-        writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12e}", f"{row[2]:.12e}"])
+    for x in np.linspace(0.5, 2.5, args.samples):
+        val = eichler_polynomial(coeffs, 12, complex(x))
+        writer.writerow([f"{x:.12g}", f"{val.real:.12e}", f"{val.imag:.12e}"])
     writer.writerow([])
     writer.writerow(["degree", "re_coeff", "im_coeff"])
-    for i, c in enumerate(fit[::-1]):
-        writer.writerow([i, f"{complex(c).real:.12e}", f"{complex(c).imag:.12e}"])
+    for i, c in enumerate(period_polynomial(coeffs, 12)):
+        writer.writerow([i, f"{c.real:.12e}", f"{c.imag:.12e}"])
     _emit(buf.getvalue(), args)
     return 0
 

@@ -31,6 +31,7 @@ import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,9 +40,10 @@ from .config import DEFAULTS, Settings
 from .errors import (
     DegenerateBijectionError,
     DomainError,
+    UnsupportedParameterError,
     UnsupportedSpectralParameterError,
 )
-from .forms import MaassForm, q_expansion
+from .forms import MaassForm
 from .kernel import RKernel, kernel_eigen_apply
 from .modgroup import INFINITY, S
 from .multiplier import MultiplierSystem
@@ -63,7 +65,7 @@ __all__ = [
     "arc_ray_integrand",
     "synthetic_nearly_periodic",
     "derived_period",
-    "holomorphic_series_eval",
+    "period_polynomial",
 ]
 
 
@@ -199,17 +201,14 @@ def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
     return phi
 
 
-def _scale_probe(omega, probes: np.ndarray) -> float:
-    a, b = omega(np.asarray(probes, dtype=complex))
-    return float(max(np.max(np.abs(a) + np.abs(b)), 1e-300))
+def _probed_tol(settings: Settings, magnitudes: np.ndarray) -> float:
+    """The quadrature tolerance, relative to the integrand's probed scale."""
+    return settings.quad_tol * max(1.0, float(np.max(magnitudes)))
 
 
-def _scale_probe_ray(phi, ts) -> float:
-    return float(max(np.max(np.abs(phi(np.asarray(ts, dtype=float)))), 1e-300))
-
-
-def _scaled_tol(settings: Settings, scale: float) -> float:
-    return settings.quad_tol * max(1.0, scale)
+def _vanishes_identically(form: MaassForm) -> bool:
+    """The embedding at nu = (1-k)/2, where f and P vanish identically."""
+    return form.is_embedding and abs(form.nu - (1.0 - form.k) / 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +221,7 @@ class NearlyPeriodicFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        self._degenerate_zero = form.is_embedding and abs(
-            form.nu - (1.0 - form.k) / 2.0
-        ) < 1e-12
+        self._degenerate_zero = _vanishes_identically(form)
         if not form.is_embedding and abs(form.nu.real) >= 0.5:
             raise UnsupportedSpectralParameterError(
                 f"|Re nu| = {abs(form.nu.real)} is not below 1/2"
@@ -258,11 +255,10 @@ class NearlyPeriodicFunction:
             else:
                 alpha = nu - 0.5 - 0.5 * k
         phi = ray_integrand(form, zeta, base, ladder)
-        probes = [0.3, 0.9, 2.1]
-        scale = _scale_probe_ray(phi, probes)
+        probes = np.array([0.3, 0.9, 2.1])
         result = integrate_ray(
             phi,
-            tol=_scaled_tol(self.settings, scale),
+            tol=_probed_tol(self.settings, np.abs(phi(probes))),
             start_mode=("power", alpha),
             settings=self.settings,
         )
@@ -271,7 +267,7 @@ class NearlyPeriodicFunction:
             -ladder * result.value,
             f"ray {base:.4g} -> i*inf " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
-            result.evaluations + len(probes),
+            result.evaluations + probes.size,
         )
 
 
@@ -289,9 +285,7 @@ class PeriodFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        self._degenerate_zero = form.is_embedding and abs(
-            form.nu - (1.0 - form.k) / 2.0
-        ) < 1e-12
+        self._degenerate_zero = _vanishes_identically(form)
         self._cache = OrderedDict()
 
     def __call__(self, zeta: complex) -> complex:
@@ -324,11 +318,11 @@ class PeriodFunction:
             note = f"deformed polyline eps={eps:.3g}"
             probes = complex(-eps, 0) + 1j * np.array([h0 + 0.3, top * 0.5, top])
         omega = eta_integrand(form, zeta, mode="factored")
-        scale = _scale_probe(omega, probes)
+        a, b = omega(probes)
         result = integrate_form(
             omega,
             path,
-            tol=_scaled_tol(self.settings, scale),
+            tol=_probed_tol(self.settings, np.abs(a) + np.abs(b)),
             start_mode=cusp_mode,
             settings=self.settings,
         )
@@ -421,81 +415,89 @@ def derived_period(f, weight, nu, multiplier):
 # classical Eichler transforms
 
 
-def holomorphic_series_eval(coefficients, weight: int, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a cuspidal q-series of even weight anywhere on H.
-
-    The forms evaluator reduces the points to the fundamental domain, and
-    the weight-k factor mu^{-k} is an exact integer power, so the series
-    converges fast on every contour.  ``coefficients`` start at q^1.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    _, mu, series = q_expansion(coefficients, zs.ravel())
-    return (series[0] * mu ** (-int(weight))).reshape(zs.shape)
-
-
-def _check_cuspidal(coefficients):
-    coefficients = tuple(complex(c) for c in coefficients)
-    if len(coefficients) == 0:
-        raise DomainError("empty coefficient list")
-    if coefficients[0] != 0:
-        raise DomainError("the constant term must vanish (cuspidal input)")
-    return coefficients[1:]
-
-
-def _check_classical_weight(weight) -> int:
+def _classical_input(coefficients, weight) -> tuple:
+    """The coefficients a_1, a_2, ... as complex numbers, and the weight k."""
     k = int(weight)
     if k != weight or k < 4 or k % 2 != 0:
         raise DomainError(f"classical transforms need an even weight >= 4, got {weight}")
-    return k
+    coefficients = tuple(complex(c) for c in coefficients)
+    if not coefficients or coefficients[0] != 0:
+        raise DomainError("the coefficients must start with a vanishing constant term")
+    return coefficients[1:], k
 
 
-def eichler_polynomial(coefficients, weight, zeta: complex, settings: Settings = DEFAULTS) -> complex:
-    """p(zeta) = int_0^{i inf} (zeta - z)^{k-2} u_h(z) dz  (a degree <= k-2 polynomial).
+def _check_truncation(terms: np.ndarray, where: str) -> None:
+    """Raise unless the last supplied term (axis 0) is below 2^-53 of the
+    largest: the rule of ``forms._horner_rows`` at the series' own height."""
+    size = np.abs(terms).reshape(len(terms), -1).max(axis=1)
+    if size[-1] >= 2.0**-53 * size.max():
+        raise UnsupportedParameterError(
+            f"q-series truncated {where}: last term {size[-1] / size.max():.1e} of the largest"
+        )
 
-    ``coefficients`` start at q^0 and must be cuspidal.
+
+def eichler_f(coefficients, weight, zeta: complex) -> complex:
+    """f_h(zeta) = int_zeta^{i inf} (zeta - z)^{k-2} u_h(z) dz on the upper half-plane.
+
+    ``coefficients`` a_0 = 0, a_1, ... of u_h = sum a_n e(n z) start at q^0.
+    Along z = zeta + i t each term integrates in closed form,
+
+        int_0^inf (-i t)^{k-2} e(n zeta) e^{-2 pi n t} i dt
+            = i (-i)^{k-2} (k-2)! / (2 pi n)^{k-1} e(n zeta),
+
+    so f_h is a q-series in q = e(zeta).  Raises UnsupportedParameterError
+    when zeta lies too close to the real axis for the supplied terms.
     """
-    k = _check_classical_weight(weight)
-    coeffs = _check_cuspidal(coefficients)
-    zeta = complex(zeta)
-
-    def omega(zs):
-        zs = np.asarray(zs, dtype=complex)
-        a = (zeta - zs) ** (k - 2) * holomorphic_series_eval(coeffs, k, zs)
-        return a, np.zeros(zs.shape, dtype=complex)
-
-    # the series factor confines the integrand to moderate heights
-    scale = _scale_probe(omega, 1j * np.array([0.4, 0.8, 1.5, 3.0]))
-    result = integrate_form(
-        omega,
-        GeodesicPath.vertical_ray(0.0, +1),
-        tol=_scaled_tol(settings, scale),
-        start_mode=("exp",),
-        settings=settings,
-    )
-    return result.value
-
-
-def eichler_f(coefficients, weight, zeta: complex, settings: Settings = DEFAULTS) -> complex:
-    """f_h(zeta) = int_zeta^{i inf} (zeta - z)^{k-2} u_h(z) dz on the upper half-plane."""
-    k = _check_classical_weight(weight)
-    coeffs = _check_cuspidal(coefficients)
+    coeffs, k = _classical_input(coefficients, weight)
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise DomainError("the periodic Eichler transform needs Im zeta > 0")
+    n = np.arange(1, len(coeffs) + 1)
+    # e(n zeta) from the fractional part of Re zeta, an exact subtraction
+    w = complex(zeta.real - math.floor(zeta.real), zeta.imag)
+    terms = np.asarray(coeffs) * np.exp(2j * math.pi * n * w) / (2.0 * math.pi * n) ** (k - 1)
+    _check_truncation(terms, f"at Im zeta = {zeta.imag:.3g}")
+    return 1j * (-1j) ** (k - 2) * math.factorial(k - 2) * complex(np.sum(terms))
 
-    def omega(zs):
-        zs = np.asarray(zs, dtype=complex)
-        a = (zeta - zs) ** (k - 2) * holomorphic_series_eval(coeffs, k, zs)
-        return a, np.zeros(zs.shape, dtype=complex)
 
-    scale = _scale_probe(omega, zeta + 1j * np.array([0.3, 1.0, 2.0]))
-    result = integrate_form(
-        omega,
-        GeodesicPath.vertical_ray(zeta, +1),
-        tol=_scaled_tol(settings, scale),
-        settings=settings,
-    )
-    return result.value
+def period_polynomial(coefficients, weight) -> tuple:
+    """The k-1 coefficients, in ascending degree, of the period polynomial
+    p(zeta) = int_0^{i inf} (zeta - z)^{k-2} u_h(z) dz; cached.
+
+    Binomially, p(zeta) = sum_m C(k-2, m) zeta^{k-2-m} (-1)^m i^{m+1} Lambda(m+1)
+    with Lambda(s) = int_0^inf t^{s-1} u_h(i t) dt.  Splitting at t = 1 and
+    folding (0, 1) onto (1, inf) by u_h(i/t) = i^k t^k u_h(i t) gives
+    Lambda(s) = sum_n a_n [G(s) + i^k G(k-s)], G(s) = Gamma(s, 2 pi n) / (2 pi n)^s,
+    where Gamma(s, x) = (s-1)! e^{-x} sum_{j<s} x^j / j! (DLMF 8.4.8).  The
+    terms decay as e^{-2 pi n}: the truncation check runs at height 1.
+    """
+    return _period_coefficients(*_classical_input(coefficients, weight))
+
+
+@lru_cache(maxsize=16)
+def _period_coefficients(coeffs: tuple, k: int) -> tuple:
+    a = np.asarray(coeffs)
+    x = 2.0 * math.pi * np.arange(1, a.size + 1)
+    # g[s] = Gamma(s, x) / x^s, termwise in n; g[0] is never used
+    g = [
+        np.exp(-x) * sum(math.factorial(s - 1) / math.factorial(j) * x ** (j - s) for j in range(s))
+        for s in range(k)
+    ]
+    i_pow = (1, 1j, -1, -1j)
+    # terms[n - 1, s - 1] is the n-th term of Lambda(s), s = 1 .. k-1
+    terms = np.stack([a * (g[s] + i_pow[k % 4] * g[k - s]) for s in range(1, k)], 1)
+    _check_truncation(terms, "at height 1")
+    lam = terms.sum(axis=0)
+    # m runs from k-2 down to 0: the coefficient of zeta^{k-2-m}, degree ascending
+    by_m = lambda m: math.comb(k - 2, m) * (-1) ** m * i_pow[(m + 1) % 4] * lam[m]
+    return tuple(complex(by_m(m)) for m in range(k - 2, -1, -1))
+
+
+def eichler_polynomial(coefficients, weight, zeta: complex) -> complex:
+    """p(zeta) = int_0^{i inf} (zeta - z)^{k-2} u_h(z) dz  (a degree <= k-2 polynomial),
+    by Horner's rule over :func:`period_polynomial`; ``coefficients`` start at
+    q^0 and must be cuspidal."""
+    return complex(np.polyval(period_polynomial(coefficients, weight)[::-1], complex(zeta)))
 
 
 # ---------------------------------------------------------------------------

@@ -839,8 +839,7 @@ _EICHLER_POINTS = (0.3 + 1.3j, 0.5 + 1j, -0.4 + 0.9j, 0.8 + 1.7j, 0.1 + 0.8j)
 
 @identity("periods.classical-periodicity", "the classical ray transform is 1-periodic", 1e-9)
 def _(ctx, rng):
-    coeffs, s = ctx.delta_coefficients, ctx.settings
-    f_h = lambda z: eichler_f(coeffs, 12, z, s)
+    f_h = lambda z: eichler_f(ctx.delta_coefficients, 12, z)
     return len(_EICHLER_POINTS), max(_rel(f_h(z + 1), f_h(z)) for z in _EICHLER_POINTS)
 
 
@@ -850,11 +849,11 @@ def _(ctx, rng):
     1e-7,
 )
 def _(ctx, rng):
-    coeffs, s = ctx.delta_coefficients, ctx.settings
+    coeffs = ctx.delta_coefficients
     worst = 0.0
     for z in _EICHLER_POINTS:
-        lhs = eichler_f(coeffs, 12, z, s) - z**10 * eichler_f(coeffs, 12, -1.0 / z, s)
-        worst = max(worst, _rel(lhs, eichler_polynomial(coeffs, 12, z, s)))
+        lhs = eichler_f(coeffs, 12, z) - z**10 * eichler_f(coeffs, 12, -1.0 / z)
+        worst = max(worst, _rel(lhs, eichler_polynomial(coeffs, 12, z)))
     return len(_EICHLER_POINTS), worst
 
 
@@ -1079,7 +1078,7 @@ _GOLDEN_POINTS = (0.5, 1.0, 2.0, 1 + 0.5j, 1 - 0.5j)
 def _(ctx, rng):
     worst = 0.0
     for zeta in _GOLDEN_POINTS:
-        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta, ctx.settings)
+        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta)
         worst = max(worst, abs(ctx.p_delta(zeta) + 22.0 * p_val) / (1.0 + abs(p_val)))
     return len(_GOLDEN_POINTS), worst
 
@@ -1090,15 +1089,14 @@ def _(ctx, rng):
     p_lower = PeriodFunction(MaassForm(12, delta.multiplier, -5.5, delta.backend), ctx.settings)
     worst = 0.0
     for zeta in _GOLDEN_POINTS:
-        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta, ctx.settings)
+        p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta)
         worst = max(worst, abs(p_lower(zeta)) / (1.0 + abs(p_val)))
     return len(_GOLDEN_POINTS), worst
 
 
 def _polynomial_relations(ctx, rng):
     """p(zeta) and a callable p for 10 random zeta; the relations divide by |p(zeta)|."""
-    coeffs, s = ctx.delta_coefficients, ctx.settings
-    p = lambda w: eichler_polynomial(coeffs, 12, w, s)
+    p = lambda w: eichler_polynomial(ctx.delta_coefficients, 12, w)
     for _ in range(10):
         zeta = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
         yield zeta, p(zeta), p
@@ -1132,7 +1130,7 @@ def _(ctx, rng):
 )
 def _(ctx, rng):
     pts = (0.5 + 1j, 0.3 + 1.3j)
-    want = lambda z: -22.0 * eichler_f(ctx.delta_coefficients, 12, z, ctx.settings)
+    want = lambda z: -22.0 * eichler_f(ctx.delta_coefficients, 12, z)
     return len(pts), max(_rel(ctx.f_delta(z), want(z)) for z in pts)
 
 
@@ -1142,7 +1140,7 @@ def _(ctx, rng):
     1e-8,
 )
 def _(ctx, rng):
-    p = lambda x: eichler_polynomial(ctx.delta_coefficients, 12, complex(x), ctx.settings)
+    p = lambda x: eichler_polynomial(ctx.delta_coefficients, 12, complex(x))
     nodes = 1.0 + 0.5 * (1 + np.cos(np.pi * (2 * np.arange(1, 12) - 1) / 22.0))
     fit = np.polyfit(nodes, [p(x) for x in nodes], 10)
     return 12, _rel(complex(np.polyval(fit, 3.0)), p(3.0))

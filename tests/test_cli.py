@@ -49,16 +49,25 @@ def test_cli_verify_kernel_exit_zero(capsys):
 
 def test_cli_period_poly(capsys, tmp_path):
     out_path = tmp_path / "poly.csv"
-    code = main(["--out", str(out_path), "period-poly", "--form", "delta", "--samples", "11"])
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out_path.read_text())))
-    assert rows[0] == ["zeta", "re_p", "im_p"]
-    data_rows = [r for r in rows[1:] if r and r[0] != "degree"]
-    # 11 sample rows then the fitted coefficient block
-    assert len([r for r in data_rows if len(r) == 3 and "." in r[0]]) == 11
-    assert any(r and r[0] == "degree" for r in rows)
-    degree_rows = [r for r in rows if len(r) == 3 and r[0].isdigit()]
-    assert len(degree_rows) == 11  # coefficients of degree 0..10
+    for samples in (11, 5):
+        code = main(["--out", str(out_path), "period-poly", "--form", "delta", "--samples", str(samples)])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out_path.read_text())))
+        # the sample rows, then the exact coefficients whatever the sample count
+        blank = rows.index([])
+        assert rows[0] == ["zeta", "re_p", "im_p"] and blank == 1 + samples
+        assert rows[blank + 1] == ["degree", "re_coeff", "im_coeff"]
+        degree_rows = rows[blank + 2 :]
+        assert [r[0] for r in degree_rows] == [str(d) for d in range(11)]  # degree 0..10
+        # Delta's degree-0 coefficient is -5.96e-3 i, the degree-2 one purely imaginary
+        assert float(degree_rows[0][1]) == 0.0
+        assert float(degree_rows[0][2]) == pytest.approx(-5.958964989578e-3, rel=1e-12)
+        assert float(degree_rows[2][1]) == 0.0
+
+
+def test_cli_period_poly_needs_a_sample(capsys):
+    assert main(["period-poly", "--samples", "0"]) == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_cli_period_function(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from maassperiods import periods
-from maassperiods.errors import DomainError, UnsupportedSpectralParameterError
-from maassperiods.forms import MaassForm, dslash, surrogate_form
+from maassperiods.errors import DomainError, UnsupportedParameterError, UnsupportedSpectralParameterError
+from maassperiods.forms import MaassForm, delta_coefficients, dslash, q_expansion, surrogate_form
 from maassperiods.modgroup import T, T_PRIME
 from maassperiods.multiplier import construct_trivial
 from maassperiods.periods import (
@@ -19,6 +19,7 @@ from maassperiods.periods import (
     eichler_polynomial,
     eta_integrand,
     f_to_P,
+    period_polynomial,
     ray_integrand,
     synthetic_nearly_periodic,
 )
@@ -108,28 +109,84 @@ def test_eichler_requires_cuspidal_even_weight(delta_uh_coefficients):
         eichler_f(delta_uh_coefficients, 12, 1.5)
 
 
+def _classical_integral(coefficients, k, zeta, base, settings):
+    """int_base^{i inf} (zeta - z)^{k-2} u_h(z) dz by quadrature, with u_h
+    from the reduced q-series (``coefficients`` start at q^1) and the
+    tolerance set by the integrand's size on three probes."""
+
+    def omega(zs):
+        zs = np.asarray(zs, dtype=complex)
+        _, mu, series = q_expansion(coefficients, zs.ravel())
+        u = (series[0] * mu ** (-k)).reshape(zs.shape)
+        return (zeta - zs) ** (k - 2) * u, np.zeros(zs.shape, dtype=complex)
+
+    scale = np.max(np.abs(omega(base + 1j * np.array([0.3, 1.0, 2.0]))[0]))
+    ray = GeodesicPath.vertical_ray(base, +1)
+    return integrate_form(omega, ray, tol=1e-13 * scale, settings=settings).value
+
+
 def test_lower_branch_collapses_to_classical(delta, delta_uh_coefficients, settings):
     """Below the real axis the kernel route reduces to the classical ray
     integral taken from the reflected point, the same collapse that the
     vanishing of the lowered form produces above the axis."""
-    from maassperiods.periods import holomorphic_series_eval
-
     f = NearlyPeriodicFunction(delta, settings)
     k = 12
     for zeta in (1 - 0.5j, 0.8 - 1.2j):
-        base = zeta.conjugate()
-
-        def omega(zs):
-            zs = np.asarray(zs, dtype=complex)
-            a = (zeta - zs) ** (k - 2) * holomorphic_series_eval(
-                delta_uh_coefficients[1:], k, zs
-            )
-            return a, np.zeros(zs.shape, dtype=complex)
-
-        classical = integrate_form(
-            omega, GeodesicPath.vertical_ray(base, +1), tol=1e-11, settings=settings
-        ).value
+        classical = _classical_integral(delta_uh_coefficients[1:], k, zeta, zeta.conjugate(), settings)
         assert abs(f(zeta) - (2 - 2 * k) * classical) <= 1e-7 * abs(f(zeta))
+
+
+@pytest.mark.parametrize("zeta", [0.3 + 1.3j, -0.4 + 0.9j, 0.2 + 0.1j, 1.7 + 0.5j, -2.3 + 0.3j])
+def test_eichler_f_series_matches_quadrature(delta_uh_coefficients, settings, zeta):
+    classical = _classical_integral(delta_uh_coefficients[1:], 12, zeta, zeta, settings)
+    assert abs(eichler_f(delta_uh_coefficients, 12, zeta) - classical) <= 1e-12 * abs(classical)
+
+
+def test_eichler_series_refuses_truncation(delta_uh_coefficients):
+    # the last supplied term must lie below 2^-53 of the largest
+    with pytest.raises(UnsupportedParameterError):
+        eichler_f(delta_uh_coefficients, 12, 0.3 + 0.02j)
+    for zeta in (1j, 0.3 + 2j, -1.5 + 0.7j):
+        with pytest.raises(UnsupportedParameterError):
+            eichler_f((0, 1, -24), 12, zeta)
+    with pytest.raises(UnsupportedParameterError):
+        eichler_polynomial((0, 1, -24), 12, 1.0)
+
+
+def _delta_e6_coefficients(n_terms):
+    """q-coefficients of Delta E_6 (weight 18) from q^0, with
+    E_6 = 1 - 504 sum sigma_5(n) q^n."""
+    tau = delta_coefficients(n_terms)
+    e6 = [1] + [-504 * sum(d**5 for d in range(1, n + 1) if n % d == 0) for n in range(1, n_terms)]
+    return (0,) + tuple(sum(tau[j - 1] * e6[n - j] for j in range(1, n + 1)) for n in range(1, n_terms + 1))
+
+
+def test_weight_18_cocycle():
+    # i^k = -1 here: the L-value bracket takes the difference of its halves
+    coeffs = _delta_e6_coefficients(50)
+    assert coeffs[:4] == (0, 1, -528, -4284)
+    poly = period_polynomial(coeffs, 18)
+    assert len(poly) == 17 and poly[8] == 0  # Lambda(9) = -Lambda(9)
+    for zeta in (0.3 + 1.3j, 0.5 + 1j, -0.4 + 0.9j, 0.8 + 1.7j, 0.2 + 1.1j):
+        lhs = eichler_f(coeffs, 18, zeta) - zeta**16 * eichler_f(coeffs, 18, -1.0 / zeta)
+        # Horner's rounding scale: p is small against its terms near its zeros
+        horner_scale = sum(abs(c) * abs(zeta) ** d for d, c in enumerate(poly))
+        assert abs(lhs - eichler_polynomial(coeffs, 18, zeta)) <= 1e-13 * horner_scale
+
+
+def test_delta_period_polynomial_is_rational(delta_uh_coefficients):
+    """Kohnen-Zagier: the odd-degree coefficients of Delta's period
+    polynomial are real in the ratios 4 : -25 : 42 : -25 : 4, and the
+    even-degree ones imaginary, proportional to (36/691)(X^10 - 1) - (X^8 - 3X^6 + 3X^4 - X^2)."""
+    poly = np.array(period_polynomial(delta_uh_coefficients, 12))
+    odd, even = poly[1::2], poly[0::2]
+    assert np.max(np.abs(odd.imag)) <= 1e-12 * np.max(np.abs(odd))
+    assert np.max(np.abs(even.real)) <= 1e-12 * np.max(np.abs(even))
+    # degrees 9, 7, 5, 3, 1 and degrees 0, 2, ..., 10
+    manin = odd.real[::-1] / odd.real[-1] * 4
+    assert np.max(np.abs(manin - [4, -25, 42, -25, 4])) <= 1e-12 * 42
+    want = np.array([-36 / 691, 1, -3, 3, -1, 36 / 691])
+    assert np.max(np.abs(even.imag / even.imag[1] - want)) <= 1e-12 * 3
 
 
 def test_classical_compatibility_both_half_planes(holds):

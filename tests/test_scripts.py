@@ -41,7 +41,7 @@ def test_golden_period_table():
     assert len(rows) == 7
     # P = -22 p on every sampled point: the relative differences are tiny
     assert all(float(row[-1]) < 1e-10 for row in rows)
-    assert "fitted polynomial coefficients" in lines[9]
+    assert "period polynomial coefficients from L-values" in lines[9]
     assert len(lines) == 10 + 11
 
 
