@@ -34,7 +34,6 @@ from .periods import (
 )
 from .quadrature import GeodesicPath, QuadratureResult, geodesic_image, integrate_form
 from .specfun import WhittakerParams, bessel_k, gamma_complex, whittaker_w
-from .verify import run_suite
 
 __all__ = [
     "BijectionConstants",
@@ -89,3 +88,13 @@ __all__ = [
     "surrogate_form",
     "whittaker_w",
 ]
+
+
+def __getattr__(name: str):
+    # the verify registry costs about 2 MB and 20 ms to import: transforms
+    # alone do not load it
+    if name != "run_suite":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .verify import run_suite
+
+    return run_suite

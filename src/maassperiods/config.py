@@ -10,9 +10,9 @@ from dataclasses import dataclass, asdict
 class Settings:
     """Tolerances, truncations and grid defaults.
 
-    ``quad_tol`` is the absolute quadrature target (the transforms rescale
-    it to the integrand's size when a relative target is wanted).  Each
-    verified identity carries its own tolerance (see ``verify``).
+    ``quad_tol`` is the absolute quadrature target; f rescales it to its
+    integrand's probed size, P only upward.  Each verified identity carries
+    its own tolerance (see ``verify``).
     """
 
     quad_tol: float = 1e-10

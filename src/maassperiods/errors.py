@@ -50,9 +50,9 @@ class DivergentIntegralError(DomainError):
 
 
 class NonconvergenceError(RuntimeError):
-    """Adaptive quadrature hit the evaluation cap.
+    """Quadrature ran out of budget or levels, or could not truncate an end.
 
-    Carries the partial value and its error estimate.
+    Carries the partial value and its error estimate (inf when there is none).
     """
 
     def __init__(self, partial: complex, error: float, evaluations: int):

@@ -201,11 +201,6 @@ def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
     return phi
 
 
-def _probed_tol(settings: Settings, magnitudes: np.ndarray) -> float:
-    """The quadrature tolerance, relative to the integrand's probed scale."""
-    return settings.quad_tol * max(1.0, float(np.max(magnitudes)))
-
-
 def _vanishes_identically(form: MaassForm) -> bool:
     """The embedding at nu = (1-k)/2, where f and P vanish identically."""
     return form.is_embedding and abs(form.nu - (1.0 - form.k) / 2.0) < 1e-12
@@ -256,9 +251,12 @@ class NearlyPeriodicFunction:
                 alpha = nu - 0.5 - 0.5 * k
         phi = ray_integrand(form, zeta, base, ladder)
         probes = np.array([0.3, 0.9, 2.1])
+        # the ray's integrand has its mass where the probes sit, so the
+        # target is relative to their size, down to 1e-50: the Whittaker
+        # tables return W below 1e-60 as zero
         result = integrate_ray(
             phi,
-            tol=_probed_tol(self.settings, np.abs(phi(probes))),
+            tol=self.settings.quad_tol * max(1e-50, float(np.max(np.abs(phi(probes))))),
             start_mode=("power", alpha),
             settings=self.settings,
         )
@@ -303,7 +301,10 @@ class PeriodFunction:
         form = self.form
         cusp_mode = ("exp",) if form.cusp_profile == "exponential" else ("log",)
         if zeta.real > 0:
-            path = GeodesicPath.vertical_ray(0.0, +1)
+            # a non-embedded form's kernel branches at zeta or its conjugate:
+            # near the axis, split it level with them, where nodes cluster
+            split = not form.is_embedding and zeta.real < abs(zeta.imag)
+            path = GeodesicPath.polyline([0.0, 1j * abs(zeta.imag), INFINITY] if split else [0.0, INFINITY])
             note = "imaginary axis"
             probes = 1j * np.array([0.4, 0.9, 1.7, 3.0])
         else:
@@ -319,10 +320,12 @@ class PeriodFunction:
             probes = complex(-eps, 0) + 1j * np.array([h0 + 0.3, top * 0.5, top])
         omega = eta_integrand(form, zeta, mode="factored")
         a, b = omega(probes)
+        # the probes miss the polyline's first segment, which can carry far
+        # more than they see: the target stays at least quad_tol absolute
         result = integrate_form(
             omega,
             path,
-            tol=_probed_tol(self.settings, np.abs(a) + np.abs(b)),
+            tol=self.settings.quad_tol * max(1.0, float(np.max(np.abs(a) + np.abs(b)))),
             start_mode=cusp_mode,
             settings=self.settings,
         )

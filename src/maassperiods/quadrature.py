@@ -1,17 +1,26 @@
-"""Adaptive integration of 1-forms along hyperbolic geodesics and polylines.
+"""Integration of 1-forms along hyperbolic geodesics and polylines.
 
-Paths compile to smooth parametrised pieces (straight segments, vertical
-rays, geodesic arcs in hyperbolic-angle parametrisation).  Cusp ends are
-truncated by magnitude walks with a tail estimate folded into the error
-budget; endpoint singularities of exponent in (-1, 0) are removed by a
-power substitution; power-law-oscillatory approaches to the real axis use
-a logarithmic substitution.  The core rule is an embedded Gauss pair
-(15/31 nodes) with bisection of the worst interval.  Every adaptive piece
-starts from 4 panels (8 on an arc) in one integrand call, and bisection
-places the rest; the log-substituted start piece refines from there like
-any other.  Each bisection is one call, on both rules of both halves (92
-points).  The walks send their probes in blocks of 2, 4, 8, ... points,
-one call per block, and stop where a probe-by-probe walk would.
+Paths compile to parametrised pieces: straight segments, vertical rays and
+geodesic arcs in hyperbolic-angle parametrisation.  A piece with an
+infinite or singular end takes one nested double-exponential rule
+(Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput. Appl.
+Math. 127, 2001), the trapezoid rule in w after a map x(w) under which the
+integrand decays double exponentially at both ends: exp-sinh
+t = exp(pi/2 sinh w) on a ray over (0, inf), sinh-sinh
+s = sinh(pi/2 sinh w) on an arc between real points, tanh-sinh
+t = 1 / (1 + exp(-pi sinh w)) on a segment that starts at a boundary point.
+
+Level 0 is one call, at step 1/16 over a range whose start the endpoint
+mode sets (:func:`_start_floor`) and whose far end moves out from
+t = ``cusp_height`` (|s| = 4 on an arc) as the integrand's decay requires
+(:func:`_extended`); its every other node gives the step-1/8 sum.  The
+level-0 terms fix the truncation, and each further level is one call on
+the new midpoints.  The reported error is the last level difference, plus
+the truncated tails, plus ``_ACCURACY`` times the integral of |phi| for the
+integrand's own accuracy.  An end that cannot be truncated below the
+target raises NonconvergenceError: a truncation never passes silently.
+Plain segments take an embedded Gauss pair (15/31 nodes), bisecting the
+worst interval: 4 panels in one call, then one call per bisection.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,12 +113,12 @@ class _Budget:
             raise NonconvergenceError(0.0, float("inf"), self.used)
 
 
-def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int = 4):
+def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget):
     """Integrate phi over [a, b] to tol, bisecting the interval of largest error.
 
     Each interval gets the embedded 15/31-point Gauss pair, and ``phi``
-    sees the nodes of several intervals in one call: all ``initial`` panels
-    at once, then both halves of each bisection together (92 points).
+    sees the nodes of several intervals in one call: 4 initial panels at
+    once, then both halves of each bisection together (92 points).
     Raises NonconvergenceError, with the partial value and its error, when
     the total error still exceeds tol but the worst interval has reached
     the width floor or an error below tol * 1e-3.
@@ -131,7 +140,7 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
             out.append((complex(i31), abs(i31 - i15)))
         return out
 
-    edges = np.linspace(a, b, initial + 1)
+    edges = np.linspace(a, b, 5)
     los, his = edges[:-1], edges[1:]
     heap = []
     total = 0.0 + 0.0j
@@ -159,206 +168,190 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget, initial: int
 
 
 # ---------------------------------------------------------------------------
-# truncation walks and substitutions
+# the double-exponential core
+
+_H0 = 0.0625  # level-0 step in w
+_MAX_LEVEL = 9
+# relative accuracy of the integrands' own evaluation (Delta's reduction and
+# q-series, the surrogate's Whittaker tables), as a share of int |phi|
+_ACCURACY = 2.0**-40
+_EPS = np.finfo(float).eps
 
 
-def _probes(phi, budget, ts):
-    """Yield (t, |phi(t)|) for the probe points ts, in order.
+class _Map(NamedTuple):
+    """A double-exponential map: ``nodes(w) -> (x, dx/dw)`` and its inverse."""
 
-    The probes go to phi in blocks of 2, 4, 8, ... points, one call per
-    block, and the walk reading them stops wherever its own rule says.  A
-    probe past that point may leave phi's domain (on an arc y = r sech(s)
-    underflows), so a block whose call raises DomainError is replayed one
-    probe per call: the walk then raises, or stops, exactly where a
-    probe-by-probe walk would.  The budget is spent before each call, and a
-    block never takes more than the budget has left (at least one probe),
-    so the budget runs out at the same probe as well.
+    name: str
+    var: str
+    nodes: Callable
+    w_of: Callable
+
+
+def _exp_sinh(w):
+    t = np.exp(0.5 * np.pi * np.sinh(w))
+    return t, t * (0.5 * np.pi) * np.cosh(w)
+
+
+def _sinh_sinh(w):
+    u = 0.5 * np.pi * np.sinh(w)
+    return np.sinh(u), np.cosh(u) * (0.5 * np.pi) * np.cosh(w)
+
+
+def _tanh_sinh(w):
+    # t and 1 - t each from its own exponential, so both ends keep their
+    # relative accuracy
+    u = np.pi * np.sinh(w)
+    t, rest = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+    return t, t * rest * np.pi * np.cosh(w)
+
+
+_EXP_SINH = _Map("exp-sinh", "t", _exp_sinh, lambda t: math.asinh(2.0 * math.log(t) / math.pi))
+_SINH_SINH = _Map("sinh-sinh", "s", _sinh_sinh, lambda s: math.asinh(2.0 * math.asinh(s) / math.pi))
+_TANH_SINH = _Map("tanh-sinh", "t", _tanh_sinh, lambda t: math.asinh(math.log(t / (1.0 - t)) / math.pi))
+
+
+def _start_floor(mode) -> float:
+    """The smallest parameter level 0 reaches at a start in this endpoint mode.
+
+    For |phi| ~ t^alpha the level-0 term there is about t^(1 + Re alpha); the
+    floor puts it near 1e-40 of the integrand's scale (a regular start has
+    alpha = 0).  Cusp decay e^(-c/t) stops at 1e-8, below which
+    fundamental-domain reduction loses its integer matrices; a power law of
+    unknown exponent ("log") at 1e-30.  Level 0 cuts what it does not need.
     """
-    i, size = 0, 2
-    while i < len(ts):
-        block = ts[i : i + min(size, max(1, budget.limit - budget.used))]
-        i += len(block)
-        size *= 2
-        budget.spend(len(block))
-        try:
-            values = phi(np.array(block))
-        except DomainError:
-            values = None
-        if values is None:
-            for t in block:
-                budget.spend(1)
-                yield t, abs(complex(phi(np.array([t]))[0]))
-        else:
-            yield from zip(block, (abs(complex(v)) for v in values))
-
-
-def _walk_out(phi, budget, start: float, tol: float, factor: float = 1.7, cap: float = 1e7):
-    """Find T beyond which the exponential tail is below tol; (T, tail).
-
-    Probes t = start, start * factor, ... (see :func:`_probes`).  Raises
-    NonconvergenceError when the tail estimate is still above tol at
-    t = cap: the integrand then decays too slowly for truncation.
-    """
-    ts = []
-    t = start
-    while t < cap:
-        ts.append(t)
-        t *= factor
-    prev = None
-    for t, m in _probes(phi, budget, ts):
-        if m == 0.0:
-            return t, 0.0
-        if prev is not None:
-            pt, pm = prev
-            if m < pm:
-                rate = (math.log(pm) - math.log(m)) / (t - pt)
-                tail = m / max(rate, 1e-6)
-                if tail < tol:
-                    return t, tail
-        prev = (t, m)
-    raise NonconvergenceError(0.0, float("inf"), budget.used)
-
-
-def _walk_in(phi, budget, t1: float, tol: float):
-    """Find t_min near a parameter-0 endpoint with remaining mass below tol.
-
-    Probes t = t1/4, t1/24, ... (see :func:`_probes`) and stops at the
-    first with m t < tol, m = |phi(t)|, and a > -1.  For |phi| ~ t^a the
-    mass below t is m t / (1 + a), so the reported tail is
-    m t max(1, 1/(1 + a)), with a the local exponent through that probe and
-    the one before it (the one after it at the first probe).  A probe with
-    a <= -1 is passed over: before the asymptotic regime |phi| can still
-    grow steeply as t falls, through a form's decay factor
-    e^{-2 pi lambda t}, with no singularity at 0.  Raises
-    NonconvergenceError when two consecutive exponents, each through two
-    probes with m t < tol, are <= -1: the mass below is then unbounded.
-    Also raises when the mass has not fallen below tol by t = 1e-280: the
-    integrand is then too singular for a truncated start.
-    """
-    ts = []
-    t = t1 / 4.0
-    while t > 1e-280:
-        ts.append(t)
-        t /= 6.0
-    probes = _probes(phi, budget, ts)
-    prev = None
-    diverging = False  # the last exponent was <= -1 through two probes below tol
-    for t, m in probes:
-        if m == 0.0:
-            return t, 0.0
-        if m * t < tol:
-            upper, lower = (prev, (t, m)) if prev is not None else ((t, m), next(probes, None))
-            a = _local_exponent(upper, lower)
-            if a > -1.0:
-                return t, m * t * max(1.0, 1.0 / (1.0 + a))
-            below = upper[0] * upper[1] < tol and lower[0] * lower[1] < tol
-            if below and diverging:
-                raise NonconvergenceError(0.0, float("inf"), budget.used)
-            diverging = below
-            prev = lower
-        else:
-            diverging = False
-            prev = (t, m)
-    raise NonconvergenceError(0.0, float("inf"), budget.used)
-
-
-def _local_exponent(upper, lower) -> float:
-    """The a with |phi| ~ t^a through two probes (t, m), upper t first;
-    +inf when the lower probe is zero or missing (no slower decay seen)."""
-    if lower is None or lower[1] == 0.0:
-        return math.inf
-    (tu, mu), (tl, ml) = upper, lower
-    return (math.log(mu) - math.log(ml)) / (math.log(tu) - math.log(tl))
-
-
-def _power_substituted(phi, alpha: float):
-    p = 1.0 / (1.0 + alpha)
-
-    def phi_s(s):
-        s = np.asarray(s, dtype=float)
-        return phi(s**p) * p * s ** (p - 1.0)
-
-    return phi_s
-
-
-def _log_substituted(phi):
-    def phi_u(u):
-        t = np.exp(np.asarray(u, dtype=float))
-        return phi(t) * t
-
-    return phi_u
-
-
-def _start_handled(phi, t_hi: float, mode, tol, budget):
-    """Integrate phi over (0, t_hi] honouring a start-singularity mode."""
     if mode is None:
-        val, err = _adaptive(phi, 0.0, t_hi, tol, budget)
-        return val, err, "plain"
+        mode = ("power", 0.0)
     tag = mode[0]
     if tag == "power":
-        alpha = complex(mode[1])
-        if alpha.real <= -1.0:
-            raise DivergentIntegralError(f"endpoint exponent {alpha} <= -1")
-        if alpha.imag != 0.0:
-            # |t|^alpha with complex alpha oscillates in log t all the way
-            # down; in the log variable the modulus decays like
-            # e^{(1+Re alpha) u} and the oscillation has fixed frequency
-            tag = "log"
-        elif alpha.real >= 0.0:
-            val, err = _adaptive(phi, 0.0, t_hi, tol, budget)
-            return val, err, "plain"
-        else:
-            val, err = _adaptive(
-                _power_substituted(phi, alpha.real), 0.0, t_hi ** (1.0 + alpha.real), tol, budget
-            )
-            return val, err, f"power({alpha.real:.3g})"
-    if tag == "log":
-        t_min, tail = _walk_in(phi, budget, t_hi, tol / 10.0)
-        val, err = _adaptive(_log_substituted(phi), math.log(t_min), math.log(t_hi), tol, budget)
-        return val, err + tail, "log"
+        a = 1.0 + complex(mode[1]).real
+        if a <= 0.0:
+            raise DivergentIntegralError(f"endpoint exponent {mode[1]} has real part <= -1")
+        return 10.0 ** max(-300.0, -40.0 / min(1.0, a))
     if tag == "exp":
-        t_min, tail = _walk_in(phi, budget, t_hi, tol / 10.0)
-        val, err = _adaptive(phi, t_min, t_hi, tol, budget)
-        return val, err + tail, "exp"
+        return 1e-8
+    if tag == "log":
+        return 1e-30
     raise ValueError(f"unknown endpoint mode {mode!r}")
+
+
+def _terms(phi, rule: _Map, w, budget: _Budget) -> np.ndarray:
+    """phi(x(w)) dx/dw at the nodes w, from one call to phi."""
+    budget.spend(w.size)
+    x, dx = rule.nodes(w)
+    return np.asarray(phi(x), dtype=complex) * dx
+
+
+def _extended(phi, rule: _Map, w, g, side: int, cap: float, tau: float, budget: _Budget):
+    """Level-0 nodes and terms, moved out past the ``side`` end (+1 the far
+    end, -1 the start, for an odd map) until its term is below tau and
+    below its neighbour's, one call per move: as far as the decay rate of
+    |phi| between the last two nodes says, or by 1/2 in w where |phi| does
+    not decay yet.  Raises NonconvergenceError past |w| = ``cap``.
+    """
+    while True:
+        end, inner = (-1, -2) if side > 0 else (0, 1)
+        m_end, m_inner = abs(g[end]), abs(g[inner])
+        if _H0 * m_end <= tau and m_end <= m_inner:
+            return w, g
+        room = math.floor((cap - side * w[end]) / _H0 + 1e-9)
+        if room < 1:
+            raise NonconvergenceError(0.0, float("inf"), budget.used)
+        (x_end, x_inner), (dx_end, dx_inner) = rule.nodes(w[[end, inner]])
+        p_end, p_inner = m_end / abs(dx_end), m_inner / abs(dx_inner)
+        steps = round(0.5 / _H0)
+        if p_end < p_inner:
+            rate = math.log(p_inner / p_end) / abs(x_end - x_inner)
+            reach = rule.w_of(abs(x_end) + math.log(_H0 * m_end / tau) / rate)
+            steps = max(1, math.ceil((reach - side * w[end]) / _H0))
+        steps = min(room, steps)
+        w_new = w[end] + side * _H0 * np.arange(1, steps + 1)
+        g_new = _terms(phi, rule, w_new, budget)
+        if side > 0:
+            w, g = np.concatenate([w, w_new]), np.concatenate([g, g_new])
+        else:
+            w, g = np.concatenate([w_new[::-1], w]), np.concatenate([g_new[::-1], g])
+
+
+def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, tol: float, budget: _Budget):
+    """Integrate phi(x) dx over the map's whole range to tol.
+
+    Level 0 evaluates w = w_lo + j/16 up to the first node at or past w_hi;
+    an end with a ``caps`` entry (|w| bound, or None for a fixed end) may
+    move out (see :func:`_extended`).  Returns (value, error, note).
+    """
+    tau = tol / 8.0
+    w = w_lo + _H0 * np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
+    g = _terms(phi, rule, w, budget)
+    for side, cap in zip((-1, +1), caps):
+        if cap is not None:
+            w, g = _extended(phi, rule, w, g, side, cap, tau, budget)
+    m = _H0 * np.abs(g)
+    if not np.all(np.isfinite(m)):
+        raise NonconvergenceError(0.0, float("inf"), budget.used)
+    # the outermost nodes whose terms sum to at most tau on each side are
+    # cut; the sum up to the kept range's end node bounds the mass beyond it
+    lo_mass, hi_mass = np.cumsum(m), np.cumsum(m[::-1])
+    cut_lo = int(np.searchsorted(lo_mass, tau, side="right"))
+    cut_hi = int(np.searchsorted(hi_mass, tau, side="right"))
+    for cut, outer, inner in ((cut_lo, 0, 1), (cut_hi, -1, -2)):
+        if cut == 0 or m[outer] > m[inner]:
+            raise NonconvergenceError(0.0, float("inf"), budget.used)
+    n = w.size
+    a, b = cut_lo - 1, n - cut_hi
+    if a >= b:  # every level-0 term is in a tail
+        return _H0 * complex(np.sum(g)), float(np.sum(m)), f"{rule.name} level 0 (negligible)"
+    tails = lo_mass[a] + hi_mass[n - 1 - b]
+    x_lo, x_hi = rule.nodes(w[[a, b]])[0]
+    total = complex(np.sum(g[a : b + 1]))
+    size = float(np.sum(np.abs(g[a : b + 1])))
+    h, level = _H0, 0
+    # the step 1/8 sum drops node b when b - a is odd: at most 2 tau more
+    # level difference, since that node's term counts in the tail
+    previous, value = 2.0 * _H0 * complex(np.sum(g[a : b + 1 : 2])), _H0 * total
+    while True:
+        diff = abs(value - previous)
+        # the target must hold above the rounding of the sum itself; the
+        # integrand's own accuracy is reported on top of it
+        if diff + tails + _EPS * h * size <= tol:
+            note = f"{rule.name} level {level} {rule.var} in [{x_lo:.3g}, {x_hi:.3g}]"
+            return value, diff + tails + _ACCURACY * h * size, note
+        if level == _MAX_LEVEL:
+            raise NonconvergenceError(value, diff + tails, budget.used)
+        level += 1
+        h = _H0 / 2**level
+        w_new = w[a] + h * (2 * np.arange((b - a) * 2 ** (level - 1)) + 1)
+        try:
+            g_new = _terms(phi, rule, w_new, budget)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(value, float("inf"), budget.used) from exc
+        total += complex(np.sum(g_new))
+        size += float(np.sum(np.abs(g_new)))
+        previous, value = value, h * total
 
 
 # ---------------------------------------------------------------------------
 # pieces
 
 
-def _segment_phi(omega, z0: complex, z1: complex):
-    d = z1 - z0
+def _pullback(omega, point):
+    """phi(t) = A z' + B conj(z') along a piece, ``point(t) -> (z, z')``."""
 
     def phi(t):
-        t = np.asarray(t, dtype=float)
-        av, bv = omega(z0 + t * d)
-        return av * d + bv * np.conj(d)
-
-    return phi
-
-
-def _ray_phi(omega, base: complex, toward: int):
-    step = 1j * toward
-
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        av, bv = omega(base + step * t)
-        return av * step + bv * np.conj(step)
-
-    return phi
-
-
-def _arc_phi(omega, c: float, r: float):
-    def phi(s):
-        s = np.asarray(s, dtype=float)
-        sech = 1.0 / np.cosh(s)
-        z = c + r * np.tanh(s) + 1j * r * sech
-        vel = r * sech * (sech - 1j * np.tanh(s))
+        z, velocity = point(np.asarray(t, dtype=float))
         av, bv = omega(z)
-        return av * vel + bv * np.conj(vel)
+        return av * velocity + bv * np.conj(velocity)
 
     return phi
+
+
+def _arc_point(c: float, r: float):
+    """The geodesic c + r tanh s + i r sech s, s in R, and its velocity."""
+
+    def point(s):
+        sech, tanh = 1.0 / np.cosh(s), np.tanh(s)
+        return c + r * tanh + 1j * r * sech, r * sech * (sech - 1j * tanh)
+
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -371,80 +364,36 @@ def integrate_form(
     tol: float | None = None,
     max_evals: int | None = None,
     start_mode=None,
-    end_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
     """Integrate a 1-form A dz + B dzbar along a path.
 
     ``omega`` maps a z-array to the coefficient arrays (A, B).
-    ``start_mode`` / ``end_mode`` control endpoint handling:
-    ``("power", alpha)`` for an integrable |t|^alpha singularity,
-    ``("log",)`` for a power-law approach to the real axis, ``("exp",)``
-    for cusp decay (walk truncation); boundary endpoints default to
-    ``("exp",)``.
+    ``start_mode`` describes the integrand at the path's first point and
+    sets where level 0 starts there: ``("power", alpha)`` for an integrable
+    |t|^alpha endpoint (Re alpha <= -1 raises DivergentIntegralError),
+    ``("exp",)`` for cusp decay e^(-c/t), ``("log",)`` for a power law of
+    unknown exponent at a boundary point (see :func:`_start_floor`).  A
+    segment with a start mode takes tanh-sinh, one without it the Gauss
+    pair; rays take exp-sinh from their base and arcs between real points
+    sinh-sinh.  The error budget is split evenly between the pieces.
     """
     if tol is None:
         tol = settings.quad_tol
-    if max_evals is None:
-        max_evals = settings.max_evals
-    budget = _Budget(max_evals)
+    budget = _Budget(settings.max_evals if max_evals is None else max_evals)
     pieces = _compile(path, settings)
-    n = len(pieces)
     total = 0.0 + 0.0j
     total_err = 0.0
     notes = []
     try:
         for i, piece in enumerate(pieces):
-            smode = start_mode if i == 0 else None
-            emode = end_mode if i == n - 1 else None
-            val, err, note = piece(omega, tol / n, budget, smode, emode)
+            val, err, note = piece(omega, tol / len(pieces), budget, start_mode if i == 0 else None)
             total += val
             total_err += err
             notes.append(note)
     except NonconvergenceError as exc:
         raise NonconvergenceError(total + exc.partial, float("inf"), budget.used) from exc
-    return QuadratureResult(
-        value=total,
-        abs_error_estimate=total_err,
-        evaluations=budget.used,
-        metadata={"pieces": notes, "tol": tol},
-    )
-
-
-def _compile(path: GeodesicPath, settings: Settings) -> list:
-    """One runner per piece: (omega, tol, budget, smode, emode) -> (value, error, note)."""
-    if path.kind == "vertical_ray":
-        base, toward = path.points
-        return [_make_ray(complex(base), toward, settings)]
-    if path.kind == "arc":
-        return [_make_arc(path.points[0], path.points[1], settings)]
-    pieces = []
-    pts = path.points
-    for p, q in zip(pts[:-1], pts[1:]):
-        if q is INFINITY:
-            pieces.append(_make_ray(complex(p), +1, settings))
-        else:
-            pieces.append(_make_segment(complex(p), complex(q)))
-    return pieces
-
-
-def _make_segment(z0: complex, z1: complex) -> Callable:
-    def run(omega, tol, budget, smode, emode):
-        phi = _segment_phi(omega, z0, z1)
-        if emode is not None:
-            raise DomainError("singular handling is start-side only; reverse the path")
-        val, err, tag = _start_handled(phi, 1.0, smode, tol, budget)
-        return val, err, f"segment {tag}"
-
-    return run
-
-
-def _ray_core(phi, tol, budget, smode, settings):
-    t_far, tail = _walk_out(phi, budget, max(1.0, settings.cusp_height), tol / 10.0)
-    anchor = min(1.0, 0.5 * t_far)
-    val0, err0, tag = _start_handled(phi, anchor, smode, 0.5 * tol, budget)
-    val1, err1 = _adaptive(phi, anchor, t_far, 0.5 * tol, budget)
-    return val0 + val1, err0 + err1 + tail, f"ray[{tag}] to {t_far:.3g}"
+    return QuadratureResult(total, total_err, budget.used, {"pieces": notes, "tol": tol})
 
 
 def integrate_ray(
@@ -459,25 +408,59 @@ def integrate_ray(
     For transforms whose contour starts at a point of the half-plane the
     caller keeps the parametrisation, so the integrand can form its
     differences in exact offset coordinates where base + i t would lose
-    the offset to rounding.
+    the offset to rounding.  ``start_mode`` is as in :func:`integrate_form`.
     """
     if tol is None:
         tol = settings.quad_tol
-    if max_evals is None:
-        max_evals = settings.max_evals
-    budget = _Budget(max_evals)
-    val, err, note = _ray_core(phi, tol, budget, start_mode, settings)
+    budget = _Budget(settings.max_evals if max_evals is None else max_evals)
+    val, err, note = _ray(phi, tol, budget, start_mode, settings)
     return QuadratureResult(val, err, budget.used, {"pieces": [note], "tol": tol})
 
 
-def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
-    def run(omega, tol, budget, smode, emode):
-        if emode is not None:
-            raise DomainError("ray far ends are truncated automatically")
-        phi = _ray_phi(omega, base, toward)
-        return _ray_core(phi, tol, budget, smode, settings)
+def _ray(phi, tol, budget, smode, settings):
+    """exp-sinh over (0, inf), the far end starting at ``cusp_height``."""
+    w_lo = _EXP_SINH.w_of(_start_floor(smode))
+    w_far = _EXP_SINH.w_of(max(1.0, settings.cusp_height))
+    val, err, note = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), tol, budget)
+    return val, err, f"ray {note}"
+
+
+def _compile(path: GeodesicPath, settings: Settings) -> list:
+    """One runner per piece: (omega, tol, budget, start_mode) -> (value, error, note)."""
+    if path.kind == "vertical_ray":
+        return [_make_ray(*path.points, settings)]
+    if path.kind == "arc":
+        return [_make_arc(*path.points, settings)]
+    pts = path.points
+    return [
+        _make_ray(complex(p), +1, settings) if q is INFINITY else _make_segment(complex(p), complex(q))
+        for p, q in zip(pts[:-1], pts[1:])
+    ]
+
+
+def _make_segment(z0: complex, z1: complex) -> Callable:
+    d = z1 - z0
+    point = lambda t: (z0 + t * d, d)
+    # the far end t = 1 is regular, and the map is odd in w: it ends where a
+    # regular start would
+    w_hi = -_TANH_SINH.w_of(_start_floor(None))
+
+    def run(omega, tol, budget, smode):
+        phi = _pullback(omega, point)
+        if smode is None:
+            val, err = _adaptive(phi, 0.0, 1.0, tol, budget)
+            return val, err, "segment gauss"
+        w_lo = _TANH_SINH.w_of(_start_floor(smode))
+        val, err, note = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), tol, budget)
+        return val, err, f"segment {note}"
 
     return run
+
+
+def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
+    step = 1j * toward
+    point = lambda t: (base + step * t, step)
+    return lambda omega, tol, budget, smode: _ray(_pullback(omega, point), tol, budget, smode, settings)
 
 
 def _make_arc(e1, e2, settings: Settings) -> Callable:
@@ -493,25 +476,23 @@ def _make_arc(e1, e2, settings: Settings) -> Callable:
     if e1 is INFINITY:
         inner = _make_ray(complex(e2), +1, settings)
 
-        def run(omega, tol, budget, smode, emode):
-            val, err, note = inner(omega, tol, budget, smode, emode)
+        def run(omega, tol, budget, smode):
+            val, err, note = inner(omega, tol, budget, smode)
             return -val, err, note + " reversed"
 
         return run
     a, b = complex(e1).real, complex(e2).real
     if a == b:
         raise DomainError("degenerate geodesic")
-    c = 0.5 * (a + b)
-    r = 0.5 * abs(b - a)
-    flip = a > b  # standard parametrisation runs left to right
+    point = _arc_point(0.5 * (a + b), 0.5 * abs(b - a))
+    sign = -1.0 if a > b else 1.0  # the parametrisation runs left to right
+    # level 0 starts at |s| <= 4, where a cusp's decay has long set in; its
+    # ends may move out to |s| = 700, short of the underflow of sech s
+    w_start, w_cap = _SINH_SINH.w_of(4.0), _SINH_SINH.w_of(700.0)
 
-    def run(omega, tol, budget, smode, emode):
-        phi = _arc_phi(omega, c, r)
-        far_l, tail_l = _walk_out(lambda s: phi(-s), budget, 4.0, tol / 10.0)
-        far_r, tail_r = _walk_out(phi, budget, 4.0, tol / 10.0)
-        val, err = _adaptive(phi, -far_l, far_r, tol, budget, initial=8)
-        if flip:
-            val = -val
-        return val, err + tail_l + tail_r, "arc"
+    def run(omega, tol, budget, smode):
+        phi = _pullback(omega, point)
+        val, err, note = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), tol, budget)
+        return sign * val, err, f"arc {note}"
 
     return run

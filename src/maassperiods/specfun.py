@@ -248,11 +248,16 @@ class WhittakerTable:
         self.t_min = t_min
         s_lo, self.s_hi = math.log(t_min), math.log(t_max)
         self.edges = np.linspace(s_lo, self.s_hi, int(math.ceil(self.s_hi - s_lo)) + 1)
-        # nodes as the lookup maps them back, s = mid + half x
+        # nodes as the lookup maps them back, s = mid + half x; the end nodes
+        # x = 1 and x = -1 are the shared edges, each evaluated once
         mid = 0.5 * (self.edges[1:] + self.edges[:-1])
         half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        t_nodes = np.exp(mid[:, None] + half[:, None] * self._NODES)
-        vals = np.asarray(whittaker_w(self.params, t_nodes.ravel())).reshape(t_nodes.shape)
+        inner = np.exp(mid[:, None] + half[:, None] * self._NODES[1:-1])
+        t_edges = np.exp(self.edges)
+        w = np.asarray(whittaker_w(self.params, np.concatenate([inner.ravel(), t_edges])))
+        w_edges = w[inner.size :]
+        vals = np.column_stack([w_edges[1:], w[: inner.size].reshape(inner.shape), w_edges[:-1]])
+        t_nodes = np.column_stack([t_edges[1:], inner, t_edges[:-1]])
         vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
         # degree-major, so a lookup gathers one contiguous row per degree
         self.coeffs = self._FIT @ vals.T

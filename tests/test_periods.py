@@ -6,7 +6,7 @@ import pytest
 from maassperiods import periods
 from maassperiods.errors import DomainError, UnsupportedParameterError, UnsupportedSpectralParameterError
 from maassperiods.forms import MaassForm, delta_coefficients, dslash, q_expansion, surrogate_form
-from maassperiods.modgroup import T, T_PRIME
+from maassperiods.modgroup import INFINITY, T, T_PRIME
 from maassperiods.multiplier import construct_trivial
 from maassperiods.periods import (
     BijectionConstants,
@@ -204,6 +204,21 @@ def test_period_evaluation_metadata(surrogate, settings):
     assert "axis" in out.contour
     out2 = period.eval(-0.5 + 1.2j)
     assert "polyline" in out2.contour
+
+
+@pytest.mark.parametrize("zeta", [0.0010707 + 1.4213754j, 1e-4 + 0.3j, 0.03 + 1.4j, 0.3 - 1.4j])
+def test_surrogate_P_near_the_axis(surrogate, settings, zeta):
+    # the kernel branches at zeta, just right of the axis: the value must
+    # match a contour that keeps its distance, at a bounded cost
+    out = PeriodFunction(surrogate, settings).eval(zeta)
+    bent = integrate_form(
+        eta_integrand(surrogate, zeta, mode="factored"),
+        GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
+        tol=1e-12,
+        start_mode=("log",),
+    )
+    assert abs(out.value - bent.value) <= out.abs_error + bent.abs_error_estimate
+    assert out.evaluations <= 1000
 
 
 def test_period_memo_is_bounded_lru(delta, settings):

@@ -1,17 +1,23 @@
+import cmath
+import functools
 import heapq
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from maassperiods import Settings, quadrature
+from maassperiods import Settings, periods, quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
 from maassperiods.forms import surrogate_form, two_sided_surrogate
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
 from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
+    eichler_f,
+    eichler_polynomial,
     eta_integrand,
 )
 from maassperiods.quadrature import (
@@ -105,15 +111,16 @@ def test_nonconvergence_carries_partial():
 
 
 def test_log_start_walk_exhaustion_raises():
-    # the integral is 1000, but t * t^(-0.999) stays above tol down to
-    # t = 1e-280, so truncating the start there would drop half of it
+    # the integral is 1000, but the level-0 term of t^(-0.999) at the log
+    # start's floor t = 1e-30 is still near 1: truncating there would drop
+    # most of it
     phi = lambda t: np.where(t <= 1.0, t**-0.999, 0.0).astype(complex)
     with pytest.raises(NonconvergenceError):
         integrate_ray(phi, start_mode=("log",))
 
 
 def test_far_walk_cap_raises():
-    # 1/(1+t)^2 decays too slowly for the tail estimate to fall below tol
+    # 1/(1+t)^2 decays too slowly for the far end term to fall below tol
     # by t = 1e7; truncating there would claim a converged value
     with pytest.raises(NonconvergenceError):
         integrate_ray(lambda t: 1.0 / (1.0 + t) ** 2, tol=1e-10)
@@ -235,9 +242,8 @@ def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
 
 
 def _oscillating_power(zs):
-    # |t|^(-0.3 + 20i) along the segment from 0 to 1 + i: at tol 1e-12 the
-    # log start walks down to t ~ 1e-19, so the log variable spans over 40
-    # units and oscillates about 3 times per unit
+    # |t|^(-0.3 + 20i) along the segment from 0 to 1 + i: it oscillates
+    # about 3 times per unit of log t all the way down to the start
     t = np.asarray(zs, dtype=complex) / (1.0 + 1.0j)
     return np.exp((-0.3 + 20.0j) * np.log(t.real)), np.zeros(np.shape(zs), complex)
 
@@ -263,6 +269,15 @@ _BATCHED_CASES = {
     "log-start ray": lambda delta: integrate_ray(
         lambda t: np.exp(-t) * t ** (-0.5 + 2.0j), tol=1e-10, start_mode=("log",)
     ),
+    # the only case whose path has a plain segment, the one piece kind the
+    # Gauss pair integrates; the other cases check that their pieces do not
+    # depend on it
+    "delta polyline": lambda delta: integrate_form(
+        eta_integrand(delta, 2.0 + 0.5j),
+        GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
+        tol=1e-8,
+        start_mode=("exp",),
+    ),
 }
 
 
@@ -285,139 +300,47 @@ def _counting(phi, sizes):
 
 
 def test_one_integrand_call_per_bisection():
+    # a plain segment takes the Gauss pair: its 4 initial panels in one
+    # call, then each bisection both halves, both rules, in one call
     sizes = []
-    phi = lambda t: np.exp(-t) / (0.01 + (t - 0.5) ** 2)
-    got = integrate_ray(_counting(phi, sizes), tol=1e-12)
+    peak = lambda zs: 1.0 / (0.01 + (zs.imag - 1.5) ** 2)
+    got = integrate_form(_counting(_pure_dz(peak), sizes), GeodesicPath.polyline([1j, 2j]), tol=1e-12)
     assert sum(sizes) == got.evaluations
-    # the walk probes in blocks of 2, 4, 8, ... points (never a multiple of
-    # 46); then each of the two adaptive pieces evaluates its 4 initial
-    # panels in one call and each bisection both halves, both rules, in one
-    # call
-    batched = [n for n in sizes if n % 46 == 0]
-    assert batched[0] == 184 and batched.count(184) == 2
-    assert set(batched) == {184, 92}
+    assert sizes[0] == 184 and len(sizes) > 1 and set(sizes[1:]) == {92}
+    assert got.value == pytest.approx(1j * 20.0 * math.atan(5.0), rel=1e-11)
 
 
-def test_log_start_refines_from_four_panels_in_one_call():
-    # the log piece of the oscillating power starts, like every other
-    # piece, from 4 panels in one call; bisection places the rest
-    sizes = []
-    got = integrate_form(
-        _counting(_oscillating_power, sizes),
-        GeodesicPath.polyline([0.0, 1.0 + 1.0j]),
-        tol=1e-12,
-        start_mode=("log",),
-    )
-    assert sum(sizes) == got.evaluations
-    first = sizes.index(184)
-    assert all(n % 46 for n in sizes[:first])  # the start walk's probe blocks
-    assert len(sizes) > first + 1 and set(sizes[first + 1 :]) == {92}
+def _decaying_power(zs):
+    return np.exp(2j * math.pi * zs) * np.abs(zs) ** (-0.3 + 5.0j), np.zeros(np.shape(zs), complex)
 
 
-# ---------------------------------------------------------------------------
-# truncation walks: blocks of probes against a probe-by-probe reference
-
-
-def _probe(phi, budget, t):
-    budget.spend(1)
-    return abs(complex(phi(np.array([t]))[0]))
-
-
-def _sequential_walk_out(phi, budget, start, tol, factor=1.7, cap=1e7):
-    """Reference far walk: one probe per integrand call."""
-    t = start
-    prev = None
-    while t < cap:
-        m = _probe(phi, budget, t)
-        if m == 0.0:
-            return t, 0.0
-        if prev is not None and m < prev[1]:
-            rate = (math.log(prev[1]) - math.log(m)) / (t - prev[0])
-            tail = m / max(rate, 1e-6)
-            if tail < tol:
-                return t, tail
-        prev = (t, m)
-        t *= factor
-    raise NonconvergenceError(0.0, float("inf"), budget.used)
-
-
-def _sequential_walk_in(phi, budget, t1, tol):
-    """Reference start walk: one probe per integrand call; the tail is the
-    mass m t / (1 + a) below the stopping probe, with the exponent a taken
-    through the probe before it (after it, at the first probe)."""
-    t = t1 / 4.0
-    prev = None
-    while t > 1e-280:
-        m = _probe(phi, budget, t)
-        if m == 0.0:
-            return t, 0.0
-        if m * t < tol:
-            if prev is None:
-                (tu, mu), (tl, ml) = (t, m), (t / 6.0, _probe(phi, budget, t / 6.0))
-            else:
-                (tu, mu), (tl, ml) = prev, (t, m)
-            a = math.inf if ml == 0.0 else (math.log(mu) - math.log(ml)) / (math.log(tu) - math.log(tl))
-            if a <= -1.0:
-                raise NonconvergenceError(0.0, float("inf"), budget.used)
-            return t, m * t * max(1.0, 1.0 / (1.0 + a))
-        prev = (t, m)
-        t /= 6.0
-    raise NonconvergenceError(0.0, float("inf"), budget.used)
-
-
-def _recording(walk, log):
-    def recorded(*args, **kwargs):
-        out = walk(*args, **kwargs)
-        log.append(out)
-        return out
-
-    return recorded
-
-
-_WALK_CASES = {
-    "delta ray": lambda forms: integrate_form(
-        eta_integrand(forms["delta"], 2.0 + 0.5j),
-        GeodesicPath.vertical_ray(0.0, +1),
-        tol=1e-8,
-        start_mode=("exp",),
+_ONE_CALL_PER_LEVEL = {
+    "tanh-sinh segment": lambda wrap: integrate_form(
+        wrap(_oscillating_power), GeodesicPath.polyline([0.0, 1.0 + 1.0j]), tol=1e-12, start_mode=("log",)
     ),
-    "arc": lambda forms: integrate_form(
-        eta_integrand(forms["delta"], 2.0), GeodesicPath.arc(0.0, -1.0), tol=1e-6
+    "exp-sinh ray": lambda wrap: integrate_form(
+        wrap(_decaying_power), GeodesicPath.vertical_ray(0.0, +1), tol=1e-12, start_mode=("log",)
     ),
-    "log-start segment": lambda forms: integrate_form(
-        _oscillating_power,
-        GeodesicPath.polyline([0.0, 1.0 + 1.0j]),
-        tol=1e-12,
-        start_mode=("log",),
-    ),
-    "surrogate P on the axis": lambda forms: PeriodFunction(forms["surrogate"]).eval(1.3),
-    "two-sided f below the axis": lambda forms: NearlyPeriodicFunction(
-        forms["surrogate_two_sided"]
-    ).eval(0.2 - 0.8j),
+    "sinh-sinh arc": lambda wrap: integrate_form(wrap(_decaying_power), GeodesicPath.arc(-1.0, 2.0), tol=1e-11),
 }
 
 
-@pytest.fixture
-def forms(delta, surrogate, surrogate_two_sided):
-    return {"delta": delta, "surrogate": surrogate, "surrogate_two_sided": surrogate_two_sided}
+@pytest.mark.parametrize("case", sorted(_ONE_CALL_PER_LEVEL))
+def test_each_level_is_one_call(case):
+    # after level 0 and any moves of a far end, level n is one call on the
+    # 2^(n-1) (b - a) new midpoints, so the sizes double from call to call
+    sizes = []
+    got = _ONE_CALL_PER_LEVEL[case](lambda omega: _counting(omega, sizes))
+    assert sum(sizes) == got.evaluations
+    (note,) = got.metadata["pieces"]
+    level = int(note.split(" level ")[1].split()[0])
+    levels = sizes[-level:]
+    assert level >= 1 and levels == [levels[0] * 2**n for n in range(level)]
+    assert len(sizes) - level <= 4
 
 
-def _run_with_walks(monkeypatch, run, walk_out, walk_in):
-    log = []
-    monkeypatch.setattr(quadrature, "_walk_out", _recording(walk_out, log))
-    monkeypatch.setattr(quadrature, "_walk_in", _recording(walk_in, log))
-    return run(), log
-
-
-@pytest.mark.parametrize("case", sorted(_WALK_CASES))
-def test_block_walks_match_sequential_reference(forms, monkeypatch, case):
-    run = lambda: _WALK_CASES[case](forms)
-    got, got_walks = _run_with_walks(monkeypatch, run, quadrature._walk_out, quadrature._walk_in)
-    want, want_walks = _run_with_walks(monkeypatch, run, _sequential_walk_out, _sequential_walk_in)
-    assert got_walks and got_walks == want_walks  # (t_far or t_min, tail) of each walk
-    assert got.value == want.value
-    err = "abs_error_estimate" if hasattr(got, "abs_error_estimate") else "abs_error"
-    assert getattr(got, err) == getattr(want, err)
+# ---------------------------------------------------------------------------
+# typed failures at the ends of a ray
 
 
 def _exp_decay_outside(limit, sizes):
@@ -433,49 +356,41 @@ def _exp_decay_outside(limit, sizes):
     return phi
 
 
-def test_domain_error_past_the_stop_replays_the_block():
-    # the far walk from 1 stops at its 8th probe, t = 1.7^7 = 41.0; the
-    # third block (probes 7 to 14) runs past t = 60 and is replayed
-    sizes, ref_sizes = [], []
-    got = quadrature._walk_out(_exp_decay_outside(60.0, sizes), quadrature._Budget(10**6), 1.0, 1e-12)
-    budget = quadrature._Budget(10**6)
-    want = _sequential_walk_out(_exp_decay_outside(60.0, ref_sizes), budget, 1.0, 1e-12)
-    assert got == want and len(ref_sizes) == 8
-    assert sizes == [2, 4, 8, 1, 1]
-
-
 def test_domain_error_before_the_stop_raises_the_same_error():
-    # the probe t = 1.7^5 = 14.2 leaves the domain before the walk can stop
-    with pytest.raises(DomainError) as got:
-        quadrature._walk_out(_exp_decay_outside(10.0, []), quadrature._Budget(10**6), 1.0, 1e-12)
-    with pytest.raises(DomainError) as want:
-        _sequential_walk_out(_exp_decay_outside(10.0, []), quadrature._Budget(10**6), 1.0, 1e-12)
-    assert str(got.value) == str(want.value)
+    # e^{-t} is truncated beyond t = 10, so level 0 reaches past the
+    # integrand's domain: its DomainError propagates unchanged
+    with pytest.raises(DomainError, match="is outside the domain"):
+        integrate_ray(_exp_decay_outside(10.0, []), tol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1.2 + 0.5j, -3.0])
+def test_ray_rejects_a_divergent_exponent(alpha):
+    with pytest.raises(DivergentIntegralError):
+        integrate_ray(lambda t: np.exp(-t) * t**alpha, start_mode=("power", alpha))
 
 
 @pytest.mark.parametrize(
-    "walk, phi, args",
-    [
-        (quadrature._walk_out, lambda t: np.exp(-t), (1.0, 1e-12)),
-        (quadrature._walk_out, lambda t: np.exp(-0.05 * t), (12.0, 1e-10)),
-        (quadrature._walk_in, lambda t: t**-0.3, (1.0, 1e-12)),
-        (quadrature._walk_in, lambda t: np.exp(-1.0 / t), (1.0, 1e-10)),
-    ],
+    "phi",
+    [lambda t: np.ones(np.shape(t)), lambda t: np.cos(t) + 2.0, lambda t: t ** (-0.5) * (1.0 + t) ** (-0.6)],
+    ids=["constant", "oscillating", "power tail"],
 )
-def test_walk_calls_grow_logarithmically(walk, phi, args):
-    sizes, ref_sizes = [], []
-    reference = _sequential_walk_out if walk is quadrature._walk_out else _sequential_walk_in
-    budget = quadrature._Budget(10**6)
-    got = walk(_counting(phi, sizes), budget, *args)
-    want = reference(_counting(phi, ref_sizes), quadrature._Budget(10**6), *args)
-    assert got == want
-    assert sum(sizes) == budget.used
-    probes = len(ref_sizes)
-    assert len(sizes) <= max(1, math.ceil(math.log2(probes)))
+def test_undecayed_far_end_raises(phi):
+    # the far end moves out at most to t = 1e7; an integrand still above
+    # target there is never truncated silently
+    with pytest.raises(NonconvergenceError):
+        integrate_ray(phi, tol=1e-10, start_mode=("power", -0.5))
+
+
+def test_undecayed_arc_end_raises():
+    # |dz| ~ 2 e^{-|s|} ds at the ends of the arc, and so is |z -+ 1|: the
+    # pulled-back dz / |z -+ 1| does not decay in s
+    omega = lambda zs: (1.0 / np.abs(zs - np.round(zs.real)) + 0j, np.zeros(np.shape(zs), complex))
+    with pytest.raises(NonconvergenceError):
+        integrate_form(omega, GeodesicPath.arc(-1.0, 1.0), tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# the start walk's tail bounds the truncated mass
+# reported errors against independent oracles
 
 
 @pytest.mark.parametrize(
@@ -483,41 +398,76 @@ def test_walk_calls_grow_logarithmically(walk, phi, args):
     [-0.75 + 0.35j, -0.9 + 0.2j, -0.5 + 1.0j, -0.5 + 2.0j, -0.9 + 0.1j, -0.25 - 1.2j, -0.6 + 3.0j],
 )
 def test_start_tail_bounds_the_error(a):
-    # |e^{-t} t^a| ~ t^{Re a}: the mass below t_min is m t_min / (1 + Re a).
-    # Gamma(1 + a) is an independent oracle for the log-substituted start; a
-    # large Im a checks that its few wide initial panels do not converge
-    # falsely on the oscillation
+    # |e^{-t} t^a| ~ t^{Re a}: level 0 starts where t^(1 + Re a) is 1e-40.
+    # Gamma(1 + a) is an independent oracle for the start truncation and the
+    # level-difference estimate; a large Im a checks that the coarse levels
+    # do not agree falsely on the oscillation in log t
     got = integrate_ray(lambda t: np.exp(-t) * t**a, tol=1e-10, start_mode=("power", a))
     exact = complex(mpmath.gamma(1 + mpmath.mpc(a)))
     assert abs(got.value - exact) <= got.abs_error_estimate
-    assert got.evaluations <= 1500
+    assert got.evaluations <= 500
+
+
+def _counted_eval(monkeypatch, build, form, zeta):
+    """A transform's evaluation and the sizes of its integrand calls, seen
+    through a counting wrapper on the integrand."""
+    sizes = []
+    for name in ("integrate_form", "integrate_ray"):
+        original = getattr(periods, name)
+
+        def counting(integrand, *args, original=original, **kwargs):
+            return original(_counting(integrand, sizes), *args, **kwargs)
+
+        monkeypatch.setattr(periods, name, counting)
+    out = build(form).eval(zeta)
+    monkeypatch.undo()
+    return out, sizes
 
 
 @pytest.mark.parametrize("transform", ["surrogate P at 1", "two-sided f at 0.2-0.7i"])
-def test_surrogate_log_start_count_and_accuracy(surrogate, surrogate_two_sided, transform):
+def test_surrogate_log_start_count_and_accuracy(surrogate, surrogate_two_sided, monkeypatch, transform):
     # both start at a power-law endpoint with complex exponent (cusp 0 for
-    # P, zeta for f below the axis), so the log piece dominates their count
+    # P, zeta for f below the axis)
     build, form, zeta = {
         "surrogate P at 1": (PeriodFunction, surrogate, 1.0),
         "two-sided f at 0.2-0.7i": (NearlyPeriodicFunction, surrogate_two_sided, 0.2 - 0.7j),
     }[transform]
-    got = build(form).eval(zeta)
+    got, sizes = _counted_eval(monkeypatch, build, form, zeta)
     tight = build(form, Settings(quad_tol=1e-14)).eval(zeta)
-    assert got.evaluations <= 1000
+    assert got.evaluations <= 200 and len(sizes) <= 5
     assert abs(got.value - tight.value) <= got.abs_error
 
 
+# integrand points and calls of the reference transforms: points pinned
+# about 8 % above their counts when set (107, 137, 93, 120, 102), calls
+# exactly; the scale probe is not a call of the integrand
+_REFERENCE_COUNTS = {
+    "delta P at 1": ("delta", PeriodFunction, 1.0, 115, 2),
+    "delta f at 0.2+0.7i": ("delta", NearlyPeriodicFunction, 0.2 + 0.7j, 148, 2),
+    "surrogate P at 1": ("surrogate", PeriodFunction, 1.0, 100, 1),
+    "two-sided f at 0.2-0.7i": ("surrogate_two_sided", NearlyPeriodicFunction, 0.2 - 0.7j, 130, 1),
+    "two-sided f at 0.2+0.7i": ("surrogate_two_sided", NearlyPeriodicFunction, 0.2 + 0.7j, 110, 1),
+}
+
+
+@pytest.mark.parametrize("transform", sorted(_REFERENCE_COUNTS))
+def test_reference_transform_counts(request, monkeypatch, transform):
+    name, build, zeta, points, calls = _REFERENCE_COUNTS[transform]
+    out, sizes = _counted_eval(monkeypatch, build, request.getfixturevalue(name), zeta)
+    assert sum(sizes) <= points and len(sizes) <= calls
+    assert out.evaluations == sum(sizes) + (4 if build is PeriodFunction else 3)
+
+
 def test_start_walk_rejects_a_non_integrable_local_exponent():
-    # m t falls below tol at the first probe, but |phi| ~ t^(-1.2) there, so
-    # the mass below it is unbounded
+    # the level-0 term at the log start's floor is below tol, but the terms
+    # grow toward it (|phi| ~ t^(-1.2)), so the mass below it is unbounded
     with pytest.raises(NonconvergenceError):
         integrate_ray(lambda t: 1e-20 * np.exp(-t) * t**-1.2, start_mode=("log",))
 
 
-# f of a surrogate high above (or below) the axis: the first start-walk
-# probes lie before the asymptotic regime, where |phi| still grows through
-# the form's decay factor as t falls, so their local exponent is <= -1
-# although the integrand is integrable at 0
+# f of a surrogate high above (or below) the axis: near the start |phi|
+# still grows through the form's decay factor as t falls, before the
+# integrable endpoint power takes over
 _DEFAULT = dict(weight="1/2", nu=0.35j)
 _ONE_TERM = dict(_DEFAULT, coefficients=(0.0, 1.0))
 _HIGH_POINTS = {
@@ -534,6 +484,85 @@ def test_start_walk_passes_over_pre_asymptotic_probes(name):
     for zeta in points:
         out = f.eval(zeta)
         assert math.isfinite(abs(out.value)) and 0 < out.abs_error < 1e-10
+
+
+@pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
+def test_f_far_from_the_axis_meets_its_floor(request, name):
+    # f's target is relative to its probes down to 1e-50 of scale: far out
+    # the tables return W below 1e-60 as zero, and a relative target there
+    # would chase that cutoff
+    f = NearlyPeriodicFunction(request.getfixturevalue(name))
+    for zeta in (24j, -24j, 0.3 + 22j, 0.3 - 22j, 40j):
+        out = f.eval(zeta)
+        assert math.isfinite(abs(out.value))
+        assert out.abs_error <= 1e-10 * max(1e-50, 10.0 * abs(out.value)), zeta
+
+
+@functools.lru_cache(maxsize=None)
+def _one_term(weight: str, nu: complex, side: int):
+    """A surrogate of one Fourier term, coefficient 1, at frequency
+    lam = kappa0 + side; the second result is lam."""
+    if side > 0:
+        form = surrogate_form(weight, nu, coefficients=(1.0,))
+    else:
+        form = surrogate_form(weight, nu, coefficients=(0.0,), negative_coefficients=(1.0,))
+    return form, form.kappa0 + side
+
+
+def _one_term_f(weight: str, nu: complex, side: int, zeta: complex) -> complex:
+    """s 4i e^{-i pi k/2} Gamma(1/2 + s k/2 + nu) (pi |lam|)^{1/2 - nu} e(lam zeta),
+    s = sgn lam: the one term's f on the half-plane sgn Im zeta = s, with
+    Gamma from mpmath."""
+    form, lam = _one_term(weight, nu, side)
+    k, s = form.k, side
+    gamma = complex(mpmath.gamma(0.5 + s * k / 2 + nu))
+    return (
+        s * 4j * cmath.exp(-0.5j * math.pi * k) * gamma
+        * (math.pi * abs(lam)) ** (0.5 - nu) * cmath.exp(2j * math.pi * lam * zeta)
+    )
+
+
+@pytest.mark.parametrize(
+    "weight, nu, side",
+    [("1/2", 0.35j, +1), ("1/2", 0.35j, -1), ("1/2", 0.2, +1), ("1/2", 0.2, -1), ("3/2", 0.3, +1)],
+)
+@given(x=st.floats(-1.0, 1.0), log_height=st.floats(math.log(0.1), math.log(8.0)))
+def test_reported_error_bounds_the_error_against_the_one_term_series(weight, nu, side, x, log_height):
+    zeta = complex(x, side * math.exp(log_height))
+    out = NearlyPeriodicFunction(_one_term(weight, nu, side)[0]).eval(zeta)
+    assert abs(out.value - _one_term_f(weight, nu, side, zeta)) <= out.abs_error
+
+
+# at quad_tol 1e-14 the level difference falls below Delta's own
+# evaluation accuracy, which the reported error must still cover
+_TIGHT = pytest.mark.parametrize("quad_tol", [1e-10, 1e-14])
+
+
+@_TIGHT
+@given(log_x=st.floats(math.log(0.125), math.log(8.0)))
+def test_reported_error_bounds_the_error_of_delta_P_on_the_axis(delta, delta_uh_coefficients, quad_tol, log_x):
+    # the Eichler-Shimura period relation P = (2 - k) p = -22 p, with p from
+    # the L-series
+    x = math.exp(log_x)
+    out = PeriodFunction(delta, Settings(quad_tol=quad_tol)).eval(x)
+    assert abs(out.value + 22.0 * eichler_polynomial(delta_uh_coefficients, 12, x)) <= out.abs_error
+
+
+@_TIGHT
+@given(x=st.floats(0.0, 3.0, exclude_min=True), y=st.floats(0.25, 2.0), upper=st.booleans())
+def test_reported_error_bounds_the_error_of_delta_P_off_the_axis(delta, delta_uh_coefficients, quad_tol, x, y, upper):
+    zeta = complex(x, y if upper else -y)
+    out = PeriodFunction(delta, Settings(quad_tol=quad_tol)).eval(zeta)
+    assert abs(out.value + 22.0 * eichler_polynomial(delta_uh_coefficients, 12, zeta)) <= out.abs_error
+
+
+@_TIGHT
+@given(x=st.floats(-1.0, 3.0, exclude_min=True), y=st.floats(0.25, 1.5))
+def test_reported_error_bounds_the_error_of_delta_f(delta, delta_uh_coefficients, quad_tol, x, y):
+    # above the axis f = -22 f_h, with f_h the q-series
+    zeta = complex(x, y)
+    out = NearlyPeriodicFunction(delta, Settings(quad_tol=quad_tol)).eval(zeta)
+    assert abs(out.value + 22.0 * eichler_f(delta_uh_coefficients, 12, zeta)) <= out.abs_error
 
 
 def test_reported_error_bounds_the_true_error_of_a_one_term_f():

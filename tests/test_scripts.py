@@ -25,6 +25,18 @@ def _run(script, *args):
     return proc.stdout
 
 
+def test_package_import_defers_the_verify_registry():
+    # transforms alone do not load the registry; run_suite still resolves
+    code = (
+        "import sys, maassperiods\n"
+        "assert 'maassperiods.verify' not in sys.modules\n"
+        "assert maassperiods.run_suite.__module__ == 'maassperiods.verify'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_growth_scan():
     report = json.loads(_run("growth_scan.py"))
     samples = report["samples"]

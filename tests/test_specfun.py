@@ -153,8 +153,9 @@ def test_whittaker_table_against_mpmath(kappa, mu):
 
 
 def test_whittaker_table_builds_from_one_call(monkeypatch):
-    # every panel's nodes go through one whittaker_w call; the calls that
-    # whittaker_w makes itself (series split, index recurrence) are inner
+    # every panel's nodes go through one whittaker_w call, each edge that
+    # two panels share once; the calls that whittaker_w makes itself (series
+    # split, index recurrence) are inner
     sizes, depth = [], [0]
     original = specfun.whittaker_w
 
@@ -171,7 +172,8 @@ def test_whittaker_table_builds_from_one_call(monkeypatch):
     for kappa, mu in TABLE_PAIRS + [(1.25, 0.35j)]:
         sizes.clear()
         table = WhittakerTable(kappa, mu)
-        assert sizes == [table.coeffs.size], (kappa, mu)
+        panels = table.coeffs.shape[1]
+        assert sizes == [panels * table.DEGREE + 1], (kappa, mu)
 
 
 def test_whittaker_table_unresolved_index_raises():
