@@ -10,9 +10,9 @@ from dataclasses import dataclass, asdict
 class Settings:
     """Tolerances, truncations and grid defaults.
 
-    ``quad_tol`` is the absolute quadrature target; f rescales it to its
-    integrand's probed size, P only upward.  Each verified identity carries
-    its own tolerance (see ``verify``).
+    ``quad_tol`` is the relative quadrature target: each contour piece aims
+    at ``quad_tol`` times its own integral of |phi|.  Each verified
+    identity carries its own tolerance (see ``verify``).
     """
 
     quad_tol: float = 1e-10

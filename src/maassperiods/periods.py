@@ -4,10 +4,12 @@ For a form u of weight k and spectral parameter nu, the period function is
 
     P(zeta) = int_0^{i infinity} eta_{-k}( R_{-k,nu}(., zeta), u )
 
-over the imaginary axis, extended to the cut plane by deforming the contour
-to the left of zeta and conj(zeta) (factored kernel branch).  The nearly
-periodic function integrates the same Maass-Selberg pairing along the ray
-from zeta (resp. conj(zeta)) to i*infinity.
+over the imaginary axis.  The nearly periodic function integrates the same
+Maass-Selberg pairing along the ray from zeta (resp. conj(zeta)) to
+i*infinity.  Left of the axis P of an S-equivariant form comes from f
+through the bridge P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(-1/zeta);
+any other form deforms the contour to the left of zeta and conj(zeta)
+(factored kernel branch).
 
 One pairing builds every integrand, with a ``ladder`` that picks the raised
 slot: -1 raises the kernel (``eta_{-k}(R, u)``), +1 raises the form
@@ -106,8 +108,7 @@ class BijectionConstants:
 class PeriodEvaluation:
     """A transform value together with the contour used and the error budget.
 
-    ``evaluations`` counts every integrand point, the scale probe that sets
-    the tolerance included.
+    ``evaluations`` counts every integrand point.
     """
 
     value: complex
@@ -250,22 +251,13 @@ class NearlyPeriodicFunction:
             else:
                 alpha = nu - 0.5 - 0.5 * k
         phi = ray_integrand(form, zeta, base, ladder)
-        probes = np.array([0.3, 0.9, 2.1])
-        # the ray's integrand has its mass where the probes sit, so the
-        # target is relative to their size, down to 1e-50: the Whittaker
-        # tables return W below 1e-60 as zero
-        result = integrate_ray(
-            phi,
-            tol=self.settings.quad_tol * max(1e-50, float(np.max(np.abs(phi(probes))))),
-            start_mode=("power", alpha),
-            settings=self.settings,
-        )
+        result = integrate_ray(phi, start_mode=("power", alpha), settings=self.settings)
         # the form-raised pairing integrates to minus the kernel-raised one
         return PeriodEvaluation(
             -ladder * result.value,
             f"ray {base:.4g} -> i*inf " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
-            result.evaluations + probes.size,
+            result.evaluations,
         )
 
 
@@ -285,6 +277,7 @@ class PeriodFunction:
         self.settings = settings
         self._degenerate_zero = _vanishes_identically(form)
         self._cache = OrderedDict()
+        self._f = NearlyPeriodicFunction(form, settings) if form.is_embedding else None
 
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
@@ -299,41 +292,42 @@ class PeriodFunction:
         if self._degenerate_zero:
             return self._remember(zeta, PeriodEvaluation(0.0 + 0.0j, "identically zero", 0.0, 0))
         form = self.form
-        cusp_mode = ("exp",) if form.cusp_profile == "exponential" else ("log",)
+        if zeta.real <= 0 and self._f is not None:
+            # the bridge: both rays start in the half-plane of zeta
+            near, far = self._f.eval(zeta), self._f.eval(-1.0 / zeta)
+            factor = _inversion_factor(form.multiplier, form.nu, zeta)
+            out = PeriodEvaluation(
+                near.value - factor * far.value,
+                f"f <-> P bridge: {near.contour} | {far.contour}",
+                near.abs_error + abs(factor) * far.abs_error,
+                near.evaluations + far.evaluations,
+            )
+            return self._remember(zeta, out)
         if zeta.real > 0:
             # a non-embedded form's kernel branches at zeta or its conjugate:
             # near the axis, split it level with them, where nodes cluster
             split = not form.is_embedding and zeta.real < abs(zeta.imag)
             path = GeodesicPath.polyline([0.0, 1j * abs(zeta.imag), INFINITY] if split else [0.0, INFINITY])
             note = "imaginary axis"
-            probes = 1j * np.array([0.4, 0.9, 1.7, 3.0])
         else:
             eps = max(0.25, 0.5 * abs(zeta))
             if eps <= -zeta.real:
                 eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
             h0 = min(eps, 0.5 * abs(zeta.imag))
             top = max(1.0, 2.0 * abs(zeta))
-            path = GeodesicPath.polyline(
-                [0.0, complex(-eps, h0), complex(-eps, top), INFINITY]
-            )
+            path = GeodesicPath.polyline([0.0, complex(-eps, h0), complex(-eps, top), INFINITY])
             note = f"deformed polyline eps={eps:.3g}"
-            probes = complex(-eps, 0) + 1j * np.array([h0 + 0.3, top * 0.5, top])
-        omega = eta_integrand(form, zeta, mode="factored")
-        a, b = omega(probes)
-        # the probes miss the polyline's first segment, which can carry far
-        # more than they see: the target stays at least quad_tol absolute
         result = integrate_form(
-            omega,
+            eta_integrand(form, zeta, mode="factored"),
             path,
-            tol=self.settings.quad_tol * max(1.0, float(np.max(np.abs(a) + np.abs(b)))),
-            start_mode=cusp_mode,
+            start_mode=("exp",) if form.cusp_profile == "exponential" else ("log",),
             settings=self.settings,
         )
         out = PeriodEvaluation(
             result.value,
             note + " " + ";".join(result.metadata["pieces"]),
             result.abs_error_estimate,
-            result.evaluations + probes.size,
+            result.evaluations,
         )
         return self._remember(zeta, out)
 
@@ -348,40 +342,37 @@ class PeriodFunction:
 # the algebraic bridge between f and P
 
 
-def _callable_of(obj):
-    if isinstance(obj, (NearlyPeriodicFunction, PeriodFunction)):
-        return obj, obj.form.k, obj.form.nu, obj.form.multiplier
-    return obj, None, None, None
+def _inversion_factor(multiplier, nu, zeta: complex) -> complex:
+    """v(S)^{-1} zeta^{2 nu - 1}, the weight of the value at S zeta = -1/zeta
+    in both directions of the bridge."""
+    v_s = multiplier.evaluate(S) if isinstance(multiplier, MultiplierSystem) else complex(multiplier)
+    return principal_pow(zeta, 2 * complex(nu) - 1) / v_s
+
+
+def _parameters(obj, weight, nu, multiplier) -> tuple:
+    """(k, nu, multiplier): each as given, else the transform's own."""
+    transform = isinstance(obj, (NearlyPeriodicFunction, PeriodFunction))
+    own = (obj.form.k, obj.form.nu, obj.form.multiplier) if transform else (None,) * 3
+    return tuple(mine if given is None else given for mine, given in zip(own, (weight, nu, multiplier)))
 
 
 def f_to_P(f, zeta: complex, weight=None, nu=None, multiplier=None) -> complex:
     """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(S zeta)."""
-    fn, k, n, v = _callable_of(f)
-    k = float(weight) if weight is not None else k
-    n = complex(nu) if nu is not None else n
-    v = multiplier if multiplier is not None else v
+    _, n, v = _parameters(f, weight, nu, multiplier)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise DomainError("f is only defined off the real axis")
-    v_s = v.evaluate(S) if isinstance(v, MultiplierSystem) else complex(v)
-    s_zeta = -1.0 / zeta
-    return fn(zeta) - principal_pow(zeta, 2 * n - 1) / v_s * fn(s_zeta)
+    return f(zeta) - _inversion_factor(v, n, zeta) * f(-1.0 / zeta)
 
 
 def P_to_f(P, zeta: complex, weight=None, nu=None, multiplier=None) -> complex:
     """c*+- f(zeta) = P(zeta) + v(S)^{-1} zeta^{2 nu - 1} P(S zeta), sign by Im."""
-    fn, k, n, v = _callable_of(P)
-    k = float(weight) if weight is not None else k
-    n = complex(nu) if nu is not None else n
-    v = multiplier if multiplier is not None else v
+    k, n, v = _parameters(P, weight, nu, multiplier)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise DomainError("the inverse transform needs Im zeta != 0")
-    constants = BijectionConstants(k, n)
-    v_s = v.evaluate(S) if isinstance(v, MultiplierSystem) else complex(v)
-    s_zeta = -1.0 / zeta
-    num = fn(zeta) + principal_pow(zeta, 2 * n - 1) / v_s * fn(s_zeta)
-    return num / constants.for_half_plane(zeta)
+    num = P(zeta) + _inversion_factor(v, n, zeta) * P(-1.0 / zeta)
+    return num / BijectionConstants(k, n).for_half_plane(zeta)
 
 
 def synthetic_nearly_periodic():
@@ -404,12 +395,10 @@ def derived_period(f, weight, nu, multiplier):
     without the off-axis domain guard, so three-term residuals can be
     sampled at positive reals through the boundary values of ``f``.
     """
-    nu = complex(nu)
-    v_s = multiplier.evaluate(S) if isinstance(multiplier, MultiplierSystem) else complex(multiplier)
 
     def period(zeta: complex) -> complex:
         zeta = complex(zeta)
-        return f(zeta) - principal_pow(zeta, 2 * nu - 1) / v_s * f(-1.0 / zeta)
+        return f(zeta) - _inversion_factor(multiplier, nu, zeta) * f(-1.0 / zeta)
 
     return period
 

@@ -21,6 +21,8 @@ integrand's own accuracy.  An end that cannot be truncated below the
 target raises NonconvergenceError: a truncation never passes silently.
 Plain segments take an embedded Gauss pair (15/31 nodes), bisecting the
 worst interval: 4 panels in one call, then one call per bisection.
+Each piece's target is ``quad_tol`` times the integral of |phi| its first
+call sees; an explicit ``tol`` is absolute, split evenly between pieces.
 """
 
 from __future__ import annotations
@@ -113,22 +115,23 @@ class _Budget:
             raise NonconvergenceError(0.0, float("inf"), self.used)
 
 
-def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget):
-    """Integrate phi over [a, b] to tol, bisecting the interval of largest error.
+def _adaptive(phi, a: float, b: float, target, budget: _Budget):
+    """Integrate phi over [a, b], bisecting the interval of largest error.
 
     Each interval gets the embedded 15/31-point Gauss pair, and ``phi``
     sees the nodes of several intervals in one call: 4 initial panels at
-    once, then both halves of each bisection together (92 points).
+    once, then both halves of each bisection together (92 points).  The
+    tolerance is ``target(mass)``, mass the initial panels' integral of |phi|.
     Raises NonconvergenceError, with the partial value and its error, when
     the total error still exceeds tol but the worst interval has reached
-    the width floor or an error below tol * 1e-3.
+    the width floor or an error below tol * 1e-3.  Returns (value, error, tol).
     """
     x15, w15 = _gauss_rule(15)
     x31, w31 = _gauss_rule(31)
     nodes = np.concatenate([x31, x15])
 
     def gauss(lo, hi):
-        """(integral, error estimate) on each [lo[i], hi[i]], from one call to phi."""
+        """(integral, error estimate, int |phi|) on each [lo[i], hi[i]], from one call to phi."""
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         budget.spend(half.size * nodes.size)
@@ -137,18 +140,20 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget):
         for h, v in zip(half, np.reshape(vals, (half.size, nodes.size))):
             i31 = h * np.sum(w31 * v[:31])
             i15 = h * np.sum(w15 * v[31:])
-            out.append((complex(i31), abs(i31 - i15)))
+            out.append((complex(i31), abs(i31 - i15), float(h * np.sum(w31 * np.abs(v[:31])))))
         return out
 
     edges = np.linspace(a, b, 5)
     los, his = edges[:-1], edges[1:]
     heap = []
     total = 0.0 + 0.0j
-    total_err = 0.0
-    for lo, hi, (val, err) in zip(los, his, gauss(los, his)):
+    total_err = mass = 0.0
+    for lo, hi, (val, err, m) in zip(los, his, gauss(los, his)):
         total += val
         total_err += err
+        mass += m
         heapq.heappush(heap, (-err, lo, hi, val))
+    tol = target(mass)
     width_floor = 5e-15 * (abs(a) + abs(b) + 1.0)
     while total_err > tol:
         neg_err, lo, hi, val = heapq.heappop(heap)
@@ -157,14 +162,14 @@ def _adaptive(phi, a: float, b: float, tol: float, budget: _Budget):
             raise NonconvergenceError(total, total_err, budget.used)
         try:
             mid = 0.5 * (lo + hi)
-            (v1, e1), (v2, e2) = gauss(np.array([lo, mid]), np.array([mid, hi]))
+            (v1, e1, _), (v2, e2, _) = gauss(np.array([lo, mid]), np.array([mid, hi]))
         except NonconvergenceError as exc:
             raise NonconvergenceError(total, total_err, budget.used) from exc
         total += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-    return total, max(total_err, 0.0)
+    return total, max(total_err, 0.0), tol
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +277,21 @@ def _extended(phi, rule: _Map, w, g, side: int, cap: float, tau: float, budget: 
             w, g = np.concatenate([w_new[::-1], w]), np.concatenate([g_new[::-1], g])
 
 
-def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, tol: float, budget: _Budget):
-    """Integrate phi(x) dx over the map's whole range to tol.
+def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target, budget: _Budget):
+    """Integrate phi(x) dx over the map's whole range.
 
     Level 0 evaluates w = w_lo + j/16 up to the first node at or past w_hi;
-    an end with a ``caps`` entry (|w| bound, or None for a fixed end) may
-    move out (see :func:`_extended`).  Returns (value, error, note).
+    its integral of |phi| sets tol = ``target(mass)``.  An end with a
+    ``caps`` entry (|w| bound, or None for a fixed end) may then move out
+    (see :func:`_extended`).  Returns (value, error, note, tol).
     """
-    tau = tol / 8.0
     w = w_lo + _H0 * np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
     g = _terms(phi, rule, w, budget)
+    mass = _H0 * float(np.sum(np.abs(g)))
+    if not math.isfinite(mass):
+        raise NonconvergenceError(0.0, float("inf"), budget.used)
+    tol = target(mass)
+    tau = tol / 8.0
     for side, cap in zip((-1, +1), caps):
         if cap is not None:
             w, g = _extended(phi, rule, w, g, side, cap, tau, budget)
@@ -299,7 +309,7 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, tol: fl
     n = w.size
     a, b = cut_lo - 1, n - cut_hi
     if a >= b:  # every level-0 term is in a tail
-        return _H0 * complex(np.sum(g)), float(np.sum(m)), f"{rule.name} level 0 (negligible)"
+        return _H0 * complex(np.sum(g)), float(np.sum(m)), f"{rule.name} level 0 (negligible)", tol
     tails = lo_mass[a] + hi_mass[n - 1 - b]
     x_lo, x_hi = rule.nodes(w[[a, b]])[0]
     total = complex(np.sum(g[a : b + 1]))
@@ -314,7 +324,7 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, tol: fl
         # integrand's own accuracy is reported on top of it
         if diff + tails + _EPS * h * size <= tol:
             note = f"{rule.name} level {level} {rule.var} in [{x_lo:.3g}, {x_hi:.3g}]"
-            return value, diff + tails + _ACCURACY * h * size, note
+            return value, diff + tails + _ACCURACY * h * size, note, tol
         if level == _MAX_LEVEL:
             raise NonconvergenceError(value, diff + tails, budget.used)
         level += 1
@@ -376,24 +386,13 @@ def integrate_form(
     unknown exponent at a boundary point (see :func:`_start_floor`).  A
     segment with a start mode takes tanh-sinh, one without it the Gauss
     pair; rays take exp-sinh from their base and arcs between real points
-    sinh-sinh.  The error budget is split evenly between the pieces.
+    sinh-sinh.  With ``tol`` None each piece aims at ``quad_tol`` times its
+    own integral of |phi|, at least 1e-50 of it: the Whittaker tables
+    return W below 1e-60 as zero, and a target relative to what is left
+    would chase that cutoff.  An explicit tol is absolute and split evenly
+    between the pieces.  ``metadata["tol"]`` sums the targets the pieces used.
     """
-    if tol is None:
-        tol = settings.quad_tol
-    budget = _Budget(settings.max_evals if max_evals is None else max_evals)
-    pieces = _compile(path, settings)
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    notes = []
-    try:
-        for i, piece in enumerate(pieces):
-            val, err, note = piece(omega, tol / len(pieces), budget, start_mode if i == 0 else None)
-            total += val
-            total_err += err
-            notes.append(note)
-    except NonconvergenceError as exc:
-        raise NonconvergenceError(total + exc.partial, float("inf"), budget.used) from exc
-    return QuadratureResult(total, total_err, budget.used, {"pieces": notes, "tol": tol})
+    return _integrate(omega, _compile(path, settings), tol, max_evals, start_mode, settings)
 
 
 def integrate_ray(
@@ -408,25 +407,43 @@ def integrate_ray(
     For transforms whose contour starts at a point of the half-plane the
     caller keeps the parametrisation, so the integrand can form its
     differences in exact offset coordinates where base + i t would lose
-    the offset to rounding.  ``start_mode`` is as in :func:`integrate_form`.
+    the offset to rounding.  ``tol`` and ``start_mode`` are as in
+    :func:`integrate_form`.
     """
-    if tol is None:
-        tol = settings.quad_tol
+    ray = lambda phi, target, budget, smode: _ray(phi, target, budget, smode, settings)
+    return _integrate(phi, [ray], tol, max_evals, start_mode, settings)
+
+
+def _integrate(integrand, pieces, tol, max_evals, start_mode, settings: Settings) -> QuadratureResult:
+    """Run the pieces in turn, the start mode on the first, and sum what they return."""
     budget = _Budget(settings.max_evals if max_evals is None else max_evals)
-    val, err, note = _ray(phi, tol, budget, start_mode, settings)
-    return QuadratureResult(val, err, budget.used, {"pieces": [note], "tol": tol})
+    relative = lambda mass: settings.quad_tol * max(mass, 1e-50)
+    target = relative if tol is None else lambda mass: tol / len(pieces)
+    total = 0.0 + 0.0j
+    total_err = total_tol = 0.0
+    notes = []
+    try:
+        for i, piece in enumerate(pieces):
+            val, err, note, piece_tol = piece(integrand, target, budget, start_mode if i == 0 else None)
+            total += val
+            total_err += err
+            total_tol += piece_tol
+            notes.append(note)
+    except NonconvergenceError as exc:
+        raise NonconvergenceError(total + exc.partial, float("inf"), budget.used) from exc
+    return QuadratureResult(total, total_err, budget.used, {"pieces": notes, "tol": total_tol})
 
 
-def _ray(phi, tol, budget, smode, settings):
+def _ray(phi, target, budget, smode, settings):
     """exp-sinh over (0, inf), the far end starting at ``cusp_height``."""
     w_lo = _EXP_SINH.w_of(_start_floor(smode))
     w_far = _EXP_SINH.w_of(max(1.0, settings.cusp_height))
-    val, err, note = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), tol, budget)
-    return val, err, f"ray {note}"
+    val, err, note, tol = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), target, budget)
+    return val, err, f"ray {note}", tol
 
 
 def _compile(path: GeodesicPath, settings: Settings) -> list:
-    """One runner per piece: (omega, tol, budget, start_mode) -> (value, error, note)."""
+    """One runner per piece: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
     if path.kind == "vertical_ray":
         return [_make_ray(*path.points, settings)]
     if path.kind == "arc":
@@ -445,14 +462,14 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
     # regular start would
     w_hi = -_TANH_SINH.w_of(_start_floor(None))
 
-    def run(omega, tol, budget, smode):
+    def run(omega, target, budget, smode):
         phi = _pullback(omega, point)
         if smode is None:
-            val, err = _adaptive(phi, 0.0, 1.0, tol, budget)
-            return val, err, "segment gauss"
+            val, err, tol = _adaptive(phi, 0.0, 1.0, target, budget)
+            return val, err, "segment gauss", tol
         w_lo = _TANH_SINH.w_of(_start_floor(smode))
-        val, err, note = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), tol, budget)
-        return val, err, f"segment {note}"
+        val, err, note, tol = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), target, budget)
+        return val, err, f"segment {note}", tol
 
     return run
 
@@ -460,7 +477,7 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
 def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
     step = 1j * toward
     point = lambda t: (base + step * t, step)
-    return lambda omega, tol, budget, smode: _ray(_pullback(omega, point), tol, budget, smode, settings)
+    return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode, settings)
 
 
 def _make_arc(e1, e2, settings: Settings) -> Callable:
@@ -476,9 +493,9 @@ def _make_arc(e1, e2, settings: Settings) -> Callable:
     if e1 is INFINITY:
         inner = _make_ray(complex(e2), +1, settings)
 
-        def run(omega, tol, budget, smode):
-            val, err, note = inner(omega, tol, budget, smode)
-            return -val, err, note + " reversed"
+        def run(omega, target, budget, smode):
+            val, err, note, tol = inner(omega, target, budget, smode)
+            return -val, err, note + " reversed", tol
 
         return run
     a, b = complex(e1).real, complex(e2).real
@@ -490,9 +507,9 @@ def _make_arc(e1, e2, settings: Settings) -> Callable:
     # ends may move out to |s| = 700, short of the underflow of sech s
     w_start, w_cap = _SINH_SINH.w_of(4.0), _SINH_SINH.w_of(700.0)
 
-    def run(omega, tol, budget, smode):
+    def run(omega, target, budget, smode):
         phi = _pullback(omega, point)
-        val, err, note = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), tol, budget)
-        return sign * val, err, f"arc {note}"
+        val, err, note, tol = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), target, budget)
+        return sign * val, err, f"arc {note}", tol
 
     return run

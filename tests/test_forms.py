@@ -257,7 +257,7 @@ def test_values_do_not_depend_on_the_batch(request, name):
     for method in (form.eval_many, form.raise_many, form.lower_many):
         full = method(zs)
         assert np.array_equal(method(zs[100:146]), full[100:146])
-        # a lone point, as the first probe of a walk or a scale probe sends
+        # a lone point, as a caller evaluating one point sends
         for i in range(100, 146):
             assert np.array_equal(method(zs[i : i + 1]), full[i : i + 1])
 

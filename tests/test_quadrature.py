@@ -202,9 +202,10 @@ def test_arc_rejects_interior_endpoint(ends):
         integrate_form(omega, GeodesicPath.arc(*ends), tol=1e-8)
 
 
-def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
+def _per_interval_adaptive(phi, a, b, target, budget, initial=4):
     """Reference adaptive core: two integrand calls (31 and 15 nodes) per
-    interval, the intervals one at a time."""
+    interval, the intervals one at a time; the tolerance is ``target`` of
+    the initial panels' 31-point integral of |phi|."""
     x15, w15 = _gauss_rule(15)
     x31, w31 = _gauss_rule(31)
 
@@ -212,19 +213,22 @@ def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         budget.spend(46)
-        i31 = half * np.sum(w31 * phi(mid + half * x31))
+        v31 = phi(mid + half * x31)
+        i31 = half * np.sum(w31 * v31)
         i15 = half * np.sum(w15 * phi(mid + half * x15))
-        return complex(i31), abs(i31 - i15)
+        return complex(i31), abs(i31 - i15), float(half * np.sum(w31 * np.abs(v31)))
 
     edges = np.linspace(a, b, initial + 1)
     heap = []
     total = 0.0 + 0.0j
-    total_err = 0.0
+    total_err = mass = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = gauss(lo, hi)
+        val, err, m = gauss(lo, hi)
         total += val
         total_err += err
+        mass += m
         heapq.heappush(heap, (-err, lo, hi, val))
+    tol = target(mass)
     width_floor = 5e-15 * (abs(a) + abs(b) + 1.0)
     while total_err > tol and heap:
         neg_err, lo, hi, val = heapq.heappop(heap)
@@ -232,13 +236,13 @@ def _per_interval_adaptive(phi, a, b, tol, budget, initial=4):
         if err <= tol * 1e-3 or hi - lo < width_floor:
             break
         mid = 0.5 * (lo + hi)
-        v1, e1 = gauss(lo, mid)
-        v2, e2 = gauss(mid, hi)
+        v1, e1, _ = gauss(lo, mid)
+        v2, e2, _ = gauss(mid, hi)
         total += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-    return total, max(total_err, 0.0)
+    return total, max(total_err, 0.0), tol
 
 
 def _oscillating_power(zs):
@@ -269,13 +273,20 @@ _BATCHED_CASES = {
     "log-start ray": lambda delta: integrate_ray(
         lambda t: np.exp(-t) * t ** (-0.5 + 2.0j), tol=1e-10, start_mode=("log",)
     ),
-    # the only case whose path has a plain segment, the one piece kind the
-    # Gauss pair integrates; the other cases check that their pieces do not
-    # depend on it
+    # the two polyline cases are the ones whose path has a plain segment,
+    # the one piece kind the Gauss pair integrates; the other cases check
+    # that their pieces do not depend on it
     "delta polyline": lambda delta: integrate_form(
         eta_integrand(delta, 2.0 + 0.5j),
         GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
         tol=1e-8,
+        start_mode=("exp",),
+    ),
+    # at the default target, from the integral of |phi| the 4 initial
+    # panels see
+    "delta polyline, relative target": lambda delta: integrate_form(
+        eta_integrand(delta, 2.0 + 0.5j),
+        GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
         start_mode=("exp",),
     ),
 }
@@ -289,6 +300,43 @@ def test_batched_refinement_matches_per_interval_reference(delta, monkeypatch, c
     assert got.value == want.value
     assert got.abs_error_estimate == want.abs_error_estimate
     assert got.evaluations == want.evaluations
+
+
+_DECAY_EXPONENT = -0.3 + 2.0j
+_TARGET_CASES = {
+    "exp-sinh ray": lambda c: integrate_ray(
+        lambda t: c * np.exp(-t) * t**_DECAY_EXPONENT, start_mode=("power", _DECAY_EXPONENT)
+    ),
+    "plain segment": lambda c: integrate_form(
+        _pure_dz(lambda zs: c * np.exp(-zs.imag) * zs.imag**_DECAY_EXPONENT), GeodesicPath.polyline([0.5j, 3j])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TARGET_CASES))
+def test_default_target_is_relative_to_the_integrand(case):
+    # with tol None a piece aims at quad_tol times its own integral of
+    # |phi|: scaling the integrand scales the target and nothing else
+    scales = (1e-40, 1.0, 1e40)
+    results = [_TARGET_CASES[case](c) for c in scales]
+    assert len({r.evaluations for r in results}) == 1
+    ratios = [r.abs_error_estimate / abs(r.value) for r in results]
+    assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-9)
+    targets = [r.metadata["tol"] / c for r, c in zip(results, scales)]
+    assert targets == pytest.approx([targets[1]] * 3, rel=1e-9)
+
+
+def test_metadata_reports_the_absolute_target(delta):
+    # the sum of the targets the pieces used: proportional to quad_tol when
+    # relative, the given tol when explicit
+    omega = eta_integrand(delta, 2.0 + 0.5j)
+    path = GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY])
+    tols = [
+        integrate_form(omega, path, start_mode=("exp",), settings=Settings(quad_tol=q)).metadata["tol"]
+        for q in (1e-8, 1e-10)
+    ]
+    assert tols[1] > 0 and tols[0] == pytest.approx(100.0 * tols[1], rel=1e-12)
+    assert integrate_form(omega, path, tol=1e-9, start_mode=("exp",)).metadata["tol"] == pytest.approx(1e-9)
 
 
 def _counting(phi, sizes):
@@ -440,7 +488,7 @@ def test_surrogate_log_start_count_and_accuracy(surrogate, surrogate_two_sided, 
 
 # integrand points and calls of the reference transforms: points pinned
 # about 8 % above their counts when set (107, 137, 93, 120, 102), calls
-# exactly; the scale probe is not a call of the integrand
+# exactly; every point a transform reports is a point of the integrand
 _REFERENCE_COUNTS = {
     "delta P at 1": ("delta", PeriodFunction, 1.0, 115, 2),
     "delta f at 0.2+0.7i": ("delta", NearlyPeriodicFunction, 0.2 + 0.7j, 148, 2),
@@ -455,7 +503,7 @@ def test_reference_transform_counts(request, monkeypatch, transform):
     name, build, zeta, points, calls = _REFERENCE_COUNTS[transform]
     out, sizes = _counted_eval(monkeypatch, build, request.getfixturevalue(name), zeta)
     assert sum(sizes) <= points and len(sizes) <= calls
-    assert out.evaluations == sum(sizes) + (4 if build is PeriodFunction else 3)
+    assert out.evaluations == sum(sizes)
 
 
 def test_start_walk_rejects_a_non_integrable_local_exponent():
@@ -488,9 +536,9 @@ def test_start_walk_passes_over_pre_asymptotic_probes(name):
 
 @pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
 def test_f_far_from_the_axis_meets_its_floor(request, name):
-    # f's target is relative to its probes down to 1e-50 of scale: far out
-    # the tables return W below 1e-60 as zero, and a relative target there
-    # would chase that cutoff
+    # f's target is relative to the integral of |phi| down to 1e-50: far
+    # out the tables return W below 1e-60 as zero, and a relative target
+    # there would chase that cutoff
     f = NearlyPeriodicFunction(request.getfixturevalue(name))
     for zeta in (24j, -24j, 0.3 + 22j, 0.3 - 22j, 40j):
         out = f.eval(zeta)

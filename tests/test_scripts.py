@@ -49,12 +49,13 @@ def test_growth_scan():
 
 def test_golden_period_table():
     lines = _run("golden_period_table.py").splitlines()
-    rows = [line.split() for line in lines[1:8]]
-    assert len(rows) == 7
-    # P = -22 p on every sampled point: the relative differences are tiny
-    assert all(float(row[-1]) < 1e-10 for row in rows)
-    assert "period polynomial coefficients from L-values" in lines[9]
-    assert len(lines) == 10 + 11
+    rows = [line.split() for line in lines[1:12]]
+    assert len(rows) == 11 and rows[-1][0] == "(-4+1j)"
+    # P = -22 p on every sampled point, the far strip included: the
+    # relative differences are tiny
+    assert all(float(row[-1]) <= 1e-10 for row in rows)
+    assert "period polynomial coefficients from L-values" in lines[13]
+    assert len(lines) == 14 + 11
 
 
 def test_run_verify_classical():
