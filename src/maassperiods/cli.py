@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .config import Settings
-from .errors import DomainError
+from .errors import DomainError, NonconvergenceError
 from .forms import delta_coefficients, surrogate_form
 from .multiplier import InvalidWeightError, parse_weight
 from .periods import PeriodFunction, eichler_polynomial, growth_check, period_polynomial
@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pf.add_argument(
         "--grid",
         default="0.25:4:16",
-        help="real grid start:stop:count, with optional ,IM offset",
+        help="real grid start:stop:count, with optional ,IM offset; "
+        "write a negative start as --grid=-3:...",
     )
 
     p_table = sub.add_parser("table", help="emit a derived report", parents=[common])
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args, settings)
         parser.error(f"unknown command {args.command!r}")
-    except (OSError, ValueError, KeyError, InvalidWeightError, DomainError) as exc:
+    except (OSError, ValueError, KeyError, InvalidWeightError, DomainError, NonconvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

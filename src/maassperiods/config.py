@@ -17,7 +17,6 @@ class Settings:
 
     quad_tol: float = 1e-10
     max_evals: int = 2_000_000
-    cusp_height: float = 12.0
     q_terms: int = 50
     growth_exponents: tuple = (3, 10)
 

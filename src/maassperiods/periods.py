@@ -310,12 +310,11 @@ class PeriodFunction:
             path = GeodesicPath.polyline([0.0, 1j * abs(zeta.imag), INFINITY] if split else [0.0, INFINITY])
             note = "imaginary axis"
         else:
-            eps = max(0.25, 0.5 * abs(zeta))
-            if eps <= -zeta.real:
-                eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
+            # the ray runs at least 0.25 left of zeta, where the kernel
+            # branches: tanh-sinh clusters nodes only at a segment's ends
+            eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
             h0 = min(eps, 0.5 * abs(zeta.imag))
-            top = max(1.0, 2.0 * abs(zeta))
-            path = GeodesicPath.polyline([0.0, complex(-eps, h0), complex(-eps, top), INFINITY])
+            path = GeodesicPath.polyline([0.0, complex(-eps, h0), INFINITY])
             note = f"deformed polyline eps={eps:.3g}"
         result = integrate_form(
             eta_integrand(form, zeta, mode="factored"),

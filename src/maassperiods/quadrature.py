@@ -1,33 +1,29 @@
 """Integration of 1-forms along hyperbolic geodesics and polylines.
 
 Paths compile to parametrised pieces: straight segments, vertical rays and
-geodesic arcs in hyperbolic-angle parametrisation.  A piece with an
-infinite or singular end takes one nested double-exponential rule
-(Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput. Appl.
-Math. 127, 2001), the trapezoid rule in w after a map x(w) under which the
-integrand decays double exponentially at both ends: exp-sinh
-t = exp(pi/2 sinh w) on a ray over (0, inf), sinh-sinh
+geodesic arcs in hyperbolic-angle parametrisation.  Every piece takes one
+nested double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974; Mori &
+Sugihara, J. Comput. Appl. Math. 127, 2001), the trapezoid rule in w after
+a map x(w) under which the integrand decays double exponentially at both
+ends: exp-sinh t = exp(pi/2 sinh w) on a ray over (0, inf), sinh-sinh
 s = sinh(pi/2 sinh w) on an arc between real points, tanh-sinh
-t = 1 / (1 + exp(-pi sinh w)) on a segment that starts at a boundary point.
+t = 1 / (1 + exp(-pi sinh w)) on a segment.
 
 Level 0 is one call, at step 1/16 over a range whose start the endpoint
 mode sets (:func:`_start_floor`) and whose far end moves out from
-t = ``cusp_height`` (|s| = 4 on an arc) as the integrand's decay requires
+t = ``_CUSP_HEIGHT`` (|s| = 4 on an arc) as the integrand's decay requires
 (:func:`_extended`); its every other node gives the step-1/8 sum.  The
 level-0 terms fix the truncation, and each further level is one call on
 the new midpoints.  The reported error is the last level difference, plus
 the truncated tails, plus ``_ACCURACY`` times the integral of |phi| for the
 integrand's own accuracy.  An end that cannot be truncated below the
 target raises NonconvergenceError: a truncation never passes silently.
-Plain segments take an embedded Gauss pair (15/31 nodes), bisecting the
-worst interval: 4 panels in one call, then one call per bisection.
 Each piece's target is ``quad_tol`` times the integral of |phi| its first
 call sees; an explicit ``tol`` is absolute, split evenly between pieces.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -37,7 +33,6 @@ import numpy as np
 from .config import DEFAULTS, Settings
 from .errors import DivergentIntegralError, DomainError, NonconvergenceError
 from .modgroup import INFINITY, GroupElement, moebius
-from .specfun import _gauss_rule
 
 __all__ = [
     "GeodesicPath",
@@ -101,7 +96,7 @@ def geodesic_image(path: GeodesicPath, g: GroupElement) -> GeodesicPath:
 
 
 # ---------------------------------------------------------------------------
-# evaluation budget and the adaptive core
+# evaluation budget
 
 
 class _Budget:
@@ -115,67 +110,11 @@ class _Budget:
             raise NonconvergenceError(0.0, float("inf"), self.used)
 
 
-def _adaptive(phi, a: float, b: float, target, budget: _Budget):
-    """Integrate phi over [a, b], bisecting the interval of largest error.
-
-    Each interval gets the embedded 15/31-point Gauss pair, and ``phi``
-    sees the nodes of several intervals in one call: 4 initial panels at
-    once, then both halves of each bisection together (92 points).  The
-    tolerance is ``target(mass)``, mass the initial panels' integral of |phi|.
-    Raises NonconvergenceError, with the partial value and its error, when
-    the total error still exceeds tol but the worst interval has reached
-    the width floor or an error below tol * 1e-3.  Returns (value, error, tol).
-    """
-    x15, w15 = _gauss_rule(15)
-    x31, w31 = _gauss_rule(31)
-    nodes = np.concatenate([x31, x15])
-
-    def gauss(lo, hi):
-        """(integral, error estimate, int |phi|) on each [lo[i], hi[i]], from one call to phi."""
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        budget.spend(half.size * nodes.size)
-        vals = phi((mid[:, None] + half[:, None] * nodes).ravel())
-        out = []
-        for h, v in zip(half, np.reshape(vals, (half.size, nodes.size))):
-            i31 = h * np.sum(w31 * v[:31])
-            i15 = h * np.sum(w15 * v[31:])
-            out.append((complex(i31), abs(i31 - i15), float(h * np.sum(w31 * np.abs(v[:31])))))
-        return out
-
-    edges = np.linspace(a, b, 5)
-    los, his = edges[:-1], edges[1:]
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = mass = 0.0
-    for lo, hi, (val, err, m) in zip(los, his, gauss(los, his)):
-        total += val
-        total_err += err
-        mass += m
-        heapq.heappush(heap, (-err, lo, hi, val))
-    tol = target(mass)
-    width_floor = 5e-15 * (abs(a) + abs(b) + 1.0)
-    while total_err > tol:
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        err = -neg_err
-        if err <= tol * 1e-3 or hi - lo < width_floor:
-            raise NonconvergenceError(total, total_err, budget.used)
-        try:
-            mid = 0.5 * (lo + hi)
-            (v1, e1, _), (v2, e2, _) = gauss(np.array([lo, mid]), np.array([mid, hi]))
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(total, total_err, budget.used) from exc
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-    return total, max(total_err, 0.0), tol
-
-
 # ---------------------------------------------------------------------------
 # the double-exponential core
 
 _H0 = 0.0625  # level-0 step in w
+_CUSP_HEIGHT = 12.0  # where level 0 of a ray first ends
 _MAX_LEVEL = 9
 # relative accuracy of the integrands' own evaluation (Delta's reduction and
 # q-series, the surrogate's Whittaker tables), as a share of int |phi|
@@ -383,16 +322,16 @@ def integrate_form(
     sets where level 0 starts there: ``("power", alpha)`` for an integrable
     |t|^alpha endpoint (Re alpha <= -1 raises DivergentIntegralError),
     ``("exp",)`` for cusp decay e^(-c/t), ``("log",)`` for a power law of
-    unknown exponent at a boundary point (see :func:`_start_floor`).  A
-    segment with a start mode takes tanh-sinh, one without it the Gauss
-    pair; rays take exp-sinh from their base and arcs between real points
-    sinh-sinh.  With ``tol`` None each piece aims at ``quad_tol`` times its
-    own integral of |phi|, at least 1e-50 of it: the Whittaker tables
-    return W below 1e-60 as zero, and a target relative to what is left
-    would chase that cutoff.  An explicit tol is absolute and split evenly
-    between the pieces.  ``metadata["tol"]`` sums the targets the pieces used.
+    unknown exponent at a boundary point (see :func:`_start_floor`).
+    Segments take tanh-sinh, rays exp-sinh from their base and arcs
+    between real points sinh-sinh.  With ``tol`` None each piece aims at
+    ``quad_tol`` times its own integral of |phi|, at least 1e-50 of it: the
+    Whittaker tables return W below 1e-60 as zero, and a target relative to
+    what is left would chase that cutoff.  An explicit tol is absolute and
+    split evenly between the pieces.  ``metadata["tol"]`` sums the targets
+    the pieces used.
     """
-    return _integrate(omega, _compile(path, settings), tol, max_evals, start_mode, settings)
+    return _integrate(omega, _compile(path), tol, max_evals, start_mode, settings)
 
 
 def integrate_ray(
@@ -410,8 +349,7 @@ def integrate_ray(
     the offset to rounding.  ``tol`` and ``start_mode`` are as in
     :func:`integrate_form`.
     """
-    ray = lambda phi, target, budget, smode: _ray(phi, target, budget, smode, settings)
-    return _integrate(phi, [ray], tol, max_evals, start_mode, settings)
+    return _integrate(phi, [_ray], tol, max_evals, start_mode, settings)
 
 
 def _integrate(integrand, pieces, tol, max_evals, start_mode, settings: Settings) -> QuadratureResult:
@@ -434,23 +372,23 @@ def _integrate(integrand, pieces, tol, max_evals, start_mode, settings: Settings
     return QuadratureResult(total, total_err, budget.used, {"pieces": notes, "tol": total_tol})
 
 
-def _ray(phi, target, budget, smode, settings):
-    """exp-sinh over (0, inf), the far end starting at ``cusp_height``."""
+def _ray(phi, target, budget, smode):
+    """exp-sinh over (0, inf), the far end starting at ``_CUSP_HEIGHT``."""
     w_lo = _EXP_SINH.w_of(_start_floor(smode))
-    w_far = _EXP_SINH.w_of(max(1.0, settings.cusp_height))
+    w_far = _EXP_SINH.w_of(_CUSP_HEIGHT)
     val, err, note, tol = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), target, budget)
     return val, err, f"ray {note}", tol
 
 
-def _compile(path: GeodesicPath, settings: Settings) -> list:
+def _compile(path: GeodesicPath) -> list:
     """One runner per piece: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
     if path.kind == "vertical_ray":
-        return [_make_ray(*path.points, settings)]
+        return [_make_ray(*path.points)]
     if path.kind == "arc":
-        return [_make_arc(*path.points, settings)]
+        return [_make_arc(*path.points)]
     pts = path.points
     return [
-        _make_ray(complex(p), +1, settings) if q is INFINITY else _make_segment(complex(p), complex(q))
+        _make_ray(complex(p), +1) if q is INFINITY else _make_segment(complex(p), complex(q))
         for p, q in zip(pts[:-1], pts[1:])
     ]
 
@@ -464,9 +402,6 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
 
     def run(omega, target, budget, smode):
         phi = _pullback(omega, point)
-        if smode is None:
-            val, err, tol = _adaptive(phi, 0.0, 1.0, target, budget)
-            return val, err, "segment gauss", tol
         w_lo = _TANH_SINH.w_of(_start_floor(smode))
         val, err, note, tol = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), target, budget)
         return val, err, f"segment {note}", tol
@@ -474,13 +409,13 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
     return run
 
 
-def _make_ray(base: complex, toward: int, settings: Settings) -> Callable:
+def _make_ray(base: complex, toward: int) -> Callable:
     step = 1j * toward
     point = lambda t: (base + step * t, step)
-    return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode, settings)
+    return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode)
 
 
-def _make_arc(e1, e2, settings: Settings) -> Callable:
+def _make_arc(e1, e2) -> Callable:
     if any(e is not INFINITY and complex(e).imag != 0.0 for e in (e1, e2)):
         raise DomainError(
             "arc endpoints must be real or INFINITY; a transform from an "
@@ -489,9 +424,9 @@ def _make_arc(e1, e2, settings: Settings) -> Callable:
     if e1 is INFINITY and e2 is INFINITY:
         raise DomainError("a geodesic needs a finite endpoint")
     if e2 is INFINITY:
-        return _make_ray(complex(e1), +1, settings)
+        return _make_ray(complex(e1), +1)
     if e1 is INFINITY:
-        inner = _make_ray(complex(e2), +1, settings)
+        inner = _make_ray(complex(e2), +1)
 
         def run(omega, target, budget, smode):
             val, err, note, tol = inner(omega, target, budget, smode)

@@ -105,6 +105,14 @@ def test_cli_bad_config_exits_2(capsys, tmp_path):
     assert main(["--config", str(tmp_path / "missing.json"), "verify", "--suite", "branch"]) == 2
 
 
+def test_cli_nonconvergence_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_evals": 100}))
+    argv = ["--config", str(config), "period-function", "--weight", "1/2", "--nu", "0.35i", "--grid=-3:-1:3,1e-6"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: quadrature did not converge")
+
+
 def test_cli_unknown_suite_exits_2():
     assert main(["verify", "--suite", "nonsense"]) == 2
 

@@ -238,10 +238,22 @@ def test_routes_meet_at_the_imaginary_axis(request, settings, name, y):
     assert abs(left.value - across) <= bound
 
 
-@pytest.mark.parametrize("zeta", [0.0010707 + 1.4213754j, 1e-4 + 0.3j, 0.03 + 1.4j, 0.3 - 1.4j])
+@pytest.mark.parametrize(
+    "zeta",
+    [
+        0.0010707 + 1.4213754j,
+        1e-4 + 0.3j,
+        0.03 + 1.4j,
+        0.3 - 1.4j,
+        -0.2492 + 0.3055j,
+        -0.2499 - 0.45j,
+        -0.2495 + 0.499j,
+    ],
+)
 def test_surrogate_P_near_the_axis(surrogate, settings, zeta):
-    # the kernel branches at zeta, just right of the axis: the value must
-    # match a contour that keeps its distance, at a bounded cost
+    # the kernel branches at zeta, just right of the axis or just left of
+    # where the left contour once ran: the value must match a contour that
+    # keeps its distance, at a bounded cost
     out = PeriodFunction(surrogate, settings).eval(zeta)
     bent = integrate_form(
         eta_integrand(surrogate, zeta, mode="factored"),
