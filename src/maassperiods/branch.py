@@ -1,10 +1,11 @@
 """Principal-branch complex arithmetic.
 
-Every power taken anywhere in this package routes through these helpers so
-that the branch convention is fixed in exactly one place: arguments lie in
-(-pi, pi], and the argument of a negative real is +pi.  Platform ``atan2``
-returns -pi for inputs with a negative-zero imaginary part, which is why
-``principal_arg`` special-cases the cut instead of trusting ``cmath``.
+Every power taken anywhere in this package follows the convention fixed
+here: arguments lie in (-pi, pi], and the argument of a negative real is
++pi.  Platform ``atan2`` returns -pi for inputs with a negative-zero
+imaginary part, which is why ``principal_arg`` special-cases the cut
+instead of trusting ``cmath``.  The R-kernel takes numpy's complex log of
+differences it has checked are off the cut, where the conventions agree.
 
 Membership tests against the cut are exact sign tests (``im == 0 and
 re < 0``), never epsilon tests: points within roundoff of the cut are legal
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -28,9 +27,6 @@ __all__ = [
     "factorizable",
     "in_cut_plane",
     "on_cut",
-    "arg_array",
-    "pow_array",
-    "sqrt_array",
 ]
 
 
@@ -106,23 +102,3 @@ def factorizable(z: complex, w: complex) -> bool:
         if p.imag == 0.0 and p.real > 0.0:
             return True
     return False
-
-
-# Vectorised twins, used by the kernel and quadrature internals.  They share
-# the scalar convention bit for bit (negative reals get +pi).
-
-
-def arg_array(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    a = np.arctan2(z.imag, z.real)
-    return np.where((z.imag == 0.0) & (z.real < 0.0), np.pi, a)
-
-
-def pow_array(z: np.ndarray, s: complex) -> np.ndarray:
-    """Elementwise principal power with a scalar exponent; no zeros allowed."""
-    z = np.asarray(z, dtype=complex)
-    return np.exp(complex(s) * (np.log(np.abs(z)) + 1j * arg_array(z)))
-
-
-def sqrt_array(z: np.ndarray) -> np.ndarray:
-    return pow_array(z, 0.5)

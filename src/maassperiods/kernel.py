@@ -6,23 +6,29 @@ The kernel
                         * (|Im z| / ((zeta - z)(zeta - conj z)))^{(1/2) - nu}
 
 is defined whenever neither difference lies on (-inf, 0]; all roots and
-powers are principal.  Two evaluation modes are provided:
+powers are principal.  With La, Lb the principal logs of a = zeta - z and
+b = zeta - conj z, and s = 1/2 - nu, it is one exponential,
 
-* ``combined`` is the displayed formula, with the second factor's power
-  taken of the combined quotient.  This is the reference form used by the
-  kernel-level identity checks.
+    R_{k,nu}(z, zeta) = exp(-(k/2)(La - Lb) - s (La + Lb) + s log|Im z| + 2 pi i s m),
 
-* ``factored`` replaces the combined power by
-  |Im z|^{1/2-nu} (zeta-z)^{nu-1/2} (zeta-conj z)^{nu-1/2}.  The two modes
-  agree whenever arg(zeta-z) + arg(zeta-conj z) lies in (-pi, pi] - in
-  particular on every contour used for points with Re zeta > 0 - but only
-  the factored form stays real-analytic in z across the vertical line
-  through zeta, which is what the deformed contours for the holomorphic
-  extension to the cut plane require.
+as (arg a - arg b)/2 lies in (-pi, pi).  The two modes differ only in m:
+
+* ``combined`` is the displayed formula, the reference form of the
+  kernel-level identity checks: m = +1 if arg a + arg b >= pi, -1 if it is
+  < -pi, else 0, which wraps the combined quotient's argument.
+
+* ``factored`` (m = 0) replaces the combined power by
+  |Im z|^{1/2-nu} (zeta-z)^{nu-1/2} (zeta-conj z)^{nu-1/2}.  The modes agree
+  whenever arg a + arg b lies in [-pi, pi) - in particular on every contour
+  used for points with Re zeta > 0 - but only the factored form stays
+  real-analytic in z across the vertical line through zeta, which is what
+  the deformed contours for the holomorphic extension to the cut plane
+  require.
 
 Applying a Maass operator to the kernel shifts its first index by 2
-(``kernel_eigen_apply``); this is exact, and the transform integrands in
-``periods`` build on it instead of differencing.
+(``kernel_eigen_apply``), exactly; as k enters only through -(k/2)(La - Lb),
+R_{k-2j} = R_k (a/b)^j for integer j, so the transform integrands in
+``periods`` evaluate one kernel per call and never difference.
 
 ``eta_form`` evaluates the Maass-Selberg 1-form of two callables at a
 point through ``maass_raise``/``maass_lower``: exact for a ``MaassForm``,
@@ -36,11 +42,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branch import arg_array, pow_array
+from .branch import in_cut_plane, principal_arg, principal_pow
 from .errors import DomainError, RDomainError
 from .forms import maass_lower, maass_raise
 from .modgroup import GroupElement, moebius, mu
-from .branch import principal_arg, principal_pow, in_cut_plane
 
 __all__ = [
     "RKernel",
@@ -100,12 +105,14 @@ class RKernel:
             raise RDomainError("zeta-zbar", complex(b[bad_b][0]))
         if np.any(y == 0.0):
             raise DomainError("kernel evaluation requires Im z != 0")
-        ratio = pow_array(np.sqrt(np.abs(a) / np.abs(b)) *
-                          np.exp(0.5j * (arg_array(a) - arg_array(b))), -self.k)
+        # neither difference is on the cut, so numpy's principal log is ours
+        la, lb = np.log(a), np.log(b)
         s = 0.5 - self.nu
+        exponent = s * np.log(y) - (0.5 * self.k + s) * la + (0.5 * self.k - s) * lb
         if self.mode == "combined":
-            return ratio * pow_array(y / (a * b), s)
-        return ratio * np.exp(s * np.log(y)) * pow_array(a, -s) * pow_array(b, -s)
+            theta = la.imag + lb.imag
+            exponent += (2j * np.pi * s) * ((theta >= np.pi).astype(float) - (theta < -np.pi))
+        return np.exp(exponent)
 
 
 def kernel_eigen_apply(kernel: RKernel, sign: int, weight: float) -> tuple:

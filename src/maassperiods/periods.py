@@ -47,7 +47,7 @@ from .errors import (
 )
 from .forms import MaassForm
 from .kernel import RKernel, kernel_eigen_apply
-from .modgroup import INFINITY, S
+from .modgroup import INFINITY
 from .multiplier import MultiplierSystem
 from .quadrature import GeodesicPath, integrate_form, integrate_ray
 
@@ -123,26 +123,29 @@ class PeriodEvaluation:
 
 def _pairing(form: MaassForm, ladder: int, mode: str = "combined"):
     """The Maass-Selberg pairing of R = R_{-k,nu}(., zeta) with u, as
-    ``pair(zs, y, kernel_at) -> (A, B)``.
+    ``pair(zs, y, kernel_at, quotient) -> (A, B)``.
 
     ``ladder`` -1 is eta_{-k}(R, u), with the kernel raised; +1 is
-    eta_k(u, R), with the form raised.  ``kernel_at`` evaluates an RKernel
-    at the contour's points, so each contour supplies its own exact
-    differences.  A factor that vanishes identically - a zero kernel
-    coefficient, or E^- u of the embedding - is skipped without evaluating
-    its kernel.
+    eta_k(u, R), with the form raised.  Each contour supplies its own exact
+    differences: ``kernel_at`` evaluates an RKernel at its points, and
+    ``quotient`` = (zeta - z)/(zeta - conj z) there turns that one kernel into
+    the operator's, R_{-k-2 ladder} = R quotient^ladder.  A factor that
+    vanishes identically - a zero kernel coefficient, or E^- u of the
+    embedding - is skipped.
     """
     kernel = RKernel(-form.k, form.nu, mode)
-    coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
+    coefficient, _ = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_op_vanishes = ladder < 0 and form.is_embedding
 
-    def pair(zs, y, kernel_at):
+    def pair(zs, y, kernel_at, quotient):
         u, op_u = form.eval_ladder_many(zs, ladder)
+        r = kernel_at(kernel) / y
         zero = np.zeros(np.shape(y), dtype=complex)
         # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y: each slot
         # pairs one side's operator with the other side's values
-        kernel_op = zero if coefficient == 0 else coefficient * kernel_at(shifted) * u / y
-        form_op = zero if form_op_vanishes else kernel_at(kernel) * op_u / y
+        shifted = r * quotient if ladder > 0 else r / quotient
+        kernel_op = zero if coefficient == 0 else coefficient * shifted * u
+        form_op = zero if form_op_vanishes else r * op_u
         return (kernel_op, -form_op) if ladder < 0 else (form_op, -kernel_op)
 
     return pair
@@ -155,7 +158,7 @@ def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, mode: str = 
 
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
-        return pair(zs, zs.imag, lambda kernel: kernel.eval_many(zs, zeta))
+        return pair(zs, zs.imag, lambda kernel: kernel.eval_many(zs, zeta), (zeta - zs) / (zeta - np.conj(zs)))
 
     return omega
 
@@ -168,7 +171,8 @@ def ray_integrand(form: MaassForm, zeta: complex, base: complex, ladder: int):
 
     def phi(ts):
         ts = np.asarray(ts, dtype=float)
-        a, b = pair(base + 1j * ts, base.imag + ts, lambda kernel: kernel.eval_ray(base, ts, zeta))
+        quotient = ((zeta - base) - 1j * ts) / ((zeta - base.conjugate()) + 1j * ts)
+        a, b = pair(base + 1j * ts, base.imag + ts, lambda kernel: kernel.eval_ray(base, ts, zeta), quotient)
         return 1j * a - 1j * b
 
     return phi
@@ -196,7 +200,8 @@ def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
         dz = r * np.sinh(d * ts) * scale - 2j * r * np.sinh(0.5 * (s + s0)) * np.sinh(0.5 * d * ts) * scale
         y = r * sech
         vel = d * r * sech * (sech - 1j * np.tanh(s))
-        a, b = pair(zeta + dz, y, lambda kernel: kernel._from_pieces(-dz, two_im - np.conj(dz), y))
+        diffs = (-dz, two_im - np.conj(dz))
+        a, b = pair(zeta + dz, y, lambda kernel: kernel._from_pieces(*diffs, y), diffs[0] / diffs[1])
         return a * vel + b * np.conj(vel)
 
     return phi
@@ -344,7 +349,7 @@ class PeriodFunction:
 def _inversion_factor(multiplier, nu, zeta: complex) -> complex:
     """v(S)^{-1} zeta^{2 nu - 1}, the weight of the value at S zeta = -1/zeta
     in both directions of the bridge."""
-    v_s = multiplier.evaluate(S) if isinstance(multiplier, MultiplierSystem) else complex(multiplier)
+    v_s = multiplier.v_s if isinstance(multiplier, MultiplierSystem) else complex(multiplier)
     return principal_pow(zeta, 2 * complex(nu) - 1) / v_s
 
 

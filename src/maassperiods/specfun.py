@@ -232,6 +232,10 @@ class WhittakerTable:
     derivative of the same series.  Beyond ``t_max`` W is below 1e-60 and is
     returned as exactly zero; t below ``t_min``, NaN, zero and negative t
     included, raises :class:`DomainError`.
+
+    For mu real or purely imaginary W is real (DLMF 13.14.31 and
+    conjugation): the table keeps real coefficients, and lookups their dtype;
+    an imaginary part to drop above ``TAIL_TOL`` of a panel's largest raises.
     """
 
     DEGREE = 14
@@ -261,12 +265,17 @@ class WhittakerTable:
         vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
         # degree-major, so a lookup gathers one contiguous row per degree
         self.coeffs = self._FIT @ vals.T
-        tail = np.abs(self.coeffs[-1]) / np.max(np.abs(self.coeffs), axis=0)
-        if not np.all(tail <= self.TAIL_TOL):
+        real = complex(mu).real == 0.0 or complex(mu).imag == 0.0
+        # the last coefficient and, where W is real, the imaginary part to drop
+        noise = np.maximum(np.abs(self.coeffs[-1]), real * np.max(np.abs(self.coeffs.imag), axis=0))
+        noise /= np.max(np.abs(self.coeffs), axis=0)
+        if not np.all(noise <= self.TAIL_TOL):
             raise UnsupportedParameterError(
-                f"a degree-{self.DEGREE} Chebyshev table does not resolve W_{{{kappa}, {mu}}}: "
-                f"a panel's last coefficient is {np.max(tail):.1e} of its largest"
+                f"a degree-{self.DEGREE} Chebyshev table does not resolve W_{{{kappa}, {mu}}}: a panel's "
+                f"last coefficient or dropped imaginary part is {np.max(noise):.1e} of its largest"
             )
+        if real:
+            self.coeffs = np.ascontiguousarray(self.coeffs.real)
 
     def __call__(self, t) -> np.ndarray:
         return self._lookup(t, False)[0]
@@ -285,7 +294,8 @@ class WhittakerTable:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all(ts >= self.t_min):  # NaN, zero and negative t fail too
             raise DomainError(f"table lookup requires t >= {self.t_min}, got {ts.min()}")
-        outs = [np.zeros(ts.shape, dtype=complex) for _ in range(1 + log_derivative)]
+        c = self.coeffs
+        outs = [np.zeros(ts.shape, dtype=c.dtype) for _ in range(1 + log_derivative)]
         s = np.log(ts)
         inside = s <= self.s_hi
         idx = np.searchsorted(self.edges, s[inside], side="right") - 1
@@ -297,8 +307,7 @@ class WhittakerTable:
         # degree is gathered at a time, so no (points x degree) copy is made.
         # d1, d2 are the x-derivatives of b1, b2:
         # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
-        c = self.coeffs
-        b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=complex)  # rebound, never written
+        b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=c.dtype)  # rebound, never written
         two_x = 2.0 * x
         for j in range(self.DEGREE, 0, -1):
             if log_derivative:

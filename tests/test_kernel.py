@@ -2,12 +2,14 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from maassperiods import periods
 from maassperiods.branch import principal_arg, principal_pow
 from maassperiods.errors import DomainError, RDomainError
-from maassperiods.forms import maass_laplacian_fd, maass_lower, maass_raise
+from maassperiods.forms import maass_laplacian_fd, maass_lower, maass_raise, surrogate_form, two_sided_surrogate
 from maassperiods.kernel import (
     OneFormSample,
     RKernel,
@@ -16,7 +18,7 @@ from maassperiods.kernel import (
     r_transform_check,
 )
 from maassperiods.modgroup import S, T, moebius
-from maassperiods.periods import eta_integrand
+from maassperiods.periods import arc_ray_integrand, eta_integrand, ray_integrand
 
 
 def test_weight_zero_closed_form():
@@ -96,6 +98,95 @@ def test_factored_mode_is_continuous_across_the_vertical_ray():
     assert abs(left - right) <= 1e-6 * abs(right)
     left_c, right_c = kc.eval(z, -1e-9 + 2j), kc.eval(z, 1e-9 + 2j)
     assert abs(left_c - right_c) > 0.1 * abs(right_c)
+
+
+def _oracle(kernel, z, zeta):
+    """The module docstring's displayed formula in 30-digit mpmath, with the
+    second factor combined or factored by mode; mpmath's powers are principal."""
+    with mpmath.workdps(30):
+        z, zeta = mpmath.mpc(z), mpmath.mpc(zeta)
+        a, b = zeta - z, zeta - mpmath.conj(z)
+        y, s = abs(mpmath.im(z)), 0.5 - mpmath.mpc(kernel.nu)
+        ratio = (mpmath.sqrt(a) / mpmath.sqrt(b)) ** (-kernel.k)
+        if kernel.mode == "combined":
+            return complex(ratio * (y / (a * b)) ** s)
+        return complex(ratio * y**s * a ** (-s) * b ** (-s))
+
+
+def _oracle_pairs():
+    """48 seeded (z, zeta): z on both half-planes; half of them with zeta left
+    of z and |Im zeta| > |Im z|, where arg(zeta - z) + arg(zeta - conj z)
+    leaves [-pi, pi) and the two modes differ."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    for n in range(48):
+        z = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 2))
+        if n % 2:
+            zeta = complex(z.real - rng.uniform(0.01, 2), rng.choice([-1, 1]) * (abs(z.imag) + rng.uniform(0.01, 2)))
+        else:
+            zeta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        pairs.append((z, zeta))
+    # the points of test_factored_mode_is_continuous_across_the_vertical_ray
+    return pairs + [(1j, -1e-9 + 2j), (1j, 1e-9 + 2j)]
+
+
+@pytest.mark.parametrize("k,nu", [(0.5, 0.31j), (-0.5, 0.35j), (-1.5, 0.2), (2.5, 0.1 + 0.2j)])
+def test_kernel_against_mpmath(k, nu):
+    pairs = _oracle_pairs()
+    wraps = [cmath.phase(zeta - z) + cmath.phase(zeta - z.conjugate()) for z, zeta in pairs]
+    assert sum(not -math.pi <= w < math.pi for w in wraps) >= 20
+    assert {z.imag > 0 for z, _ in pairs} == {True, False}
+    for mode in ("combined", "factored"):
+        kernel = RKernel(k, nu, mode)
+        for z, zeta in pairs:
+            want = _oracle(kernel, z, zeta)
+            assert abs(kernel.eval(z, zeta) - want) <= 1e-13 * abs(want), (mode, z, zeta)
+
+
+def _two_kernel_pairing(form, ladder, mode="combined"):
+    """The pairing as it was written before the shared slot: the operator's
+    kernel R_{-k-2 ladder} evaluated on its own, beside R_{-k}."""
+    kernel = RKernel(-form.k, form.nu, mode)
+    coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
+
+    def pair(zs, y, kernel_at, quotient):
+        u, op_u = form.eval_ladder_many(zs, ladder)
+        kernel_op = coefficient * kernel_at(shifted) * u / y
+        form_op = kernel_at(kernel) * op_u / y
+        return (kernel_op, -form_op) if ladder < 0 else (form_op, -kernel_op)
+
+    return pair
+
+
+SLOT_FORMS = {
+    "1/2": lambda: surrogate_form("1/2", 0.35j),
+    "1/2 two-sided": lambda: two_sided_surrogate("1/2", 0.35j),
+    "3/2": lambda: surrogate_form("3/2", 0.2),
+}
+
+
+@pytest.mark.parametrize("name", SLOT_FORMS)
+def test_shared_kernel_slot(name, monkeypatch):
+    # each integrand against itself built on the two-kernel pairing;
+    # arc_ray_integrand raises the kernel (ladder -1) only
+    form = SLOT_FORMS[name]()
+    zs = np.array([0.3 + 0.9j, -0.7 + 0.4j, 1.6 + 2.2j, -1.1 + 0.05j])
+    ts = np.geomspace(1e-6, 4.0, 9)
+    cases = []
+    for zeta in (0.4 + 0.9j, 2.5 - 0.3j, -0.6 + 1.3j, -1.2 - 0.7j):
+        base = zeta if zeta.imag > 0 else zeta.conjugate()
+        for ladder in (-1, +1):
+            for mode in ("combined", "factored"):
+                cases.append((lambda z=zeta, l=ladder, m=mode: eta_integrand(form, z, l, m), zs))
+            cases.append((lambda z=zeta, b=base, l=ladder: ray_integrand(form, z, b, l), ts))
+        if zeta.imag > 0:
+            for endpoint in (0.0, 1.0):
+                cases.append((lambda z=zeta, e=endpoint: arc_ray_integrand(form, z, e), ts))
+    fused = [build() for build, _ in cases]
+    monkeypatch.setattr(periods, "_pairing", _two_kernel_pairing)
+    for (build, args), integrand in zip(cases, fused):
+        got, want = np.asarray(integrand(args)), np.asarray(build()(args))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (got, want)
 
 
 def test_eigen_apply_validates_weight():

@@ -5,7 +5,7 @@ import pytest
 
 from maassperiods.branch import principal_pow
 from maassperiods.errors import InvalidMultiplierError, InvalidWeightError
-from maassperiods.modgroup import T_PRIME, GeneratorWord
+from maassperiods.modgroup import S, T_PRIME, GeneratorWord
 from maassperiods.multiplier import (
     MultiplierSystem,
     construct_eta_power,
@@ -46,6 +46,17 @@ def test_eta_power_s_value_against_eta_quotient():
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_minus_one_and_s_squared(weight, holds):
     holds(f"multiplier.minus-one[k={weight}]", f"multiplier.s-squared[k={weight}]")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [lambda: construct_eta_power(w) for w in ("1/2", "3/2", "5/2", "-1/2")] + [lambda: construct_trivial(12)],
+)
+def test_s_evaluates_to_its_generator_value(system):
+    # the one-letter word S folds with a cocycle phase of exactly 1, which
+    # lets the f <-> P bridge read v(S) directly
+    v = system()
+    assert v.evaluate(S) == v.v_s
 
 
 def test_minus_one_via_explicit_word():

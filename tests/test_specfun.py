@@ -206,6 +206,38 @@ def test_whittaker_table_log_derivative_against_mpmath(kappa, mu):
             assert abs(got - ref) <= 1e-12 * max(abs(ref), abs(ref_w)), t
 
 
+@pytest.mark.parametrize(
+    "kappa,mu,dtype",
+    [(0.25, 0.35j, float), (-0.25, 0.35j, float), (0.25, 0.2, float), (0.25, 2j, float),
+     (0.25, 0, float), (-0.75, 0.2 + 0.3j, complex)],
+)
+def test_whittaker_table_is_real_where_w_is(kappa, mu, dtype):
+    # W_{kappa,mu} is real for real kappa and mu real or purely imaginary
+    table = WhittakerTable(kappa, mu)
+    assert table.coeffs.dtype == dtype
+    ts = np.geomspace(1e-3, 300.0, 20)
+    w, t_dw = table.with_log_derivative(ts)
+    assert w.dtype == t_dw.dtype == dtype
+    assert np.array_equal(w, table(ts))
+
+
+def test_whittaker_table_rejects_an_imaginary_part_it_would_drop(monkeypatch):
+    # a relative imaginary part of 1e-10 on the table's one outer call; the
+    # calls whittaker_w makes itself are left alone
+    original, depth = specfun.whittaker_w, [0]
+
+    def tilted(params, y):
+        depth[0] += 1
+        try:
+            return original(params, y) * (1 + 1e-10j if depth[0] == 1 else 1)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(specfun, "whittaker_w", tilted)
+    with pytest.raises(UnsupportedParameterError, match="part is 1.0e-10 of its largest"):
+        WhittakerTable(0.25, 0.35j)
+
+
 def test_whittaker_table_below_range_raises():
     table = WhittakerTable(0.25, 0.35j)
     with pytest.raises(DomainError):
