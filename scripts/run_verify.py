@@ -10,7 +10,6 @@ import argparse
 import sys
 import time
 
-from maassperiods.config import Settings
 from maassperiods.verify import SUITES, run_suite
 
 
@@ -18,12 +17,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
-    parser.add_argument("--q-terms", type=int, default=50)
     args = parser.parse_args()
 
-    settings = Settings(q_terms=args.q_terms)
     started = time.perf_counter()
-    report = run_suite(args.suite, settings, seed=args.seed)
+    report = run_suite(args.suite, seed=args.seed)
     unexpected = report.unexpected_failures
     for entry in sorted(report.entries, key=lambda e: e.identity):
         tag = "ok   " if entry.passed else "FAIL " if entry.identity in unexpected else "known"

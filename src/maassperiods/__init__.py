@@ -1,7 +1,7 @@
 """Integral transforms from Maass cusp forms of half-integral weight to
 nearly periodic functions and period functions, with verification suites."""
 
-from .branch import CutPlanePoint, factorizable, principal_arg, principal_pow
+from .branch import factorizable, principal_arg, principal_pow
 from .config import Settings
 from .forms import (
     ConjugateForm,
@@ -38,7 +38,6 @@ from .specfun import WhittakerParams, bessel_k, gamma_complex, whittaker_w
 __all__ = [
     "BijectionConstants",
     "ConjugateForm",
-    "CutPlanePoint",
     "GeodesicPath",
     "GroupElement",
     "INFINITY",

@@ -15,15 +15,12 @@ inputs and must not be snapped onto it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = [
-    "CutPlanePoint",
     "principal_arg",
     "principal_pow",
-    "principal_sqrt",
     "factorizable",
     "in_cut_plane",
     "on_cut",
@@ -39,17 +36,6 @@ def on_cut(z: complex) -> bool:
 def in_cut_plane(z: complex) -> bool:
     """Membership in C' = C \\ (-inf, 0]."""
     return not on_cut(z)
-
-
-@dataclass(frozen=True)
-class CutPlanePoint:
-    """A point of the cut plane C' = C \\ (-inf, 0]."""
-
-    value: complex
-
-    def __post_init__(self):
-        if on_cut(self.value):
-            raise DomainError(f"{self.value} lies on the cut (-inf, 0]")
 
 
 def principal_arg(z: complex) -> float:
@@ -78,11 +64,6 @@ def principal_pow(z: complex, s: complex) -> complex:
 def _cexp(w: complex) -> complex:
     r = math.exp(w.real)
     return complex(r * math.cos(w.imag), r * math.sin(w.imag))
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal square root consistent with ``principal_arg``."""
-    return principal_pow(z, 0.5)
 
 
 def factorizable(z: complex, w: complex) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import Settings
 from .errors import DomainError, NonconvergenceError
-from .forms import delta_coefficients, surrogate_form
+from .forms import DELTA_TERMS, delta_coefficients, surrogate_form
 from .multiplier import InvalidWeightError, parse_weight
 from .periods import PeriodFunction, eichler_polynomial, growth_check, period_polynomial
 from .verify import EXPECTED_FAILURES, SUITES, run_suite
@@ -106,7 +106,7 @@ def _cmd_verify(args, settings: Settings) -> int:
 def _cmd_period_poly(args, settings: Settings) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    coeffs = (0,) + delta_coefficients(settings.q_terms)
+    coeffs = (0,) + delta_coefficients(DELTA_TERMS)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["zeta", "re_p", "im_p"])
@@ -154,7 +154,7 @@ def _cmd_period_function(args, settings: Settings) -> int:
 
 def _cmd_table(args, settings: Settings) -> int:
     form = surrogate_form(parse_weight(args.weight), _parse_nu(args.nu))
-    report = growth_check(PeriodFunction(form, settings), settings)
+    report = growth_check(PeriodFunction(form, settings))
     payload = {
         "what": "growth",
         "weight": str(args.weight),

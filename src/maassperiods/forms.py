@@ -73,6 +73,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # discriminant-form coefficients
 
+# how many q-coefficients of Delta every caller takes; the series cutoff of
+# :func:`_horner_rows` keeps the first 10 of them at reduced points
+DELTA_TERMS = 50
+
 
 @lru_cache(maxsize=8)
 def delta_coefficients(n_terms: int) -> tuple:
@@ -139,7 +143,12 @@ def reduce_many(zs: np.ndarray) -> tuple:
 
 
 def reduce_to_fundamental_domain(z: complex) -> tuple:
-    """Return (w, g) with w = g z, |Re w| <= 1/2 and |w| >= 1 (up to roundoff)."""
+    """Return (w, g) with w = g z, |Re w| <= 1/2 and |w| >= 1 (up to roundoff).
+
+    Nothing in the library calls this scalar form any more; it stays only
+    because the benchmark's tracer (``perfbench/tracer.py``) binds it by
+    name, and goes when that tracer wraps :func:`reduce_many` instead.
+    """
     w, g = reduce_many(np.array([complex(z)]))
     return complex(w[0]), GroupElement(*(int(e) for e in g[0]))
 
@@ -255,7 +264,6 @@ class MaassForm:
         self.k = float(self.weight)
         self.multiplier = multiplier
         self.nu = complex(nu)
-        self.eigenvalue = 0.25 - self.nu * self.nu
         self.backend = backend
         if truncation is None:
             truncation = len(backend.coefficients)
@@ -264,8 +272,6 @@ class MaassForm:
         self._tables = None
 
     def _validate(self):
-        if abs(self.eigenvalue - (0.25 - self.nu**2)) > 1e-14:
-            raise ValueError("stored eigenvalue disagrees with nu")
         if isinstance(self.backend, HolomorphicEmbedding):
             if self.weight.denominator != 1 or self.weight <= 0 or self.weight % 2 != 0:
                 raise InvalidWeightError(
@@ -302,12 +308,6 @@ class MaassForm:
             return 2.0 * math.pi * min(1.0 + self.kappa0, 1.0 - self.kappa0)
         return 2.0 * math.pi * (1.0 + self.kappa0)
 
-    @property
-    def cusp_profile(self) -> str:
-        """Decay type at finite boundary points: full automorphy gives
-        exponential decay at every cusp, the surrogate only a power law."""
-        return "exponential" if self.is_embedding else "power"
-
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, z: complex) -> complex:
@@ -317,12 +317,7 @@ class MaassForm:
         return self.eval(z)
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if np.any(zs.imag <= 0):
-            raise DomainError("Maass form evaluation requires Im z > 0")
-        if self.is_embedding:
-            return self._embedding_op(zs, -1)[0]
-        return self._surrogate_eval(zs)
+        return self.eval_ladder_many(zs, -1)[0]
 
     def raise_many(self, zs: np.ndarray) -> np.ndarray:
         """E^+_k u, termwise exact: the q-series derivative for the
@@ -336,10 +331,12 @@ class MaassForm:
     def eval_ladder_many(self, zs: np.ndarray, sign: int) -> tuple:
         """(u, E^+_k u) for sign +1, (u, E^-_k u) for sign -1, from one pass.
 
-        u equals ``eval_many`` bit for bit: the embedding takes both arrays
-        from one q-expansion (E^- u is zero), and the surrogate takes W and
-        t W'(t) from one lookup per Whittaker index.
+        The embedding takes both arrays from one q-expansion (E^- u is
+        zero), and the surrogate takes W and t W'(t) from one lookup per
+        Whittaker index.  Any other sign raises ValueError.
         """
+        if sign not in (1, -1):
+            raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
         zs = np.asarray(zs, dtype=complex)
         if np.any(zs.imag <= 0):
             raise DomainError("Maass form evaluation requires Im z > 0")
@@ -386,9 +383,9 @@ class MaassForm:
             self._tables = (coeffs, freqs, kappas, tables)
         return self._tables
 
-    def _surrogate_radial(self, y: np.ndarray, log_derivative: bool = False) -> np.ndarray:
+    def _surrogate_radial(self, y: np.ndarray) -> np.ndarray:
         """W(4 pi |freq| y), one row per Fourier term, stacked on a leading
-        axis with t W'(t) at the same arguments when ``log_derivative``.
+        axis with t W'(t) at the same arguments.
 
         All terms sharing a Whittaker index go through their table in one
         lookup of the flattened (terms x points) argument matrix, so a
@@ -396,23 +393,13 @@ class MaassForm:
         lookup is element-wise, so the grouping does not change any value.
         """
         coeffs, freqs, kappas, tables = self._spectral_data()
-        rows = np.empty((1 + log_derivative, len(coeffs), y.size), dtype=complex)
+        rows = np.empty((2, len(coeffs), y.size), dtype=complex)
         for kap, table in tables.items():
             group = kappas == kap
             args = 4.0 * math.pi * np.abs(freqs[group])[:, None] * y[None, :]
-            flat = args.ravel()
-            got = table.with_log_derivative(flat) if log_derivative else (table(flat),)
-            for row, values in zip(rows, got):
+            for row, values in zip(rows, table.with_log_derivative(args.ravel())):
                 row[group] = values.reshape(args.shape)
         return rows
-
-    def _surrogate_eval(self, zs: np.ndarray) -> np.ndarray:
-        flat = zs.ravel()
-        x, y = flat.real, flat.imag
-        coeffs, freqs, _, _ = self._spectral_data()
-        rows = self._surrogate_radial(y)[0]
-        waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
-        return _term_sum(coeffs[:, None] * rows * waves).reshape(zs.shape)
 
     def _surrogate_op(self, zs: np.ndarray, sign: int) -> tuple:
         """(u, E^{+-}_k u) = (u, +-2iy u_x + 2y u_y +- k u), termwise exact.
@@ -420,14 +407,13 @@ class MaassForm:
         Each term c W(t) e(lambda x), t = 4 pi |lambda| y, has
         y d/dy = c t W'(t) e(lambda x), so one table lookup per Whittaker
         index gives both W and t W' (the table's own Chebyshev derivative).
-        Every sum runs over terms in term order, and u equals
-        ``_surrogate_eval`` bit for bit.
+        Every sum runs over terms in term order.
         """
         flat = zs.ravel()
         x, y = flat.real, flat.imag
         coeffs, freqs, _, _ = self._spectral_data()
         waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
-        rows, slopes = self._surrogate_radial(y, log_derivative=True)
+        rows, slopes = self._surrogate_radial(y)
         terms = coeffs[:, None] * rows * waves
         value = _term_sum(terms)
         dx = _term_sum(terms * (2j * math.pi * freqs[:, None]))
@@ -572,7 +558,7 @@ def dslash(f: Callable, nu: complex, v, g: GroupElement) -> Callable:
 # convenience constructors and JSON i/o
 
 
-def delta_form(n_terms: int = 50) -> MaassForm:
+def delta_form(n_terms: int = DELTA_TERMS) -> MaassForm:
     """The weight-12 discriminant form embedded as a Maass form, nu = 11/2."""
     return MaassForm(
         weight=12,
@@ -582,8 +568,8 @@ def delta_form(n_terms: int = 50) -> MaassForm:
     )
 
 
-def boundary_balanced_coefficients(nu: complex, kappa0: float, count: int = 6) -> tuple:
-    """Coefficients whose y^{1/2-nu} boundary tail cancels.
+def boundary_balanced_coefficients(nu: complex, kappa0: float) -> tuple:
+    """Six coefficients whose y^{1/2-nu} boundary tail cancels.
 
     Each Whittaker term behaves like c+ t^{1/2+nu} + c- t^{1/2-nu} as the
     argument drops to zero; along the transform contours the c- parts sum
@@ -593,8 +579,8 @@ def boundary_balanced_coefficients(nu: complex, kappa0: float, count: int = 6) -
     the last coefficient from sum a_n (n + kappa0)^{1/2-nu} = 0 restores
     the bounded behaviour the growth bounds assume.
     """
-    base = [(1.0 + 0.4j * ((-1) ** n)) / (n * n) for n in range(1, count)]
-    weights = [principal_pow(n + kappa0, 0.5 - complex(nu)) for n in range(1, count + 1)]
+    base = [(1.0 + 0.4j * ((-1) ** n)) / (n * n) for n in range(1, 6)]
+    weights = [principal_pow(n + kappa0, 0.5 - complex(nu)) for n in range(1, 7)]
     last = -sum(a * w for a, w in zip(base, weights[:-1])) / weights[-1]
     return tuple(base) + (last,)
 

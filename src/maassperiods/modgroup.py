@@ -24,6 +24,7 @@ __all__ = [
     "mu",
     "decompose",
     "has_nonnegative_entries",
+    "token_matrix",
 ]
 
 
@@ -125,10 +126,9 @@ class GeneratorWord:
     """A word in S and T, with T-runs stored as (generator, power) tokens.
 
     ``tokens`` is a tuple of pairs ``("S", 1)`` or ``("T", m)`` with m a
-    nonzero integer; expanding each T-run into |m| letters T or T^-1 gives
-    the letter sequence.  Runs are what keep the word length logarithmic in
-    the matrix entries (a bare translation T^m would otherwise need m
-    letters).
+    nonzero integer, the run of |m| factors T or T^-1.  Runs are what keep
+    the word length logarithmic in the matrix entries (a bare translation
+    T^m would otherwise need m factors).
     """
 
     tokens: tuple
@@ -139,30 +139,16 @@ class GeneratorWord:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def letters(self) -> list:
-        """Expanded letter list over the alphabet {S, T, T^-1}."""
-        out = []
-        for gen, power in self.tokens:
-            if gen == "S":
-                out.extend(["S"] * power)
-            else:
-                out.extend(["T" if power > 0 else "T^-1"] * abs(power))
-        return out
-
     def matrix(self) -> GroupElement:
         m = IDENTITY
         for gen, power in self.tokens:
-            m = m * _token_matrix(gen, power)
+            m = m * token_matrix(gen, power)
         return m
 
 
-def _token_matrix(gen: str, power: int) -> GroupElement:
-    if gen == "S":
-        m = IDENTITY
-        for _ in range(power):
-            m = m * S
-        return m
-    return GroupElement(1, power, 0, 1)
+def token_matrix(gen: str, power: int) -> GroupElement:
+    """The matrix of one word token: S for ``("S", 1)``, T^m for ``("T", m)``."""
+    return S if gen == "S" else GroupElement(1, power, 0, 1)
 
 
 def _round_half_down(p: int, q: int) -> int:

@@ -16,21 +16,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .branch import principal_arg
 from .errors import InvalidMultiplierError, InvalidWeightError
 from .modgroup import (
     MINUS_ONE,
-    S,
-    T,
     GeneratorWord,
     GroupElement,
     IDENTITY,
     decompose,
     moebius,
     mu,
+    token_matrix,
 )
 
 __all__ = ["MultiplierSystem", "construct_eta_power", "construct_trivial", "parse_weight"]
@@ -59,12 +58,10 @@ class MultiplierSystem:
     v_t: complex
     v_s: complex
     kind: str = "custom"
-    _skip_check: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weight", parse_weight(self.weight))
-        if not self._skip_check:
-            self._consistency_check()
+        self._consistency_check()
 
     @property
     def k(self) -> float:
@@ -92,7 +89,7 @@ class MultiplierSystem:
         value = 1.0 + 0.0j
         # fold right to left so each step prepends one token
         for gen, power in reversed(tuple(word)):
-            left = _token_element(gen, power)
+            left = token_matrix(gen, power)
             v_left = self._generator_value(gen, power)
             value = v_left * value * self._cocycle_phase(left, m, base_point)
             m = left * m
@@ -148,12 +145,6 @@ class MultiplierSystem:
         for value, name in ((self.v_t, "v(T)"), (self.v_s, "v(S)")):
             if abs(abs(value) - 1.0) > tol:
                 raise InvalidMultiplierError(f"{name} = {value} is not unimodular")
-
-
-def _token_element(gen: str, power: int) -> GroupElement:
-    if gen == "S":
-        return S
-    return GroupElement(1, power, 0, 1)
 
 
 def construct_eta_power(weight) -> MultiplierSystem:

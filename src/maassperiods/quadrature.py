@@ -66,8 +66,9 @@ class GeodesicPath:
     points: tuple
 
     @classmethod
-    def vertical_ray(cls, base: complex, toward: int = +1) -> "GeodesicPath":
-        return cls("vertical_ray", (complex(base), int(toward)))
+    def vertical_ray(cls, base: complex) -> "GeodesicPath":
+        """The upward ray from ``base`` to :data:`INFINITY`."""
+        return cls("vertical_ray", (complex(base), INFINITY))
 
     @classmethod
     def arc(cls, e1, e2) -> "GeodesicPath":
@@ -83,15 +84,9 @@ class GeodesicPath:
 
 def geodesic_image(path: GeodesicPath, g: GroupElement) -> GeodesicPath:
     """The image geodesic under a fractional linear map (rays and arcs only)."""
-    if path.kind == "vertical_ray":
-        base, toward = path.points
-        if toward < 0:
-            raise DomainError("images of downward rays are not needed on H")
-        e1, e2 = base, INFINITY
-    elif path.kind == "arc":
-        e1, e2 = path.points
-    else:
+    if path.kind == "polyline":
         raise DomainError("polylines are not geodesics; map their vertices instead")
+    e1, e2 = path.points
     return GeodesicPath.arc(moebius(g, e1), moebius(g, e2))
 
 
@@ -311,7 +306,6 @@ def integrate_form(
     omega,
     path: GeodesicPath,
     tol: float | None = None,
-    max_evals: int | None = None,
     start_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
@@ -329,15 +323,15 @@ def integrate_form(
     Whittaker tables return W below 1e-60 as zero, and a target relative to
     what is left would chase that cutoff.  An explicit tol is absolute and
     split evenly between the pieces.  ``metadata["tol"]`` sums the targets
-    the pieces used.
+    the pieces used.  ``settings.max_evals`` caps the evaluations of the
+    whole path.
     """
-    return _integrate(omega, _compile(path), tol, max_evals, start_mode, settings)
+    return _integrate(omega, _compile(path), tol, start_mode, settings)
 
 
 def integrate_ray(
     phi,
     tol: float | None = None,
-    max_evals: int | None = None,
     start_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
@@ -349,12 +343,12 @@ def integrate_ray(
     the offset to rounding.  ``tol`` and ``start_mode`` are as in
     :func:`integrate_form`.
     """
-    return _integrate(phi, [_ray], tol, max_evals, start_mode, settings)
+    return _integrate(phi, [_ray], tol, start_mode, settings)
 
 
-def _integrate(integrand, pieces, tol, max_evals, start_mode, settings: Settings) -> QuadratureResult:
+def _integrate(integrand, pieces, tol, start_mode, settings: Settings) -> QuadratureResult:
     """Run the pieces in turn, the start mode on the first, and sum what they return."""
-    budget = _Budget(settings.max_evals if max_evals is None else max_evals)
+    budget = _Budget(settings.max_evals)
     relative = lambda mass: settings.quad_tol * max(mass, 1e-50)
     target = relative if tol is None else lambda mass: tol / len(pieces)
     total = 0.0 + 0.0j
@@ -383,12 +377,12 @@ def _ray(phi, target, budget, smode):
 def _compile(path: GeodesicPath) -> list:
     """One runner per piece: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
     if path.kind == "vertical_ray":
-        return [_make_ray(*path.points)]
+        return [_make_ray(path.points[0])]
     if path.kind == "arc":
         return [_make_arc(*path.points)]
     pts = path.points
     return [
-        _make_ray(complex(p), +1) if q is INFINITY else _make_segment(complex(p), complex(q))
+        _make_ray(complex(p)) if q is INFINITY else _make_segment(complex(p), complex(q))
         for p, q in zip(pts[:-1], pts[1:])
     ]
 
@@ -409,9 +403,8 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
     return run
 
 
-def _make_ray(base: complex, toward: int) -> Callable:
-    step = 1j * toward
-    point = lambda t: (base + step * t, step)
+def _make_ray(base: complex) -> Callable:
+    point = lambda t: (base + 1j * t, 1j)
     return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode)
 
 
@@ -424,9 +417,9 @@ def _make_arc(e1, e2) -> Callable:
     if e1 is INFINITY and e2 is INFINITY:
         raise DomainError("a geodesic needs a finite endpoint")
     if e2 is INFINITY:
-        return _make_ray(complex(e1), +1)
+        return _make_ray(complex(e1))
     if e1 is INFINITY:
-        inner = _make_ray(complex(e2), +1)
+        inner = _make_ray(complex(e2))
 
         def run(omega, target, budget, smode):
             val, err, note, tol = inner(omega, target, budget, smode)

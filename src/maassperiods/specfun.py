@@ -228,10 +228,10 @@ class WhittakerTable:
     of the largest, by degree 11-13): a higher degree only fits noise and
     lengthens every lookup's Clenshaw loop.  A pair the degree does not
     resolve raises :class:`UnsupportedParameterError`.  Lookups are
-    vectorised, and :meth:`with_log_derivative` also returns t W'(t) from the
-    derivative of the same series.  Beyond ``t_max`` W is below 1e-60 and is
-    returned as exactly zero; t below ``t_min``, NaN, zero and negative t
-    included, raises :class:`DomainError`.
+    vectorised, and every lookup also forms t W'(t) from the derivative of
+    the same series (:meth:`with_log_derivative` returns it).  Beyond
+    ``T_MAX`` W is below 1e-60 and is returned as exactly zero; t below
+    ``T_MIN``, NaN, zero and negative t included, raises :class:`DomainError`.
 
     For mu real or purely imaginary W is real (DLMF 13.14.31 and
     conjugation): the table keeps real coefficients, and lookups their dtype;
@@ -245,19 +245,21 @@ class WhittakerTable:
     _FIT = np.linalg.inv(np.cos(np.arange(DEGREE + 1) * np.arccos(_NODES)[:, None]))
     # last over largest coefficient of a panel: <= 40 eps on the pairs in use, 3e6 at mu = 5i
     TAIL_TOL = 1024 * np.finfo(float).eps
+    T_MIN = 1e-40
+    T_MAX = 320.0
+    # log-spaced panel edges, about one unit of log t wide
+    _S_LO, _S_HI = math.log(T_MIN), math.log(T_MAX)
+    _EDGES = np.linspace(_S_LO, _S_HI, int(math.ceil(_S_HI - _S_LO)) + 1)
 
-    def __init__(self, kappa: float, mu: complex, t_min: float = 1e-40, t_max: float = 320.0):
+    def __init__(self, kappa: float, mu: complex):
         self.params = WhittakerParams(kappa, mu)
         self.kappa = float(kappa)
-        self.t_min = t_min
-        s_lo, self.s_hi = math.log(t_min), math.log(t_max)
-        self.edges = np.linspace(s_lo, self.s_hi, int(math.ceil(self.s_hi - s_lo)) + 1)
         # nodes as the lookup maps them back, s = mid + half x; the end nodes
         # x = 1 and x = -1 are the shared edges, each evaluated once
-        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        mid = 0.5 * (self._EDGES[1:] + self._EDGES[:-1])
+        half = 0.5 * (self._EDGES[1:] - self._EDGES[:-1])
         inner = np.exp(mid[:, None] + half[:, None] * self._NODES[1:-1])
-        t_edges = np.exp(self.edges)
+        t_edges = np.exp(self._EDGES)
         w = np.asarray(whittaker_w(self.params, np.concatenate([inner.ravel(), t_edges])))
         w_edges = w[inner.size :]
         vals = np.column_stack([w_edges[1:], w[: inner.size].reshape(inner.shape), w_edges[:-1]])
@@ -278,7 +280,7 @@ class WhittakerTable:
             self.coeffs = np.ascontiguousarray(self.coeffs.real)
 
     def __call__(self, t) -> np.ndarray:
-        return self._lookup(t, False)[0]
+        return self._lookup(t)[0]
 
     def with_log_derivative(self, t) -> tuple:
         """(W(t), t W'(t)) from one lookup; W equals ``__call__`` bit for bit.
@@ -288,20 +290,20 @@ class WhittakerTable:
         from the derivative of the Clenshaw recurrence, run beside it on the
         same coefficients.
         """
-        return self._lookup(t, True)
+        return self._lookup(t)
 
-    def _lookup(self, t, log_derivative: bool) -> tuple:
+    def _lookup(self, t) -> tuple:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all(ts >= self.t_min):  # NaN, zero and negative t fail too
-            raise DomainError(f"table lookup requires t >= {self.t_min}, got {ts.min()}")
+        if not np.all(ts >= self.T_MIN):  # NaN, zero and negative t fail too
+            raise DomainError(f"table lookup requires t >= {self.T_MIN}, got {ts.min()}")
         c = self.coeffs
-        outs = [np.zeros(ts.shape, dtype=c.dtype) for _ in range(1 + log_derivative)]
+        outs = np.zeros((2,) + ts.shape, dtype=c.dtype)
         s = np.log(ts)
-        inside = s <= self.s_hi
-        idx = np.searchsorted(self.edges, s[inside], side="right") - 1
-        idx = np.clip(idx, 0, len(self.edges) - 2)
-        lo = self.edges[idx]
-        hi = self.edges[idx + 1]
+        inside = s <= self._S_HI
+        idx = np.searchsorted(self._EDGES, s[inside], side="right") - 1
+        idx = np.clip(idx, 0, len(self._EDGES) - 2)
+        lo = self._EDGES[idx]
+        hi = self._EDGES[idx + 1]
         x = (2.0 * s[inside] - (hi + lo)) / (hi - lo)
         # Clenshaw with per-point coefficients, vectorised over points; one
         # degree is gathered at a time, so no (points x degree) copy is made.
@@ -310,15 +312,13 @@ class WhittakerTable:
         b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=c.dtype)  # rebound, never written
         two_x = 2.0 * x
         for j in range(self.DEGREE, 0, -1):
-            if log_derivative:
-                d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
+            d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
             b1, b2 = c[j][idx] + two_x * b1 - b2, b1
         vals = c[0][idx] + x * b1 - b2
         t_in = ts[inside]
         decay = np.exp(-t_in / 2.0)
         power = t_in**self.kappa
+        slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
         outs[0][inside] = vals * decay * power
-        if log_derivative:
-            slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
-            outs[1][inside] = (slope + (self.kappa - t_in / 2.0) * vals) * decay * power
+        outs[1][inside] = (slope + (self.kappa - t_in / 2.0) * vals) * decay * power
         return tuple(out if np.ndim(t) else out.reshape(())[()] for out in outs)

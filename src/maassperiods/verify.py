@@ -31,6 +31,7 @@ from .config import DEFAULTS, Settings
 from .errors import DegenerateBijectionError
 from .forms import (
     MaassForm,
+    DELTA_TERMS,
     delta_coefficients,
     delta_form,
     dslash,
@@ -150,12 +151,12 @@ class Context:
 
     @cached_property
     def delta(self) -> MaassForm:
-        return delta_form(self.settings.q_terms)
+        return delta_form()
 
     @cached_property
     def delta_coefficients(self) -> tuple:
         """Delta's q-coefficients from q^0, as the classical transforms take them."""
-        return (0,) + delta_coefficients(self.settings.q_terms)
+        return (0,) + delta_coefficients(DELTA_TERMS)
 
     @cached_property
     def surrogate(self) -> MaassForm:
@@ -235,15 +236,15 @@ def _suite_of(ident: str) -> str:
 
 
 def _words(rng, count, max_len=12, bound=math.inf):
-    """``count`` random words of 1..max_len letters S or T^n (|n| <= 3)
+    """``count`` random words of 1..max_len factors S or T^n (|n| <= 3)
     whose entries stay within ``bound``."""
     out = []
     while len(out) < count:
         lengths = rng.integers(1, max_len + 1, count).tolist()
-        # a letter is the shift n of T^n, or 4 for S
+        # a factor is the shift n of T^n, or 4 for S
         is_s = rng.random((count, max_len)) < 0.5
-        letters = np.where(is_s, 4, rng.integers(-3, 4, (count, max_len))).tolist()
-        for n, word in zip(lengths, letters):
+        factors = np.where(is_s, 4, rng.integers(-3, 4, (count, max_len))).tolist()
+        for n, word in zip(lengths, factors):
             a, b, c, d = 1, 0, 0, 1
             for t in word[:n]:
                 a, b, c, d = (b, -a, d, -c) if t == 4 else (a, a * t + b, c, c * t + d)
@@ -722,7 +723,7 @@ def _(ctx, rng):
 
 @identity("quad.exponential-ray", "int of e^{2 pi i z} dz up the ray from i", 1e-11)
 def _(ctx, rng):
-    ray = GeodesicPath.vertical_ray(1j, +1)
+    ray = GeodesicPath.vertical_ray(1j)
     got = integrate_form(_exp_form, ray, tol=1e-15, settings=ctx.settings)
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
     return 1, abs(got.value - want) / abs(want)
@@ -731,7 +732,7 @@ def _(ctx, rng):
 def _axis_integral(ctx):
     """Delta's pairing at zeta = 3 on the axis: (omega, the absolute target it met, value)."""
     omega = eta_integrand(ctx.delta, 3.0)
-    axis = GeodesicPath.vertical_ray(0.0, +1)
+    axis = GeodesicPath.vertical_ray(0.0)
     result = integrate_form(omega, axis, start_mode=("exp",), settings=ctx.settings)
     return omega, result.metadata["tol"], result.value
 
@@ -794,7 +795,7 @@ def _(ctx, rng):
     0.0,
 )
 def _(ctx, rng):
-    ray = GeodesicPath.vertical_ray(1j, +1)
+    ray = GeodesicPath.vertical_ray(1j)
     loose = integrate_form(_exp_form, ray, tol=1e-8, settings=ctx.settings)
     tight = integrate_form(_exp_form, ray, tol=5e-9, settings=ctx.settings)
     return 2, 0.0 if abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-15) else 1.0
@@ -806,7 +807,7 @@ def _(ctx, rng):
     0.0,
 )
 def _(ctx, rng):
-    axis = GeodesicPath.vertical_ray(0.0, +1)
+    axis = GeodesicPath.vertical_ray(0.0)
     ok_t = geodesic_image(axis, T.inverse()).points == (-1.0, INFINITY)
     ok_tp = geodesic_image(axis, T_PRIME.inverse()).points == (0.0, -1.0)
     img = geodesic_image(axis, S.inverse())
@@ -981,7 +982,7 @@ def _(ctx, rng):
     delta = ctx.delta
     worst = 0.0
     for g in (T, T_PRIME):
-        img = geodesic_image(GeodesicPath.vertical_ray(0.0, +1), g.inverse())
+        img = geodesic_image(GeodesicPath.vertical_ray(0.0), g.inverse())
         for zeta in (0.5, 1.0, 2.0):
             lhs = dslash(ctx.p_delta, delta.nu, delta.multiplier, g)(zeta)
             omega = eta_integrand(delta, zeta)
@@ -996,7 +997,7 @@ def _(ctx, rng):
     1e-8,
 )
 def _(ctx, rng):
-    axis, s = GeodesicPath.vertical_ray(0.0, +1), ctx.settings
+    axis, s = GeodesicPath.vertical_ray(0.0), ctx.settings
     i_r, i_u = (
         integrate_form(eta_integrand(ctx.delta, 3.0, ladder), axis, tol=None, start_mode=("exp",), settings=s).value
         for ladder in (-1, +1)
@@ -1020,8 +1021,8 @@ def _(ctx, rng):
     0.0,
 )
 def _(ctx, rng):
-    report_d = growth_check(ctx.p_delta, ctx.settings)
-    report_s = growth_check(ctx.p_surrogate, ctx.settings)
+    report_d = growth_check(ctx.p_delta)
+    report_s = growth_check(ctx.p_surrogate)
     off = abs(report_d.slope_at_infinity - 10.0)
     worst = max(
         off if off > 0.1 else 0.0,

@@ -62,15 +62,14 @@ def rng():
 
 @pytest.fixture
 def table_lookups(monkeypatch):
-    """The index of every Whittaker table lookup made while the test runs,
-    through either lookup entry point."""
+    """The index of every Whittaker table lookup made while the test runs;
+    both entry points go through ``_lookup``."""
     calls = []
-    for name in ("__call__", "with_log_derivative"):
-        lookup = getattr(WhittakerTable, name)
+    lookup = WhittakerTable._lookup
 
-        def counting(table, t, lookup=lookup):
-            calls.append(table.kappa)
-            return lookup(table, t)
+    def counting(table, t):
+        calls.append(table.kappa)
+        return lookup(table, t)
 
-        monkeypatch.setattr(WhittakerTable, name, counting)
+    monkeypatch.setattr(WhittakerTable, "_lookup", counting)
     return calls

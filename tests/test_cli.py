@@ -92,7 +92,7 @@ def test_cli_table_growth(capsys):
 
 def test_cli_config_file(capsys, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"quad_tol": 1e-9, "q_terms": 30}))
+    config.write_text(json.dumps({"quad_tol": 1e-9, "max_evals": 100_000}))
     code = main(["--config", str(config), "verify", "--suite", "branch"])
     assert code == 0
     capsys.readouterr()
@@ -103,6 +103,36 @@ def test_cli_bad_config_exits_2(capsys, tmp_path):
     config.write_text(json.dumps({"nonsense": 1}))
     assert main(["--config", str(config), "verify", "--suite", "branch"]) == 2
     assert main(["--config", str(tmp_path / "missing.json"), "verify", "--suite", "branch"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("5", "JSON object"),
+        ('["quad_tol"]', "JSON object"),
+        ('{"quad_tol": "abc"}', "quad_tol"),
+        ('{"quad_tol": -1}', "quad_tol"),
+        ('{"quad_tol": 0}', "quad_tol"),
+        ('{"quad_tol": 1}', "quad_tol"),
+        ('{"quad_tol": NaN}', "quad_tol"),
+        ('{"quad_tol": Infinity}', "quad_tol"),
+        ('{"quad_tol": true}', "quad_tol"),
+        ('{"max_evals": "100"}', "max_evals"),
+        ('{"max_evals": 0}', "max_evals"),
+        ('{"max_evals": 100.0}', "max_evals"),
+        ('{"max_evals": true}', "max_evals"),
+        # former keys: Delta's term count and the growth fit are fixed
+        ('{"q_terms": 30}', "q_terms"),
+        ('{"growth_exponents": [3, 10]}', "growth_exponents"),
+    ],
+)
+def test_cli_malformed_config_exits_2(text, named, tmp_path, capsys):
+    # exit 1 would read as "an identity failed"; a bad file is a usage error
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["--config", str(config), "verify", "--suite", "branch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_cli_nonconvergence_exits_2(capsys, tmp_path):
@@ -127,7 +157,7 @@ def test_cli_unresolved_whittaker_index_exits_2(capsys):
 
 
 def test_settings_roundtrip(tmp_path):
-    s = Settings(quad_tol=1e-9, q_terms=30)
+    s = Settings(quad_tol=1e-9, max_evals=100_000)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(s.to_json()))
     back = Settings.from_json(path)

@@ -247,6 +247,15 @@ def test_eval_ladder_is_value_and_operator(request, name, n):
         assert np.array_equal(e, operator_many(zs))
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize("name", ["delta", "surrogate"])
+def test_eval_ladder_rejects_other_signs(request, name, sign):
+    # E^+ and E^- are the only operators of the ladder pass
+    form = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match="ladder sign"):
+        form.eval_ladder_many(np.array([0.3 + 1.1j]), sign)
+
+
 @pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided"])
 def test_values_do_not_depend_on_the_batch(request, name):
     # quadrature batches many intervals into one integrand call, which

@@ -54,8 +54,8 @@ def test_decompose_examples():
     assert word.tokens == (("S", 1), ("S", 1)) and sign == 1
     word, sign = decompose(T.inverse() * S)
     assert sign == 1 and word.matrix() == T.inverse() * S
-    # letters expansion covers the T^-1 alphabet
-    assert "T^-1" in word.letters()
+    # a negative T-run stands for the letter T^-1
+    assert ("T", -1) in word.tokens
 
 
 words = st.lists(

@@ -120,7 +120,7 @@ def _classical_integral(coefficients, k, zeta, base, settings):
         u = (series[0] * mu ** (-k)).reshape(zs.shape)
         return (zeta - zs) ** (k - 2) * u, np.zeros(zs.shape, dtype=complex)
 
-    ray = GeodesicPath.vertical_ray(base, +1)
+    ray = GeodesicPath.vertical_ray(base)
     return integrate_form(omega, ray, settings=dataclasses.replace(settings, quad_tol=1e-13)).value
 
 

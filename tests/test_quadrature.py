@@ -43,7 +43,7 @@ def test_log_segment():
 
 def test_exponential_ray():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
-    got = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-15)
+    got = integrate_form(omega, GeodesicPath.vertical_ray(1j), tol=1e-15)
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
     assert abs(got.value - want) <= 1e-11 * abs(want)
     assert got.abs_error_estimate < 1e-12
@@ -112,7 +112,7 @@ def test_divergent_exponent_rejected():
 def test_nonconvergence_carries_partial():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
     with pytest.raises(NonconvergenceError) as excinfo:
-        integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-30, max_evals=500)
+        integrate_form(omega, GeodesicPath.vertical_ray(1j), tol=1e-30, settings=Settings(max_evals=500))
     assert excinfo.value.evaluations > 500
 
 
@@ -134,15 +134,15 @@ def test_far_walk_cap_raises():
 
 def test_error_estimate_dominates_refinement():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
-    loose = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=1e-8)
-    tight = integrate_form(omega, GeodesicPath.vertical_ray(1j, +1), tol=5e-9)
+    loose = integrate_form(omega, GeodesicPath.vertical_ray(1j), tol=1e-8)
+    tight = integrate_form(omega, GeodesicPath.vertical_ray(1j), tol=5e-9)
     assert abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-15)
 
 
 def test_closed_form_path_independence(delta):
     omega = eta_integrand(delta, 3.0)
     straight = integrate_form(
-        omega, GeodesicPath.vertical_ray(0.0, +1), tol=1e-6, start_mode=("exp",)
+        omega, GeodesicPath.vertical_ray(0.0), tol=1e-6, start_mode=("exp",)
     )
     bent = integrate_form(
         omega,
@@ -156,7 +156,7 @@ def test_closed_form_path_independence(delta):
 def test_three_path_split(delta):
     omega = eta_integrand(delta, 2.0)
     axis = integrate_form(
-        omega, GeodesicPath.vertical_ray(0.0, +1), tol=1e-6, start_mode=("exp",)
+        omega, GeodesicPath.vertical_ray(0.0), tol=1e-6, start_mode=("exp",)
     ).value
     shifted = integrate_form(
         omega, GeodesicPath.arc(-1.0, INFINITY), tol=1e-6, start_mode=("exp",)
@@ -166,7 +166,7 @@ def test_three_path_split(delta):
 
 
 def test_geodesic_images():
-    axis = GeodesicPath.vertical_ray(0.0, +1)
+    axis = GeodesicPath.vertical_ray(0.0)
     assert geodesic_image(axis, T.inverse()).points == (-1.0, INFINITY)
     assert geodesic_image(axis, T_PRIME.inverse()).points == (0.0, -1.0)
     img = geodesic_image(axis, S.inverse())
@@ -219,7 +219,7 @@ def _oscillating_power(zs):
 def test_polyline_matches_the_imaginary_axis(delta, tol):
     # a polyline of two segments and a ray, against the axis ray
     omega = eta_integrand(delta, 2.0 + 0.5j)
-    axis = integrate_form(omega, GeodesicPath.vertical_ray(0.0, +1), tol=tol, start_mode=("exp",))
+    axis = integrate_form(omega, GeodesicPath.vertical_ray(0.0), tol=tol, start_mode=("exp",))
     bent = integrate_form(
         omega,
         GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
@@ -286,7 +286,7 @@ _ONE_CALL_PER_LEVEL = {
         wrap(_oscillating_power), GeodesicPath.polyline([0.0, 1.0 + 1.0j]), tol=1e-12, start_mode=("log",)
     ),
     "exp-sinh ray": lambda wrap: integrate_form(
-        wrap(_decaying_power), GeodesicPath.vertical_ray(0.0, +1), tol=1e-12, start_mode=("log",)
+        wrap(_decaying_power), GeodesicPath.vertical_ray(0.0), tol=1e-12, start_mode=("log",)
     ),
     "sinh-sinh arc": lambda wrap: integrate_form(wrap(_decaying_power), GeodesicPath.arc(-1.0, 2.0), tol=1e-11),
 }

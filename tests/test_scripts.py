@@ -65,23 +65,14 @@ def test_run_verify_classical():
     assert lines[-1].endswith("; 0 unexpected failures")
 
 
-@pytest.mark.parametrize("workload", ["delta-transforms", "delta-continuation", "surrogate-transforms"])
+@pytest.mark.parametrize("workload", ["delta-transforms", "delta-continuation", "surrogate-transforms", "verify"])
 def test_traced_benchmark_worker_runs(tmp_path, workload):
-    # the benchmark's tracer wraps library methods with their argument lists,
-    # so a traced run fails if a wrapped entry point changes its signature
+    # the benchmark's tracer wraps library methods with their argument lists
+    # (and rebinds verify.SUITES for the verify job), so a traced run fails
+    # if a wrapped entry point changes its signature
+    job = ["verify"] if workload == "verify" else ["transforms", "--workload", workload, "--seconds", "0"]
     proc = subprocess.run(
-        [
-            sys.executable,
-            os.path.join(ROOT, "perfbench", "worker.py"),
-            "transforms",
-            "--workload",
-            workload,
-            "--seed",
-            "1",
-            "--seconds",
-            "0",
-            "--trace",
-        ],
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"), *job, "--seed", "1", "--trace"],
         cwd=tmp_path,
         capture_output=True,
         text=True,
