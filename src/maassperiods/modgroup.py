@@ -7,7 +7,7 @@ large float, so the extended action ``a/c if z = infinity`` is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import InvalidElementError
 
@@ -24,7 +24,6 @@ __all__ = [
     "mu",
     "decompose",
     "has_nonnegative_entries",
-    "token_matrix",
 ]
 
 
@@ -133,22 +132,15 @@ class GeneratorWord:
 
     tokens: tuple
 
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.tokens)
-
     def __len__(self) -> int:
         return len(self.tokens)
 
     def matrix(self) -> GroupElement:
-        m = IDENTITY
+        a, b, c, d = 1, 0, 0, 1
         for gen, power in self.tokens:
-            m = m * token_matrix(gen, power)
-        return m
-
-
-def token_matrix(gen: str, power: int) -> GroupElement:
-    """The matrix of one word token: S for ``("S", 1)``, T^m for ``("T", m)``."""
-    return S if gen == "S" else GroupElement(1, power, 0, 1)
+            # right-multiply by S = [[0, -1], [1, 0]] or by T^power
+            a, b, c, d = (b, -a, d, -c) if gen == "S" else (a, a * power + b, c, c * power + d)
+        return GroupElement(a, b, c, d)
 
 
 def _round_half_down(p: int, q: int) -> int:
@@ -161,33 +153,31 @@ def _round_half_down(p: int, q: int) -> int:
     return -((-num) // den)
 
 
-def decompose(g: GroupElement) -> tuple:
-    """Write g as sign * (product of word tokens).
+def decompose(g: GroupElement) -> GeneratorWord:
+    """Write g as a product of word tokens.
 
     Continued-fraction reduction on the first column: repeatedly peel a
     factor T^q S choosing q as the nearest integer to a/c (ties toward the
-    floor), which at least halves |c|.  A residual central (-1) is absorbed
-    as S^2 (these coincide), so the returned sign is +1; the slot stays in
-    the signature because words built by other means may carry one.
-    Returns ``(word, sign)`` with ``word.matrix()`` times ``sign`` equal to
-    g exactly.
+    floor), which at least halves |c|.  What is left is T^shift or
+    (-1) T^shift, and the central (-1) is written as S^2, so
+    ``decompose(g).matrix() == g`` exactly.
     """
     if not isinstance(g, GroupElement):
         g = GroupElement(*g)
+    a, b, c, d = g.a, g.b, g.c, g.d
     tokens = []
-    m = g
-    s_inv = S.inverse()
-    while m.c != 0:
-        q = _round_half_down(m.a, m.c)
+    while c != 0:
+        q = _round_half_down(a, c)
         if q != 0:
             tokens.append(("T", q))
         tokens.append(("S", 1))
-        m = s_inv * GroupElement(1, -q, 0, 1) * m
+        # m = (a, b, c, d) <- S^-1 T^-q m, with S^-1 = [[0, 1], [-1, 0]]
+        a, b, c, d = c, d, q * c - a, q * d - b
     # now m = +-T^shift
-    shift = m.b if m.a == 1 else -m.b
+    shift = b if a == 1 else -b
     if shift != 0:
         tokens.append(("T", shift))
-    if m.a == -1:
+    if a == -1:
         tokens.append(("S", 1))
         tokens.append(("S", 1))
-    return GeneratorWord(tuple(tokens)), 1
+    return GeneratorWord(tuple(tokens))

@@ -1,12 +1,18 @@
 """Multiplier systems compatible with a half-integral weight.
 
 A system is stored by its values on the generators S and T plus the weight;
-values on arbitrary elements are produced by folding the weight-k
-consistency relation
+values on arbitrary elements come from the weight-k consistency relation
 
     v(gd) e^{ik arg mu(gd, z)} = v(g) v(d) e^{ik arg mu(g, d z)} e^{ik arg mu(d, z)}
 
-letter by letter along a generator word, at the fixed base point z0 = 2i.
+folded along a generator word for g at the fixed base point z0 = 2i.  The
+fold telescopes: with m_j the product of the tokens right of token j, the
+terms arg mu(m_j, z0) - arg mu(m_{j+1}, z0) sum to -arg mu(g, z0), and
+mu(S, w) = w, mu(T^n, w) = 1 leave one arg(m_j z0) per S token, so
+
+    v(g) = v(S)^{#S} v(T)^{sum of T powers}
+           exp(ik [sum over S tokens of arg(m_j z0) - arg mu(g, z0)]).
+
 The relation guarantees the result is independent of both the word and the
 base point, which the constructor spot-checks on the defining relations
 S^2 = (ST)^3 = (-1).
@@ -21,16 +27,7 @@ from fractions import Fraction
 
 from .branch import principal_arg
 from .errors import InvalidMultiplierError, InvalidWeightError
-from .modgroup import (
-    MINUS_ONE,
-    GeneratorWord,
-    GroupElement,
-    IDENTITY,
-    decompose,
-    moebius,
-    mu,
-    token_matrix,
-)
+from .modgroup import GeneratorWord, GroupElement, decompose
 
 __all__ = ["MultiplierSystem", "construct_eta_power", "construct_trivial", "parse_weight"]
 
@@ -38,13 +35,15 @@ BASE_POINT = 2j
 
 
 def parse_weight(text) -> Fraction:
-    """Parse a half-integral weight like '1/2', '12' or 1.5."""
-    if isinstance(text, Fraction):
-        k = text
-    elif isinstance(text, str):
+    """Parse a half-integral weight like '1/2', '12', 1.5 or Fraction(3, 2).
+
+    A float is taken at its exact binary value, so 0.3 is rejected rather
+    than rounded to the nearest half-integer.
+    """
+    try:
         k = Fraction(text)
-    else:
-        k = Fraction(text).limit_denominator(2)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidWeightError(f"weight {text!r} is not a finite number") from exc
     if (2 * k).denominator != 1:
         raise InvalidWeightError(f"weight {text!r} is not half-integral")
     return k
@@ -70,57 +69,33 @@ class MultiplierSystem:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, g: GroupElement, base_point: complex = BASE_POINT) -> complex:
-        """Value on an arbitrary element, by cocycle folding of a word for g."""
-        word, sign = decompose(g)
-        return self._fold(word, sign, base_point)
+        """Value on an arbitrary element, by the telescoped fold of a word for g."""
+        return self._fold(decompose(g), base_point)
 
-    def evaluate_word(
-        self, word: GeneratorWord, sign: int = 1, base_point: complex = BASE_POINT
-    ) -> complex:
+    def evaluate_word(self, word: GeneratorWord, base_point: complex = BASE_POINT) -> complex:
         """Fold a caller-supplied word; used to test word independence."""
-        return self._fold(word, sign, base_point)
+        return self._fold(word, base_point)
 
     def __call__(self, g: GroupElement) -> complex:
         return self.evaluate(g)
 
-    def _fold(self, word: GeneratorWord, sign: int, base_point: complex) -> complex:
-        k = self.k
-        m = IDENTITY
-        value = 1.0 + 0.0j
-        # fold right to left so each step prepends one token
-        for gen, power in reversed(tuple(word)):
-            left = token_matrix(gen, power)
-            v_left = self._generator_value(gen, power)
-            value = v_left * value * self._cocycle_phase(left, m, base_point)
-            m = left * m
-        if sign == -1:
-            v_minus = cmath.exp(-1j * k * math.pi)
-            value = v_minus * value * self._cocycle_phase(MINUS_ONE, m, base_point)
-            m = MINUS_ONE * m
-        return value
-
-    def _cocycle_phase(
-        self, left: GroupElement, right: GroupElement, base_point: complex
-    ) -> complex:
-        """exp(ik [arg mu(l, r z0) + arg mu(r, z0) - arg mu(lr, z0)])."""
-        if left.c == 0 and left.a == 1:
-            # mu(T^m, .) = 1 and the bottom row of T^m r equals that of r
-            return 1.0 + 0.0j
-        theta = (
-            principal_arg(mu(left, moebius(right, base_point)))
-            + principal_arg(mu(right, base_point))
-            - principal_arg(mu(left * right, base_point))
-        )
-        return cmath.exp(1j * self.k * theta)
-
-    def _generator_value(self, gen: str, power: int) -> complex:
-        if gen == "S":
-            if power != 1:
-                raise ValueError("S tokens carry power 1")
-            return self.v_s
-        if power >= 0:
-            return self.v_t**power
-        return (1.0 / self.v_t) ** (-power)
+    def _fold(self, word: GeneratorWord, base_point: complex) -> complex:
+        # m = (a, b, c, d) is the product of the tokens folded so far
+        a, b, c, d = 1, 0, 0, 1
+        s_count = t_power = 0
+        theta = 0.0
+        for gen, power in reversed(word.tokens):
+            if gen == "S":
+                if power != 1:
+                    raise ValueError("S tokens carry power 1")
+                s_count += 1
+                theta += principal_arg((a * base_point + b) / (c * base_point + d))
+                a, b, c, d = -c, -d, a, b
+            else:
+                t_power += power
+                a, b = a + power * c, b + power * d
+        theta -= principal_arg(c * base_point + d)
+        return self.v_s**s_count * self.v_t**t_power * cmath.exp(1j * self.k * theta)
 
     # -- construction-time validation ---------------------------------------
 
@@ -129,15 +104,13 @@ class MultiplierSystem:
         tol = 1e-10
         want_minus = cmath.exp(-1j * k * math.pi)
         # v(S)^2 must equal v((-1))
-        got = self._fold(GeneratorWord((("S", 1), ("S", 1))), 1, BASE_POINT)
+        got = self._fold(GeneratorWord((("S", 1), ("S", 1))), BASE_POINT)
         if abs(got - want_minus) > tol:
             raise InvalidMultiplierError(
                 f"v(S)^2 = {got} but the weight forces v((-1)) = {want_minus}"
             )
         # (ST)^3 = (-1) as well
-        got = self._fold(
-            GeneratorWord((("S", 1), ("T", 1)) * 3), 1, BASE_POINT
-        )
+        got = self._fold(GeneratorWord((("S", 1), ("T", 1)) * 3), BASE_POINT)
         if abs(got - want_minus) > tol:
             raise InvalidMultiplierError(
                 f"v((ST)^3) = {got} does not match v((-1)) = {want_minus}"

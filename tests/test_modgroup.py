@@ -48,12 +48,10 @@ def test_mu_examples():
 
 
 def test_decompose_examples():
-    word, sign = decompose(T_PRIME)
-    assert word.tokens == (("T", 1), ("S", 1), ("T", 1)) and sign == 1
-    word, sign = decompose(MINUS_ONE)
-    assert word.tokens == (("S", 1), ("S", 1)) and sign == 1
-    word, sign = decompose(T.inverse() * S)
-    assert sign == 1 and word.matrix() == T.inverse() * S
+    assert decompose(T_PRIME).tokens == (("T", 1), ("S", 1), ("T", 1))
+    assert decompose(MINUS_ONE).tokens == (("S", 1), ("S", 1))
+    word = decompose(T.inverse() * S)
+    assert word.matrix() == T.inverse() * S
     # a negative T-run stands for the letter T^-1
     assert ("T", -1) in word.tokens
 
@@ -78,18 +76,13 @@ def _matrix_of(spec):
 @given(words)
 def test_decompose_roundtrip(spec):
     g = _matrix_of(spec)
-    word, sign = decompose(g)
-    out = word.matrix()
-    if sign == -1:
-        out = -out
-    assert out == g
+    assert decompose(g).matrix() == g
 
 
 @given(words)
 def test_word_length_bound(spec):
     g = _matrix_of(spec)
-    word, _ = decompose(g)
-    assert len(word) <= 6 * (1 + np.log2(max(1, g.max_entry())))
+    assert len(decompose(g)) <= 6 * (1 + np.log2(max(1, g.max_entry())))
 
 
 @given(words, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
