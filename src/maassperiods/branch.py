@@ -3,8 +3,9 @@
 Every power taken anywhere in this package follows the convention fixed
 here: arguments lie in (-pi, pi], and the argument of a negative real is
 +pi.  Platform ``atan2`` returns -pi for inputs with a negative-zero
-imaginary part, which is why ``principal_arg`` special-cases the cut
-instead of trusting ``cmath``.  The R-kernel takes numpy's complex log of
+imaginary part, which is why ``principal_arg`` (and its elementwise
+``principal_arg_many``) special-cases the cut instead of trusting ``cmath``
+or ``numpy.angle``.  The R-kernel takes numpy's complex log of
 differences it has checked are off the cut, where the conventions agree.
 
 Membership tests against the cut are exact sign tests (``im == 0 and
@@ -16,10 +17,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "principal_arg",
+    "principal_arg_many",
     "principal_pow",
     "factorizable",
     "in_cut_plane",
@@ -46,6 +50,13 @@ def principal_arg(z: complex) -> float:
     if z.imag == 0.0 and z.real < 0.0:
         return math.pi
     return math.atan2(z.imag, z.real)
+
+
+def principal_arg_many(z) -> np.ndarray:
+    """principal_arg elementwise, +pi on the negative real axis whatever the
+    sign of its zero imaginary part; 0 at z = 0."""
+    z = np.asarray(z, dtype=complex)
+    return np.where((z.imag == 0.0) & (z.real < 0.0), np.pi, np.angle(z))
 
 
 def principal_pow(z: complex, s: complex) -> complex:

@@ -1,37 +1,58 @@
 """Multiplier systems compatible with a half-integral weight.
 
-A system is stored by its values on the generators S and T plus the weight;
-values on arbitrary elements come from the weight-k consistency relation
+A system is given by the weight k and its values on S and T.  The weight-k
+consistency relation forces v(S)^2 = v((ST)^3) = v((-1)) = e^{-ik pi}, which
+holds exactly when v(T) = e^{i pi rho/12} with rho = 2k mod 4 and
+v(S) = e^{-i pi rho/4}; then v = v_eta^rho on all of SL(2, Z), since
+v / v_eta^{2k} and v_eta^{rho - 2k} are the same character of PSL(2, Z).
 
-    v(gd) e^{ik arg mu(gd, z)} = v(g) v(d) e^{ik arg mu(g, d z)} e^{ik arg mu(d, z)}
+:meth:`MultiplierSystem.evaluate_many` takes Rademacher's closed form
+(Rademacher and Grosswald, *Dedekind Sums*, 1972; Apostol, *Modular
+Functions and Dirichlet Series*, ch. 3): for c > 0,
+v(g) = exp(i pi rho [Phi(g) - 3] / 12) with the integer
+Phi(g) = (a + d - 12c s(d, c)) / c and s the Dedekind sum; for c < 0,
+v(g) = e^{i pi rho/2} v(-g); for c = 0, v(+-T^b) = e^{i pi rho b/12}, times
+e^{-i pi rho/2} for -T^b.  The phase is reduced mod 24 in integers, so each
+value is one of 24 unit roots.
 
-folded along a generator word for g at the fixed base point z0 = 2i.  The
-fold telescopes: with m_j the product of the tokens right of token j, the
-terms arg mu(m_j, z0) - arg mu(m_{j+1}, z0) sum to -arg mu(g, z0), and
-mu(S, w) = w, mu(T^n, w) = 1 leave one arg(m_j z0) per S token, so
+:meth:`MultiplierSystem.evaluate_word` is the independent route: the
+relation folded along a generator word at a base point z0.  With m_j the
+product of the tokens right of token j, the terms arg mu(m_j, z0) -
+arg mu(m_{j+1}, z0) telescope to -arg mu(g, z0), and mu(S, w) = w,
+mu(T^n, w) = 1 leave one arg(m_j z0) per S token, so
 
     v(g) = v(S)^{#S} v(T)^{sum of T powers}
            exp(ik [sum over S tokens of arg(m_j z0) - arg mu(g, z0)]).
-
-The relation guarantees the result is independent of both the word and the
-base point, which the constructor spot-checks on the defining relations
-S^2 = (ST)^3 = (-1).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .branch import principal_arg
-from .errors import InvalidMultiplierError, InvalidWeightError
-from .modgroup import GeneratorWord, GroupElement, decompose
+from .errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
+from .modgroup import GeneratorWord, GroupElement
 
 __all__ = ["MultiplierSystem", "construct_eta_power", "construct_trivial", "parse_weight"]
 
 BASE_POINT = 2j
+
+# e^{i pi n/12} at n = 0..23: i^(n // 6) times e^{i pi r/12}, r = n mod 6,
+# whose cosine and sine come from angles in [0, pi/4]
+_R = np.arange(24) % 6
+_X = np.pi / 12 * np.minimum(_R, 6 - _R)
+_ROOTS = np.where(_R <= 3, np.cos(_X) + 1j * np.sin(_X), np.sin(_X) + 1j * np.cos(_X)) * np.array(
+    [1, 1j, -1, -1j]
+)[np.arange(24) // 6]
+
+# the Euclid run forms products up to c^3, so entries up to 2^20 stay exact
+# in int64; larger ones are evaluated on Python ints
+_INT64_EXACT = 2**20
 
 
 def parse_weight(text) -> Fraction:
@@ -57,10 +78,11 @@ class MultiplierSystem:
     v_t: complex
     v_s: complex
     kind: str = "custom"
+    rho: int = field(init=False, repr=False, compare=False)  # v = v_eta^rho, rho mod 24
 
     def __post_init__(self):
         object.__setattr__(self, "weight", parse_weight(self.weight))
-        self._consistency_check()
+        object.__setattr__(self, "rho", self._eta_exponent())
 
     @property
     def k(self) -> float:
@@ -68,18 +90,29 @@ class MultiplierSystem:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, g: GroupElement, base_point: complex = BASE_POINT) -> complex:
-        """Value on an arbitrary element, by the telescoped fold of a word for g."""
-        return self._fold(decompose(g), base_point)
-
-    def evaluate_word(self, word: GeneratorWord, base_point: complex = BASE_POINT) -> complex:
-        """Fold a caller-supplied word; used to test word independence."""
-        return self._fold(word, base_point)
+    def evaluate(self, g: GroupElement) -> complex:
+        """Value on one element: :meth:`evaluate_many` of one matrix."""
+        return complex(self.evaluate_many([g.a], [g.b], [g.c], [g.d])[0])
 
     def __call__(self, g: GroupElement) -> complex:
         return self.evaluate(g)
 
-    def _fold(self, word: GeneratorWord, base_point: complex) -> complex:
+    def evaluate_many(self, a, b, c, d) -> np.ndarray:
+        """Values at the matrices (a, b, c, d), elementwise over integer arrays
+        of one shape, by Rademacher's closed form (module docstring)."""
+        m = _exact_integers(a, b, c, d)
+        flip = m[2] < 0  # v(g) = e^{i pi rho/2} v(-g)
+        a, b, c, d = m * (1 - 2 * flip)
+        if (a * d - b * c != 1).any():
+            raise InvalidElementError("every matrix must have determinant 1")
+        cc = c + (c == 0)
+        phi = (a + d - _twelve_c_dedekind(d % cc, cc)) // cc
+        n = np.where(c > 0, phi - 3, a * (b % 24) - 6 * (a == -1)) + 6 * flip
+        return _ROOTS[(self.rho * n % 24).astype(np.int64)]
+
+    def evaluate_word(self, word: GeneratorWord, base_point: complex = BASE_POINT) -> complex:
+        """The consistency relation folded along a caller-supplied word at
+        ``base_point``: the route independent of the closed form."""
         # m = (a, b, c, d) is the product of the tokens folded so far
         a, b, c, d = 1, 0, 0, 1
         s_count = t_power = 0
@@ -95,44 +128,74 @@ class MultiplierSystem:
                 t_power += power
                 a, b = a + power * c, b + power * d
         theta -= principal_arg(c * base_point + d)
+        # v(T) has order o = 24/gcd(rho, 24); the exponent is reduced to
+        # |t_power| <= o/2, since pow's error grows with it (CPython's pow
+        # even goes polar above 100)
+        o = 24 // math.gcd(self.rho, 24)
+        t_power = (t_power + o // 2) % o - o // 2
         return self.v_s**s_count * self.v_t**t_power * cmath.exp(1j * self.k * theta)
 
     # -- construction-time validation ---------------------------------------
 
-    def _consistency_check(self):
-        k = self.k
+    def _eta_exponent(self) -> int:
+        """rho with v(T) = e^{i pi rho/12}; the relation holds iff rho = 2k
+        mod 4 and v(S) = e^{-i pi rho/4} (module docstring)."""
         tol = 1e-10
-        want_minus = cmath.exp(-1j * k * math.pi)
-        # v(S)^2 must equal v((-1))
-        got = self._fold(GeneratorWord((("S", 1), ("S", 1))), BASE_POINT)
-        if abs(got - want_minus) > tol:
+        v_t, v_s = complex(self.v_t), complex(self.v_s)
+        rho = round(12 * cmath.phase(v_t) / math.pi) % 24 if cmath.isfinite(v_t) else 0
+        if not (
+            (rho - 2 * self.weight) % 4 == 0
+            and abs(v_t - _ROOTS[rho]) <= tol
+            and abs(v_s - _ROOTS[-3 * rho % 24]) <= tol
+        ):
             raise InvalidMultiplierError(
-                f"v(S)^2 = {got} but the weight forces v((-1)) = {want_minus}"
+                f"v(T) = {v_t}, v(S) = {v_s} fail the weight-{self.weight} relation: it needs "
+                f"v(T) = e^(i pi rho/12) with rho = 2k mod 4 and v(S) = e^(-i pi rho/4)"
             )
-        # (ST)^3 = (-1) as well
-        got = self._fold(GeneratorWord((("S", 1), ("T", 1)) * 3), BASE_POINT)
-        if abs(got - want_minus) > tol:
-            raise InvalidMultiplierError(
-                f"v((ST)^3) = {got} does not match v((-1)) = {want_minus}"
-            )
-        for value, name in ((self.v_t, "v(T)"), (self.v_s, "v(S)")):
-            if abs(abs(value) - 1.0) > tol:
-                raise InvalidMultiplierError(f"{name} = {value} is not unimodular")
+        return rho
+
+
+def _exact_integers(a, b, c, d) -> np.ndarray:
+    """The entries stacked as int64, or as Python ints once one is too large
+    for the Euclid run to stay exact in int64."""
+    m = np.asarray([a, b, c, d])
+    if m.size == 0 or m.dtype.kind in "iu" and -_INT64_EXACT <= m.min() <= m.max() <= _INT64_EXACT:
+        return m.astype(np.int64, copy=False)
+    if m.dtype.kind in "iuO" and all(isinstance(x, (int, np.integer)) for x in m.flat):
+        return np.frompyfunc(int, 1, 1)(m)
+    raise InvalidElementError("matrix entries must be integers")
+
+
+def _twelve_c_dedekind(h, c):
+    """A(h, c) = 12c s(h, c) for coprime c > 0 and 0 <= h < c, elementwise.
+
+    Each step of the Euclid run (h, c) -> (c mod h, h) is one reciprocity
+    h A(h, c) + c A(c mod h, h) = h^2 + c^2 + 1 - 3hc; a run ends at
+    (0, 1), where A = 0, and the steps are solved back to front.  A run that
+    has ended steps on as (1, 1), which solves to A = 0 again.
+    """
+    steps = []
+    while (h != 0).any():
+        h = h + (h == 0)
+        steps.append((h, c))
+        h, c = c % h, h
+    total = np.zeros_like(c)
+    for h, c in reversed(steps):
+        total = (h * h + c * c + 1 - 3 * h * c - c * total) // h
+    return total
 
 
 def construct_eta_power(weight) -> MultiplierSystem:
     """The 2k-th power of the weight-1/2 eta multiplier.
 
-    v(T) = e^{i pi k / 6} and v(S) = e^{-i pi k / 2}; raising the weight-1/2
-    system to an integer power 2k keeps the consistency relation exact.
+    v(T) = e^{i pi k / 6} and v(S) = e^{-i pi k / 2}, taken from the same
+    unit roots the closed form returns, so ``evaluate(S)`` is ``v_s`` bit
+    for bit.
     """
     k = parse_weight(weight)
-    kf = float(k)
+    r = int(2 * k)
     return MultiplierSystem(
-        weight=k,
-        v_t=cmath.exp(1j * math.pi * kf / 6.0),
-        v_s=cmath.exp(-1j * math.pi * kf / 2.0),
-        kind="eta_power",
+        weight=k, v_t=complex(_ROOTS[r % 24]), v_s=complex(_ROOTS[-3 * r % 24]), kind="eta_power"
     )
 
 

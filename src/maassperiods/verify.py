@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branch import factorizable, in_cut_plane, principal_arg, principal_pow
+from .branch import factorizable, in_cut_plane, principal_arg, principal_arg_many, principal_pow
 from .config import DEFAULTS, Settings
 from .errors import DegenerateBijectionError
 from .forms import (
@@ -57,7 +57,7 @@ from .modgroup import (
     moebius,
     mu,
 )
-from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
+from .multiplier import BASE_POINT, construct_eta_power, construct_trivial
 from .periods import (
     BijectionConstants,
     NearlyPeriodicFunction,
@@ -235,22 +235,32 @@ def _suite_of(ident: str) -> str:
     return ident.split(".", 1)[0]
 
 
-def _words(rng, count, max_len=12, bound=math.inf):
-    """``count`` random words of 1..max_len factors S or T^n (|n| <= 3)
-    whose entries stay within ``bound``."""
-    out = []
-    while len(out) < count:
-        lengths = rng.integers(1, max_len + 1, count).tolist()
-        # a factor is the shift n of T^n, or 4 for S
+def _words(rng, count, max_len=12, bound=math.inf) -> np.ndarray:
+    """The entries (a, b, c, d), as rows of int arrays, of ``count`` random
+    words of 1..max_len factors S or T^n (|n| <= 3) whose entries stay
+    within ``bound``."""
+    kept = []
+    while sum(m.shape[1] for m in kept) < count:
+        lengths = rng.integers(1, max_len + 1, count)
         is_s = rng.random((count, max_len)) < 0.5
-        factors = np.where(is_s, 4, rng.integers(-3, 4, (count, max_len))).tolist()
-        for n, word in zip(lengths, factors):
-            a, b, c, d = 1, 0, 0, 1
-            for t in word[:n]:
-                a, b, c, d = (b, -a, d, -c) if t == 4 else (a, a * t + b, c, c * t + d)
-            if max(abs(a), abs(b), abs(c), abs(d)) <= bound:
-                out.append(GroupElement(a, b, c, d))
-    return out[:count]
+        shifts = rng.integers(-3, 4, (count, max_len))
+        a, d = np.ones((2, count), np.int64)
+        b, c = np.zeros((2, count), np.int64)
+        for j in range(max_len):
+            s = is_s[:, j] & (j < lengths)
+            n = np.where(is_s[:, j] | (j >= lengths), 0, shifts[:, j])
+            # right-multiply by S or by T^n (T^0 past the word's end)
+            a, b, c, d = (
+                np.where(s, b, a), np.where(s, -a, a * n + b),
+                np.where(s, d, c), np.where(s, -c, c * n + d),
+            )
+        mats = np.stack([a, b, c, d])
+        kept.append(mats[:, np.abs(mats).max(axis=0) <= bound])
+    return np.concatenate(kept, axis=1)[:, :count]
+
+
+def _elements(mats) -> list:
+    return [GroupElement(*entries) for entries in mats.T.tolist()]
 
 
 def _random_h(rng, count):
@@ -345,7 +355,7 @@ def _(ctx, rng):
 def _(ctx, rng):
     # the identities involve differences of size 1/|mu|^2, so keep entries
     # moderate or double rounding swamps the relative residual
-    mats = _words(rng, 1000, bound=25)
+    mats = _elements(_words(rng, 1000, bound=25))
     zs = _random_h(rng, len(mats))
     worst = 0.0
     for g, z in zip(mats, zs):
@@ -360,7 +370,7 @@ def _(ctx, rng):
 
 
 def _decompositions(rng):
-    for g in _words(rng, 1000, max_len=20):
+    for g in _elements(_words(rng, 1000, max_len=20)):
         yield g, decompose(g)
 
 
@@ -408,17 +418,9 @@ def _(ctx, rng):
 # multiplier
 
 
-def consistency_residual(v: MultiplierSystem, g, d, z) -> float:
-    """|v(gd) e^{ik arg mu(gd,z)} - v(g) v(d) e^{ik arg mu(g,dz)} e^{ik arg mu(d,z)}|."""
-    k = v.k
-    lhs = v.evaluate(g * d) * cmath.exp(1j * k * principal_arg(mu(g * d, z)))
-    rhs = (
-        v.evaluate(g)
-        * v.evaluate(d)
-        * cmath.exp(1j * k * principal_arg(mu(g, moebius(d, z))))
-        * cmath.exp(1j * k * principal_arg(mu(d, z)))
-    )
-    return abs(lhs - rhs)
+def _mu_phase(k, m, z):
+    """e^{ik arg mu(m, z)} at matrix rows m and points z."""
+    return np.exp(1j * k * principal_arg_many(m[2] * z + m[3]))
 
 
 @identity(
@@ -430,9 +432,15 @@ def consistency_residual(v: MultiplierSystem, g, d, z) -> float:
 def _(ctx, rng, weight):
     v = construct_eta_power(weight)
     mats = _words(rng, 1000, bound=50)
-    zs = _random_h(rng, 500)
-    pairs = zip(mats[0::2], mats[1::2], zs)
-    return 500, max(consistency_residual(v, g, d, complex(z)) for g, d, z in pairs)
+    z = _random_h(rng, 500)
+    g, d = mats[:, 0::2], mats[:, 1::2]
+    gd = np.stack([g[0] * d[0] + g[1] * d[2], g[0] * d[1] + g[1] * d[3],
+                   g[2] * d[0] + g[3] * d[2], g[2] * d[1] + g[3] * d[3]])
+    dz = (d[0] * z + d[1]) / (d[2] * z + d[3])
+    lhs = v.evaluate_many(*gd) * _mu_phase(v.k, gd, z)
+    values = v.evaluate_many(*mats)
+    rhs = values[0::2] * values[1::2] * _mu_phase(v.k, g, dz) * _mu_phase(v.k, d, z)
+    return 500, float(np.max(np.abs(lhs - rhs)))
 
 
 @identity("multiplier.minus-one", "v((-1)) = e^{-ik pi}", 1e-13, weights=WEIGHTS)
@@ -459,16 +467,40 @@ def _(ctx, rng, weight):
     return 1, abs(direct - v.evaluate(T_PRIME))
 
 
+def _fold_gap(v, mats, base_point=BASE_POINT) -> float:
+    """Largest gap between the closed form and the word fold at ``base_point``."""
+    folded = [v.evaluate_word(decompose(g), base_point) for g in _elements(mats)]
+    return float(np.max(np.abs(v.evaluate_many(*mats) - folded)))
+
+
 @identity(
     "multiplier.base-point",
-    "folded values do not depend on the base point",
+    "the word fold at base point 0.37+1.11i gives the closed-form values",
     1e-12,
     weights=WEIGHTS,
 )
 def _(ctx, rng, weight):
-    v = construct_eta_power(weight)
-    mats = _words(rng, 40, bound=50)
-    return 40, max(abs(v.evaluate(g) - v.evaluate(g, base_point=0.37 + 1.11j)) for g in mats)
+    return 40, _fold_gap(construct_eta_power(weight), _words(rng, 40, bound=50), 0.37 + 1.11j)
+
+
+# S, -S and -T^b (b = -3..3) as columns: c of each sign and the (-1) branch of c = 0
+_SIGN_COVER = np.array([
+    [0, 0] + [-1] * 7,
+    [-1, 1, *range(-3, 4)],
+    [1, -1] + [0] * 7,
+    [0, 0] + [-1] * 7,
+])
+
+
+@identity(
+    "multiplier.eta-closed-form",
+    "Rademacher's closed form for v_eta^{2k} equals the word fold",
+    1e-13,
+    weights=WEIGHTS,
+)
+def _(ctx, rng, weight):
+    mats = np.concatenate([_words(rng, 240, bound=50), _SIGN_COVER], axis=1)
+    return mats.shape[1], _fold_gap(construct_eta_power(weight), mats)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maassperiods.branch import principal_pow
-from maassperiods.errors import InvalidMultiplierError, InvalidWeightError
-from maassperiods.modgroup import S, T_PRIME, GeneratorWord, GroupElement
+from maassperiods.branch import principal_arg, principal_arg_many, principal_pow
+from maassperiods.errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
+from maassperiods.modgroup import S, T_PRIME, GeneratorWord, GroupElement, decompose, mu
 from maassperiods.multiplier import (
     MultiplierSystem,
     construct_eta_power,
     construct_trivial,
     parse_weight,
 )
-from maassperiods.verify import WEIGHTS
+from maassperiods.verify import WEIGHTS, _words
 
 
 def eta(z: complex, terms: int = 40) -> complex:
@@ -93,6 +93,10 @@ def test_word_independence(holds):
 
 def test_base_point_independence(holds):
     holds(*(f"multiplier.base-point[k={w}]" for w in WEIGHTS))
+
+
+def test_eta_closed_form_matches_the_fold(holds):
+    holds(*(f"multiplier.eta-closed-form[k={w}]" for w in WEIGHTS))
 
 
 def test_inconsistent_generators_rejected():
@@ -189,3 +193,141 @@ def test_eta_power_matches_rademacher_closed_form(r):
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_consistency_relation_sampled(weight, holds):
     holds(f"multiplier.consistency[k={weight}]")
+
+
+def _unit(x: Fraction) -> complex:
+    """e^{i pi x}, from the angle reduced exactly into (-pi, pi]."""
+    x %= 2
+    return cmath.exp(1j * math.pi * float(x - 2 * (x > 1)))
+
+
+def _fold_gap(v, mats) -> float:
+    elements = [GroupElement(*m) for m in mats.T.tolist()]
+    folded = np.array([v.evaluate_word(decompose(g)) for g in elements])
+    return float(np.max(np.abs(v.evaluate_many(*mats) - folded)))
+
+
+def _twisted():
+    v = construct_eta_power("1/2")
+    return MultiplierSystem("1/2", -v.v_t, -v.v_s)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [lambda r=r: construct_eta_power(Fraction(r, 2)) for r in (1, 3, 5, -1, 24)]
+    + [lambda k=k: construct_trivial(k) for k in (0, 2, 4, 12)]
+    + [_twisted],
+    ids=[f"eta^{r}" for r in (1, 3, 5, -1, 24)]
+    + [f"trivial-{k}" for k in (0, 2, 4, 12)]
+    + ["twisted"],
+)
+def test_closed_form_matches_the_fold(system):
+    mats = _words(np.random.default_rng(23), 2000, bound=50)
+    assert all(np.count_nonzero(np.sign(mats[2]) == s) >= 100 for s in (-1, 0, 1))
+    assert _fold_gap(system(), mats) <= 1e-13
+
+
+@pytest.mark.parametrize("weight", ["1/2", "-1/2", "3/2", "12", "0", "1", "-7/2"])
+def test_every_consistent_pair_of_unit_roots_is_an_eta_power(weight):
+    # of the 24 x 24 pairs (v(T), v(S)) of 24th roots of unity, exactly six
+    # (one per character of PSL(2, Z)) pass the weight's relation, and the
+    # closed form of each agrees with its fold
+    roots = [cmath.exp(1j * math.pi * n / 12) for n in range(24)]
+    systems = []
+    for v_t in roots:
+        for v_s in roots:
+            try:
+                systems.append(MultiplierSystem(weight, v_t, v_s))
+            except InvalidMultiplierError:
+                pass
+    assert len(systems) == 6
+    assert sorted((v.rho - 2 * parse_weight(weight)) % 24 for v in systems) == [0, 4, 8, 12, 16, 20]
+    mats = _words(np.random.default_rng(7), 200, bound=50)
+    assert max(_fold_gap(v, mats) for v in systems) <= 1e-13
+
+
+def test_closed_form_on_an_array_is_per_element_evaluate_bit_for_bit():
+    v = construct_eta_power("3/2")
+    mats = _words(np.random.default_rng(11), 4096, bound=50)
+    each = [v.evaluate(GroupElement(*m)) for m in mats.T.tolist()]
+    assert np.array_equal(v.evaluate_many(*mats), each)
+
+
+@pytest.mark.parametrize("weight", ["1/2", "3/2", "5/2"])
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_large_translations_keep_the_exact_phase(weight, n, sign):
+    # CPython's pow goes polar for complex powers above 100, with an error
+    # that grows like the power; both routes must stay at rounding level
+    v = construct_eta_power(weight)
+    g = GroupElement(sign, n, 0, sign)
+    want = _unit(_eta_power_phase(int(2 * v.weight), sign, n, 0, sign))
+    assert abs(v.evaluate(g) - want) <= 1e-15
+    assert abs(v.evaluate_word(decompose(g)) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("c", [2**40 + 1, 10**30 + 7])
+def test_entries_beyond_int64_products_give_exact_values(c):
+    # 12c s(1, c) = (c-1)(c-2) and, for odd c, 12c s(2, c) = (c-1)(c-5)/2,
+    # so Phi is known in closed form for [[1, 0], [c, 1]] and [[(c+1)/2, 1], [c, 2]]
+    v = construct_eta_power("1/2")
+    half = (c + 1) // 2
+    cases = [
+        (GroupElement(1, 0, c, 1), Fraction(2 - (c - 1) * (c - 2), c)),
+        (GroupElement(half, 1, c, 2), Fraction(half + 2 - (c - 1) * (c - 5) // 2, c)),
+    ]
+    for g, phi in cases:
+        assert phi.denominator == 1
+        assert abs(v.evaluate(g) - _unit(Fraction(int(phi) - 3, 12))) <= 1e-15
+        assert abs(v.evaluate(-g) - _unit(Fraction(int(phi) + 3, 12))) <= 1e-15
+    b = np.array([2**62, 2**63 - 1], dtype=np.int64)
+    want = [_unit(Fraction(x, 12)) for x in b.tolist()]
+    ones, zeros = np.ones(2, np.int64), np.zeros(2, np.int64)
+    assert np.max(np.abs(v.evaluate_many(ones, b, zeros, ones) - want)) <= 1e-15
+
+
+def test_non_integer_or_non_unimodular_entries_are_rejected():
+    v = construct_eta_power("1/2")
+    with pytest.raises(InvalidElementError):
+        v.evaluate_many([1.0], [0.0], [0.0], [1.0])
+    with pytest.raises(InvalidElementError):
+        v.evaluate_many([2], [0], [0], [1])
+
+
+def test_array_arg_of_mu_on_the_negative_axis_is_plus_pi():
+    # mu = c z + d for c = 0, d = -1 is -1 with a zero imaginary part whose
+    # sign numpy's product may flip when Re z < 0
+    z = np.array([-0.5 + 1j, -2.0 + 0.3j, -1e-300 + 5j])
+    c, d = np.zeros(3, np.int64), -np.ones(3, np.int64)
+    want = [principal_arg(mu(GroupElement(-1, 0, 0, -1), w)) for w in z]
+    assert np.array_equal(principal_arg_many(c * z + d), want)
+    assert principal_arg_many(complex(-1.0, -0.0)) == math.pi
+
+
+def _words_before_arrays(rng, count, max_len=12, bound=math.inf):
+    """The sampler of verify before it drew arrays, kept verbatim as the
+    reference for its samples and its generator calls."""
+    out = []
+    while len(out) < count:
+        lengths = rng.integers(1, max_len + 1, count).tolist()
+        # a factor is the shift n of T^n, or 4 for S
+        is_s = rng.random((count, max_len)) < 0.5
+        factors = np.where(is_s, 4, rng.integers(-3, 4, (count, max_len))).tolist()
+        for n, word in zip(lengths, factors):
+            a, b, c, d = 1, 0, 0, 1
+            for t in word[:n]:
+                a, b, c, d = (b, -a, d, -c) if t == 4 else (a, a * t + b, c, c * t + d)
+            if max(abs(a), abs(b), abs(c), abs(d)) <= bound:
+                out.append(GroupElement(a, b, c, d))
+    return out[:count]
+
+
+@pytest.mark.parametrize("bound", [25, 50, math.inf])
+@pytest.mark.parametrize("max_len", [12, 20])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_array_draws_reproduce_the_word_samples(bound, max_len, seed):
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    before = _words_before_arrays(old, 300, max_len, bound)
+    after = _words(new, 300, max_len, bound)
+    assert [g.to_json() for g in before] == after.T.tolist()
+    assert old.bit_generator.state == new.bit_generator.state
