@@ -9,8 +9,6 @@ from .forms import (
     delta_coefficients,
     delta_form,
     dslash,
-    form_from_json,
-    form_to_json,
     maass_lower,
     maass_raise,
     slash,
@@ -68,8 +66,6 @@ __all__ = [
     "eta_form",
     "f_to_P",
     "factorizable",
-    "form_from_json",
-    "form_to_json",
     "gamma_complex",
     "geodesic_image",
     "growth_check",

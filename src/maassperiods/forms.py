@@ -62,8 +62,6 @@ __all__ = [
     "maass_laplacian_fd",
     "slash",
     "dslash",
-    "form_from_json",
-    "form_to_json",
     "reduce_to_fundamental_domain",
     "reduce_many",
     "q_expansion",
@@ -224,26 +222,22 @@ class HolomorphicEmbedding:
 
     coefficients: tuple
 
-    name = "holomorphic_embedding"
-
 
 @dataclass(frozen=True)
 class WhittakerSurrogate:
-    """Fourier coefficients a_1, ..., a_N and the frequency shift kappa0.
+    """Fourier coefficients a_1, ..., a_N of the frequencies kappa0 + n.
 
-    ``negative_coefficients`` optionally populate the frequencies
-    kappa0 - 1, kappa0 - 2, ... (with Whittaker index -k/2).  The ray
-    transform on the lower half-plane pairs exclusively with this side of
-    the spectrum - with positive frequencies alone it vanishes identically
-    - so two-sided coefficients are needed wherever that transform should
-    be nondegenerate.
+    The shift kappa0 = rho/24 comes from the form's multiplier v_eta^rho
+    (:attr:`MaassForm.kappa0`).  ``negative_coefficients`` optionally
+    populate the frequencies kappa0 - 1, kappa0 - 2, ... (with Whittaker
+    index -k/2).  The ray transform on the lower half-plane pairs
+    exclusively with this side of the spectrum - with positive frequencies
+    alone it vanishes identically - so two-sided coefficients are needed
+    wherever that transform should be nondegenerate.
     """
 
     coefficients: tuple
-    kappa0: float
     negative_coefficients: tuple = ()
-
-    name = "whittaker_surrogate"
 
 
 Backend = Union[HolomorphicEmbedding, WhittakerSurrogate]
@@ -252,44 +246,26 @@ Backend = Union[HolomorphicEmbedding, WhittakerSurrogate]
 class MaassForm:
     """A weight-k eigenfunction of the hyperbolic Laplacian, evaluatable on H."""
 
-    def __init__(
-        self,
-        weight,
-        multiplier: MultiplierSystem,
-        nu: complex,
-        backend: Backend,
-        truncation: int | None = None,
-    ):
+    def __init__(self, weight, multiplier: MultiplierSystem, nu: complex, backend: Backend):
         self.weight = parse_weight(weight)
         self.k = float(self.weight)
         self.multiplier = multiplier
         self.nu = complex(nu)
         self.backend = backend
-        if truncation is None:
-            truncation = len(backend.coefficients)
-        self.truncation = int(truncation)
-        self._validate()
+        if self.is_embedding:
+            self._validate_embedding()
         self._tables = None
 
-    def _validate(self):
-        if isinstance(self.backend, HolomorphicEmbedding):
-            if self.weight.denominator != 1 or self.weight <= 0 or self.weight % 2 != 0:
-                raise InvalidWeightError(
-                    "the holomorphic embedding needs a positive even integer weight"
-                )
-            allowed = {(self.k - 1) / 2.0, (1.0 - self.k) / 2.0}
-            if min(abs(self.nu - a) for a in allowed) > 1e-12:
-                raise ValueError(
-                    f"embedding spectral parameter must be +-(k-1)/2, got {self.nu}"
-                )
-            if abs(self.multiplier.v_t - 1) > 1e-12 or abs(self.multiplier.v_s - 1) > 1e-12:
-                raise ValueError("the holomorphic embedding carries the trivial multiplier")
-        else:
-            shift = self.backend.kappa0
-            if abs(cmath.exp(2j * math.pi * shift) - self.multiplier.v_t) > 1e-12:
-                raise ValueError(
-                    "surrogate shift kappa0 must satisfy e^{2 pi i kappa0} = v(T)"
-                )
+    def _validate_embedding(self):
+        if self.weight.denominator != 1 or self.weight <= 0 or self.weight % 2 != 0:
+            raise InvalidWeightError(
+                "the holomorphic embedding needs a positive even integer weight"
+            )
+        allowed = {(self.k - 1) / 2.0, (1.0 - self.k) / 2.0}
+        if min(abs(self.nu - a) for a in allowed) > 1e-12:
+            raise ValueError(f"embedding spectral parameter must be +-(k-1)/2, got {self.nu}")
+        if abs(self.multiplier.v_t - 1) > 1e-12 or abs(self.multiplier.v_s - 1) > 1e-12:
+            raise ValueError("the holomorphic embedding carries the trivial multiplier")
 
     # -- metadata ------------------------------------------------------------
 
@@ -299,7 +275,8 @@ class MaassForm:
 
     @property
     def kappa0(self) -> float:
-        return 0.0 if self.is_embedding else self.backend.kappa0
+        """rho/24 for v = v_eta^rho: the frequency shift with v(T) = e^{2 pi i kappa0}."""
+        return self.multiplier.rho / 24
 
     @property
     def decay_rate(self) -> float:
@@ -350,8 +327,7 @@ class MaassForm:
         """(u, E^{+-} u) with u = y^{k/2} u_h from the reduced point; the
         phase e^{-ik arg mu} is the exact power (conj(mu)/|mu|)^k, k + 2 for
         E^+ u, and E^- u = 0."""
-        coefficients = self.backend.coefficients[: self.truncation]
-        w, mu, series = q_expansion(coefficients, zs.ravel(), derivative=sign > 0)
+        w, mu, series = q_expansion(self.backend.coefficients, zs.ravel(), derivative=sign > 0)
         y = w.imag
         k = int(self.weight)
         unit = np.conj(mu) / np.abs(mu)
@@ -366,14 +342,13 @@ class MaassForm:
     def _spectral_data(self):
         """(coefficients, frequencies, whittaker index per term, tables)."""
         if self._tables is None:
-            backend = self.backend
-            pos = tuple(backend.coefficients[: self.truncation])
-            neg = tuple(backend.negative_coefficients)
+            pos = tuple(self.backend.coefficients)
+            neg = tuple(self.backend.negative_coefficients)
             coeffs = np.asarray(pos + neg, dtype=complex)
             freqs = np.concatenate(
                 [
-                    np.arange(1, len(pos) + 1) + backend.kappa0,
-                    backend.kappa0 - np.arange(1, len(neg) + 1),
+                    np.arange(1, len(pos) + 1) + self.kappa0,
+                    self.kappa0 - np.arange(1, len(neg) + 1),
                 ]
             )
             kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0)
@@ -420,9 +395,6 @@ class MaassForm:
         y_dy = _term_sum(coeffs[:, None] * slopes * waves)
         out = sign * 2j * y * dx + 2.0 * y_dy + sign * self.k * value
         return value.reshape(zs.shape), out.reshape(zs.shape)
-
-    def to_json(self) -> dict:
-        return form_to_json(self)
 
 
 class ConjugateForm:
@@ -555,7 +527,7 @@ def dslash(f: Callable, nu: complex, v, g: GroupElement) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# convenience constructors and JSON i/o
+# convenience constructors
 
 
 def delta_form(n_terms: int = DELTA_TERMS) -> MaassForm:
@@ -592,20 +564,10 @@ def surrogate_form(
     k = parse_weight(weight)
     if multiplier is None:
         multiplier = construct_eta_power(k)
-    theta = principal_arg(multiplier.v_t)
-    kappa0 = theta / (2.0 * math.pi)
-    if kappa0 < 0:
-        kappa0 += 1.0
     if coefficients is None:
-        coefficients = boundary_balanced_coefficients(nu, kappa0)
-    return MaassForm(
-        weight=k,
-        multiplier=multiplier,
-        nu=nu,
-        backend=WhittakerSurrogate(
-            tuple(coefficients), kappa0, tuple(negative_coefficients)
-        ),
-    )
+        coefficients = boundary_balanced_coefficients(nu, multiplier.rho / 24)
+    backend = WhittakerSurrogate(tuple(coefficients), tuple(negative_coefficients))
+    return MaassForm(weight=k, multiplier=multiplier, nu=nu, backend=backend)
 
 
 def two_sided_surrogate(weight, nu) -> MaassForm:
@@ -614,60 +576,3 @@ def two_sided_surrogate(weight, nu) -> MaassForm:
     pos = tuple((1.0 + 0.4j * ((-1) ** n)) / (n * n) for n in range(1, 5))
     neg = tuple((0.7 - 0.3j * ((-1) ** n)) / (n * n) for n in range(1, 5))
     return surrogate_form(weight, nu, coefficients=pos, negative_coefficients=neg)
-
-
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    if isinstance(value, str):
-        return complex(value.replace(" ", "").replace("i", "j"))
-    return complex(value)
-
-
-def form_from_json(data: dict) -> MaassForm:
-    """Build a form from {weight, multiplier, nu, backend, coefficients, ...}."""
-    weight = parse_weight(data["weight"])
-    mult_name = data.get("multiplier", "trivial")
-    if mult_name in ("trivial", 1):
-        multiplier = construct_trivial(weight)
-    elif mult_name in ("eta-power", "eta_power"):
-        multiplier = construct_eta_power(weight)
-    else:
-        raise ValueError(f"unknown multiplier {mult_name!r}")
-    nu = _parse_complex(data["nu"])
-    coeffs = tuple(_parse_complex(c) for c in data["coefficients"])
-    backend_name = data["backend"]
-    if backend_name == "holomorphic_embedding":
-        backend = HolomorphicEmbedding(coeffs)
-    elif backend_name == "whittaker_surrogate":
-        theta = principal_arg(multiplier.v_t)
-        kappa0 = data.get("kappa0", theta / (2 * math.pi) % 1.0)
-        neg = tuple(_parse_complex(c) for c in data.get("negative_coefficients", ()))
-        backend = WhittakerSurrogate(coeffs, float(kappa0), neg)
-    else:
-        raise ValueError(f"unknown backend {backend_name!r}")
-    return MaassForm(
-        weight=weight,
-        multiplier=multiplier,
-        nu=nu,
-        backend=backend,
-        truncation=data.get("truncation"),
-    )
-
-
-def form_to_json(form: MaassForm) -> dict:
-    out = {
-        "weight": str(form.weight),
-        "multiplier": form.multiplier.kind.replace("_", "-"),
-        "nu": [form.nu.real, form.nu.imag],
-        "backend": form.backend.name,
-        "coefficients": [[complex(c).real, complex(c).imag] for c in form.backend.coefficients],
-        "truncation": form.truncation,
-    }
-    if not form.is_embedding:
-        out["kappa0"] = form.backend.kappa0
-        if form.backend.negative_coefficients:
-            out["negative_coefficients"] = [
-                [complex(c).real, complex(c).imag] for c in form.backend.negative_coefficients
-            ]
-    return out

@@ -81,14 +81,6 @@ class GroupElement:
     def max_entry(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
-    def to_json(self) -> list:
-        return [self.a, self.b, self.c, self.d]
-
-    @classmethod
-    def from_json(cls, data) -> "GroupElement":
-        a, b, c, d = (int(x) for x in data)
-        return cls(a, b, c, d)
-
 
 IDENTITY = GroupElement(1, 0, 0, 1)
 S = GroupElement(0, -1, 1, 0)

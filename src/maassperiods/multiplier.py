@@ -77,7 +77,6 @@ class MultiplierSystem:
     weight: Fraction
     v_t: complex
     v_s: complex
-    kind: str = "custom"
     rho: int = field(init=False, repr=False, compare=False)  # v = v_eta^rho, rho mod 24
 
     def __post_init__(self):
@@ -157,13 +156,24 @@ class MultiplierSystem:
 
 def _exact_integers(a, b, c, d) -> np.ndarray:
     """The entries stacked as int64, or as Python ints once one is too large
-    for the Euclid run to stay exact in int64."""
-    m = np.asarray([a, b, c, d])
-    if m.size == 0 or m.dtype.kind in "iu" and -_INT64_EXACT <= m.min() <= m.max() <= _INT64_EXACT:
+    for the Euclid run to stay exact in int64.
+
+    Unsigned entries are stacked as Python ints: numpy would stack a uint64
+    array with int64 ones as float64.
+    """
+    entries = [np.asarray(x) for x in (a, b, c, d)]
+    if not all(map(_holds_integers, entries)):
+        raise InvalidElementError("matrix entries must be integers")
+    m = np.stack([e if e.dtype.kind == "i" else e.astype(object) for e in entries])
+    if m.size == 0 or m.dtype.kind == "i" and -_INT64_EXACT <= m.min() <= m.max() <= _INT64_EXACT:
         return m.astype(np.int64, copy=False)
-    if m.dtype.kind in "iuO" and all(isinstance(x, (int, np.integer)) for x in m.flat):
-        return np.frompyfunc(int, 1, 1)(m)
-    raise InvalidElementError("matrix entries must be integers")
+    return np.frompyfunc(int, 1, 1)(m)
+
+
+def _holds_integers(e: np.ndarray) -> bool:
+    if e.size == 0 or e.dtype.kind in "iu":
+        return True
+    return e.dtype.kind == "O" and all(isinstance(x, (int, np.integer)) for x in e.flat)
 
 
 def _twelve_c_dedekind(h, c):
@@ -194,9 +204,7 @@ def construct_eta_power(weight) -> MultiplierSystem:
     """
     k = parse_weight(weight)
     r = int(2 * k)
-    return MultiplierSystem(
-        weight=k, v_t=complex(_ROOTS[r % 24]), v_s=complex(_ROOTS[-3 * r % 24]), kind="eta_power"
-    )
+    return MultiplierSystem(weight=k, v_t=complex(_ROOTS[r % 24]), v_s=complex(_ROOTS[-3 * r % 24]))
 
 
 def construct_trivial(weight) -> MultiplierSystem:
@@ -206,4 +214,4 @@ def construct_trivial(weight) -> MultiplierSystem:
         raise InvalidWeightError(
             f"the trivial system is only weight-compatible for even k, got {k}"
         )
-    return MultiplierSystem(weight=k, v_t=1.0 + 0.0j, v_s=1.0 + 0.0j, kind="trivial")
+    return MultiplierSystem(weight=k, v_t=1.0 + 0.0j, v_s=1.0 + 0.0j)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,11 @@ def test_cli_table_growth(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["slope_at_infinity"] <= -0.85
+    assert payload["slope_at_infinity"] <= payload["bound_at_infinity"] + 0.15
+    # 8 dyadic points toward zero and 8 toward infinity
+    samples = payload["samples"]
+    assert len(samples["p_small"]) == len(samples["p_large"]) == 8
+    assert all(math.isfinite(p) and p > 0 for p in samples["p_small"] + samples["p_large"])
 
 
 def test_cli_config_file(capsys, tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import operator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,8 +18,6 @@ from maassperiods.forms import (
     delta_coefficients,
     delta_form,
     dslash,
-    form_from_json,
-    form_to_json,
     maass_laplacian_fd,
     maass_lower,
     maass_raise,
@@ -29,7 +28,7 @@ from maassperiods.forms import (
     two_sided_surrogate,
 )
 from maassperiods.modgroup import S, T, T_PRIME, GroupElement, moebius, mu
-from maassperiods.multiplier import construct_eta_power, construct_trivial
+from maassperiods.multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from maassperiods.specfun import WhittakerTable
 
 
@@ -85,15 +84,46 @@ def test_eval_requires_upper_half_plane(delta):
         delta.eval(1 - 1j)
 
 
-def test_surrogate_shift(surrogate):
-    assert surrogate.backend.kappa0 == pytest.approx(1 / 24)
+def test_surrogate_shift(surrogate, delta):
+    # the verify surrogate carries v_eta (rho = 1), the embedding v = 1
+    assert surrogate.kappa0 == 1 / 24
+    assert delta.kappa0 == 0.0
 
 
-def test_surrogate_t_equivariance(surrogate):
+@pytest.mark.parametrize("rho", range(24))
+def test_surrogate_shift_is_rho_over_24(rho):
+    # the frequencies are n + kappa0 with kappa0 = rho/24 for v = v_eta^rho,
+    # built here from v(T) = e^{i pi rho/12} and v(S) = e^{-i pi rho/4}
+    v = MultiplierSystem(
+        Fraction(rho, 2), cmath.exp(1j * math.pi * rho / 12), cmath.exp(-1j * math.pi * rho / 4)
+    )
+    form = surrogate_form(v.weight, 0.35j, multiplier=v)
+    assert form.kappa0 == rho / 24
+    assert abs(cmath.exp(2j * math.pi * form.kappa0) - v.v_t) <= 1e-15
+
+
+def _t_equivariance_gap(form) -> float:
+    """|u(z+1) - v(T) u(z)| / |v(T) u(z)| at one point."""
     z = 0.3 + 1.2j
-    lhs = surrogate.eval(z + 1)
-    rhs = surrogate.multiplier.v_t * surrogate.eval(z)
-    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    rhs = form.multiplier.v_t * form.eval(z)
+    return abs(form.eval(z + 1) - rhs) / abs(rhs)
+
+
+def test_surrogate_t_equivariance(surrogate, surrogate_two_sided):
+    assert _t_equivariance_gap(surrogate) <= 1e-13
+    assert _t_equivariance_gap(surrogate_two_sided) <= 1e-13
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("weight", ["1/2", "3/2", "5/2", "-1/2", "2"])
+def test_surrogate_t_equivariance_across_weights(weight, two_sided):
+    # weight 2 carries the trivial system (kappa0 = 0), the others v_eta^{2k}
+    multiplier = construct_trivial(2) if weight == "2" else None
+    coefficients = {"coefficients": (1.0 + 0.4j, -0.5 + 0.2j, 0.25 - 0.1j)}
+    if two_sided:
+        coefficients["negative_coefficients"] = (0.7 - 0.3j, 0.2 + 0.1j)
+    form = surrogate_form(weight, 0.35j, multiplier=multiplier, **coefficients)
+    assert _t_equivariance_gap(form) <= 1e-13
 
 
 def test_surrogate_eigen_equation(surrogate):
@@ -197,8 +227,8 @@ def _per_term_reference(form, zs):
     """(eval, raise, lower) of a surrogate with one table lookup per Fourier
     term, each term sum in term order."""
     b = form.backend
-    terms = [(c, n + b.kappa0) for n, c in enumerate(b.coefficients, start=1)]
-    terms += [(c, b.kappa0 - n) for n, c in enumerate(b.negative_coefficients, start=1)]
+    terms = [(c, n + form.kappa0) for n, c in enumerate(b.coefficients, start=1)]
+    terms += [(c, form.kappa0 - n) for n, c in enumerate(b.negative_coefficients, start=1)]
     coeffs = np.array([c for c, _ in terms], dtype=complex)
     freqs = np.array([f for _, f in terms])
     tables = {
@@ -446,13 +476,6 @@ def test_cusp_decay_rate(delta, surrogate):
         assert rate >= form.decay_rate - 0.05
 
 
-def test_json_roundtrip(surrogate, delta, surrogate_two_sided):
-    for form in (surrogate, delta, surrogate_two_sided):
-        back = form_from_json(form_to_json(form))
-        z = 0.21 + 1.3j
-        assert abs(back.eval(z) - form.eval(z)) <= 1e-12 * max(abs(form.eval(z)), 1e-12)
-
-
 def test_embedding_validation():
     with pytest.raises(ValueError):
         MaassForm(12, construct_trivial(12), 0.3j, HolomorphicEmbedding((1, -24)))
@@ -462,16 +485,4 @@ def test_embedding_validation():
             construct_eta_power("1/2"),
             0.3j,
             HolomorphicEmbedding((1, -24)),
-        )
-
-
-def test_surrogate_shift_validation():
-    from maassperiods.forms import WhittakerSurrogate
-
-    with pytest.raises(ValueError):
-        MaassForm(
-            "1/2",
-            construct_eta_power("1/2"),
-            0.3j,
-            WhittakerSurrogate((1.0,), 0.4),  # wrong shift for v(T)
         )

@@ -114,8 +114,3 @@ def test_nonnegative_monoid_preserves_cut_plane(rng):
         for z in points:
             image = moebius(g, complex(z))
             assert not (image.imag == 0.0 and image.real <= 0.0)
-
-
-def test_json_roundtrip():
-    g = T_PRIME * S * T
-    assert GroupElement.from_json(g.to_json()) == g

@@ -286,6 +286,18 @@ def test_entries_beyond_int64_products_give_exact_values(c):
     assert np.max(np.abs(v.evaluate_many(ones, b, zeros, ones) - want)) <= 1e-15
 
 
+def test_unsigned_entries_mixed_with_signed_ones_stay_integers():
+    # numpy stacks uint64 with int64 as float64; each entry is converted alone
+    v = construct_eta_power("1/2")
+    got = v.evaluate_many(np.array([1], np.uint64), [5], [0], [1])
+    assert abs(got[0] - cmath.exp(5j * math.pi / 12)) <= 1e-15
+    # a uint64 entry >= 2^63 goes to Python ints, where int64 would wrap it
+    b = np.array([2**63, 2**64 - 1], dtype=np.uint64)
+    want = [_unit(Fraction(x, 12)) for x in b.tolist()]
+    ones, zeros = np.ones(2, np.int64), np.zeros(2, np.int64)
+    assert np.max(np.abs(v.evaluate_many(ones, b, zeros, ones) - want)) <= 1e-15
+
+
 def test_non_integer_or_non_unimodular_entries_are_rejected():
     v = construct_eta_power("1/2")
     with pytest.raises(InvalidElementError):
@@ -329,5 +341,5 @@ def test_array_draws_reproduce_the_word_samples(bound, max_len, seed):
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
     before = _words_before_arrays(old, 300, max_len, bound)
     after = _words(new, 300, max_len, bound)
-    assert [g.to_json() for g in before] == after.T.tolist()
+    assert [[g.a, g.b, g.c, g.d] for g in before] == after.T.tolist()
     assert old.bit_generator.state == new.bit_generator.state
