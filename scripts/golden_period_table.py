@@ -5,13 +5,13 @@ both sides of the imaginary axis, together with the polynomial's exact
 coefficients from the L-values."""
 
 from maassperiods import PeriodFunction, delta_form, eichler_polynomial, period_polynomial
-from maassperiods.forms import delta_coefficients
+from maassperiods.forms import DELTA_TERMS, delta_coefficients
 
 
 def main() -> None:
-    delta = delta_form(50)
+    delta = delta_form(DELTA_TERMS)
     period = PeriodFunction(delta)
-    coeffs = (0,) + delta_coefficients(50)
+    coeffs = (0,) + delta_coefficients(DELTA_TERMS)
 
     print(f"{'zeta':>10s} {'P(zeta)':>28s} {'-22 p(zeta)':>28s} {'rel diff':>10s}")
     # the last four lie in the far strip left of the imaginary axis

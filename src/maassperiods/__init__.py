@@ -4,7 +4,6 @@ nearly periodic functions and period functions, with verification suites."""
 from .branch import factorizable, principal_arg, principal_pow
 from .config import Settings
 from .forms import (
-    ConjugateForm,
     MaassForm,
     delta_coefficients,
     delta_form,
@@ -20,7 +19,6 @@ from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from .periods import (
     BijectionConstants,
     NearlyPeriodicFunction,
-    PeriodEvaluation,
     PeriodFunction,
     P_to_f,
     derived_period,
@@ -35,7 +33,6 @@ from .specfun import WhittakerParams, bessel_k, gamma_complex, whittaker_w
 
 __all__ = [
     "BijectionConstants",
-    "ConjugateForm",
     "GeodesicPath",
     "GroupElement",
     "INFINITY",
@@ -44,7 +41,6 @@ __all__ = [
     "NearlyPeriodicFunction",
     "OneFormSample",
     "P_to_f",
-    "PeriodEvaluation",
     "PeriodFunction",
     "QuadratureResult",
     "RKernel",

@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser(
         "period-poly", help="tabulate the classical period polynomial", parents=[common]
     )
-    p_poly.add_argument("--form", default="delta", choices=["delta"])
     p_poly.add_argument("--samples", type=int, default=11, help="sample rows on [0.5, 2.5]")
 
     p_pf = sub.add_parser(
@@ -132,12 +131,14 @@ def _cmd_period_function(args, settings: Settings) -> int:
         form = surrogate_form(weight, nu)
     period = PeriodFunction(form, settings)
     grid_spec = args.grid.split(",")
-    start, stop, count = (float(p) for p in grid_spec[0].split(":"))
+    start, stop, count = grid_spec[0].split(":")
+    if not count.strip().isdecimal() or int(count) < 1:
+        raise ValueError(f"--grid count must be a positive integer, got {count!r}")
     offset = float(grid_spec[1]) if len(grid_spec) > 1 else 0.0
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re_zeta", "im_zeta", "re_P", "im_P", "abs_error"])
-    for x in np.linspace(start, stop, int(count)):
+    for x in np.linspace(float(start), float(stop), int(count)):
         res = period.eval(complex(x, offset))
         writer.writerow(
             [

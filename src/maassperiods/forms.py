@@ -1,4 +1,4 @@
-"""Evaluatable Maass cusp forms, their conjugates, and the Maass operators.
+"""Evaluatable Maass cusp forms and the Maass operators.
 
 Two backends:
 
@@ -49,7 +49,6 @@ from .specfun import WhittakerTable
 
 __all__ = [
     "MaassForm",
-    "ConjugateForm",
     "HolomorphicEmbedding",
     "WhittakerSurrogate",
     "delta_coefficients",
@@ -278,13 +277,6 @@ class MaassForm:
         """rho/24 for v = v_eta^rho: the frequency shift with v(T) = e^{2 pi i kappa0}."""
         return self.multiplier.rho / 24
 
-    @property
-    def decay_rate(self) -> float:
-        """Exponential rate of |u| as y -> infinity."""
-        if not self.is_embedding and self.backend.negative_coefficients:
-            return 2.0 * math.pi * min(1.0 + self.kappa0, 1.0 - self.kappa0)
-        return 2.0 * math.pi * (1.0 + self.kappa0)
-
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, z: complex) -> complex:
@@ -397,45 +389,24 @@ class MaassForm:
         return value.reshape(zs.shape), out.reshape(zs.shape)
 
 
-class ConjugateForm:
-    """The lower-half-plane conjugate z -> u(conj z) of a Maass form."""
-
-    def __init__(self, source: MaassForm):
-        self.source = source
-        self.weight = -source.weight
-        self.k = -source.k
-        self.nu = source.nu
-        self.multiplier = source.multiplier
-
-    def eval(self, z: complex) -> complex:
-        return complex(self.eval_many(np.array([z]))[0])
-
-    def __call__(self, z: complex) -> complex:
-        return self.eval(z)
-
-    def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if np.any(zs.imag >= 0):
-            raise DomainError("conjugate form evaluation requires Im z < 0")
-        return self.source.eval_many(np.conj(zs))
-
-
 # ---------------------------------------------------------------------------
 # Maass operators on arbitrary sampled functions
 
 
+def _fd_line(fn: Callable, z: complex, step: complex) -> tuple:
+    """fn at z + 2 step, z + step, z - step and z - 2 step."""
+    return fn(z + 2 * step), fn(z + step), fn(z - step), fn(z - 2 * step)
+
+
+def _fd_first(samples: tuple, h: float) -> complex:
+    """The 5-point first derivative from the samples of :func:`_fd_line`."""
+    p2, p1, m1, m2 = samples
+    return (-p2 + 8 * p1 - 8 * m1 + m2) / (12.0 * h)
+
+
 def _fd_partials(fn: Callable, z: complex, h: float) -> tuple:
     """5-point first partials (f_x, f_y) of fn at z."""
-
-    def d(direction):
-        return (
-            -fn(z + 2 * h * direction)
-            + 8 * fn(z + h * direction)
-            - 8 * fn(z - h * direction)
-            + fn(z - 2 * h * direction)
-        ) / (12.0 * h)
-
-    return d(1.0), d(1j)
+    return _fd_first(_fd_line(fn, z, h), h), _fd_first(_fd_line(fn, z, 1j * h), h)
 
 
 def _fd_step(z: complex) -> float:
@@ -460,9 +431,7 @@ def _maass_op(f, z, k, sign):
         arr = np.array([z])
         return complex((f.raise_many(arr) if sign > 0 else f.lower_many(arr))[0])
     if k is None:
-        if not isinstance(f, ConjugateForm):
-            raise ValueError("a weight is required for generic functions")
-        k = f.k
+        raise ValueError("a weight is required for generic functions")
     y = z.imag
     fx, fy = _fd_partials(f, z, _fd_step(z))
     return sign * 2j * y * fx + 2.0 * y * fy + sign * k * f(z)
@@ -474,14 +443,12 @@ def maass_laplacian_fd(fn: Callable, k: float, z: complex, h: float | None = Non
     if h is None:
         h = _fd_step(z)
     y = z.imag
-    fxx = (
-        -fn(z + 2 * h) + 16 * fn(z + h) - 30 * fn(z) + 16 * fn(z - h) - fn(z - 2 * h)
-    ) / (12.0 * h * h)
-    fyy = (
-        -fn(z + 2j * h) + 16 * fn(z + 1j * h) - 30 * fn(z) + 16 * fn(z - 1j * h) - fn(z - 2j * h)
-    ) / (12.0 * h * h)
-    fx = (-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12.0 * h)
-    return -y * y * (fxx + fyy) + 1j * k * y * fx
+    centre = fn(z)
+    along_x, along_y = _fd_line(fn, z, h), _fd_line(fn, z, 1j * h)
+    fxx, fyy = (
+        (-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12.0 * h * h) for p2, p1, m1, m2 in (along_x, along_y)
+    )
+    return -y * y * (fxx + fyy) + 1j * k * y * _fd_first(along_x, h)
 
 
 # ---------------------------------------------------------------------------

@@ -184,22 +184,17 @@ def r_transform_check(
 
 @dataclass(frozen=True)
 class OneFormSample:
-    """A dz, d(conj z) coefficient pair at a point."""
+    """The dz and d(conj z) coefficients of a 1-form at a point."""
 
     A: complex
     B: complex
-    at: complex
-
-    def pullback(self, velocity: complex) -> complex:
-        """Contraction with a path velocity dz/dt (the d conj z part rides conj)."""
-        return self.A * velocity + self.B * velocity.conjugate()
 
 
 def eta_form(k: float, f, g, z: complex) -> OneFormSample:
     """eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}- at one point.
 
-    ``f`` and ``g`` are callables of weight k and -k: Maass forms, conjugate
-    forms or bare functions.
+    ``f`` and ``g`` are callables of weight k and -k: Maass forms or bare
+    functions.
     """
     z = complex(z)
     if z.imag == 0:
@@ -207,7 +202,7 @@ def eta_form(k: float, f, g, z: complex) -> OneFormSample:
     y = z.imag
     a = maass_raise(f, z, k=k) * g(z) / y
     b = -f(z) * maass_lower(g, z, k=-k) / y
-    return OneFormSample(A=complex(a), B=complex(b), at=z)
+    return OneFormSample(A=complex(a), B=complex(b))
 
 
 def eta_form_many(k: float, f, g, zs: np.ndarray) -> tuple:

@@ -25,6 +25,11 @@ both converge and agree; f and P raise the kernel, which collapses the
 pairing to the classical Eichler integrand because the lowering operator
 kills the form.  Each contour supplies only its points, its kernel values
 and its velocity.
+
+Both transforms return the quadrature's own ``QuadratureResult``, with
+their route prefixed to its ``contour``; only the f <-> P bridge, which
+combines two values of f, and a form whose transforms vanish identically
+build a new one.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -49,11 +54,10 @@ from .forms import MaassForm
 from .kernel import RKernel, kernel_eigen_apply
 from .modgroup import INFINITY
 from .multiplier import MultiplierSystem
-from .quadrature import GeodesicPath, integrate_form, integrate_ray
+from .quadrature import GeodesicPath, QuadratureResult, integrate_form, integrate_ray
 
 __all__ = [
     "BijectionConstants",
-    "PeriodEvaluation",
     "NearlyPeriodicFunction",
     "PeriodFunction",
     "f_to_P",
@@ -102,19 +106,6 @@ class BijectionConstants:
 
     def for_half_plane(self, zeta: complex) -> complex:
         return self.c_plus if zeta.imag > 0 else self.c_minus
-
-
-@dataclass(frozen=True)
-class PeriodEvaluation:
-    """A transform value together with the contour used and the error budget.
-
-    ``evaluations`` counts every integrand point.
-    """
-
-    value: complex
-    contour: str
-    abs_error: float
-    evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +203,9 @@ def _vanishes_identically(form: MaassForm) -> bool:
     return form.is_embedding and abs(form.nu - (1.0 - form.k) / 2.0) < 1e-12
 
 
+_ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the nearly periodic function
 
@@ -231,12 +225,13 @@ class NearlyPeriodicFunction:
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
 
-    def eval(self, zeta: complex) -> PeriodEvaluation:
+    def eval(self, zeta: complex) -> QuadratureResult:
+        """The quadrature's result, its value signed and its route prefixed."""
         zeta = complex(zeta)
         if zeta.imag == 0.0:
             raise DomainError("the nearly periodic function lives off the real axis")
         if self._degenerate_zero:
-            return PeriodEvaluation(0.0 + 0.0j, "identically zero", 0.0, 0)
+            return _ZERO
         form = self.form
         k, nu = form.k, form.nu
         if zeta.imag > 0:
@@ -258,12 +253,7 @@ class NearlyPeriodicFunction:
         phi = ray_integrand(form, zeta, base, ladder)
         result = integrate_ray(phi, start_mode=("power", alpha), settings=self.settings)
         # the form-raised pairing integrates to minus the kernel-raised one
-        return PeriodEvaluation(
-            -ladder * result.value,
-            f"ray {base:.4g} -> i*inf " + ";".join(result.metadata["pieces"]),
-            result.abs_error_estimate,
-            result.evaluations,
-        )
+        return replace(result, value=-ladder * result.value, contour=f"ray {base:.4g} -> i*inf {result.contour}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,9 @@ class PeriodFunction:
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
 
-    def eval(self, zeta: complex) -> PeriodEvaluation:
+    def eval(self, zeta: complex) -> QuadratureResult:
+        """The quadrature's result with its route prefixed, or the bridge's
+        combination of two values of f; memoised."""
         zeta = complex(zeta)
         if on_cut(zeta):
             raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
@@ -295,31 +287,32 @@ class PeriodFunction:
             self._cache.move_to_end(zeta)
             return self._cache[zeta]
         if self._degenerate_zero:
-            return self._remember(zeta, PeriodEvaluation(0.0 + 0.0j, "identically zero", 0.0, 0))
+            return self._remember(zeta, _ZERO)
         form = self.form
         if zeta.real <= 0 and self._f is not None:
             # the bridge: both rays start in the half-plane of zeta
             near, far = self._f.eval(zeta), self._f.eval(-1.0 / zeta)
             factor = _inversion_factor(form.multiplier, form.nu, zeta)
-            out = PeriodEvaluation(
+            out = QuadratureResult(
                 near.value - factor * far.value,
-                f"f <-> P bridge: {near.contour} | {far.contour}",
                 near.abs_error + abs(factor) * far.abs_error,
                 near.evaluations + far.evaluations,
+                f"f <-> P bridge: {near.contour} | {far.contour}",
+                near.tol + abs(factor) * far.tol,
             )
             return self._remember(zeta, out)
         if zeta.real > 0:
             # a non-embedded form's kernel branches at zeta or its conjugate:
             # near the axis, split it level with them, where nodes cluster
             split = not form.is_embedding and zeta.real < abs(zeta.imag)
-            path = GeodesicPath.polyline([0.0, 1j * abs(zeta.imag), INFINITY] if split else [0.0, INFINITY])
+            path = GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY))
             note = "imaginary axis"
         else:
             # the ray runs at least 0.25 left of zeta, where the kernel
             # branches: tanh-sinh clusters nodes only at a segment's ends
             eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
             h0 = min(eps, 0.5 * abs(zeta.imag))
-            path = GeodesicPath.polyline([0.0, complex(-eps, h0), INFINITY])
+            path = GeodesicPath((0.0, complex(-eps, h0), INFINITY))
             note = f"deformed polyline eps={eps:.3g}"
         result = integrate_form(
             eta_integrand(form, zeta, mode="factored"),
@@ -328,15 +321,9 @@ class PeriodFunction:
             start_mode=("exp",) if form.is_embedding else ("log",),
             settings=self.settings,
         )
-        out = PeriodEvaluation(
-            result.value,
-            note + " " + ";".join(result.metadata["pieces"]),
-            result.abs_error_estimate,
-            result.evaluations,
-        )
-        return self._remember(zeta, out)
+        return self._remember(zeta, replace(result, contour=f"{note} {result.contour}"))
 
-    def _remember(self, zeta: complex, out: PeriodEvaluation) -> PeriodEvaluation:
+    def _remember(self, zeta: complex, out: QuadratureResult) -> QuadratureResult:
         self._cache[zeta] = out
         if len(self._cache) > self.MEMO_SIZE:
             self._cache.popitem(last=False)
@@ -361,9 +348,9 @@ def _parameters(obj, weight, nu, multiplier) -> tuple:
     return tuple(mine if given is None else given for mine, given in zip(own, (weight, nu, multiplier)))
 
 
-def f_to_P(f, zeta: complex, weight=None, nu=None, multiplier=None) -> complex:
+def f_to_P(f, zeta: complex, nu=None, multiplier=None) -> complex:
     """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(S zeta)."""
-    _, n, v = _parameters(f, weight, nu, multiplier)
+    _, n, v = _parameters(f, None, nu, multiplier)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise DomainError("f is only defined off the real axis")

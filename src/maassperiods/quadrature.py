@@ -1,7 +1,9 @@
 """Integration of 1-forms along hyperbolic geodesics and polylines.
 
-Paths compile to parametrised pieces: straight segments, vertical rays and
-geodesic arcs in hyperbolic-angle parametrisation.  Every piece takes one
+A path is a chain of points, and each edge compiles to a parametrised
+piece by its ends: a geodesic arc in hyperbolic-angle parametrisation
+between two real points, a vertical ray up to INFINITY, and a straight
+segment otherwise.  Every piece takes one
 nested double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974; Mori &
 Sugihara, J. Comput. Appl. Math. 127, 2001), the trapezoid rule in w after
 a map x(w) under which the integrand decays double exponentially at both
@@ -25,8 +27,8 @@ call sees; an explicit ``tol`` is absolute, split evenly between pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,50 +46,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral and how it was taken.
+
+    ``abs_error`` is the reported error bound, ``evaluations`` counts every
+    integrand point, ``contour`` joins the pieces' notes with ``;`` and
+    ``tol`` sums the absolute targets the pieces used.
+    """
+
     value: complex
-    abs_error_estimate: float
+    abs_error: float
     evaluations: int
-    metadata: dict = field(default_factory=dict)
+    contour: str
+    tol: float
 
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """A vertical ray, a geodesic arc, or a polyline of straight pieces.
+    """A chain of ``points``, each edge typed by its ends.
 
-    Arc endpoints are real numbers or :data:`INFINITY`, and mean the full
-    geodesic into that point; an interior endpoint raises DomainError
-    (transforms from an interior point pull their integrand back along
-    their own contour and call ``integrate_ray``).
-    Polyline vertices are finite (the first may be real); an
-    :data:`INFINITY` final vertex appends a vertical ray.
+    An edge between two real points is the geodesic arc, an edge to
+    :data:`INFINITY` the vertical ray up from its finite end, and every
+    other edge a straight segment.  INFINITY may only be the first or the
+    last point, not both.  An edge from it (the image of a ray under
+    :func:`geodesic_image`) raises DomainError when integrated.
     """
 
-    kind: str
     points: tuple
 
-    @classmethod
-    def vertical_ray(cls, base: complex) -> "GeodesicPath":
-        """The upward ray from ``base`` to :data:`INFINITY`."""
-        return cls("vertical_ray", (complex(base), INFINITY))
-
-    @classmethod
-    def arc(cls, e1, e2) -> "GeodesicPath":
-        return cls("arc", (e1, e2))
-
-    @classmethod
-    def polyline(cls, vertices: Sequence) -> "GeodesicPath":
-        vertices = tuple(vertices)
-        if any(v is INFINITY for v in vertices[:-1]):
-            raise DomainError("INFINITY may only terminate a polyline")
-        return cls("polyline", vertices)
+    def __post_init__(self):
+        pts = self.points
+        if len(pts) < 2 or any(p is INFINITY for p in pts[1:-1]) or pts[0] is pts[-1] is INFINITY:
+            raise DomainError("a path needs two points, and INFINITY at one end at most")
 
 
 def geodesic_image(path: GeodesicPath, g: GroupElement) -> GeodesicPath:
-    """The image geodesic under a fractional linear map (rays and arcs only)."""
-    if path.kind == "polyline":
-        raise DomainError("polylines are not geodesics; map their vertices instead")
-    e1, e2 = path.points
-    return GeodesicPath.arc(moebius(g, e1), moebius(g, e2))
+    """The image of a path under a fractional linear map.
+
+    Only a path between boundary points (real or INFINITY), whose edges are
+    arcs and rays, maps to a path; a point of the half-plane, as on a
+    straight edge, raises DomainError.
+    """
+    if any(p is not INFINITY and complex(p).imag != 0.0 for p in path.points):
+        raise DomainError("only paths between boundary points are geodesics; map their points instead")
+    return GeodesicPath(tuple(moebius(g, p) for p in path.points))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def integrate_form(
     ``quad_tol`` times its own integral of |phi|, at least 1e-50 of it: the
     Whittaker tables return W below 1e-60 as zero, and a target relative to
     what is left would chase that cutoff.  An explicit tol is absolute and
-    split evenly between the pieces.  ``metadata["tol"]`` sums the targets
+    split evenly between the pieces; the result's ``tol`` sums the targets
     the pieces used.  ``settings.max_evals`` caps the evaluations of the
     whole path.
     """
@@ -363,7 +364,7 @@ def _integrate(integrand, pieces, tol, start_mode, settings: Settings) -> Quadra
             notes.append(note)
     except NonconvergenceError as exc:
         raise NonconvergenceError(total + exc.partial, float("inf"), budget.used) from exc
-    return QuadratureResult(total, total_err, budget.used, {"pieces": notes, "tol": total_tol})
+    return QuadratureResult(total, total_err, budget.used, ";".join(notes), total_tol)
 
 
 def _ray(phi, target, budget, smode):
@@ -375,16 +376,19 @@ def _ray(phi, target, budget, smode):
 
 
 def _compile(path: GeodesicPath) -> list:
-    """One runner per piece: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
-    if path.kind == "vertical_ray":
-        return [_make_ray(path.points[0])]
-    if path.kind == "arc":
-        return [_make_arc(*path.points)]
-    pts = path.points
-    return [
-        _make_ray(complex(p)) if q is INFINITY else _make_segment(complex(p), complex(q))
-        for p, q in zip(pts[:-1], pts[1:])
-    ]
+    """One runner per edge: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
+    return [_make_piece(p, q) for p, q in zip(path.points[:-1], path.points[1:])]
+
+
+def _make_piece(p, q) -> Callable:
+    if p is INFINITY:
+        raise DomainError("an edge from INFINITY is not integrated; integrate its reverse and negate")
+    if q is INFINITY:
+        return _make_ray(complex(p))
+    p, q = complex(p), complex(q)
+    if p.imag == 0.0 and q.imag == 0.0:
+        return _make_arc(p.real, q.real)
+    return _make_segment(p, q)
 
 
 def _make_segment(z0: complex, z1: complex) -> Callable:
@@ -408,25 +412,7 @@ def _make_ray(base: complex) -> Callable:
     return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode)
 
 
-def _make_arc(e1, e2) -> Callable:
-    if any(e is not INFINITY and complex(e).imag != 0.0 for e in (e1, e2)):
-        raise DomainError(
-            "arc endpoints must be real or INFINITY; a transform from an "
-            "interior point integrates its own pulled-back integrand"
-        )
-    if e1 is INFINITY and e2 is INFINITY:
-        raise DomainError("a geodesic needs a finite endpoint")
-    if e2 is INFINITY:
-        return _make_ray(complex(e1))
-    if e1 is INFINITY:
-        inner = _make_ray(complex(e2))
-
-        def run(omega, target, budget, smode):
-            val, err, note, tol = inner(omega, target, budget, smode)
-            return -val, err, note + " reversed", tol
-
-        return run
-    a, b = complex(e1).real, complex(e2).real
+def _make_arc(a: float, b: float) -> Callable:
     if a == b:
         raise DomainError("degenerate geodesic")
     point = _arc_point(0.5 * (a + b), 0.5 * abs(b - a))

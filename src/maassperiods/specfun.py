@@ -163,26 +163,17 @@ def _whittaker_recurrence(kappa: float, mu: complex, ys: np.ndarray) -> np.ndarr
         W_{k+1,m}(y) = (y - 2k) W_{k,m}(y) - (k - 1/2 - m)(k - 1/2 + m) W_{k-1,m}(y)
 
     The step count is the smallest shift giving both base evaluations a
-    positive-real integrand exponent with margin 1/4.  The recurrence
-    cancels catastrophically as y -> 0, so small arguments take the
-    convergent series instead when the connection formula is available.
+    positive-real integrand exponent with margin 1/4.
     """
-    out = np.empty(ys.shape, dtype=complex)
-    rest = ys > 0.5 if _series_applicable(mu) else np.ones(ys.shape, dtype=bool)
-    if not np.all(rest):
-        out[~rest] = _whittaker_series(kappa, mu, ys[~rest])
-    if np.any(rest):
-        yr = ys[rest]
-        need = 0.25 - max((mu - kappa + 0.5).real, (-mu - kappa + 0.5).real)
-        n = int(math.ceil(need))
-        prev = np.asarray(whittaker_w(WhittakerParams(kappa - n - 1, mu), yr), dtype=complex)
-        curr = np.asarray(whittaker_w(WhittakerParams(kappa - n, mu), yr), dtype=complex)
-        for j in range(n):
-            kj = kappa - n + j
-            nxt = (yr - 2.0 * kj) * curr - (kj - 0.5 - mu) * (kj - 0.5 + mu) * prev
-            prev, curr = curr, nxt
-        out[rest] = curr
-    return out
+    need = 0.25 - max((mu - kappa + 0.5).real, (-mu - kappa + 0.5).real)
+    n = int(math.ceil(need))
+    prev = np.asarray(whittaker_w(WhittakerParams(kappa - n - 1, mu), ys), dtype=complex)
+    curr = np.asarray(whittaker_w(WhittakerParams(kappa - n, mu), ys), dtype=complex)
+    for j in range(n):
+        kj = kappa - n + j
+        nxt = (ys - 2.0 * kj) * curr - (kj - 0.5 - mu) * (kj - 0.5 + mu) * prev
+        prev, curr = curr, nxt
+    return curr
 
 
 def _series_applicable(mu: complex) -> bool:

@@ -32,6 +32,7 @@ from .errors import DegenerateBijectionError
 from .forms import (
     MaassForm,
     DELTA_TERMS,
+    _fd_partials,
     delta_coefficients,
     delta_form,
     dslash,
@@ -617,7 +618,7 @@ def _(ctx, rng):
     loop = 0.0 + 0.0j
     scale = 0.0
     for p, q in zip(corners[:-1], corners[1:]):
-        seg = integrate_form(omega, GeodesicPath.polyline([p, q]), tol=1e-12, settings=ctx.settings)
+        seg = integrate_form(omega, GeodesicPath((p, q)), tol=1e-12, settings=ctx.settings)
         loop += seg.value
         scale = max(scale, abs(seg.value))
     return 4, abs(loop) / max(scale, 1e-30)
@@ -689,7 +690,7 @@ def _(ctx, rng):
     e_plus = lambda z: (1 - 2 * nu + kk) * ys(z)
     e_minus = e_plus
     z0, z1 = 0.2 + 0.9j, 0.5 + 1.4j
-    seg = GeodesicPath.polyline([z0, z1])
+    seg = GeodesicPath((z0, z1))
     lhs = integrate_form(
         lambda zs: eta_form_many(kk + 2, e_plus, e_minus, zs),
         seg,
@@ -743,13 +744,13 @@ def _exp_form(zs):
 @identity("quad.log-segment", "int of dz/y from i to 2i equals i log 2", 1e-12)
 def _(ctx, rng):
     omega = lambda zs: (1.0 / np.asarray(zs).imag, np.zeros(np.shape(zs), complex))
-    got = integrate_form(omega, GeodesicPath.polyline([1j, 2j]), tol=1e-13, settings=ctx.settings)
+    got = integrate_form(omega, GeodesicPath((1j, 2j)), tol=1e-13, settings=ctx.settings)
     return 1, abs(got.value - 1j * math.log(2))
 
 
 @identity("quad.exponential-ray", "int of e^{2 pi i z} dz up the ray from i", 1e-11)
 def _(ctx, rng):
-    ray = GeodesicPath.vertical_ray(1j)
+    ray = GeodesicPath((1j, INFINITY))
     got = integrate_form(_exp_form, ray, tol=1e-15, settings=ctx.settings)
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
     return 1, abs(got.value - want) / abs(want)
@@ -758,9 +759,9 @@ def _(ctx, rng):
 def _axis_integral(ctx):
     """Delta's pairing at zeta = 3 on the axis: (omega, the absolute target it met, value)."""
     omega = eta_integrand(ctx.delta, 3.0)
-    axis = GeodesicPath.vertical_ray(0.0)
+    axis = GeodesicPath((0.0, INFINITY))
     result = integrate_form(omega, axis, start_mode=("exp",), settings=ctx.settings)
-    return omega, result.metadata["tol"], result.value
+    return omega, result.tol, result.value
 
 
 @identity(
@@ -772,7 +773,7 @@ def _(ctx, rng):
     omega, tol, direct = _axis_integral(ctx)
     bent = integrate_form(
         omega,
-        GeodesicPath.polyline([0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY]),
+        GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)),
         tol=tol,
         start_mode=("exp",),
         settings=ctx.settings,
@@ -788,9 +789,9 @@ def _(ctx, rng):
 def _(ctx, rng):
     omega, tol, axis = _axis_integral(ctx)
     shifted = integrate_form(
-        omega, GeodesicPath.arc(-1.0, INFINITY), tol=tol, start_mode=("exp",), settings=ctx.settings
+        omega, GeodesicPath((-1.0, INFINITY)), tol=tol, start_mode=("exp",), settings=ctx.settings
     ).value
-    arc = integrate_form(omega, GeodesicPath.arc(0.0, -1.0), tol=tol, settings=ctx.settings).value
+    arc = integrate_form(omega, GeodesicPath((0.0, -1.0)), tol=tol, settings=ctx.settings).value
     return 3, abs(axis - shifted - arc) / max(abs(axis), 1e-30)
 
 
@@ -806,7 +807,7 @@ def _(ctx, rng):
 
         got = integrate_form(
             omega,
-            GeodesicPath.polyline([0.0, d]),
+            GeodesicPath((0.0, d)),
             tol=1e-12,
             start_mode=("power", alpha),
             settings=ctx.settings,
@@ -821,10 +822,10 @@ def _(ctx, rng):
     0.0,
 )
 def _(ctx, rng):
-    ray = GeodesicPath.vertical_ray(1j)
+    ray = GeodesicPath((1j, INFINITY))
     loose = integrate_form(_exp_form, ray, tol=1e-8, settings=ctx.settings)
     tight = integrate_form(_exp_form, ray, tol=5e-9, settings=ctx.settings)
-    return 2, 0.0 if abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-15) else 1.0
+    return 2, 0.0 if abs(loose.value - tight.value) <= max(loose.abs_error, 1e-15) else 1.0
 
 
 @identity(
@@ -833,7 +834,7 @@ def _(ctx, rng):
     0.0,
 )
 def _(ctx, rng):
-    axis = GeodesicPath.vertical_ray(0.0)
+    axis = GeodesicPath((0.0, INFINITY))
     ok_t = geodesic_image(axis, T.inverse()).points == (-1.0, INFINITY)
     ok_tp = geodesic_image(axis, T_PRIME.inverse()).points == (0.0, -1.0)
     img = geodesic_image(axis, S.inverse())
@@ -938,7 +939,7 @@ def _(ctx, rng):
     worst = 0.0
     for z in pts:
         worst = max(worst, _rel(back(z), synth(z)))
-        again = f_to_P(back, z, weight=0, nu=_SYNTH_NU, multiplier=v0)
+        again = f_to_P(back, z, nu=_SYNTH_NU, multiplier=v0)
         worst = max(worst, abs(again - period(z)) / max(abs(period(z)), 1e-12))
     return 2 * len(pts), worst
 
@@ -1008,7 +1009,7 @@ def _(ctx, rng):
     delta = ctx.delta
     worst = 0.0
     for g in (T, T_PRIME):
-        img = geodesic_image(GeodesicPath.vertical_ray(0.0), g.inverse())
+        img = geodesic_image(GeodesicPath((0.0, INFINITY)), g.inverse())
         for zeta in (0.5, 1.0, 2.0):
             lhs = dslash(ctx.p_delta, delta.nu, delta.multiplier, g)(zeta)
             omega = eta_integrand(delta, zeta)
@@ -1023,7 +1024,7 @@ def _(ctx, rng):
     1e-8,
 )
 def _(ctx, rng):
-    axis, s = GeodesicPath.vertical_ray(0.0), ctx.settings
+    axis, s = GeodesicPath((0.0, INFINITY)), ctx.settings
     i_r, i_u = (
         integrate_form(eta_integrand(ctx.delta, 3.0, ladder), axis, tol=None, start_mode=("exp",), settings=s).value
         for ladder in (-1, +1)
@@ -1070,16 +1071,8 @@ def _(ctx, rng):
     h = 0.02
     worst = 0.0
     for zeta in (1.3 + 0.4j, -0.8 + 1.5j, 0.5 - 1.1j):
-
-        def d5(direction):
-            return (
-                -p(zeta + 2 * h * direction)
-                + 8 * p(zeta + h * direction)
-                - 8 * p(zeta - h * direction)
-                + p(zeta - 2 * h * direction)
-            ) / (12 * h)
-
-        d_zbar = 0.5 * (d5(1.0) + 1j * d5(1j))
+        d_x, d_y = _fd_partials(p, zeta, h)
+        d_zbar = 0.5 * (d_x + 1j * d_y)
         worst = max(worst, abs(d_zbar) / max(abs(p(zeta)), 1e-3))
     return 3, worst
 

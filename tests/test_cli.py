@@ -51,7 +51,7 @@ def test_cli_verify_kernel_exit_zero(capsys):
 def test_cli_period_poly(capsys, tmp_path):
     out_path = tmp_path / "poly.csv"
     for samples in (11, 5):
-        code = main(["--out", str(out_path), "period-poly", "--form", "delta", "--samples", str(samples)])
+        code = main(["--out", str(out_path), "period-poly", "--samples", str(samples)])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out_path.read_text())))
         # the sample rows, then the exact coefficients whatever the sample count
@@ -71,6 +71,12 @@ def test_cli_period_poly_needs_a_sample(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_cli_period_poly_has_no_form_option(capsys):
+    # the table is Delta's, the only form with a classical period polynomial here
+    assert main(["period-poly", "--form", "delta"]) == 2
+    assert "--form" in capsys.readouterr().err
+
+
 def test_cli_period_function(capsys):
     code = main(
         ["period-function", "--weight", "1/2", "--nu", "0.35i", "--grid", "0.5:1.5:3"]
@@ -80,6 +86,15 @@ def test_cli_period_function(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["re_zeta", "im_zeta", "re_P", "im_P", "abs_error"]
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("count", ["0", "2.7", "-1", "two"])
+def test_cli_period_function_grid_count_must_be_a_positive_integer(capsys, count):
+    # an empty table or a silently truncated count would pass as success
+    assert main(["period-function", "--weight", "1/2", "--nu", "0.35i", f"--grid=0.5:1:{count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid count") and repr(count) in captured.err
 
 
 def test_cli_table_growth(capsys):

@@ -12,7 +12,6 @@ from maassperiods import forms
 from maassperiods.branch import principal_arg
 from maassperiods.errors import DomainError
 from maassperiods.forms import (
-    ConjugateForm,
     HolomorphicEmbedding,
     MaassForm,
     delta_coefficients,
@@ -322,28 +321,6 @@ def test_power_eigenfunctions_of_ladder():
     assert abs(down - (1 - 2 * nu - k) * fn(z)) <= 1e-6 * abs(fn(z))
 
 
-def test_conjugate_form(delta):
-    tilde = ConjugateForm(delta)
-    assert tilde.eval(0.4 - 1.3j) == delta.eval(0.4 + 1.3j)
-    with pytest.raises(DomainError):
-        tilde.eval(0.4 + 1.3j)
-    # tilde u transforms with weight -k and is an eigenfunction there
-    z = 1 - 2j
-    assert abs(tilde.eval(z + 1) - tilde.eval(z)) <= 1e-12 * abs(tilde.eval(z))
-    lam = 0.25 - delta.nu**2
-    resid = maass_laplacian_fd(tilde.eval, -12.0, 0.5 - 1.5j) - lam * tilde.eval(0.5 - 1.5j)
-    assert abs(resid) <= 1e-5 * abs(lam * tilde.eval(0.5 - 1.5j))
-
-
-def test_conjugate_transformation_law(delta):
-    # tilde u is invariant under the weight -k action for the full group
-    tilde = ConjugateForm(delta)
-    g = T_PRIME
-    z = 1 - 2j
-    acted = slash(tilde.eval, -12.0, delta.multiplier, g)(z)
-    assert abs(acted - tilde.eval(z)) <= 1e-10 * abs(tilde.eval(z))
-
-
 def test_slash_identity_and_group_law(delta, rng):
     fn = lambda z: complex(z).imag ** 0.3 * cmath.exp(1j * complex(z).real)
     v = construct_eta_power("1/2")
@@ -467,13 +444,14 @@ def test_superpolynomial_decay(delta, surrogate):
 
 def test_cusp_decay_rate(delta, surrogate):
     # remove the polynomial prefactor (y^{k/2} for the embedding, the
-    # Whittaker t^{kappa} for the surrogate) before reading off the rate
+    # Whittaker t^{kappa} for the surrogate) before reading off the rate,
+    # at least 2 pi (1 + kappa0), that of the lowest frequency 1 + kappa0
     for form, power in ((delta, 6.0), (surrogate, 0.25)):
         y1, y2 = 3.0, 6.0
         drop = abs(form.eval(0.1 + 1j * y2)) / abs(form.eval(0.1 + 1j * y1))
         drop *= (y1 / y2) ** power
         rate = -math.log(drop) / (y2 - y1)
-        assert rate >= form.decay_rate - 0.05
+        assert rate >= 2.0 * math.pi * (1.0 + form.kappa0) - 0.05
 
 
 def test_embedding_validation():

@@ -11,7 +11,6 @@ from maassperiods.branch import principal_arg, principal_pow
 from maassperiods.errors import DomainError, RDomainError
 from maassperiods.forms import maass_laplacian_fd, maass_lower, maass_raise, surrogate_form, two_sided_surrogate
 from maassperiods.kernel import (
-    OneFormSample,
     RKernel,
     eta_form,
     kernel_eigen_apply,
@@ -294,8 +293,3 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
             if form.is_embedding and ladder == -1:
                 # the dzbar coefficient vanishes because lowering kills the embedding
                 assert np.all(b == 0) and np.all(a != 0)
-
-
-def test_one_form_pullback():
-    sample = OneFormSample(A=2.0 + 0j, B=1j, at=1j)
-    assert sample.pullback(1j) == pytest.approx(2j + 1j * (-1j))
