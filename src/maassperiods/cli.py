@@ -121,6 +121,15 @@ def _cmd_period_poly(args, settings: Settings) -> int:
 
 
 def _cmd_period_function(args, settings: Settings) -> int:
+    span, *im = args.grid.split(",")
+    *ends, count = span.split(":")
+    if len(ends) == 2 and not (count.strip().isdecimal() and int(count) >= 1):
+        raise ValueError(f"--grid count must be a positive integer in start:stop:count[,IM], got {count!r}")
+    try:
+        (start, stop), (offset,) = ends, im or ["0"]
+        xs, offset = np.linspace(float(start), float(stop), int(count)), float(offset)
+    except ValueError:
+        raise ValueError(f"--grid expects start:stop:count[,IM], got {args.grid!r}") from None
     weight = parse_weight(args.weight)
     nu = _parse_nu(args.nu)
     if args.multiplier == "trivial":
@@ -130,15 +139,10 @@ def _cmd_period_function(args, settings: Settings) -> int:
     else:
         form = surrogate_form(weight, nu)
     period = PeriodFunction(form, settings)
-    grid_spec = args.grid.split(",")
-    start, stop, count = grid_spec[0].split(":")
-    if not count.strip().isdecimal() or int(count) < 1:
-        raise ValueError(f"--grid count must be a positive integer, got {count!r}")
-    offset = float(grid_spec[1]) if len(grid_spec) > 1 else 0.0
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re_zeta", "im_zeta", "re_P", "im_P", "abs_error"])
-    for x in np.linspace(float(start), float(stop), int(count)):
+    for x in xs:
         res = period.eval(complex(x, offset))
         writer.writerow(
             [

@@ -344,9 +344,8 @@ class MaassForm:
                 ]
             )
             kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0)
-            tables = {
-                float(kap): _whittaker_table(float(kap), self.nu) for kap in np.unique(kappas)
-            }
+            # a sorted set, since np.unique would load numpy.ma
+            tables = {kap: _whittaker_table(kap, self.nu) for kap in sorted(set(kappas.tolist()))}
             self._tables = (coeffs, freqs, kappas, tables)
         return self._tables
 

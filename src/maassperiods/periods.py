@@ -341,16 +341,20 @@ def _inversion_factor(multiplier, nu, zeta: complex) -> complex:
     return principal_pow(zeta, 2 * complex(nu) - 1) / v_s
 
 
-def _parameters(obj, weight, nu, multiplier) -> tuple:
-    """(k, nu, multiplier): each as given, else the transform's own."""
-    transform = isinstance(obj, (NearlyPeriodicFunction, PeriodFunction))
-    own = (obj.form.k, obj.form.nu, obj.form.multiplier) if transform else (None,) * 3
-    return tuple(mine if given is None else given for mine, given in zip(own, (weight, nu, multiplier)))
+def _parameters(obj, **given) -> tuple:
+    """Each named parameter as given, else the transform's own; a bare callable has none."""
+    if isinstance(obj, (NearlyPeriodicFunction, PeriodFunction)):
+        own = {"weight": obj.form.k, "nu": obj.form.nu, "multiplier": obj.form.multiplier}
+        return tuple(own[name] if value is None else value for name, value in given.items())
+    missing = [name for name, value in given.items() if value is None]
+    if missing:
+        raise TypeError(f"a bare callable carries no {', '.join(missing)}: pass them")
+    return tuple(given.values())
 
 
 def f_to_P(f, zeta: complex, nu=None, multiplier=None) -> complex:
     """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(S zeta)."""
-    _, n, v = _parameters(f, None, nu, multiplier)
+    n, v = _parameters(f, nu=nu, multiplier=multiplier)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise DomainError("f is only defined off the real axis")
@@ -359,7 +363,7 @@ def f_to_P(f, zeta: complex, nu=None, multiplier=None) -> complex:
 
 def P_to_f(P, zeta: complex, weight=None, nu=None, multiplier=None) -> complex:
     """c*+- f(zeta) = P(zeta) + v(S)^{-1} zeta^{2 nu - 1} P(S zeta), sign by Im."""
-    k, n, v = _parameters(P, weight, nu, multiplier)
+    k, n, v = _parameters(P, weight=weight, nu=nu, multiplier=multiplier)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise DomainError("the inverse transform needs Im zeta != 0")

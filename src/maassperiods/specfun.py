@@ -52,8 +52,17 @@ def gamma_complex(s: complex) -> complex:
 
 @lru_cache(maxsize=64)
 def _gauss_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    """Gauss-Legendre nodes (ascending) and weights 2 / ((1 - x^2) P_n'(x)^2): Newton on
+    the three-term recurrence from Tricomi's estimates, so numpy.polynomial never loads."""
+    k = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(6):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
 def _panel_nodes(a: float, b: float, width: float, order: int):
@@ -107,6 +116,10 @@ def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
     The representation needs Re(mu - kappa + 1/2) > 0; since W is symmetric
     in mu, the reflection mu -> -mu is tried first when that fails.  Accepts
     a scalar y > 0 or an array of them (shared quadrature grid).
+
+    With t = e^u the nodes reach down to u = -42 / Re alpha.  Where e^u < 2^-54 min y,
+    e^u/y is below half an ulp of 1 for every y, so 1 + e^u/y rounds to exactly 1: that
+    far tail is one y-independent sum, formed once.  Other factors are exp(beta log1p(e^u/y)).
     """
     kappa = float(params.kappa)
     mu = complex(params.mu)
@@ -146,13 +159,17 @@ def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
     nodes, weights = _panel_nodes(lower, upper, width, 24)
 
     eu = np.exp(nodes)
-    base = np.exp(-eu + nodes * alpha)
+    base = weights * np.exp(-eu + nodes * alpha)
+    # the nodes ascend, so the far tail is a prefix
+    cut = np.searchsorted(eu, 2.0**-54 * ys.min(initial=np.inf))
+    tail = np.sum(base[:cut])
+    eu, base = eu[cut:], base[cut:]
     out = np.empty(ys.shape, dtype=complex)
-    chunk = max(1, 2**15 // nodes.size)  # rows per block of at most 2**15 factor entries
+    chunk = max(1, 2**15 // max(eu.size, 1))  # rows per block of at most 2**15 factor entries
     for i in range(0, ys.size, chunk):
         yy = ys[i : i + chunk]
-        factor = (1.0 + eu[None, :] / yy[:, None]) ** beta
-        out[i : i + chunk] = factor @ (weights * base)
+        factor = np.exp(beta * np.log1p(eu[None, :] / yy[:, None]))
+        out[i : i + chunk] = factor @ base + tail
     out *= np.exp(-ys / 2.0) * ys**kappa / gamma_complex(alpha)
     return complex(out[0]) if scalar else out
 

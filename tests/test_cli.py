@@ -97,6 +97,14 @@ def test_cli_period_function_grid_count_must_be_a_positive_integer(capsys, count
     assert captured.err.startswith("error: --grid count") and repr(count) in captured.err
 
 
+@pytest.mark.parametrize("spec", ["0.5:1", "a:1:2", "0:1:2,x"])
+def test_cli_period_function_malformed_grid_names_the_option(capsys, spec):
+    assert main(["period-function", "--weight", "1/2", "--nu", "0.35i", f"--grid={spec}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid") and "start:stop:count[,IM]" in captured.err
+
+
 def test_cli_table_growth(capsys):
     code = main(["table", "--what", "growth", "--weight", "1/2", "--nu", "0.35i"])
     out = capsys.readouterr().out

@@ -61,6 +61,26 @@ def test_f_to_P_takes_no_weight():
         f_to_P(synth, 1j, weight=0, nu=0.3j, multiplier=construct_trivial(0))
 
 
+def test_bridge_names_what_a_bare_callable_lacks():
+    # a bare callable carries no weight, nu or multiplier: each one missing is
+    # named before anything is evaluated
+    calls = []
+
+    def bare(zeta):
+        calls.append(zeta)
+        return 0j
+
+    with pytest.raises(TypeError, match="no nu, multiplier"):
+        f_to_P(bare, 1j)
+    with pytest.raises(TypeError, match="no multiplier"):
+        f_to_P(bare, 1j, nu=0.3j)
+    with pytest.raises(TypeError, match="no weight, nu, multiplier"):
+        P_to_f(bare, 1j)
+    with pytest.raises(TypeError, match="no weight"):
+        P_to_f(bare, 1j, nu=0.3j, multiplier=construct_trivial(0))
+    assert calls == []
+
+
 def test_eval_P_rejects_the_cut(delta):
     period = PeriodFunction(delta)
     with pytest.raises(DomainError):

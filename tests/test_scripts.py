@@ -36,6 +36,22 @@ def test_package_import_defers_the_verify_registry():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_first_surrogate_evaluation_loads_no_numpy_submodule():
+    # np.unique loads numpy.ma and leggauss numpy.polynomial, each for one
+    # call; every CLI call and benchmark worker would pay for them
+    code = (
+        "import sys, maassperiods\n"
+        "from maassperiods.forms import two_sided_surrogate\n"
+        "maassperiods.PeriodFunction(maassperiods.surrogate_form('1/2', 0.35j)).eval(0.3 + 1j)\n"
+        "maassperiods.NearlyPeriodicFunction(two_sided_surrogate('1/2', 0.35j)).eval(0.3 + 1j)\n"
+        "loaded = [name for name in ('numpy.ma', 'numpy.polynomial') if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_golden_period_table():
     lines = _run("golden_period_table.py").splitlines()
     rows = [line.split() for line in lines[1:12]]

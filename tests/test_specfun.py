@@ -134,6 +134,48 @@ def test_whittaker_table_beyond_cutoff_is_zero():
 TABLE_PAIRS = [(0.25, 0.35j), (-0.25, 0.35j), (0.75, 0.1j), (-0.75, 0.2 + 0.3j), (0.25, 0.2)]
 
 
+@pytest.mark.parametrize("kappa,mu", TABLE_PAIRS + [(0.75, 0.3j), (1.25, 0.2j)])
+def test_whittaker_integral_against_mpmath(kappa, mu):
+    # y > 1/2 takes the integral, directly or under the index recurrence; its
+    # far tail is summed once for all y.  (1/4, 2i) cancels to about 1e-13
+    # and stays under the table test's 1e-12
+    ys = np.geomspace(0.51, 320.0, 25)
+    got = whittaker_w(WhittakerParams(kappa, mu), ys)
+    with mpmath.workdps(30):
+        for y, mine in zip(ys, got):
+            ref = complex(mpmath.whitw(kappa, mu, y))
+            assert abs(mine - ref) <= 1e-13 * abs(ref), y
+
+
+def _mp_gauss_rule(n):
+    """40-digit Gauss-Legendre rule: Newton on mpmath's P_n, weights from
+    2 (1 - x^2) / (n P_{n-1}(x))^2."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for k in range(n, 0, -1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(50):
+                p, p_prev = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                step = p * (1 - x * x) / (n * (p_prev - x * p))
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -38:
+                    break
+            else:
+                raise AssertionError("reference Newton did not converge")
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_gauss_rule_against_mpmath(n):
+    x, w = specfun._gauss_rule(n)
+    ref_x, ref_w = _mp_gauss_rule(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 2e-14
+
+
 @pytest.mark.parametrize("kappa,mu", TABLE_PAIRS + [(0.25, 2j)])
 def test_whittaker_table_against_mpmath(kappa, mu):
     # W and t W'(t) against 30-digit mpmath, the latter from the exact
