@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -127,9 +128,14 @@ def _cmd_period_function(args, settings: Settings) -> int:
         raise ValueError(f"--grid count must be a positive integer in start:stop:count[,IM], got {count!r}")
     try:
         (start, stop), (offset,) = ends, im or ["0"]
-        xs, offset = np.linspace(float(start), float(stop), int(count)), float(offset)
+        start, stop, offset = float(start), float(stop), float(offset)
     except ValueError:
         raise ValueError(f"--grid expects start:stop:count[,IM], got {args.grid!r}") from None
+    for end in (start, stop):
+        # before linspace, which turns an infinite end into NaN points
+        if not cmath.isfinite(zeta := complex(end, offset)):
+            raise DomainError(f"--grid point zeta = {zeta} is not finite")
+    xs = np.linspace(start, stop, int(count))
     weight = parse_weight(args.weight)
     nu = _parse_nu(args.nu)
     if args.multiplier == "trivial":

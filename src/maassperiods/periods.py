@@ -112,7 +112,7 @@ class BijectionConstants:
 # integrand builders: one pairing, pulled back along each contour
 
 
-def _pairing(form: MaassForm, ladder: int, mode: str = "combined"):
+def _pairing(form: MaassForm, ladder: int, mode: str = "combined", form_pass=None):
     """The Maass-Selberg pairing of R = R_{-k,nu}(., zeta) with u, as
     ``pair(zs, y, kernel_at, quotient) -> (A, B)``.
 
@@ -122,14 +122,17 @@ def _pairing(form: MaassForm, ladder: int, mode: str = "combined"):
     ``quotient`` = (zeta - z)/(zeta - conj z) there turns that one kernel into
     the operator's, R_{-k-2 ladder} = R quotient^ladder.  A factor that
     vanishes identically - a zero kernel coefficient, or E^- u of the
-    embedding - is skipped.
+    embedding - is skipped.  ``form_pass(zs) -> (u, E u)`` replaces the
+    form's own ``eval_ladder_many`` at the ladder's sign, as a memo does.
     """
     kernel = RKernel(-form.k, form.nu, mode)
     coefficient, _ = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_op_vanishes = ladder < 0 and form.is_embedding
+    if form_pass is None:
+        form_pass = lambda zs: form.eval_ladder_many(zs, ladder)
 
     def pair(zs, y, kernel_at, quotient):
-        u, op_u = form.eval_ladder_many(zs, ladder)
+        u, op_u = form_pass(zs)
         r = kernel_at(kernel) / y
         zero = np.zeros(np.shape(y), dtype=complex)
         # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y: each slot
@@ -142,10 +145,11 @@ def _pairing(form: MaassForm, ladder: int, mode: str = "combined"):
     return pair
 
 
-def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, mode: str = "combined"):
-    """The pairing as an array integrand z -> (A, B) for ``integrate_form``."""
+def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, mode: str = "combined", form_pass=None):
+    """The pairing as an array integrand z -> (A, B) for ``integrate_form``;
+    ``form_pass`` as in :func:`_pairing`."""
     zeta = complex(zeta)
-    pair = _pairing(form, ladder, mode)
+    pair = _pairing(form, ladder, mode, form_pass)
 
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
@@ -206,6 +210,14 @@ def _vanishes_identically(form: MaassForm) -> bool:
 _ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
 
 
+def _finite(zeta) -> complex:
+    """zeta as a complex number; DomainError if a part is NaN or infinite."""
+    zeta = complex(zeta)
+    if not cmath.isfinite(zeta):
+        raise DomainError(f"zeta = {zeta} is not finite")
+    return zeta
+
+
 # ---------------------------------------------------------------------------
 # the nearly periodic function
 
@@ -227,7 +239,7 @@ class NearlyPeriodicFunction:
 
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result, its value signed and its route prefixed."""
-        zeta = complex(zeta)
+        zeta = _finite(zeta)
         if zeta.imag == 0.0:
             raise DomainError("the nearly periodic function lives off the real axis")
         if self._degenerate_zero:
@@ -261,7 +273,23 @@ class NearlyPeriodicFunction:
 
 
 class PeriodFunction:
-    """The cusp-to-cusp transform, holomorphic on the cut plane."""
+    """The cusp-to-cusp transform, holomorphic on the cut plane.
+
+    Two memos serve repeated work.  Whole results are kept for the last
+    ``MEMO_SIZE`` points.  And on the route up the imaginary axis from 0
+    (every P of an embedding right of the axis, and of any other form where
+    Re zeta >= |Im zeta|) the contour does not depend on zeta, only the
+    kernel does: the quadrature's nodes lie on one grid fixed by the start
+    mode, so (u, E^- u) at every node evaluated once is kept for good.  A
+    kept value is bitwise the one a fresh evaluation gives (the form is
+    evaluated point by point), so P does not depend on the points before
+    it.  The grid bounds that memo: 2^9 m + 1 nodes (9 levels of midpoints
+    over m level-0 steps from the start floor to the ray's far cap), so
+    50,177 for an embedding (m = 98) and 61,441 otherwise (m = 120); in
+    practice about a hundred are used.
+    The split route, the deformed polyline, the f <-> P bridge and f
+    evaluate the form afresh.
+    """
 
     # least-recently-used memo of evaluated points; verify asks for a point
     # again at most 13 other points later
@@ -272,6 +300,7 @@ class PeriodFunction:
         self.settings = settings
         self._degenerate_zero = _vanishes_identically(form)
         self._cache = OrderedDict()
+        self._axis = {}
         self._f = NearlyPeriodicFunction(form, settings) if form.is_embedding else None
 
     def __call__(self, zeta: complex) -> complex:
@@ -280,7 +309,7 @@ class PeriodFunction:
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result with its route prefixed, or the bridge's
         combination of two values of f; memoised."""
-        zeta = complex(zeta)
+        zeta = _finite(zeta)
         if on_cut(zeta):
             raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
         if zeta in self._cache:
@@ -289,6 +318,7 @@ class PeriodFunction:
         if self._degenerate_zero:
             return self._remember(zeta, _ZERO)
         form = self.form
+        form_pass = None
         if zeta.real <= 0 and self._f is not None:
             # the bridge: both rays start in the half-plane of zeta
             near, far = self._f.eval(zeta), self._f.eval(-1.0 / zeta)
@@ -306,6 +336,7 @@ class PeriodFunction:
             # near the axis, split it level with them, where nodes cluster
             split = not form.is_embedding and zeta.real < abs(zeta.imag)
             path = GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY))
+            form_pass = None if split else self._axis_pass
             note = "imaginary axis"
         else:
             # the ray runs at least 0.25 left of zeta, where the kernel
@@ -315,13 +346,25 @@ class PeriodFunction:
             path = GeodesicPath((0.0, complex(-eps, h0), INFINITY))
             note = f"deformed polyline eps={eps:.3g}"
         result = integrate_form(
-            eta_integrand(form, zeta, mode="factored"),
+            eta_integrand(form, zeta, mode="factored", form_pass=form_pass),
             path,
             # full automorphy decays exponentially at every cusp, the surrogate by a power law
             start_mode=("exp",) if form.is_embedding else ("log",),
             settings=self.settings,
         )
         return self._remember(zeta, replace(result, contour=f"{note} {result.contour}"))
+
+    def _axis_pass(self, zs: np.ndarray) -> tuple:
+        """(u, E^- u) at a quadrature call's nodes on the imaginary axis,
+        the memo's misses from one form pass."""
+        memo = self._axis
+        keys = zs.tolist()
+        missing = [z for z in keys if z not in memo]
+        if missing:
+            u, op_u = self.form.eval_ladder_many(np.array(missing), -1)
+            memo.update(zip(missing, zip(u.tolist(), op_u.tolist())))
+        u, op_u = np.array([memo[z] for z in keys], dtype=complex).T
+        return u, op_u
 
     def _remember(self, zeta: complex, out: QuadratureResult) -> QuadratureResult:
         self._cache[zeta] = out

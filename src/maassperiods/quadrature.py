@@ -181,8 +181,8 @@ def _terms(phi, rule: _Map, w, budget: _Budget) -> np.ndarray:
     return np.asarray(phi(x), dtype=complex) * dx
 
 
-def _extended(phi, rule: _Map, w, g, side: int, cap: float, tau: float, budget: _Budget):
-    """Level-0 nodes and terms, moved out past the ``side`` end (+1 the far
+def _extended(phi, rule: _Map, node, j, g, side: int, cap: float, tau: float, budget: _Budget):
+    """Level-0 indices and terms, moved out past the ``side`` end (+1 the far
     end, -1 the start, for an odd map) until its term is below tau and
     below its neighbour's, one call per move: as far as the decay rate of
     |phi| between the last two nodes says, or by 1/2 in w where |phi| does
@@ -192,24 +192,25 @@ def _extended(phi, rule: _Map, w, g, side: int, cap: float, tau: float, budget: 
         end, inner = (-1, -2) if side > 0 else (0, 1)
         m_end, m_inner = abs(g[end]), abs(g[inner])
         if _H0 * m_end <= tau and m_end <= m_inner:
-            return w, g
-        room = math.floor((cap - side * w[end]) / _H0 + 1e-9)
+            return j, g
+        w_end = node(0, j[end])
+        room = math.floor((cap - side * w_end) / _H0 + 1e-9)
         if room < 1:
             raise NonconvergenceError(0.0, float("inf"), budget.used)
-        (x_end, x_inner), (dx_end, dx_inner) = rule.nodes(w[[end, inner]])
+        (x_end, x_inner), (dx_end, dx_inner) = rule.nodes(node(0, j[[end, inner]]))
         p_end, p_inner = m_end / abs(dx_end), m_inner / abs(dx_inner)
         steps = round(0.5 / _H0)
         if p_end < p_inner:
             rate = math.log(p_inner / p_end) / abs(x_end - x_inner)
             reach = rule.w_of(abs(x_end) + math.log(_H0 * m_end / tau) / rate)
-            steps = max(1, math.ceil((reach - side * w[end]) / _H0))
+            steps = max(1, math.ceil((reach - side * w_end) / _H0))
         steps = min(room, steps)
-        w_new = w[end] + side * _H0 * np.arange(1, steps + 1)
-        g_new = _terms(phi, rule, w_new, budget)
+        j_new = j[end] + side * np.arange(1, steps + 1)
+        g_new = _terms(phi, rule, node(0, j_new), budget)
         if side > 0:
-            w, g = np.concatenate([w, w_new]), np.concatenate([g, g_new])
+            j, g = np.concatenate([j, j_new]), np.concatenate([g, g_new])
         else:
-            w, g = np.concatenate([w_new[::-1], w]), np.concatenate([g_new[::-1], g])
+            j, g = np.concatenate([j_new[::-1], j]), np.concatenate([g_new[::-1], g])
 
 
 def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target, budget: _Budget):
@@ -218,10 +219,14 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target,
     Level 0 evaluates w = w_lo + j/16 up to the first node at or past w_hi;
     its integral of |phi| sets tol = ``target(mass)``.  An end with a
     ``caps`` entry (|w| bound, or None for a fixed end) may then move out
-    (see :func:`_extended`).  Returns (value, error, note, tol).
+    (see :func:`_extended`).  Every node of level L, at the start, the far
+    ends and the midpoints alike, is w_lo + (1/16) m / 2^L for an integer
+    m: the same float in every call with this w_lo, whatever the
+    truncation.  Returns (value, error, note, tol).
     """
-    w = w_lo + _H0 * np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
-    g = _terms(phi, rule, w, budget)
+    node = lambda level, m: w_lo + (_H0 / 2**level) * m
+    j = np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
+    g = _terms(phi, rule, node(0, j), budget)
     mass = _H0 * float(np.sum(np.abs(g)))
     if not math.isfinite(mass):
         raise NonconvergenceError(0.0, float("inf"), budget.used)
@@ -229,7 +234,7 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target,
     tau = tol / 8.0
     for side, cap in zip((-1, +1), caps):
         if cap is not None:
-            w, g = _extended(phi, rule, w, g, side, cap, tau, budget)
+            j, g = _extended(phi, rule, node, j, g, side, cap, tau, budget)
     m = _H0 * np.abs(g)
     if not np.all(np.isfinite(m)):
         raise NonconvergenceError(0.0, float("inf"), budget.used)
@@ -241,12 +246,12 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target,
     for cut, outer, inner in ((cut_lo, 0, 1), (cut_hi, -1, -2)):
         if cut == 0 or m[outer] > m[inner]:
             raise NonconvergenceError(0.0, float("inf"), budget.used)
-    n = w.size
+    n = j.size
     a, b = cut_lo - 1, n - cut_hi
     if a >= b:  # every level-0 term is in a tail
         return _H0 * complex(np.sum(g)), float(np.sum(m)), f"{rule.name} level 0 (negligible)", tol
     tails = lo_mass[a] + hi_mass[n - 1 - b]
-    x_lo, x_hi = rule.nodes(w[[a, b]])[0]
+    x_lo, x_hi = rule.nodes(node(0, j[[a, b]]))[0]
     total = complex(np.sum(g[a : b + 1]))
     size = float(np.sum(np.abs(g[a : b + 1])))
     h, level = _H0, 0
@@ -264,9 +269,9 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target,
             raise NonconvergenceError(value, diff + tails, budget.used)
         level += 1
         h = _H0 / 2**level
-        w_new = w[a] + h * (2 * np.arange((b - a) * 2 ** (level - 1)) + 1)
+        odd = 2 * np.arange((b - a) * 2 ** (level - 1)) + 1
         try:
-            g_new = _terms(phi, rule, w_new, budget)
+            g_new = _terms(phi, rule, node(level, j[a] * 2**level + odd), budget)
         except NonconvergenceError as exc:
             raise NonconvergenceError(value, float("inf"), budget.used) from exc
         total += complex(np.sum(g_new))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -103,6 +104,16 @@ def test_cli_period_function_malformed_grid_names_the_option(capsys, spec):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --grid") and "start:stop:count[,IM]" in captured.err
+
+
+@pytest.mark.parametrize("spec, zeta", [("nan:1:2", "(nan+0j)"), ("0.5:inf:2", "(inf+0j)"), ("0.5:1:2,inf", "(0.5+infj)")])
+def test_cli_period_function_non_finite_grid_names_zeta(capsys, spec, zeta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["period-function", "--weight", "12", "--nu", "5.5", f"--grid={spec}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid point") and zeta in captured.err
 
 
 def test_cli_table_growth(capsys):

@@ -142,14 +142,15 @@ def test_kernel_against_mpmath(k, nu):
             assert abs(kernel.eval(z, zeta) - want) <= 1e-13 * abs(want), (mode, z, zeta)
 
 
-def _two_kernel_pairing(form, ladder, mode="combined"):
+def _two_kernel_pairing(form, ladder, mode="combined", form_pass=None):
     """The pairing as it was written before the shared slot: the operator's
     kernel R_{-k-2 ladder} evaluated on its own, beside R_{-k}."""
     kernel = RKernel(-form.k, form.nu, mode)
     coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
+    form_pass = form_pass or (lambda zs: form.eval_ladder_many(zs, ladder))
 
     def pair(zs, y, kernel_at, quotient):
-        u, op_u = form.eval_ladder_many(zs, ladder)
+        u, op_u = form_pass(zs)
         kernel_op = coefficient * kernel_at(shifted) * u / y
         form_op = kernel_at(kernel) * op_u / y
         return (kernel_op, -form_op) if ladder < 0 else (form_op, -kernel_op)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from maassperiods.periods import (
     ray_integrand,
     synthetic_nearly_periodic,
 )
+from maassperiods import quadrature
 from maassperiods.quadrature import GeodesicPath, integrate_form
 
 
@@ -87,6 +89,20 @@ def test_eval_P_rejects_the_cut(delta):
         period.eval(-1.0)
     with pytest.raises(DomainError):
         period.eval(0.0)
+
+
+@pytest.mark.parametrize("zeta", [complex(math.nan, 1.0), complex(0.5, math.inf), complex(-math.inf, 2.0), complex(1.0, math.nan)])
+@pytest.mark.parametrize("transform", [PeriodFunction, NearlyPeriodicFunction])
+@pytest.mark.parametrize("name", ["delta", "surrogate"])
+def test_non_finite_zeta_is_a_domain_error(request, name, transform, zeta):
+    # named, before either memo and before any quadrature, with no warning
+    fn = transform(request.getfixturevalue(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="is not finite") as caught:
+            fn.eval(zeta)
+    assert str(zeta) in str(caught.value)
+    assert not getattr(fn, "_cache", None) and not getattr(fn, "_axis", None)
 
 
 def test_eval_f_requires_spectral_strip(delta):
@@ -384,3 +400,95 @@ def test_arc_pullback_matches_eta_integrand(request, name, zeta):
     a, b = eta_integrand(form, zeta, -1)(zs)
     got = arc_ray_integrand(form, zeta, -1.0)(_offsets())
     assert _worst_relative(got, a * velocity + b * np.conj(velocity)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the memo of the form pass up the imaginary axis
+
+# the axis route, the right half-plane, the surrogate's split route (Re zeta
+# < |Im zeta|) and left of the axis (Delta's bridge, the surrogate's polyline)
+_MEMO_ZETAS = [0.3, 2.0, 7.5, 0.9 + 0.4j, 1.7 - 1.1j, 0.2 + 0.9j, 0.4 - 1.3j, -0.3 + 0.8j, -0.4 - 0.6j]
+
+
+def _fields(out):
+    return out.value, out.abs_error, out.evaluations, out.contour
+
+
+@pytest.mark.parametrize("name", ["delta", "surrogate"])
+def test_axis_memo_does_not_depend_on_the_order(request, settings, name):
+    form = request.getfixturevalue(name)
+    forward, backward = PeriodFunction(form, settings), PeriodFunction(form, settings)
+    got = {zeta: _fields(forward.eval(zeta)) for zeta in _MEMO_ZETAS}
+    for zeta in reversed(_MEMO_ZETAS):
+        assert _fields(backward.eval(zeta)) == got[zeta], zeta
+    assert forward._axis.keys() == backward._axis.keys()
+
+
+@pytest.mark.parametrize("name, zeta", [
+    ("delta", 0.61), ("delta", 1.3 + 0.7j), ("delta", 2.2 - 0.05j),
+    ("surrogate", 0.61), ("surrogate", 1.3 + 0.7j), ("surrogate", 0.35 - 1.2j),
+])
+def test_warmed_axis_memo_agrees_bitwise_with_a_fresh_one(request, settings, name, zeta):
+    # on the axis, in the right half-plane, and on the surrogate's split
+    # route; both also agree with the integrand that evaluates the form itself
+    form = request.getfixturevalue(name)
+    warmed = PeriodFunction(form, settings)
+    for x in np.geomspace(0.05, 20.0, 12):
+        warmed.eval(x)
+        warmed.eval(complex(x, 0.5 * x))
+    assert len(warmed._axis) > 0
+    got = warmed.eval(zeta)
+    assert _fields(got) == _fields(PeriodFunction(form, settings).eval(zeta))
+    split = not form.is_embedding and zeta.real < abs(zeta.imag)
+    direct = integrate_form(
+        eta_integrand(form, zeta, mode="factored"),
+        GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY)),
+        start_mode=("exp",) if form.is_embedding else ("log",),
+        settings=settings,
+    )
+    assert _fields(got)[:3] == _fields(direct)[:3]
+
+
+@pytest.mark.parametrize("name, zeta, route", [
+    ("delta", -0.5 + 1.2j, "bridge"),
+    ("delta", -0.2 - 0.9j, "bridge"),
+    ("surrogate", -0.3 + 0.8j, "polyline"),
+    ("surrogate", 0.2 + 0.9j, "imaginary axis segment"),
+])
+def test_other_routes_leave_the_axis_memo_alone(request, settings, name, zeta, route):
+    period = PeriodFunction(request.getfixturevalue(name), settings)
+    period.eval(1.0)
+    before = dict(period._axis)
+    out = period.eval(zeta)
+    assert route.split()[-1] in out.contour
+    assert period._axis == before
+
+
+@pytest.mark.parametrize("name, level0_steps, documented", [("delta", 98, 50_177), ("surrogate", 120, 61_441)])
+def test_axis_memo_stays_on_its_grid(request, settings, name, level0_steps, documented):
+    # 200 distinct points: the benchmark strata and the growth points; every
+    # kept node is the exp-sinh node of an integer index at the finest level,
+    # between the start floor and the ray's far cap
+    form = request.getfixturevalue(name)
+    rng = np.random.default_rng(27)
+    mirror = lambda zs: np.where(np.arange(zs.size) % 2, zs, zs.conjugate())
+    re_max, im_lo, im_hi = (3.0, 0.25, 2.0) if name == "delta" else (2.0, 0.3, 1.5)
+    axis = np.exp(rng.uniform(math.log(0.125), math.log(8.0), 62))
+    right = mirror(re_max * (1.0 - rng.random(61)) + 1j * rng.uniform(im_lo, im_hi, 61))
+    left = mirror(-0.5 * rng.random(61) + 1j * rng.uniform(0.3, 1.5, 61))
+    growth = 2.0 ** np.concatenate([np.arange(3, 11), -np.arange(3, 11)])
+    zetas = set(np.concatenate([axis, right, left, growth]).tolist())
+    assert len(zetas) == 200
+    period = PeriodFunction(form, settings)
+    for zeta in zetas:
+        period.eval(zeta)
+    rule, finest = quadrature._EXP_SINH, quadrature._H0 / 2**quadrature._MAX_LEVEL
+    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.is_embedding else ("log",)))
+    assert math.floor((rule.w_of(1e7) - w_lo) / quadrature._H0) == level0_steps
+    bound = 2**quadrature._MAX_LEVEL * level0_steps + 1
+    assert bound == documented and f"{documented:,}" in PeriodFunction.__doc__
+    keys = np.array(list(period._axis))
+    assert np.all(keys.real == 0.0) and 0 < keys.size <= bound
+    m = np.round((np.arcsinh(2.0 * np.log(keys.imag) / math.pi) - w_lo) / finest)
+    assert np.all((m >= 0) & (m < bound))
+    assert np.array_equal(rule.nodes(w_lo + finest * m)[0], keys.imag)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maassperiods import Settings, periods
+from maassperiods import Settings, periods, quadrature
 from maassperiods.errors import DivergentIntegralError, DomainError, NonconvergenceError
 from maassperiods.forms import surrogate_form, two_sided_surrogate
 from maassperiods.modgroup import INFINITY, S, T, T_PRIME
@@ -434,6 +434,41 @@ _REFERENCE_COUNTS = {
     "two-sided f at 0.2-0.7i": ("surrogate_two_sided", NearlyPeriodicFunction, 0.2 - 0.7j, 130, 1),
     "two-sided f at 0.2+0.7i": ("surrogate_two_sided", NearlyPeriodicFunction, 0.2 + 0.7j, 110, 1),
 }
+
+
+@pytest.mark.parametrize("name, zetas", [("delta", (0.15, 6.0)), ("surrogate", (0.01, 0.05))])
+def test_axis_nodes_are_integer_indices_of_one_grid(request, monkeypatch, name, zetas):
+    # each node at level L is t(w_lo + (1/16) m / 2^L) for an integer m, the
+    # same float whichever nodes the truncation kept: the form pass up the
+    # axis can then be shared between zetas
+    form = request.getfixturevalue(name)
+    seen, notes = [], []
+    original = periods.integrate_form
+
+    def recording(omega, *args, **kwargs):
+        def spy(zs):
+            seen.append(np.asarray(zs))
+            return omega(zs)
+
+        return original(spy, *args, **kwargs)
+
+    monkeypatch.setattr(periods, "integrate_form", recording)
+    rule = quadrature._EXP_SINH
+    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.is_embedding else ("log",)))
+    for zeta in zetas:
+        seen.clear()
+        out = PeriodFunction(form).eval(zeta)
+        notes.append(out.contour.split(" level ")[1])
+        zs = np.concatenate(seen)
+        assert np.all(zs.real == 0.0) and int(notes[-1].split()[0]) >= 1
+        for level in range(quadrature._MAX_LEVEL + 1):
+            step = quadrature._H0 / 2**level
+            m = np.round((np.arcsinh(2.0 * np.log(zs.imag) / math.pi) - w_lo) / step)
+            on_level = rule.nodes(w_lo + step * m)[0] == zs.imag
+            zs = zs[~on_level]
+        assert zs.size == 0
+    # the two truncations keep different ranges of level-0 nodes
+    assert notes[0].split(" in ")[1] != notes[1].split(" in ")[1]
 
 
 @pytest.mark.parametrize("transform", sorted(_REFERENCE_COUNTS))
