@@ -135,6 +135,8 @@ def _cmd_period_function(args, settings: Settings) -> int:
         # before linspace, which turns an infinite end into NaN points
         if not cmath.isfinite(zeta := complex(end, offset)):
             raise DomainError(f"--grid point zeta = {zeta} is not finite")
+    if not cmath.isfinite(stop - start):
+        raise ValueError(f"--grid stop - start overflows in start:stop:count[,IM], got {args.grid!r}")
     xs = np.linspace(start, stop, int(count))
     weight = parse_weight(args.weight)
     nu = _parse_nu(args.nu)

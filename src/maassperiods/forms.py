@@ -1,23 +1,24 @@
 """Evaluatable Maass cusp forms and the Maass operators.
 
-Two backends:
+Two backends, each with the two facts the transforms read as class constants:
 
 * ``HolomorphicEmbedding`` wraps a classical holomorphic cusp form u_h of
-  even weight as u(z) = (Im z)^{k/2} u_h(z).  It is genuinely equivariant
-  under the whole group, the lowering operator kills it exactly, and it
-  anchors every identity that involves the inversion generator.  It and
-  the classical Eichler integrands share one vectorised evaluator,
+  even weight as u(z) = (Im z)^{k/2} u_h(z).  It is ``equivariant`` (fully
+  automorphic, so it decays exponentially at every cusp) and ``holomorphic``
+  (E^- u = 0), and it anchors every identity with the inversion generator.
+  It and the classical Eichler integrands share one vectorised evaluator,
   :func:`q_expansion`: batch reduction with exact integer matrices, exact
   integer-power phases, and a series cutoff derived from the coefficients.
 
 * ``WhittakerSurrogate`` is a finite sum of Whittaker-W Fourier terms at
   half-integral weight.  Each term is an exact eigenfunction of the weight-k
   Laplacian and the sum is exactly equivariant under translations (with the
-  multiplier's v(T)), but nothing relates it to the inversion generator; it
-  exists to exercise the analytic machinery at weights where no coefficient
-  tables exist.  The finite sum itself is the object under test, so there is
-  no truncation error in its own identities.  Its terms are summed in term
-  order, so a value does not depend on the batch it is evaluated in.
+  multiplier's v(T)), but nothing relates it to the inversion generator and
+  E^- u does not vanish: it is neither.  It exists to exercise the analytic
+  machinery at weights where no coefficient tables exist.  The finite sum
+  itself is the object under test, so there is no truncation error in its
+  own identities.  Its terms are summed in term order, so a value does not
+  depend on the batch it is evaluated in.
 
 The transform integrands take u and E^+u (or E^-u) from one pass,
 :meth:`MaassForm.eval_ladder_many`: one q-expansion for the embedding, one
@@ -32,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -219,6 +220,8 @@ def _term_sum(terms: np.ndarray) -> np.ndarray:
 class HolomorphicEmbedding:
     """q-coefficients c_1, c_2, ... of a cuspidal holomorphic form."""
 
+    holomorphic: ClassVar[bool] = True
+    equivariant: ClassVar[bool] = True
     coefficients: tuple
 
 
@@ -235,6 +238,8 @@ class WhittakerSurrogate:
     wherever that transform should be nondegenerate.
     """
 
+    holomorphic: ClassVar[bool] = False
+    equivariant: ClassVar[bool] = False
     coefficients: tuple
     negative_coefficients: tuple = ()
 
@@ -251,7 +256,7 @@ class MaassForm:
         self.multiplier = multiplier
         self.nu = complex(nu)
         self.backend = backend
-        if self.is_embedding:
+        if isinstance(backend, HolomorphicEmbedding):
             self._validate_embedding()
         self._tables = None
 
@@ -270,6 +275,8 @@ class MaassForm:
 
     @property
     def is_embedding(self) -> bool:
+        """The backend's type: the library reads ``backend.holomorphic`` and
+        ``backend.equivariant``; this stays only because the benchmark reads it."""
         return isinstance(self.backend, HolomorphicEmbedding)
 
     @property
@@ -309,7 +316,7 @@ class MaassForm:
         zs = np.asarray(zs, dtype=complex)
         if np.any(zs.imag <= 0):
             raise DomainError("Maass form evaluation requires Im z > 0")
-        if self.is_embedding:
+        if isinstance(self.backend, HolomorphicEmbedding):
             return self._embedding_op(zs, sign)
         return self._surrogate_op(zs, sign)
 

@@ -20,11 +20,10 @@ not fall on the factor that vanishes there, or the integrand picks up a
 non-integrable power for small weights.  Accordingly the upper-half-plane
 branch of f raises the form (kernel singularity (zeta-z)^{nu-1/2+k/2}) and
 the lower branch raises the kernel and integrates from conj(zeta), where
-the roles of the two kernel factors swap.  For the holomorphic embedding
+the roles of the two kernel factors swap.  For a holomorphic form (E^- u = 0)
 both converge and agree; f and P raise the kernel, which collapses the
-pairing to the classical Eichler integrand because the lowering operator
-kills the form.  Each contour supplies only its points, its kernel values
-and its velocity.
+pairing to the classical Eichler integrand.  Each contour supplies only its
+points, its kernel values and its velocity.
 
 Both transforms return the quadrature's own ``QuadratureResult``, with
 their route prefixed to its ``contour``; only the f <-> P bridge, which
@@ -121,13 +120,13 @@ def _pairing(form: MaassForm, ladder: int, mode: str = "combined", form_pass=Non
     differences: ``kernel_at`` evaluates an RKernel at its points, and
     ``quotient`` = (zeta - z)/(zeta - conj z) there turns that one kernel into
     the operator's, R_{-k-2 ladder} = R quotient^ladder.  A factor that
-    vanishes identically - a zero kernel coefficient, or E^- u of the
-    embedding - is skipped.  ``form_pass(zs) -> (u, E u)`` replaces the
+    vanishes identically - a zero kernel coefficient, or E^- u of a
+    holomorphic form - is skipped.  ``form_pass(zs) -> (u, E u)`` replaces the
     form's own ``eval_ladder_many`` at the ladder's sign, as a memo does.
     """
     kernel = RKernel(-form.k, form.nu, mode)
     coefficient, _ = kernel_eigen_apply(kernel, -ladder, -form.k)
-    form_op_vanishes = ladder < 0 and form.is_embedding
+    form_op_vanishes = ladder < 0 and form.backend.holomorphic
     if form_pass is None:
         form_pass = lambda zs: form.eval_ladder_many(zs, ladder)
 
@@ -203,8 +202,17 @@ def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
 
 
 def _vanishes_identically(form: MaassForm) -> bool:
-    """The embedding at nu = (1-k)/2, where f and P vanish identically."""
-    return form.is_embedding and abs(form.nu - (1.0 - form.k) / 2.0) < 1e-12
+    """A holomorphic form whose kernel coefficient 1 - 2 nu - k vanishes (to
+    the embedding's 1e-12 in nu): the pairing, so f and P, vanish identically."""
+    return form.backend.holomorphic and abs(1.0 - 2.0 * form.nu - form.k) < 2e-12
+
+
+def _ray_start(form: MaassForm, zeta: complex) -> tuple:
+    """(base, ladder, alpha) of f's ray, as the module docstring picks them; the power at
+    its start is alpha = nu - 1/2 + s (k/2 - h), s = sgn Im zeta, h = 1 if holomorphic, else 0."""
+    s, h = (1 if zeta.imag > 0 else -1), form.backend.holomorphic
+    ladder = 1 if s > 0 and not h else -1
+    return (zeta if s > 0 else zeta.conjugate()), ladder, form.nu - 0.5 + s * (0.5 * form.k - h)
 
 
 _ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
@@ -228,8 +236,7 @@ class NearlyPeriodicFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        self._degenerate_zero = _vanishes_identically(form)
-        if not form.is_embedding and abs(form.nu.real) >= 0.5:
+        if not form.backend.holomorphic and abs(form.nu.real) >= 0.5:
             raise UnsupportedSpectralParameterError(
                 f"|Re nu| = {abs(form.nu.real)} is not below 1/2"
             )
@@ -242,27 +249,10 @@ class NearlyPeriodicFunction:
         zeta = _finite(zeta)
         if zeta.imag == 0.0:
             raise DomainError("the nearly periodic function lives off the real axis")
-        if self._degenerate_zero:
+        if _vanishes_identically(self.form):
             return _ZERO
-        form = self.form
-        k, nu = form.k, form.nu
-        if zeta.imag > 0:
-            base = zeta
-            if form.is_embedding:
-                ladder = -1
-                alpha = nu - 1.5 + 0.5 * k  # kernel-raised dz singularity
-            else:
-                ladder = +1
-                alpha = nu - 0.5 + 0.5 * k
-        else:
-            base = zeta.conjugate()
-            ladder = -1
-            # dzbar part dominates at the conjugate endpoint unless it vanishes
-            if form.is_embedding:
-                alpha = nu + 0.5 - 0.5 * k
-            else:
-                alpha = nu - 0.5 - 0.5 * k
-        phi = ray_integrand(form, zeta, base, ladder)
+        base, ladder, alpha = _ray_start(self.form, zeta)
+        phi = ray_integrand(self.form, zeta, base, ladder)
         result = integrate_ray(phi, start_mode=("power", alpha), settings=self.settings)
         # the form-raised pairing integrates to minus the kernel-raised one
         return replace(result, value=-ladder * result.value, contour=f"ray {base:.4g} -> i*inf {result.contour}")
@@ -277,16 +267,16 @@ class PeriodFunction:
 
     Two memos serve repeated work.  Whole results are kept for the last
     ``MEMO_SIZE`` points.  And on the route up the imaginary axis from 0
-    (every P of an embedding right of the axis, and of any other form where
-    Re zeta >= |Im zeta|) the contour does not depend on zeta, only the
+    (every P of a holomorphic form right of the axis, and of any other form
+    where Re zeta >= |Im zeta|) the contour does not depend on zeta, only the
     kernel does: the quadrature's nodes lie on one grid fixed by the start
     mode, so (u, E^- u) at every node evaluated once is kept for good.  A
     kept value is bitwise the one a fresh evaluation gives (the form is
     evaluated point by point), so P does not depend on the points before
     it.  The grid bounds that memo: 2^9 m + 1 nodes (9 levels of midpoints
     over m level-0 steps from the start floor to the ray's far cap), so
-    50,177 for an embedding (m = 98) and 61,441 otherwise (m = 120); in
-    practice about a hundred are used.
+    50,177 for an equivariant form's exp start (m = 98) and 61,441 for the
+    log start (m = 120); in practice about a hundred are used.
     The split route, the deformed polyline, the f <-> P bridge and f
     evaluate the form afresh.
     """
@@ -298,10 +288,9 @@ class PeriodFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        self._degenerate_zero = _vanishes_identically(form)
         self._cache = OrderedDict()
         self._axis = {}
-        self._f = NearlyPeriodicFunction(form, settings) if form.is_embedding else None
+        self._f = NearlyPeriodicFunction(form, settings) if form.backend.equivariant else None
 
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
@@ -315,7 +304,7 @@ class PeriodFunction:
         if zeta in self._cache:
             self._cache.move_to_end(zeta)
             return self._cache[zeta]
-        if self._degenerate_zero:
+        if _vanishes_identically(self.form):
             return self._remember(zeta, _ZERO)
         form = self.form
         form_pass = None
@@ -332,9 +321,9 @@ class PeriodFunction:
             )
             return self._remember(zeta, out)
         if zeta.real > 0:
-            # a non-embedded form's kernel branches at zeta or its conjugate:
+            # unless E^- u = 0 the pairing branches at zeta or its conjugate:
             # near the axis, split it level with them, where nodes cluster
-            split = not form.is_embedding and zeta.real < abs(zeta.imag)
+            split = not form.backend.holomorphic and zeta.real < abs(zeta.imag)
             path = GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY))
             form_pass = None if split else self._axis_pass
             note = "imaginary axis"
@@ -348,8 +337,8 @@ class PeriodFunction:
         result = integrate_form(
             eta_integrand(form, zeta, mode="factored", form_pass=form_pass),
             path,
-            # full automorphy decays exponentially at every cusp, the surrogate by a power law
-            start_mode=("exp",) if form.is_embedding else ("log",),
+            # full automorphy decays exponentially at every cusp, anything else by a power law
+            start_mode=("exp",) if form.backend.equivariant else ("log",),
             settings=self.settings,
         )
         return self._remember(zeta, replace(result, contour=f"{note} {result.contour}"))

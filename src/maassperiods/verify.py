@@ -64,6 +64,7 @@ from .periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
+    _ray_start,
     arc_ray_integrand,
     derived_period,
     eichler_f,
@@ -993,7 +994,7 @@ def _(ctx, rng):
         lhs = dslash(ctx.f_delta, delta.nu, delta.multiplier, T_PRIME)(zeta)
         res = integrate_ray(
             arc_ray_integrand(delta, zeta, -1.0),
-            start_mode=("power", delta.nu - 1.5 + 0.5 * delta.k),
+            start_mode=("power", _ray_start(delta, zeta)[2]),
             settings=ctx.settings,
         )
         worst = max(worst, _rel(res.value, lhs))

@@ -98,7 +98,7 @@ def test_cli_period_function_grid_count_must_be_a_positive_integer(capsys, count
     assert captured.err.startswith("error: --grid count") and repr(count) in captured.err
 
 
-@pytest.mark.parametrize("spec", ["0.5:1", "a:1:2", "0:1:2,x"])
+@pytest.mark.parametrize("spec", ["0.5:1", "a:1:2", "0:1:2,x", "-1e308:1e308:3"])
 def test_cli_period_function_malformed_grid_names_the_option(capsys, spec):
     assert main(["period-function", "--weight", "1/2", "--nu", "0.35i", f"--grid={spec}"]) == 2
     captured = capsys.readouterr()

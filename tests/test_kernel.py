@@ -291,6 +291,6 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
                 scale = max(abs(want.A), abs(want.B))
                 assert abs(a_z - want.A) <= 1e-5 * scale
                 assert abs(b_z - want.B) <= 1e-5 * scale
-            if form.is_embedding and ladder == -1:
+            if form.backend.holomorphic and ladder == -1:
                 # the dzbar coefficient vanishes because lowering kills the embedding
                 assert np.all(b == 0) and np.all(a != 0)

@@ -14,6 +14,7 @@ from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
+    _ray_start,
     arc_ray_integrand,
     derived_period,
     eichler_f,
@@ -130,9 +131,30 @@ def test_classical_golden_points(holds):
 
 
 def test_vanishing_spectral_point(delta, settings):
-    # P vanishes there too: classical.vanishing-period
+    # at nu = -5.5 the kernel coefficient 1 - 2 nu - k of the holomorphic
+    # form vanishes: f and P are the shared zero on both half-planes, with no
+    # quadrature (P's value there: classical.vanishing-period)
     lower = MaassForm(12, delta.multiplier, -5.5, delta.backend)
-    assert NearlyPeriodicFunction(lower, settings)(0.5 + 1j) == 0
+    for transform in (NearlyPeriodicFunction(lower, settings), PeriodFunction(lower, settings)):
+        for zeta in (0.5 + 1j, -0.3 - 0.8j):
+            out = transform.eval(zeta)
+            assert out.value == 0 and out.evaluations == 0 and out.contour == "identically zero"
+
+
+@pytest.mark.parametrize("name, zeta, ladder, branch", [
+    # the four branches alpha = nu - 1/2 + s (k/2 - h) replaced, s = sgn Im zeta
+    # and h = 1 for a holomorphic form: the same float from each
+    ("delta", 0.4 + 0.9j, -1, lambda nu, k: nu - 1.5 + 0.5 * k),  # s = +1, h = 1
+    ("delta", 0.4 - 0.9j, -1, lambda nu, k: nu + 0.5 - 0.5 * k),  # s = -1, h = 1
+    ("surrogate", 0.4 + 0.9j, +1, lambda nu, k: nu - 0.5 + 0.5 * k),  # s = +1, h = 0
+    ("surrogate", 0.4 - 0.9j, -1, lambda nu, k: nu - 0.5 - 0.5 * k),  # s = -1, h = 0
+])
+def test_ray_start_reproduces_the_four_branches(request, name, zeta, ladder, branch):
+    form = request.getfixturevalue(name)
+    assert (form.k, form.nu) == ((12.0, 5.5) if name == "delta" else (0.5, 0.35j))
+    base, got_ladder, alpha = _ray_start(form, zeta)
+    assert base == (zeta if zeta.imag > 0 else zeta.conjugate())
+    assert got_ladder == ladder and alpha == branch(form.nu, form.k)
 
 
 def test_period_polynomial_relations(holds):
@@ -439,11 +461,11 @@ def test_warmed_axis_memo_agrees_bitwise_with_a_fresh_one(request, settings, nam
     assert len(warmed._axis) > 0
     got = warmed.eval(zeta)
     assert _fields(got) == _fields(PeriodFunction(form, settings).eval(zeta))
-    split = not form.is_embedding and zeta.real < abs(zeta.imag)
+    split = not form.backend.holomorphic and zeta.real < abs(zeta.imag)
     direct = integrate_form(
         eta_integrand(form, zeta, mode="factored"),
         GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY)),
-        start_mode=("exp",) if form.is_embedding else ("log",),
+        start_mode=("exp",) if form.backend.equivariant else ("log",),
         settings=settings,
     )
     assert _fields(got)[:3] == _fields(direct)[:3]
@@ -483,7 +505,7 @@ def test_axis_memo_stays_on_its_grid(request, settings, name, level0_steps, docu
     for zeta in zetas:
         period.eval(zeta)
     rule, finest = quadrature._EXP_SINH, quadrature._H0 / 2**quadrature._MAX_LEVEL
-    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.is_embedding else ("log",)))
+    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.backend.equivariant else ("log",)))
     assert math.floor((rule.w_of(1e7) - w_lo) / quadrature._H0) == level0_steps
     bound = 2**quadrature._MAX_LEVEL * level0_steps + 1
     assert bound == documented and f"{documented:,}" in PeriodFunction.__doc__

@@ -454,7 +454,7 @@ def test_axis_nodes_are_integer_indices_of_one_grid(request, monkeypatch, name, 
 
     monkeypatch.setattr(periods, "integrate_form", recording)
     rule = quadrature._EXP_SINH
-    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.is_embedding else ("log",)))
+    w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.backend.equivariant else ("log",)))
     for zeta in zetas:
         seen.clear()
         out = PeriodFunction(form).eval(zeta)

@@ -1,11 +1,14 @@
 """The experiment scripts in scripts/ run end to end and print sane output."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from maassperiods.forms import delta_form, surrogate_form, two_sided_surrogate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +71,16 @@ def test_run_verify_classical():
     checks = [line for line in lines if line.startswith("[")]
     assert checks and all(line.startswith("[ok   ]") for line in checks)
     assert lines[-1].endswith("; 0 unexpected failures")
+
+
+def test_traced_benchmark_labels_each_form():
+    # the benchmark's tracer labels a form by reading ``is_embedding`` with a
+    # False default, so a renamed attribute would mislabel spans silently
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    forms = (delta_form(), surrogate_form("1/2", 0.35j), two_sided_surrogate("1/2", 0.35j))
+    assert [tracer._form_label(form) for form in forms] == [tracer.EMBEDDING, tracer.ONE_SIDED, tracer.TWO_SIDED]
 
 
 @pytest.mark.parametrize("workload", ["delta-transforms", "delta-continuation", "surrogate-transforms", "verify"])
