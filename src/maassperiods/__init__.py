@@ -13,7 +13,7 @@ from .forms import (
     slash,
     surrogate_form,
 )
-from .kernel import OneFormSample, RKernel, eta_form, r_transform_check
+from .kernel import RKernel, eta_form, r_transform_check
 from .modgroup import INFINITY, GroupElement, S, T, T_PRIME, decompose, moebius, mu
 from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from .periods import (
@@ -29,7 +29,7 @@ from .periods import (
     period_polynomial,
 )
 from .quadrature import GeodesicPath, QuadratureResult, geodesic_image, integrate_form
-from .specfun import WhittakerParams, bessel_k, gamma_complex, whittaker_w
+from .specfun import WhittakerParams, gamma_complex, whittaker_w
 
 __all__ = [
     "BijectionConstants",
@@ -39,7 +39,6 @@ __all__ = [
     "MaassForm",
     "MultiplierSystem",
     "NearlyPeriodicFunction",
-    "OneFormSample",
     "P_to_f",
     "PeriodFunction",
     "QuadratureResult",
@@ -49,7 +48,6 @@ __all__ = [
     "T",
     "T_PRIME",
     "WhittakerParams",
-    "bessel_k",
     "construct_eta_power",
     "construct_trivial",
     "decompose",

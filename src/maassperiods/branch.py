@@ -26,9 +26,18 @@ __all__ = [
     "principal_arg_many",
     "principal_pow",
     "factorizable",
+    "finite",
     "in_cut_plane",
     "on_cut",
 ]
+
+
+def finite(z, name: str) -> complex:
+    """z as a complex number; DomainError naming it if a part is NaN or infinite."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{name} = {z} is not finite")
+    return z
 
 
 def on_cut(z: complex) -> bool:

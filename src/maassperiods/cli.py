@@ -11,10 +11,11 @@ import sys
 
 import numpy as np
 
+from .branch import finite
 from .config import Settings
-from .errors import DomainError, NonconvergenceError
+from .errors import NonconvergenceError
 from .forms import DELTA_TERMS, delta_coefficients, surrogate_form
-from .multiplier import InvalidWeightError, parse_weight
+from .multiplier import parse_weight
 from .periods import PeriodFunction, eichler_polynomial, growth_check, period_polynomial
 from .verify import EXPECTED_FAILURES, SUITES, run_suite
 
@@ -90,7 +91,12 @@ def _emit(text: str, args) -> None:
 
 
 def _parse_nu(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    """0.35i, 0.1+0.2i or 1e-3j as a complex number: only a trailing i is the unit, as in inf."""
+    text = text.replace(" ", "")
+    try:
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
+    except ValueError:
+        raise ValueError(f"--nu expects a complex number such as 0.35i or 0.1+0.2i, got {text!r}") from None
 
 
 def _cmd_verify(args, settings: Settings) -> int:
@@ -133,8 +139,7 @@ def _cmd_period_function(args, settings: Settings) -> int:
         raise ValueError(f"--grid expects start:stop:count[,IM], got {args.grid!r}") from None
     for end in (start, stop):
         # before linspace, which turns an infinite end into NaN points
-        if not cmath.isfinite(zeta := complex(end, offset)):
-            raise DomainError(f"--grid point zeta = {zeta} is not finite")
+        finite(complex(end, offset), "--grid point zeta")
     if not cmath.isfinite(stop - start):
         raise ValueError(f"--grid stop - start overflows in start:stop:count[,IM], got {args.grid!r}")
     xs = np.linspace(start, stop, int(count))
@@ -201,7 +206,8 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args, settings)
         parser.error(f"unknown command {args.command!r}")
-    except (OSError, ValueError, KeyError, InvalidWeightError, DomainError, NonconvergenceError) as exc:
+    # every typed error of the package but NonconvergenceError is a ValueError
+    except (OSError, ValueError, KeyError, NonconvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -37,8 +37,8 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .branch import principal_arg, principal_pow
-from .errors import BranchViolationError, DomainError, InvalidWeightError
+from .branch import finite, principal_arg, principal_pow
+from .errors import BranchViolationError, DomainError, InvalidWeightError, UnsupportedParameterError
 from .modgroup import (
     GroupElement,
     has_nonnegative_entries,
@@ -254,7 +254,7 @@ class MaassForm:
         self.weight = parse_weight(weight)
         self.k = float(self.weight)
         self.multiplier = multiplier
-        self.nu = complex(nu)
+        self.nu = finite(nu, "nu")
         self.backend = backend
         if isinstance(backend, HolomorphicEmbedding):
             self._validate_embedding()
@@ -351,8 +351,11 @@ class MaassForm:
                 ]
             )
             kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0)
-            # a sorted set, since np.unique would load numpy.ma
-            tables = {kap: _whittaker_table(kap, self.nu) for kap in sorted(set(kappas.tolist()))}
+            kaps = sorted(set(kappas.tolist()))  # a sorted set, since np.unique would load numpy.ma
+            try:
+                tables = {kap: _whittaker_table(kap, self.nu) for kap in kaps}
+            except (OverflowError, ZeroDivisionError) as exc:  # Gamma or a power leaves the float range
+                raise UnsupportedParameterError(f"no Whittaker table for weight {self.weight}, nu = {self.nu}: {exc}") from exc
             self._tables = (coeffs, freqs, kappas, tables)
         return self._tables
 
@@ -526,6 +529,8 @@ def boundary_balanced_coefficients(nu: complex, kappa0: float) -> tuple:
     """
     base = [(1.0 + 0.4j * ((-1) ** n)) / (n * n) for n in range(1, 6)]
     weights = [principal_pow(n + kappa0, 0.5 - complex(nu)) for n in range(1, 7)]
+    if weights[-1] == 0:
+        raise UnsupportedParameterError(f"nu = {nu}: (6 + kappa0)^(1/2 - nu) underflows, so no coefficient balances")
     last = -sum(a * w for a, w in zip(base, weights[:-1])) / weights[-1]
     return tuple(base) + (last,)
 
@@ -534,7 +539,7 @@ def surrogate_form(
     weight, nu, coefficients=None, multiplier=None, negative_coefficients=()
 ) -> MaassForm:
     """A Whittaker surrogate at half-integral weight with the eta-power system."""
-    k = parse_weight(weight)
+    k, nu = parse_weight(weight), finite(nu, "nu")
     if multiplier is None:
         multiplier = construct_eta_power(k)
     if coefficients is None:

@@ -31,8 +31,9 @@ R_{k-2j} = R_k (a/b)^j for integer j, so the transform integrands in
 ``periods`` evaluate one kernel per call and never difference.
 
 ``eta_form`` evaluates the Maass-Selberg 1-form of two callables at a
-point through ``maass_raise``/``maass_lower``: exact for a ``MaassForm``,
-finite differences otherwise.  It is the oracle the exact integrands are
+point, as its (dz, d(conj z)) coefficients (A, B), through
+``maass_raise``/``maass_lower``: exact for a ``MaassForm``, finite
+differences otherwise.  It is the oracle the exact integrands are
 checked against.
 """
 
@@ -49,7 +50,6 @@ from .modgroup import GroupElement, moebius, mu
 
 __all__ = [
     "RKernel",
-    "OneFormSample",
     "r_transform_check",
     "kernel_eigen_apply",
     "eta_form",
@@ -182,16 +182,9 @@ def r_transform_check(
 # the Maass-Selberg form
 
 
-@dataclass(frozen=True)
-class OneFormSample:
-    """The dz and d(conj z) coefficients of a 1-form at a point."""
-
-    A: complex
-    B: complex
-
-
-def eta_form(k: float, f, g, z: complex) -> OneFormSample:
-    """eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}- at one point.
+def eta_form(k: float, f, g, z: complex) -> tuple:
+    """eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}- at one point, as its
+    dz and d(conj z) coefficients (A, B).
 
     ``f`` and ``g`` are callables of weight k and -k: Maass forms or bare
     functions.
@@ -202,13 +195,11 @@ def eta_form(k: float, f, g, z: complex) -> OneFormSample:
     y = z.imag
     a = maass_raise(f, z, k=k) * g(z) / y
     b = -f(z) * maass_lower(g, z, k=-k) / y
-    return OneFormSample(A=complex(a), B=complex(b))
+    return complex(a), complex(b)
 
 
 def eta_form_many(k: float, f, g, zs: np.ndarray) -> tuple:
     """Coefficient arrays (A, B) of :func:`eta_form` at each point."""
     zs = np.asarray(zs, dtype=complex)
-    samples = [eta_form(k, f, g, z) for z in zs.ravel()]
-    a = np.array([s.A for s in samples], dtype=complex).reshape(zs.shape)
-    b = np.array([s.B for s in samples], dtype=complex).reshape(zs.shape)
-    return a, b
+    a, b = np.array([eta_form(k, f, g, z) for z in zs.ravel()], dtype=complex).reshape(-1, 2).T
+    return a.reshape(zs.shape), b.reshape(zs.shape)

@@ -67,6 +67,9 @@ def parse_weight(text) -> Fraction:
         raise InvalidWeightError(f"weight {text!r} is not a finite number") from exc
     if (2 * k).denominator != 1:
         raise InvalidWeightError(f"weight {text!r} is not half-integral")
+    if abs(k) >= 2**52:
+        # beyond 2^52 float spacing exceeds 1/2, and the forms compute with k as a float
+        raise InvalidWeightError(f"weight {text!r} is too large: |k| must be below 2^52")
     return k
 
 

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .branch import on_cut, principal_pow
+from .branch import finite, on_cut, principal_pow
 from .config import DEFAULTS, Settings
 from .errors import (
     DegenerateBijectionError,
@@ -218,14 +217,6 @@ def _ray_start(form: MaassForm, zeta: complex) -> tuple:
 _ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
 
 
-def _finite(zeta) -> complex:
-    """zeta as a complex number; DomainError if a part is NaN or infinite."""
-    zeta = complex(zeta)
-    if not cmath.isfinite(zeta):
-        raise DomainError(f"zeta = {zeta} is not finite")
-    return zeta
-
-
 # ---------------------------------------------------------------------------
 # the nearly periodic function
 
@@ -246,7 +237,7 @@ class NearlyPeriodicFunction:
 
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result, its value signed and its route prefixed."""
-        zeta = _finite(zeta)
+        zeta = finite(zeta, "zeta")
         if zeta.imag == 0.0:
             raise DomainError("the nearly periodic function lives off the real axis")
         if _vanishes_identically(self.form):
@@ -265,30 +256,23 @@ class NearlyPeriodicFunction:
 class PeriodFunction:
     """The cusp-to-cusp transform, holomorphic on the cut plane.
 
-    Two memos serve repeated work.  Whole results are kept for the last
-    ``MEMO_SIZE`` points.  And on the route up the imaginary axis from 0
-    (every P of a holomorphic form right of the axis, and of any other form
-    where Re zeta >= |Im zeta|) the contour does not depend on zeta, only the
-    kernel does: the quadrature's nodes lie on one grid fixed by the start
-    mode, so (u, E^- u) at every node evaluated once is kept for good.  A
-    kept value is bitwise the one a fresh evaluation gives (the form is
-    evaluated point by point), so P does not depend on the points before
-    it.  The grid bounds that memo: 2^9 m + 1 nodes (9 levels of midpoints
-    over m level-0 steps from the start floor to the ray's far cap), so
-    50,177 for an equivariant form's exp start (m = 98) and 61,441 for the
-    log start (m = 120); in practice about a hundred are used.
-    The split route, the deformed polyline, the f <-> P bridge and f
-    evaluate the form afresh.
+    On the route up the imaginary axis from 0 (every P of a holomorphic form
+    right of the axis, and of any other form where Re zeta >= |Im zeta|)
+    the contour does not depend on zeta, only the kernel does: the
+    quadrature's nodes lie on one grid fixed by the start mode, so
+    (u, E^- u) at every node evaluated once is kept for good.  A kept value
+    is bitwise the one a fresh evaluation gives (the form is evaluated point
+    by point), so P does not depend on the points before it.  The grid
+    bounds that memo: 2^9 m + 1 nodes (9 levels of midpoints over m level-0
+    steps from the start floor to the ray's far cap), so 50,177 for an
+    equivariant form's exp start (m = 98) and 61,441 for the log start
+    (m = 120); in practice about a hundred are used.  The split route, the
+    deformed polyline, the f <-> P bridge and f evaluate the form afresh.
     """
-
-    # least-recently-used memo of evaluated points; verify asks for a point
-    # again at most 13 other points later
-    MEMO_SIZE = 64
 
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        self._cache = OrderedDict()
         self._axis = {}
         self._f = NearlyPeriodicFunction(form, settings) if form.backend.equivariant else None
 
@@ -297,29 +281,25 @@ class PeriodFunction:
 
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result with its route prefixed, or the bridge's
-        combination of two values of f; memoised."""
-        zeta = _finite(zeta)
+        combination of two values of f."""
+        zeta = finite(zeta, "zeta")
         if on_cut(zeta):
             raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
-        if zeta in self._cache:
-            self._cache.move_to_end(zeta)
-            return self._cache[zeta]
         if _vanishes_identically(self.form):
-            return self._remember(zeta, _ZERO)
+            return _ZERO
         form = self.form
         form_pass = None
         if zeta.real <= 0 and self._f is not None:
             # the bridge: both rays start in the half-plane of zeta
             near, far = self._f.eval(zeta), self._f.eval(-1.0 / zeta)
             factor = _inversion_factor(form.multiplier, form.nu, zeta)
-            out = QuadratureResult(
+            return QuadratureResult(
                 near.value - factor * far.value,
                 near.abs_error + abs(factor) * far.abs_error,
                 near.evaluations + far.evaluations,
                 f"f <-> P bridge: {near.contour} | {far.contour}",
                 near.tol + abs(factor) * far.tol,
             )
-            return self._remember(zeta, out)
         if zeta.real > 0:
             # unless E^- u = 0 the pairing branches at zeta or its conjugate:
             # near the axis, split it level with them, where nodes cluster
@@ -341,7 +321,7 @@ class PeriodFunction:
             start_mode=("exp",) if form.backend.equivariant else ("log",),
             settings=self.settings,
         )
-        return self._remember(zeta, replace(result, contour=f"{note} {result.contour}"))
+        return replace(result, contour=f"{note} {result.contour}")
 
     def _axis_pass(self, zs: np.ndarray) -> tuple:
         """(u, E^- u) at a quadrature call's nodes on the imaginary axis,
@@ -354,12 +334,6 @@ class PeriodFunction:
             memo.update(zip(missing, zip(u.tolist(), op_u.tolist())))
         u, op_u = np.array([memo[z] for z in keys], dtype=complex).T
         return u, op_u
-
-    def _remember(self, zeta: complex, out: QuadratureResult) -> QuadratureResult:
-        self._cache[zeta] = out
-        if len(self._cache) > self.MEMO_SIZE:
-            self._cache.popitem(last=False)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +390,7 @@ def synthetic_nearly_periodic():
     return f
 
 
-def derived_period(f, weight, nu, multiplier):
+def derived_period(f, nu, multiplier):
     """The period function attached to a nearly periodic evaluatable.
 
     Same combination as :func:`f_to_P` but packaged as a callable and

@@ -1,9 +1,12 @@
-"""K-Bessel with complex order and Whittaker W functions.
+"""Whittaker W functions and their tables, with the complex Gamma function.
 
-Both are evaluated from real-axis integral representations by composite
+W is evaluated from its real-axis integral representation by composite
 Gauss-Legendre panels sized to the oscillation frequency of the integrand,
-so everything vectorises over the argument.  These are the building blocks
-for the Fourier terms of the half-integral-weight surrogate forms.
+so it vectorises over the argument; small arguments use the M-function
+connection, and indices outside the integral's range a recurrence.
+``WhittakerTable`` caches W of one index pair in Chebyshev panels for fast
+lookups.  These are the building blocks for the Fourier terms of the
+half-integral-weight surrogate forms.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedParameterError
 
-__all__ = ["WhittakerParams", "gamma_complex", "bessel_k", "whittaker_w", "WhittakerTable"]
+__all__ = ["WhittakerParams", "gamma_complex", "whittaker_w", "WhittakerTable"]
 
 # Lanczos approximation, g = 7 with 9 coefficients; relative error < 1e-13
 # on the right half-plane, extended by reflection.
@@ -75,28 +78,6 @@ def _panel_nodes(a: float, b: float, width: float, order: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def bessel_k(nu: complex, x: float, truncation: float | None = None) -> complex:
-    """Modified Bessel K of complex order via the cosh integral.
-
-    Integrates exp(-x cosh t) cosh(nu t) over [0, T] where T is chosen so
-    the dropped tail is below 1e-18 relative to the value scale.
-    """
-    nu = complex(nu)
-    x = float(x)
-    if x <= 0:
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    if truncation is None:
-        t_cut = 1.0
-        for _ in range(8):
-            target = (42.0 + abs(nu.real) * t_cut) / x
-            t_cut = math.acosh(max(target, 1.0 + 1e-9))
-        truncation = t_cut
-    width = min(1.0, 6.0 / (1.0 + abs(nu)))
-    nodes, weights = _panel_nodes(0.0, float(truncation), width, 20)
-    vals = np.exp(-x * np.cosh(nodes)) * np.cosh(nu * nodes)
-    return complex(np.sum(weights * vals))
 
 
 @dataclass(frozen=True)

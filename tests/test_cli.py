@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -194,6 +195,31 @@ def test_cli_bad_weight_exits_2(capsys):
 def test_cli_unresolved_whittaker_index_exits_2(capsys):
     assert main(["period-function", "--weight", "1/2", "--nu", "5i"]) == 2
     assert "does not resolve W_{0.25, 5j}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["period-function", "--grid=0.5:1:2"], ["table", "--what", "growth"]])
+@pytest.mark.parametrize(
+    "option, value, name",
+    [
+        ("--nu", "1e400", "nu"),
+        ("--nu", "nan", "nu"),
+        ("--nu", "inf", "nu"),
+        ("--nu", "1+infi", "nu"),
+        ("--nu", "1e30", "nu"),
+        ("--nu", "1e30i", "nu"),
+        ("--nu", "0.3k", "nu"),
+        ("--weight", "1e30", "weight"),
+        ("--weight", "1e400", "weight"),
+        ("--weight", "1001/2", "weight"),
+    ],
+)
+def test_cli_bad_nu_or_weight_names_it(capsys, command, option, value, name):
+    # a usage error, not a traceback: exit 2, and the message names the parameter
+    given = {"--weight": "1/2", "--nu": "0.35i", option: value}
+    assert main(command + [arg for item in given.items() for arg in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{name}\b", err), err
 
 
 def test_settings_roundtrip(tmp_path):

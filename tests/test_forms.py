@@ -14,6 +14,7 @@ from maassperiods.errors import DomainError
 from maassperiods.forms import (
     HolomorphicEmbedding,
     MaassForm,
+    WhittakerSurrogate,
     delta_coefficients,
     delta_form,
     dslash,
@@ -81,6 +82,15 @@ def test_embedding_raise_matches_fd(delta):
 def test_eval_requires_upper_half_plane(delta):
     with pytest.raises(DomainError):
         delta.eval(1 - 1j)
+
+
+@pytest.mark.parametrize("nu", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
+def test_non_finite_nu_is_a_domain_error(nu):
+    # named before any coefficient or table is built
+    with pytest.raises(DomainError, match="nu = .* is not finite"):
+        surrogate_form("1/2", nu)
+    with pytest.raises(DomainError, match="nu = .* is not finite"):
+        MaassForm("1/2", construct_eta_power("1/2"), nu, WhittakerSurrogate((1.0,)))
 
 
 def test_surrogate_shift(surrogate, delta):

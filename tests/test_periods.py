@@ -43,7 +43,7 @@ def test_recovered_function_is_nearly_periodic():
     synth = synthetic_nearly_periodic()
     nu = 0.3j
     v0 = construct_trivial(0)
-    period = derived_period(synth, 0, nu, v0)
+    period = derived_period(synth, nu, v0)
     g = lambda z: P_to_f(period, z, weight=0, nu=nu, multiplier=v0)
     for z in (0.4 + 0.7j, 0.4 - 0.7j):
         assert abs(g(z + 1) - g(z)) <= 1e-10 * abs(g(z))
@@ -62,6 +62,10 @@ def test_f_to_P_takes_no_weight():
     synth = synthetic_nearly_periodic()
     with pytest.raises(TypeError):
         f_to_P(synth, 1j, weight=0, nu=0.3j, multiplier=construct_trivial(0))
+    with pytest.raises(TypeError):
+        derived_period(synth, 0, 0.3j, construct_trivial(0))
+    with pytest.raises(TypeError):
+        derived_period(synth, weight=0, nu=0.3j, multiplier=construct_trivial(0))
 
 
 def test_bridge_names_what_a_bare_callable_lacks():
@@ -96,14 +100,14 @@ def test_eval_P_rejects_the_cut(delta):
 @pytest.mark.parametrize("transform", [PeriodFunction, NearlyPeriodicFunction])
 @pytest.mark.parametrize("name", ["delta", "surrogate"])
 def test_non_finite_zeta_is_a_domain_error(request, name, transform, zeta):
-    # named, before either memo and before any quadrature, with no warning
+    # named, before the axis memo and before any quadrature, with no warning
     fn = transform(request.getfixturevalue(name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="is not finite") as caught:
             fn.eval(zeta)
     assert str(zeta) in str(caught.value)
-    assert not getattr(fn, "_cache", None) and not getattr(fn, "_axis", None)
+    assert not getattr(fn, "_axis", None)
 
 
 def test_eval_f_requires_spectral_strip(delta):
@@ -330,15 +334,24 @@ def test_surrogate_P_near_the_axis(surrogate, settings, zeta):
     assert out.evaluations <= 1000
 
 
-def test_period_memo_is_bounded_lru(delta, settings):
-    period = PeriodFunction(delta, settings)
-    period.MEMO_SIZE = 2
-    first = period.eval(0.5)
-    period.eval(1.0)
-    assert period.eval(0.5) is first  # a hit, and now the most recent
-    period.eval(2.0)  # evicts 1.0, the least recently used
-    assert list(period._cache) == [0.5, 2.0]
-    assert period.eval(0.5) is first
+@pytest.mark.parametrize(
+    "name, zeta, route",
+    [
+        pytest.param("delta", 0.7 + 0.2j, "imaginary axis ray", id="delta-axis"),
+        pytest.param("delta", -0.6 + 0.9j, "f <-> P bridge", id="delta-bridge"),
+        pytest.param("surrogate", 0.3 + 0.8j, "imaginary axis segment", id="surrogate-split"),
+        pytest.param("surrogate", -0.6 + 0.9j, "deformed polyline", id="surrogate-polyline"),
+    ],
+)
+def test_repeated_zeta_repeats_the_result(request, settings, name, zeta, route):
+    # P keeps no results: a repeat recomputes, and on every route it gives
+    # back the first evaluation field for field
+    period = PeriodFunction(request.getfixturevalue(name), settings)
+    first, again = period.eval(zeta), period.eval(zeta)
+    assert first.contour.startswith(route)
+    assert again is not first
+    for field in ("value", "abs_error", "evaluations", "contour"):
+        assert getattr(again, field) == getattr(first, field)
 
 
 def test_deformed_contour_matches_three_term_continuation(delta, settings):

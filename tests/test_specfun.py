@@ -10,7 +10,6 @@ from maassperiods.errors import DomainError, UnsupportedParameterError
 from maassperiods.specfun import (
     WhittakerParams,
     WhittakerTable,
-    bessel_k,
     gamma_complex,
     whittaker_w,
 )
@@ -30,36 +29,11 @@ def test_gamma_pole():
         gamma_complex(-3)
 
 
-def test_bessel_half_integer_closed_form():
-    assert bessel_k(0.5, 1.0) == pytest.approx(math.sqrt(math.pi / 2) * math.exp(-1), rel=1e-12)
-
-
-def test_bessel_even_in_order():
-    assert bessel_k(0.3j, 2.0) == pytest.approx(bessel_k(-0.3j, 2.0), rel=1e-13)
-
-
-def test_bessel_truncation_self_consistency():
-    full = bessel_k(9.533j, 10.0)
-    doubled = bessel_k(9.533j, 10.0, truncation=8.0)
-    assert abs(full - doubled) <= 1e-11 * abs(full)
-
-
-def test_bessel_against_mpmath():
-    mine = bessel_k(9.533j, 10.0)
-    ref = complex(mpmath.besselk(9.533j, 10))
-    assert abs(mine - ref) <= 1e-11 * abs(ref)
-
-
-def test_bessel_domain():
-    with pytest.raises(DomainError):
-        bessel_k(0.5, -1.0)
-
-
 def test_whittaker_zero_index_reduces_to_bessel():
     mu = 0.25
     y = 3.0
     w = whittaker_w(WhittakerParams(0.0, mu), 2 * y)
-    want = math.sqrt(2 * y / math.pi) * bessel_k(mu, y)
+    want = math.sqrt(2 * y / math.pi) * float(mpmath.besselk(mu, y))
     assert abs(w - want) <= 1e-10 * abs(want)
 
 

@@ -30,6 +30,42 @@ def test_ids_are_unique_and_expected_failures_registered():
     assert set(SUITES) == {i.split(".", 1)[0] for i in REGISTRY}
 
 
+# every registered id, sorted: a change that drops or renames an identity
+# fails here, and one that adds an identity adds its id
+REGISTERED_IDS = [
+    "branch.arg-conjugation", "branch.counterexample", "branch.factorization",
+    "branch.negative-axis", "branch.pow-unit-exponents",
+    "classical.golden-period", "classical.inversion-relation", "classical.polynomiality",
+    "classical.ray-comparison", "classical.three-term-relation", "classical.vanishing-period",
+    "group.action-identities", "group.cut-plane-monoid", "group.decompose-roundtrip",
+    "group.moebius-examples", "group.word-length",
+    "kernel.closed-form", "kernel.ladder-eigen", "kernel.laplace-eigen",
+    "kernel.real-zeta-form", "kernel.transformation-law",
+    "ms.closedness", "ms.moved-kernel", "ms.raised-pair", "ms.reflection-symmetry",
+    "ms.slash-compatibility", "ms.sum-identity",
+    "multiplier.base-point[k=1/2]", "multiplier.base-point[k=12]", "multiplier.base-point[k=3/2]",
+    "multiplier.consistency[k=1/2]", "multiplier.consistency[k=12]", "multiplier.consistency[k=3/2]",
+    "multiplier.eta-closed-form[k=1/2]", "multiplier.eta-closed-form[k=12]",
+    "multiplier.eta-closed-form[k=3/2]",
+    "multiplier.minus-one[k=1/2]", "multiplier.minus-one[k=12]", "multiplier.minus-one[k=3/2]",
+    "multiplier.s-squared[k=1/2]", "multiplier.s-squared[k=12]", "multiplier.s-squared[k=3/2]",
+    "multiplier.word-independence[k=1/2]", "multiplier.word-independence[k=12]",
+    "multiplier.word-independence[k=3/2]",
+    "periods.bijection-degenerate", "periods.bijection-roundtrip", "periods.classical-cocycle",
+    "periods.classical-periodicity", "periods.compatibility-classical",
+    "periods.compatibility-surrogate", "periods.growth", "periods.holomorphy", "periods.linearity",
+    "periods.near-periodicity", "periods.pairing-independence", "periods.ray-transform-action",
+    "periods.slashed-axis-transform", "periods.three-term-classical", "periods.three-term-synthetic",
+    "quad.endpoint-powers", "quad.error-estimate", "quad.exponential-ray", "quad.geodesic-images",
+    "quad.log-segment", "quad.path-independence", "quad.three-path-split",
+]
+
+
+def test_registry_is_pinned():
+    assert len(REGISTERED_IDS) == 67
+    assert sorted(REGISTRY) == REGISTERED_IDS
+
+
 @pytest.fixture(scope="module")
 def all_at_seed_3():
     return {e.identity: e for e in run_suite("all", seed=3).entries}
