@@ -21,10 +21,11 @@ Two backends, each with the two facts the transforms read as class constants:
   depend on the batch it is evaluated in.
 
 The transform integrands take u and E^+u (or E^-u) from one pass,
-:meth:`MaassForm.eval_ladder_many`: one q-expansion for the embedding, one
-table lookup per Whittaker index for the surrogate, which returns W and
-t W'(t) together, so E^+-u is exact termwise there too.  Forms with the same
-Whittaker index share one table per process.
+:meth:`MaassForm.eval_ladder_many`: one q-expansion for the embedding, and
+for the surrogate one table lookup per form pass, whatever Whittaker indices
+its terms use, which returns W and t W'(t) together, so E^+-u is exact
+termwise there too.  Forms with the same Whittaker index share one table per
+process.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .modgroup import (
     mu,
 )
 from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial, parse_weight
-from .specfun import WhittakerTable
+from .specfun import WhittakerStack, WhittakerTable
 
 __all__ = [
     "MaassForm",
@@ -308,8 +309,8 @@ class MaassForm:
         """(u, E^+_k u) for sign +1, (u, E^-_k u) for sign -1, from one pass.
 
         The embedding takes both arrays from one q-expansion (E^- u is
-        zero), and the surrogate takes W and t W'(t) from one lookup per
-        Whittaker index.  Any other sign raises ValueError.
+        zero), and the surrogate takes W and t W'(t) of all its terms from
+        one table lookup.  Any other sign raises ValueError.
         """
         if sign not in (1, -1):
             raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
@@ -339,7 +340,7 @@ class MaassForm:
     # -- surrogate internals -----------------------------------------------------
 
     def _spectral_data(self):
-        """(coefficients, frequencies, whittaker index per term, tables)."""
+        """(coefficients, frequencies, the stack of the terms' Whittaker tables)."""
         if self._tables is None:
             pos = tuple(self.backend.coefficients)
             neg = tuple(self.backend.negative_coefficients)
@@ -350,50 +351,35 @@ class MaassForm:
                     self.kappa0 - np.arange(1, len(neg) + 1),
                 ]
             )
-            kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0)
-            kaps = sorted(set(kappas.tolist()))  # a sorted set, since np.unique would load numpy.ma
+            kappas = np.where(freqs > 0, self.k / 2.0, -self.k / 2.0).tolist()
+            kaps = sorted(set(kappas))  # a sorted set, since np.unique would load numpy.ma
             try:
-                tables = {kap: _whittaker_table(kap, self.nu) for kap in kaps}
+                tables = [_whittaker_table(kap, self.nu) for kap in kaps]
             except (OverflowError, ZeroDivisionError) as exc:  # Gamma or a power leaves the float range
                 raise UnsupportedParameterError(f"no Whittaker table for weight {self.weight}, nu = {self.nu}: {exc}") from exc
-            self._tables = (coeffs, freqs, kappas, tables)
+            self._tables = (coeffs, freqs, WhittakerStack(tables, [kaps.index(kap) for kap in kappas]))
         return self._tables
-
-    def _surrogate_radial(self, y: np.ndarray) -> np.ndarray:
-        """W(4 pi |freq| y), one row per Fourier term, stacked on a leading
-        axis with t W'(t) at the same arguments.
-
-        All terms sharing a Whittaker index go through their table in one
-        lookup of the flattened (terms x points) argument matrix, so a
-        one-sided form makes one table call and a two-sided form two.  The
-        lookup is element-wise, so the grouping does not change any value.
-        """
-        coeffs, freqs, kappas, tables = self._spectral_data()
-        rows = np.empty((2, len(coeffs), y.size), dtype=complex)
-        for kap, table in tables.items():
-            group = kappas == kap
-            args = 4.0 * math.pi * np.abs(freqs[group])[:, None] * y[None, :]
-            for row, values in zip(rows, table.with_log_derivative(args.ravel())):
-                row[group] = values.reshape(args.shape)
-        return rows
 
     def _surrogate_op(self, zs: np.ndarray, sign: int) -> tuple:
         """(u, E^{+-}_k u) = (u, +-2iy u_x + 2y u_y +- k u), termwise exact.
 
         Each term c W(t) e(lambda x), t = 4 pi |lambda| y, has
-        y d/dy = c t W'(t) e(lambda x), so one table lookup per Whittaker
-        index gives both W and t W' (the table's own Chebyshev derivative).
-        Every sum runs over terms in term order.
+        y d/dy = c t W'(t) e(lambda x), so one lookup of the (terms x points)
+        argument matrix, whatever Whittaker indices the terms use, gives both
+        W and t W' (the tables' own Chebyshev derivative).  The rows
+        [c W e(lambda x), c t W' e(lambda x), c W e(lambda x) 2 pi i lambda]
+        are summed in one pass over terms, in term order.
         """
         flat = zs.ravel()
         x, y = flat.real, flat.imag
-        coeffs, freqs, _, _ = self._spectral_data()
+        coeffs, freqs, stack = self._spectral_data()
         waves = np.exp(2j * math.pi * freqs[:, None] * x[None, :])
-        rows, slopes = self._surrogate_radial(y)
-        terms = coeffs[:, None] * rows * waves
-        value = _term_sum(terms)
-        dx = _term_sum(terms * (2j * math.pi * freqs[:, None]))
-        y_dy = _term_sum(coeffs[:, None] * slopes * waves)
+        radial = stack.with_log_derivative(4.0 * math.pi * np.abs(freqs)[:, None] * y[None, :])
+        terms = np.empty((3,) + waves.shape, dtype=complex)
+        for row, values in zip(terms, radial):
+            np.multiply(coeffs[:, None] * values, waves, out=row)
+        np.multiply(terms[0], 2j * math.pi * freqs[:, None], out=terms[2])
+        value, y_dy, dx = _term_sum(terms)
         out = sign * 2j * y * dx + 2.0 * y_dy + sign * self.k * value
         return value.reshape(zs.shape), out.reshape(zs.shape)
 

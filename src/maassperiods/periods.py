@@ -214,6 +214,14 @@ def _ray_start(form: MaassForm, zeta: complex) -> tuple:
     return (zeta if s > 0 else zeta.conjugate()), ladder, form.nu - 0.5 + s * (0.5 * form.k - h)
 
 
+def _require_strip(form: MaassForm) -> None:
+    """Both transforms of a form that is not holomorphic need |Re nu| < 1/2."""
+    if not form.backend.holomorphic and abs(form.nu.real) >= 0.5:
+        raise UnsupportedSpectralParameterError(
+            f"nu = {form.nu}: |Re nu| = {abs(form.nu.real)} is not below 1/2"
+        )
+
+
 _ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
 
 
@@ -227,10 +235,7 @@ class NearlyPeriodicFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
-        if not form.backend.holomorphic and abs(form.nu.real) >= 0.5:
-            raise UnsupportedSpectralParameterError(
-                f"|Re nu| = {abs(form.nu.real)} is not below 1/2"
-            )
+        _require_strip(form)
 
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
@@ -273,6 +278,7 @@ class PeriodFunction:
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
         self.settings = settings
+        _require_strip(form)
         self._axis = {}
         self._f = NearlyPeriodicFunction(form, settings) if form.backend.equivariant else None
 

@@ -166,7 +166,7 @@ def _start_floor(mode) -> float:
         a = 1.0 + complex(mode[1]).real
         if a <= 0.0:
             raise DivergentIntegralError(f"endpoint exponent {mode[1]} has real part <= -1")
-        return 10.0 ** max(-300.0, -40.0 / min(1.0, a))
+        return 10.0 ** max(-300.0, -40.0 / a)
     if tag == "exp":
         return 1e-8
     if tag == "log":

@@ -5,7 +5,8 @@ Gauss-Legendre panels sized to the oscillation frequency of the integrand,
 so it vectorises over the argument; small arguments use the M-function
 connection, and indices outside the integral's range a recurrence.
 ``WhittakerTable`` caches W of one index pair in Chebyshev panels for fast
-lookups.  These are the building blocks for the Fourier terms of the
+lookups, and ``WhittakerStack`` looks up several tables of one nu as one.
+These are the building blocks for the Fourier terms of the
 half-integral-weight surrogate forms.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedParameterError
 
-__all__ = ["WhittakerParams", "gamma_complex", "whittaker_w", "WhittakerTable"]
+__all__ = ["WhittakerParams", "gamma_complex", "whittaker_w", "WhittakerTable", "WhittakerStack"]
 
 # Lanczos approximation, g = 7 with 9 coefficients; relative error < 1e-13
 # on the right half-plane, extended by reflection.
@@ -268,8 +269,11 @@ class WhittakerTable:
         if real:
             self.coeffs = np.ascontiguousarray(self.coeffs.real)
 
+    # a table is the one-table case of :class:`WhittakerStack`: no panel offset, one run
+    offset = 0
+
     def __call__(self, t) -> np.ndarray:
-        return self._lookup(t)[0]
+        return _lookup(self, t)[0]
 
     def with_log_derivative(self, t) -> tuple:
         """(W(t), t W'(t)) from one lookup; W equals ``__call__`` bit for bit.
@@ -279,35 +283,82 @@ class WhittakerTable:
         from the derivative of the Clenshaw recurrence, run beside it on the
         same coefficients.
         """
-        return self._lookup(t)
+        return _lookup(self, t)
 
-    def _lookup(self, t) -> tuple:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all(ts >= self.T_MIN):  # NaN, zero and negative t fail too
-            raise DomainError(f"table lookup requires t >= {self.T_MIN}, got {ts.min()}")
-        c = self.coeffs
-        outs = np.zeros((2,) + ts.shape, dtype=c.dtype)
-        s = np.log(ts)
-        inside = s <= self._S_HI
-        idx = np.searchsorted(self._EDGES, s[inside], side="right") - 1
-        idx = np.clip(idx, 0, len(self._EDGES) - 2)
-        lo = self._EDGES[idx]
-        hi = self._EDGES[idx + 1]
-        x = (2.0 * s[inside] - (hi + lo)) / (hi - lo)
-        # Clenshaw with per-point coefficients, vectorised over points; one
-        # degree is gathered at a time, so no (points x degree) copy is made.
-        # d1, d2 are the x-derivatives of b1, b2:
-        # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
-        b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=c.dtype)  # rebound, never written
-        two_x = 2.0 * x
-        for j in range(self.DEGREE, 0, -1):
-            d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
-            b1, b2 = c[j][idx] + two_x * b1 - b2, b1
-        vals = c[0][idx] + x * b1 - b2
-        t_in = ts[inside]
-        decay = np.exp(-t_in / 2.0)
-        power = t_in**self.kappa
-        slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
-        outs[0][inside] = vals * decay * power
-        outs[1][inside] = (slope + (self.kappa - t_in / 2.0) * vals) * decay * power
-        return tuple(out if np.ndim(t) else out.reshape(())[()] for out in outs)
+    @property
+    def runs(self) -> tuple:
+        """(rows, kappa) for the power t^kappa: every row, this table's kappa."""
+        return ((slice(None), self.kappa),)
+
+
+class WhittakerStack:
+    """Tables of one nu looked up together, row r of a (rows x points)
+    argument matrix through ``tables[which[r]]``.
+
+    The tables share their panel edges, so their degree-major coefficients
+    sit side by side in one block, and each row carries its panel offset into
+    it and its kappa as (rows x 1) columns: one Clenshaw run covers the whole
+    matrix, however many indices the rows use.  Every element goes through
+    the recurrence of its own table's lookup, so (W, t W') are bitwise what
+    ``tables[which[r]].with_log_derivative`` gives row r.  The power t^kappa
+    is taken per run of rows with one table, with a scalar exponent as the
+    table's own lookup takes it: numpy rounds an exponent of 1/2, -1 or 2
+    differently when it comes as a column.
+    """
+
+    def __init__(self, tables, which):
+        if len({table.params.mu for table in tables}) != 1:
+            raise ValueError("a stack joins the tables of one nu")
+        which = [int(i) for i in which]
+        self.coeffs = np.concatenate([table.coeffs for table in tables], axis=1)
+        self.offset = (np.array(which) * (len(WhittakerTable._EDGES) - 1))[:, None]
+        self.kappa = np.array([tables[i].kappa for i in which])[:, None]
+        starts = [r for r in range(len(which)) if r == 0 or which[r] != which[r - 1]]
+        self.runs = tuple(
+            (slice(a, b), tables[which[a]].kappa) for a, b in zip(starts, starts[1:] + [len(which)])
+        )
+
+    def with_log_derivative(self, t) -> tuple:
+        """(W, t W') at the (rows x points) arguments t, from one lookup."""
+        return _lookup(self, t)
+
+
+def _lookup(src, t) -> tuple:
+    """(W, t W') of a table or a stack ``src`` at t: the one lookup of both.
+
+    Beyond ``T_MAX`` a point is looked up at ``T_MAX`` and its values set to
+    zero, so every array keeps the shape of t.
+    """
+    table = WhittakerTable
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(ts >= table.T_MIN):  # NaN, zero and negative t fail too
+        raise DomainError(f"table lookup requires t >= {table.T_MIN}, got {ts.min()}")
+    c = src.coeffs
+    s = np.log(ts)
+    inside = s <= table._S_HI
+    s = np.minimum(s, table._S_HI)
+    ts = np.where(inside, ts, table.T_MAX)
+    idx = np.searchsorted(table._EDGES, s, side="right") - 1
+    idx = np.clip(idx, 0, len(table._EDGES) - 2)
+    lo = table._EDGES[idx]
+    hi = table._EDGES[idx + 1]
+    x = (2.0 * s - (hi + lo)) / (hi - lo)
+    idx += src.offset
+    # Clenshaw with per-point coefficients, vectorised over points; one
+    # degree is gathered at a time, so no (points x degree) copy is made.
+    # d1, d2 are the x-derivatives of b1, b2:
+    # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
+    b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=c.dtype)  # rebound, never written
+    two_x = 2.0 * x
+    for j in range(table.DEGREE, 0, -1):
+        d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
+        b1, b2 = c[j][idx] + two_x * b1 - b2, b1
+    vals = c[0][idx] + x * b1 - b2
+    decay = np.exp(-ts / 2.0)
+    power = np.concatenate([ts[rows] ** kappa for rows, kappa in src.runs])
+    slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
+    outs = (
+        np.where(inside, vals * decay * power, 0.0),
+        np.where(inside, (slope + (src.kappa - ts / 2.0) * vals) * decay * power, 0.0),
+    )
+    return tuple(out if np.ndim(t) else out.reshape(())[()] for out in outs)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings as hyp_settings
 
 from maassperiods import Settings
-from maassperiods.specfun import WhittakerTable
+from maassperiods import specfun
 from maassperiods.verify import Context, check
 
 hyp_settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
@@ -62,14 +62,15 @@ def rng():
 
 @pytest.fixture
 def table_lookups(monkeypatch):
-    """The index of every Whittaker table lookup made while the test runs;
-    both entry points go through ``_lookup``."""
+    """The Whittaker indices of every table lookup made while the test runs,
+    one sorted tuple per lookup: a table's calls and a stack's all go through
+    ``specfun._lookup``."""
     calls = []
-    lookup = WhittakerTable._lookup
+    lookup = specfun._lookup
 
-    def counting(table, t):
-        calls.append(table.kappa)
-        return lookup(table, t)
+    def counting(src, t):
+        calls.append(tuple(sorted(set(np.ravel(src.kappa).tolist()))))
+        return lookup(src, t)
 
-    monkeypatch.setattr(WhittakerTable, "_lookup", counting)
+    monkeypatch.setattr(specfun, "_lookup", counting)
     return calls

@@ -117,6 +117,15 @@ def test_cli_period_function_non_finite_grid_names_zeta(capsys, spec, zeta):
     assert captured.err.startswith("error: --grid point") and zeta in captured.err
 
 
+@pytest.mark.parametrize("nu", ["0.6", "2", "-0.7"])
+def test_cli_period_function_outside_the_strip_names_nu(capsys, nu):
+    # a surrogate's P, like its f, needs |Re nu| < 1/2
+    assert main(["period-function", "--weight", "1/2", "--nu", nu, "--grid", "0.5:1:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: nu = ") and "|Re nu|" in captured.err
+
+
 def test_cli_table_growth(capsys):
     code = main(["table", "--what", "growth", "--weight", "1/2", "--nu", "0.35i"])
     out = capsys.readouterr().out

@@ -29,7 +29,7 @@ from maassperiods.forms import (
 )
 from maassperiods.modgroup import S, T, T_PRIME, GroupElement, moebius, mu
 from maassperiods.multiplier import MultiplierSystem, construct_eta_power, construct_trivial
-from maassperiods.specfun import WhittakerTable
+from maassperiods.specfun import WhittakerStack, WhittakerTable
 
 
 def test_tau_values():
@@ -259,18 +259,58 @@ def _per_term_reference(form, zs):
     return value, ops[0], ops[1]
 
 
-@pytest.mark.parametrize("n", [1, 15, 46, 4096])
+def _surrogate_points(form, n):
+    """n seeded points, with the lowest frequency's argument t = 4 pi |lambda| y
+    near panel edges, just above T_MIN and beyond T_MAX where n allows."""
+    rng = np.random.default_rng(n)
+    ys = np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+    lowest = min(1.0 + form.kappa0, 1.0 - form.kappa0 if form.backend.negative_coefficients else math.inf)
+    special = np.concatenate(
+        [np.exp(WhittakerTable._EDGES[1::7]), [1.000001 * WhittakerTable.T_MIN, 320.0, 2e3, 1e6]]
+    ) / (4.0 * math.pi * lowest)
+    ys[: special.size] = special[:n]
+    return rng.uniform(-1.0, 1.0, n) + 1j * ys
+
+
+@pytest.mark.parametrize("n", [1, 15, 46, 368, 4096])
 @pytest.mark.parametrize("name, n_kappas", [("surrogate", 1), ("surrogate_two_sided", 2)])
 def test_surrogate_one_table_call_per_kappa(request, table_lookups, name, n_kappas, n):
+    # one lookup per form pass, whatever indices the terms use, bitwise the
+    # per-term lookups of the terms' own tables
     form = request.getfixturevalue(name)
-    rng = np.random.default_rng(n)
-    zs = rng.uniform(-1.0, 1.0, n) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+    zs = _surrogate_points(form, n)
     want = _per_term_reference(form, zs)
     for method, expected in zip((form.eval_many, form.raise_many, form.lower_many), want):
         table_lookups.clear()
         got = method(zs)
         assert np.array_equal(got, expected)
-        assert len(table_lookups) == len(set(table_lookups)) == n_kappas
+        assert len(table_lookups) == 1 and len(table_lookups[0]) == n_kappas
+
+
+@pytest.mark.parametrize("n", [1, 15, 46, 368, 4096])
+def test_stacked_lookup_is_bitwise_each_tables_own(n):
+    # rows through three tables of one nu in one lookup, against each row's
+    # own table; arguments on panel edges, at T_MIN and beyond T_MAX.  numpy
+    # takes t^(1/2) and t^(-1) by sqrt and reciprocal for a scalar exponent only
+    tables = [WhittakerTable(kap, 0.3j) for kap in (0.5, -1.0, 0.25)]
+    which = [0, 0, 1, 2, 1, 0]
+    rng = np.random.default_rng(n)
+    t = np.exp(rng.uniform(math.log(WhittakerTable.T_MIN), math.log(1e3), (len(which), n)))
+    special = np.concatenate([
+        np.exp(WhittakerTable._EDGES[1:]),
+        [WhittakerTable.T_MIN, np.nextafter(WhittakerTable.T_MAX, 0), WhittakerTable.T_MAX, 320.5, 1e300],
+    ])
+    t.flat[: special.size] = special[: t.size]
+    got = WhittakerStack(tables, which).with_log_derivative(t)
+    for row, i in enumerate(which):
+        for merged, own in zip(got, tables[i].with_log_derivative(t[row])):
+            assert np.array_equal(merged[row], own)
+    assert np.all(got[0][t > WhittakerTable.T_MAX] == 0.0)
+
+
+def test_stack_joins_the_tables_of_one_nu():
+    with pytest.raises(ValueError, match="one nu"):
+        WhittakerStack([WhittakerTable(0.25, 0.35j), WhittakerTable(0.25, 0.3j)], [0, 1])
 
 
 @pytest.mark.parametrize("n", [1, 46, 368])

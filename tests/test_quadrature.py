@@ -364,6 +364,23 @@ def test_start_tail_bounds_the_error(a):
     assert got.evaluations <= 500
 
 
+def test_power_start_floor_follows_the_exponent():
+    # t^(1 + alpha) reaches 1e-40 at 10^(-40 / (1 + alpha)): with alpha = 10
+    # (Delta's f above the axis) level 0 starts at 10^(-40/11), not at 1e-40
+    floor = quadrature._start_floor(("power", 10.0))
+    assert floor == 10.0 ** (-40.0 / 11.0)
+    assert quadrature._start_floor(("power", -0.5)) == 1e-80
+    nodes = []
+
+    def phi(t):
+        nodes.append(t)
+        return np.exp(-t) * t**10
+
+    got = integrate_ray(phi, start_mode=("power", 10.0))
+    assert np.concatenate(nodes).min() >= floor * (1.0 - 1e-12)
+    assert abs(got.value - math.factorial(10)) <= got.abs_error
+
+
 def _counted_eval(monkeypatch, build, form, zeta):
     """A transform's evaluation and the sizes of its integrand calls, seen
     through a counting wrapper on the integrand."""

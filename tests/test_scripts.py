@@ -98,3 +98,21 @@ def test_traced_benchmark_worker_runs(tmp_path, workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert "layers" in json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_compare_trees_finds_nothing_against_itself():
+    out = _run("compare_trees.py", ROOT, "--seeds", "1")
+    assert out.splitlines() == ["seed 1: 0 differing fields"]
+
+
+def test_compare_trees_prints_each_differing_field():
+    spec = importlib.util.spec_from_file_location("_compare_trees", os.path.join(ROOT, "scripts", "compare_trees.py"))
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    here = {"a": {"value": [1.0, 0.0], "evaluations": 3}, "b": {"value": [2.0, 0.0]}}
+    there = {"a": {"value": [1.0, 5e-17], "evaluations": 3}, "c": {"error": "DomainError: x"}}
+    assert compare._differences(here, there) == [
+        "a: value [1.0, 0.0] here, [1.0, 5e-17] there",
+        "b: only in this tree",
+        "c: only in the other tree",
+    ]
