@@ -8,12 +8,10 @@ from .forms import (
     delta_coefficients,
     delta_form,
     dslash,
-    maass_lower,
-    maass_raise,
     slash,
     surrogate_form,
 )
-from .kernel import RKernel, eta_form, r_transform_check
+from .kernel import RKernel, r_transform_check
 from .modgroup import INFINITY, GroupElement, S, T, T_PRIME, decompose, moebius, mu
 from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from .periods import (
@@ -57,15 +55,12 @@ __all__ = [
     "dslash",
     "eichler_f",
     "eichler_polynomial",
-    "eta_form",
     "f_to_P",
     "factorizable",
     "gamma_complex",
     "geodesic_image",
     "growth_check",
     "integrate_form",
-    "maass_lower",
-    "maass_raise",
     "moebius",
     "mu",
     "period_polynomial",

@@ -58,8 +58,7 @@ __all__ = [
     "surrogate_form",
     "two_sided_surrogate",
     "boundary_balanced_coefficients",
-    "maass_raise",
-    "maass_lower",
+    "maass_op_fd",
     "maass_laplacian_fd",
     "slash",
     "dslash",
@@ -385,7 +384,7 @@ class MaassForm:
 
 
 # ---------------------------------------------------------------------------
-# Maass operators on arbitrary sampled functions
+# finite-difference oracles for the Maass operators
 
 
 def _fd_line(fn: Callable, z: complex, step: complex) -> tuple:
@@ -399,37 +398,18 @@ def _fd_first(samples: tuple, h: float) -> complex:
     return (-p2 + 8 * p1 - 8 * m1 + m2) / (12.0 * h)
 
 
-def _fd_partials(fn: Callable, z: complex, h: float) -> tuple:
-    """5-point first partials (f_x, f_y) of fn at z."""
-    return _fd_first(_fd_line(fn, z, h), h), _fd_first(_fd_line(fn, z, 1j * h), h)
-
-
 def _fd_step(z: complex) -> float:
     return 1e-3 * min(1.0, abs(z.imag))
 
 
-def maass_raise(f, z: complex, k: float | None = None) -> complex:
-    """E^+_k f at z; analytic for form backends, finite differences otherwise."""
-    return _maass_op(f, z, k, +1)
-
-
-def maass_lower(f, z: complex, k: float | None = None) -> complex:
-    """E^-_k f at z."""
-    return _maass_op(f, z, k, -1)
-
-
-def _maass_op(f, z, k, sign):
+def maass_op_fd(fn: Callable, k: float, z: complex, sign: int) -> complex:
+    """E^{sign}_k fn = sign 2iy fn_x + 2y fn_y + sign k fn at z, by 5-point first
+    differences: the independent oracle of the exact ladder rules (the
+    kernel's, and a form's own ladder pass)."""
     z = complex(z)
-    if isinstance(f, MaassForm):
-        if k is not None and abs(k - f.k) > 1e-12:
-            raise ValueError(f"operator weight {k} does not match form weight {f.k}")
-        arr = np.array([z])
-        return complex((f.raise_many(arr) if sign > 0 else f.lower_many(arr))[0])
-    if k is None:
-        raise ValueError("a weight is required for generic functions")
-    y = z.imag
-    fx, fy = _fd_partials(f, z, _fd_step(z))
-    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * f(z)
+    h, y = _fd_step(z), z.imag
+    fx, fy = (_fd_first(_fd_line(fn, z, step), h) for step in (h, 1j * h))
+    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * fn(z)
 
 
 def maass_laplacian_fd(fn: Callable, k: float, z: complex, h: float | None = None) -> complex:

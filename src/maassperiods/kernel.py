@@ -1,4 +1,4 @@
-"""The two-variable R-kernel and the Maass-Selberg 1-form.
+"""The two-variable R-kernel and its exact ladder rule.
 
 The kernel
 
@@ -30,11 +30,11 @@ Applying a Maass operator to the kernel shifts its first index by 2
 R_{k-2j} = R_k (a/b)^j for integer j, so the transform integrands in
 ``periods`` evaluate one kernel per call and never difference.
 
-``eta_form`` evaluates the Maass-Selberg 1-form of two callables at a
-point, as its (dz, d(conj z)) coefficients (A, B), through
-``maass_raise``/``maass_lower``: exact for a ``MaassForm``, finite
-differences otherwise.  It is the oracle the exact integrands are
-checked against.
+The Maass-Selberg 1-form itself is built in one place, from a form's own
+ladder pass and this ladder rule: ``periods._pairing``, which every
+transform integrand and every ``ms.*`` identity of ``verify`` goes through.
+Finite differences (``forms.maass_op_fd``) remain only as the independent
+oracle of ``kernel_eigen_apply``.
 """
 
 from __future__ import annotations
@@ -45,15 +45,12 @@ import numpy as np
 
 from .branch import in_cut_plane, principal_arg, principal_pow
 from .errors import DomainError, RDomainError
-from .forms import maass_lower, maass_raise
 from .modgroup import GroupElement, moebius, mu
 
 __all__ = [
     "RKernel",
     "r_transform_check",
     "kernel_eigen_apply",
-    "eta_form",
-    "eta_form_many",
 ]
 
 
@@ -176,30 +173,3 @@ def r_transform_check(
         * kernel.eval(z, zeta)
     )
     return abs(lhs - rhs) / abs(rhs)
-
-
-# ---------------------------------------------------------------------------
-# the Maass-Selberg form
-
-
-def eta_form(k: float, f, g, z: complex) -> tuple:
-    """eta_k(f, g) = {E+_k f, g}+ - {f, E-_{-k} g}- at one point, as its
-    dz and d(conj z) coefficients (A, B).
-
-    ``f`` and ``g`` are callables of weight k and -k: Maass forms or bare
-    functions.
-    """
-    z = complex(z)
-    if z.imag == 0:
-        raise DomainError("the Maass-Selberg form lives off the real axis")
-    y = z.imag
-    a = maass_raise(f, z, k=k) * g(z) / y
-    b = -f(z) * maass_lower(g, z, k=-k) / y
-    return complex(a), complex(b)
-
-
-def eta_form_many(k: float, f, g, zs: np.ndarray) -> tuple:
-    """Coefficient arrays (A, B) of :func:`eta_form` at each point."""
-    zs = np.asarray(zs, dtype=complex)
-    a, b = np.array([eta_form(k, f, g, z) for z in zs.ravel()], dtype=complex).reshape(-1, 2).T
-    return a.reshape(zs.shape), b.reshape(zs.shape)

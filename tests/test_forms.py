@@ -19,8 +19,7 @@ from maassperiods.forms import (
     delta_form,
     dslash,
     maass_laplacian_fd,
-    maass_lower,
-    maass_raise,
+    maass_op_fd,
     reduce_many,
     reduce_to_fundamental_domain,
     slash,
@@ -67,15 +66,15 @@ def test_embedding_lowering_vanishes(delta, rng):
     # analytically exact, and the finite-difference route agrees
     for _ in range(20):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
-        assert maass_lower(delta, z) == 0
+        assert delta.lower_many(np.array([z]))[0] == 0
         scale = max(abs(delta.eval(z)), 1e-3)
-        assert abs(maass_lower(delta.eval, z, k=12.0)) <= 1e-10 * max(1.0, scale)
+        assert abs(maass_op_fd(delta.eval, 12.0, z, -1)) <= 1e-10 * max(1.0, scale)
 
 
 def test_embedding_raise_matches_fd(delta):
     z = 0.2 + 1.1j
-    analytic = maass_raise(delta, z)
-    fd = maass_raise(delta.eval, z, k=12.0)
+    analytic = delta.raise_many(np.array([z]))[0]
+    fd = maass_op_fd(delta.eval, 12.0, z, +1)
     assert abs(analytic - fd) <= 1e-7 * abs(analytic)
 
 
@@ -165,9 +164,9 @@ def test_surrogate_single_term_formula():
 
 def test_surrogate_operators_match_fd(surrogate):
     z = 0.3 + 1.2j
-    for op in (maass_raise, maass_lower):
-        analytic = op(surrogate, z)
-        fd = op(surrogate.eval, z, k=0.5)
+    for sign, exact in ((+1, surrogate.raise_many), (-1, surrogate.lower_many)):
+        analytic = exact(np.array([z]))[0]
+        fd = maass_op_fd(surrogate.eval, 0.5, z, sign)
         assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-6)
 
 
@@ -354,8 +353,8 @@ def test_operator_composition_identity(surrogate):
     """E+_{k-2} E-_k u = (1 + 2nu - k)(-1 + 2nu + k) u for an eigenfunction."""
     k, nu = surrogate.k, surrogate.nu
     z = 0.2 + 0.9j
-    inner = lambda w: maass_lower(surrogate, w)
-    lhs = maass_raise(inner, z, k=k - 2)
+    inner = lambda w: surrogate.lower_many(np.array([w]))[0]
+    lhs = maass_op_fd(inner, k - 2, z, +1)
     rhs = (1 + 2 * nu - k) * (-1 + 2 * nu + k) * surrogate.eval(z)
     assert abs(lhs - rhs) <= 1e-4 * abs(rhs)
 
@@ -365,8 +364,8 @@ def test_power_eigenfunctions_of_ladder():
     k, nu = 0.5, 0.3
     fn = lambda z: complex(z).imag ** (0.5 - nu)
     z = 1j
-    up = maass_raise(fn, z, k=k)
-    down = maass_lower(fn, z, k=k)
+    up = maass_op_fd(fn, k, z, +1)
+    down = maass_op_fd(fn, k, z, -1)
     assert abs(up - (1 - 2 * nu + k) * fn(z)) <= 1e-6 * abs(fn(z))
     assert abs(down - (1 - 2 * nu - k) * fn(z)) <= 1e-6 * abs(fn(z))
 

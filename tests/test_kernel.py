@@ -9,13 +9,8 @@ import pytest
 from maassperiods import periods
 from maassperiods.branch import principal_arg, principal_pow
 from maassperiods.errors import DomainError, RDomainError
-from maassperiods.forms import maass_laplacian_fd, maass_lower, maass_raise, surrogate_form, two_sided_surrogate
-from maassperiods.kernel import (
-    RKernel,
-    eta_form,
-    kernel_eigen_apply,
-    r_transform_check,
-)
+from maassperiods.forms import maass_laplacian_fd, maass_op_fd, surrogate_form, two_sided_surrogate
+from maassperiods.kernel import RKernel, kernel_eigen_apply, r_transform_check
 from maassperiods.modgroup import S, T, moebius
 from maassperiods.periods import arc_ray_integrand, eta_integrand, ray_integrand
 
@@ -207,10 +202,10 @@ def test_kernel_ladder_against_finite_differences(rng):
         zeta = complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
         fn = lambda w: ker.eval(w, zeta)
         assert abs(maass_laplacian_fd(fn, ker.k, z) - lam * fn(z)) <= 1e-5 * abs(lam * fn(z))
-        for sign, op in ((+1, maass_raise), (-1, maass_lower)):
+        for sign in (+1, -1):
             coeff, shifted = kernel_eigen_apply(ker, sign, ker.k)
             want = coeff * shifted.eval(z, zeta)
-            assert abs(op(fn, z, k=ker.k) - want) <= 1e-6 * abs(want)
+            assert abs(maass_op_fd(fn, ker.k, z, sign) - want) <= 1e-6 * abs(want)
 
 
 def test_kernel_ladder_lower_half_plane():
@@ -221,7 +216,7 @@ def test_kernel_ladder_lower_half_plane():
     fn = lambda w: ker.eval(w, zeta)
     coeff, shifted = kernel_eigen_apply(ker, +1, ker.k)
     want = coeff * shifted.eval(z, zeta)
-    assert abs(maass_raise(fn, z, k=ker.k) - want) <= 1e-6 * abs(want)
+    assert abs(maass_op_fd(fn, ker.k, z, +1) - want) <= 1e-6 * abs(want)
     lam = 0.25 - ker.nu**2
     assert abs(maass_laplacian_fd(fn, ker.k, z) - lam * fn(z)) <= 1e-5 * abs(lam * fn(z))
 
@@ -244,26 +239,22 @@ def test_offset_evaluation_below_rounding():
     assert np.isfinite(vals).all() and abs(vals[0]) > 0
 
 
-def test_eta_form_trivial_pair():
-    a, b = eta_form(0.0, lambda z: 1.0, lambda z: 1.0, 0.3 + 1.1j)
-    assert a == pytest.approx(0.0, abs=1e-10)
-    assert b == pytest.approx(0.0, abs=1e-10)
-
-
 def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
-    # the exact pairing of the transforms against eta_form on callables,
-    # which differences the kernel: eta_{-k}(R, u) for ladder -1 and
-    # eta_k(u, R) for ladder +1
+    # the exact pairing of the transforms against the 1-form composed from
+    # finite differences of the kernel and the form:
+    # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y, which is
+    # eta_{-k}(R, u) for ladder -1 and eta_k(u, R) for ladder +1
     rng = np.random.default_rng(5)
     for form, zeta in itertools.product((delta, surrogate, surrogate_two_sided), (0.4 + 0.9j, 3.0, 0.2 - 0.8j)):
         k = form.k
         kernel = lambda w: RKernel(-k, form.nu).eval(w, zeta)
         zs = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.3, 2.0, 5)
-        oracles = {-1: lambda z: eta_form(-k, kernel, form, z), +1: lambda z: eta_form(k, form, kernel, z)}
-        for ladder, oracle in oracles.items():
+        slots = {-1: ((kernel, -k), (form.eval, k)), +1: ((form.eval, k), (kernel, -k))}
+        for ladder, ((f, k_f), (g, k_g)) in slots.items():
             a, b = eta_integrand(form, zeta, ladder)(zs)
             for z, a_z, b_z in zip(zs, a, b):
-                want_a, want_b = oracle(z)
+                want_a = maass_op_fd(f, k_f, z, +1) * g(z) / z.imag
+                want_b = -f(z) * maass_op_fd(g, k_g, z, -1) / z.imag
                 scale = max(abs(want_a), abs(want_b))
                 assert abs(a_z - want_a) <= 1e-5 * scale
                 assert abs(b_z - want_b) <= 1e-5 * scale

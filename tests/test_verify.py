@@ -1,9 +1,11 @@
 """The identity registry: every registered identity holds, and its entry
 does not depend on what else runs."""
 
+import numpy as np
 import pytest
 
-from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, identity, run_suite
+from maassperiods import periods
+from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, check, identity, run_suite
 
 _XFAIL = pytest.mark.xfail(
     strict=True,
@@ -84,3 +86,30 @@ def test_weight_filters_the_weight_tagged_ids():
     assert ids and all(i.endswith("[k=3/2]") for i in ids)
     with pytest.raises(ValueError, match="1/2, 3/2, 12"):
         run_suite("multiplier", weight="5/2")
+
+
+def test_ms_suite_sees_a_pairing_without_the_lowered_form(monkeypatch):
+    # a mutant pairing that drops the E^- u term of a non-holomorphic form:
+    # the transforms would go wrong, so some ms.* identity must fail
+    real = periods._pairing
+
+    def mutant(form, ladder, mode="combined", form_pass=None):
+        pair = real(form, ladder, mode, form_pass)
+        if ladder > 0 or form.backend.holomorphic:
+            return pair
+
+        def without_lowered(*args):
+            a, b = pair(*args)
+            return a, np.zeros_like(b)
+
+        return without_lowered
+
+    assert run_suite("ms").passed
+    monkeypatch.setattr(periods, "_pairing", mutant)
+    assert [e.identity for e in run_suite("ms").entries if not e.passed]
+
+
+def test_growth_reports_its_margin(context):
+    # the signed distance to the nearest slope bound, not a clip to 0
+    result = check("periods.growth", context)
+    assert result.passed and result.max_residual < 0
