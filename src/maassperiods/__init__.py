@@ -19,7 +19,6 @@ from .periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
-    derived_period,
     eichler_f,
     eichler_polynomial,
     f_to_P,
@@ -51,7 +50,6 @@ __all__ = [
     "decompose",
     "delta_coefficients",
     "delta_form",
-    "derived_period",
     "dslash",
     "eichler_f",
     "eichler_polynomial",

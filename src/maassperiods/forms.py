@@ -430,17 +430,9 @@ def maass_laplacian_fd(fn: Callable, k: float, z: complex, h: float | None = Non
 # slash actions
 
 
-def _multiplier_value(v, g: GroupElement) -> complex:
-    if v is None or v == 1:
-        return 1.0 + 0.0j
-    if isinstance(v, MultiplierSystem):
-        return v.evaluate(g)
-    return complex(v)
-
-
-def slash(f: Callable, k: float, v, g: GroupElement) -> Callable:
+def slash(f: Callable, k: float, v: MultiplierSystem, g: GroupElement) -> Callable:
     """(f |_k^v g)(z) = e^{-ik arg mu(g,z)} v(g)^{-1} f(g z)."""
-    vg = _multiplier_value(v, g)
+    vg = v.evaluate(g)
 
     def acted(z: complex) -> complex:
         z = complex(z)
@@ -449,9 +441,9 @@ def slash(f: Callable, k: float, v, g: GroupElement) -> Callable:
     return acted
 
 
-def dslash(f: Callable, nu: complex, v, g: GroupElement) -> Callable:
+def dslash(f: Callable, nu: complex, v: MultiplierSystem, g: GroupElement) -> Callable:
     """(f ||_nu^v g)(z) = v(g)^{-1} mu(g,z)^{2 nu - 1} f(g z)."""
-    vg = _multiplier_value(v, g)
+    vg = v.evaluate(g)
     nu = complex(nu)
 
     def acted(z: complex) -> complex:

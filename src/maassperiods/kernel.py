@@ -23,7 +23,7 @@ as (arg a - arg b)/2 lies in (-pi, pi).  The two modes differ only in m:
   used for points with Re zeta > 0 - but only the factored form stays
   real-analytic in z across the vertical line through zeta, which is what
   the deformed contours for the holomorphic extension to the cut plane
-  require.
+  require.  Every transform integrand takes this branch.
 
 Applying a Maass operator to the kernel shifts its first index by 2
 (``kernel_eigen_apply``), exactly; as k enters only through -(k/2)(La - Lb),
@@ -31,8 +31,9 @@ R_{k-2j} = R_k (a/b)^j for integer j, so the transform integrands in
 ``periods`` evaluate one kernel per call and never difference.
 
 The Maass-Selberg 1-form itself is built in one place, from a form's own
-ladder pass and this ladder rule: ``periods._pairing``, which every
-transform integrand and every ``ms.*`` identity of ``verify`` goes through.
+ladder pass, the factored kernel and this ladder rule: ``periods._pairing``,
+which every transform integrand and every ``ms.*`` identity of ``verify``
+goes through.
 Finite differences (``forms.maass_op_fd``) remain only as the independent
 oracle of ``kernel_eigen_apply``.
 """

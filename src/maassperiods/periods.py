@@ -8,8 +8,12 @@ over the imaginary axis.  The nearly periodic function integrates the same
 Maass-Selberg pairing along the ray from zeta (resp. conj(zeta)) to
 i*infinity.  Left of the axis P of an S-equivariant form comes from f
 through the bridge P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(-1/zeta);
-any other form deforms the contour to the left of zeta and conj(zeta)
-(factored kernel branch).
+any other form deforms the contour to the left of zeta and conj(zeta).
+
+Every transform integrand takes the kernel's factored branch (see
+``kernel``), the one that continues analytically across the vertical line
+below zeta: the deformed contours cross it, and on every other contour
+the two branches agree.
 
 One pairing builds every integrand, with a ``ladder`` that picks the raised
 slot: -1 raises the kernel (``eta_{-k}(R, u)``), +1 raises the form
@@ -68,7 +72,6 @@ __all__ = [
     "ray_integrand",
     "arc_ray_integrand",
     "synthetic_nearly_periodic",
-    "derived_period",
     "period_polynomial",
 ]
 
@@ -110,7 +113,7 @@ class BijectionConstants:
 # integrand builders: one pairing, pulled back along each contour
 
 
-def _pairing(form: MaassForm, ladder: int, mode: str = "combined", form_pass=None):
+def _pairing(form: MaassForm, ladder: int, form_pass=None):
     """The Maass-Selberg pairing of R = R_{-k,nu}(., zeta) with u, as
     ``pair(zs, y, kernel_at, quotient) -> (A, B)``.
 
@@ -123,7 +126,7 @@ def _pairing(form: MaassForm, ladder: int, mode: str = "combined", form_pass=Non
     holomorphic form - is skipped.  ``form_pass(zs) -> (u, E u)`` replaces the
     form's own ``eval_ladder_many`` at the ladder's sign, as a memo does.
     """
-    kernel = RKernel(-form.k, form.nu, mode)
+    kernel = RKernel(-form.k, form.nu, "factored")
     coefficient, _ = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_op_vanishes = ladder < 0 and form.backend.holomorphic
     if form_pass is None:
@@ -143,11 +146,11 @@ def _pairing(form: MaassForm, ladder: int, mode: str = "combined", form_pass=Non
     return pair
 
 
-def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, mode: str = "combined", form_pass=None):
+def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, form_pass=None):
     """The pairing as an array integrand z -> (A, B) for ``integrate_form``;
     ``form_pass`` as in :func:`_pairing`."""
     zeta = complex(zeta)
-    pair = _pairing(form, ladder, mode, form_pass)
+    pair = _pairing(form, ladder, form_pass)
 
     def omega(zs):
         zs = np.asarray(zs, dtype=complex)
@@ -321,7 +324,7 @@ class PeriodFunction:
             path = GeodesicPath((0.0, complex(-eps, h0), INFINITY))
             note = f"deformed polyline eps={eps:.3g}"
         result = integrate_form(
-            eta_integrand(form, zeta, mode="factored", form_pass=form_pass),
+            eta_integrand(form, zeta, form_pass=form_pass),
             path,
             # full automorphy decays exponentially at every cusp, anything else by a power law
             start_mode=("exp",) if form.backend.equivariant else ("log",),
@@ -346,11 +349,10 @@ class PeriodFunction:
 # the algebraic bridge between f and P
 
 
-def _inversion_factor(multiplier, nu, zeta: complex) -> complex:
+def _inversion_factor(multiplier: MultiplierSystem, nu, zeta: complex) -> complex:
     """v(S)^{-1} zeta^{2 nu - 1}, the weight of the value at S zeta = -1/zeta
     in both directions of the bridge."""
-    v_s = multiplier.v_s if isinstance(multiplier, MultiplierSystem) else complex(multiplier)
-    return principal_pow(zeta, 2 * complex(nu) - 1) / v_s
+    return principal_pow(zeta, 2 * complex(nu) - 1) / multiplier.v_s
 
 
 def _parameters(obj, **given) -> tuple:
@@ -365,11 +367,13 @@ def _parameters(obj, **given) -> tuple:
 
 
 def f_to_P(f, zeta: complex, nu=None, multiplier=None) -> complex:
-    """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(S zeta)."""
+    """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(S zeta) on P's own
+    domain, the cut plane: at zeta > 0 through f's values on the real axis,
+    where f is defined there."""
     n, v = _parameters(f, nu=nu, multiplier=multiplier)
     zeta = complex(zeta)
-    if zeta.imag == 0.0:
-        raise DomainError("f is only defined off the real axis")
+    if on_cut(zeta):
+        raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
     return f(zeta) - _inversion_factor(v, n, zeta) * f(-1.0 / zeta)
 
 
@@ -394,21 +398,6 @@ def synthetic_nearly_periodic():
         return cmath.exp(-2j * math.pi * zeta.conjugate())
 
     return f
-
-
-def derived_period(f, nu, multiplier):
-    """The period function attached to a nearly periodic evaluatable.
-
-    Same combination as :func:`f_to_P` but packaged as a callable and
-    without the off-axis domain guard, so three-term residuals can be
-    sampled at positive reals through the boundary values of ``f``.
-    """
-
-    def period(zeta: complex) -> complex:
-        zeta = complex(zeta)
-        return f(zeta) - _inversion_factor(multiplier, nu, zeta) * f(-1.0 / zeta)
-
-    return period
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ the truncated tails, plus ``_ACCURACY`` times the integral of |phi| for the
 integrand's own accuracy.  An end that cannot be truncated below the
 target raises NonconvergenceError: a truncation never passes silently.
 Each piece's target is ``quad_tol`` times the integral of |phi| its first
-call sees; an explicit ``tol`` is absolute, split evenly between pieces.
+call sees.
 """
 
 from __future__ import annotations
@@ -213,11 +213,12 @@ def _extended(phi, rule: _Map, node, j, g, side: int, cap: float, tau: float, bu
             j, g = np.concatenate([j_new[::-1], j]), np.concatenate([g_new[::-1], g])
 
 
-def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target, budget: _Budget):
+def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, quad_tol: float, budget: _Budget):
     """Integrate phi(x) dx over the map's whole range.
 
     Level 0 evaluates w = w_lo + j/16 up to the first node at or past w_hi;
-    its integral of |phi| sets tol = ``target(mass)``.  An end with a
+    its integral of |phi|, the mass, sets tol = quad_tol * max(mass, 1e-50)
+    (see :func:`integrate_form`).  An end with a
     ``caps`` entry (|w| bound, or None for a fixed end) may then move out
     (see :func:`_extended`).  Every node of level L, at the start, the far
     ends and the midpoints alike, is w_lo + (1/16) m / 2^L for an integer
@@ -230,7 +231,7 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, target,
     mass = _H0 * float(np.sum(np.abs(g)))
     if not math.isfinite(mass):
         raise NonconvergenceError(0.0, float("inf"), budget.used)
-    tol = target(mass)
+    tol = quad_tol * max(mass, 1e-50)
     tau = tol / 8.0
     for side, cap in zip((-1, +1), caps):
         if cap is not None:
@@ -311,7 +312,6 @@ def _arc_point(c: float, r: float):
 def integrate_form(
     omega,
     path: GeodesicPath,
-    tol: float | None = None,
     start_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
@@ -324,20 +324,18 @@ def integrate_form(
     ``("exp",)`` for cusp decay e^(-c/t), ``("log",)`` for a power law of
     unknown exponent at a boundary point (see :func:`_start_floor`).
     Segments take tanh-sinh, rays exp-sinh from their base and arcs
-    between real points sinh-sinh.  With ``tol`` None each piece aims at
-    ``quad_tol`` times its own integral of |phi|, at least 1e-50 of it: the
-    Whittaker tables return W below 1e-60 as zero, and a target relative to
-    what is left would chase that cutoff.  An explicit tol is absolute and
-    split evenly between the pieces; the result's ``tol`` sums the targets
+    between real points sinh-sinh.  Each piece aims at ``settings.quad_tol``
+    times its own integral of |phi|, at least 1e-50 of it: the Whittaker
+    tables return W below 1e-60 as zero, and a target relative to what is
+    left would chase that cutoff.  The result's ``tol`` sums the targets
     the pieces used.  ``settings.max_evals`` caps the evaluations of the
     whole path.
     """
-    return _integrate(omega, _compile(path), tol, start_mode, settings)
+    return _integrate(omega, _compile(path), start_mode, settings)
 
 
 def integrate_ray(
     phi,
-    tol: float | None = None,
     start_mode=None,
     settings: Settings = DEFAULTS,
 ) -> QuadratureResult:
@@ -346,23 +344,21 @@ def integrate_ray(
     For transforms whose contour starts at a point of the half-plane the
     caller keeps the parametrisation, so the integrand can form its
     differences in exact offset coordinates where base + i t would lose
-    the offset to rounding.  ``tol`` and ``start_mode`` are as in
+    the offset to rounding.  ``start_mode`` and ``settings`` are as in
     :func:`integrate_form`.
     """
-    return _integrate(phi, [_ray], tol, start_mode, settings)
+    return _integrate(phi, [_ray], start_mode, settings)
 
 
-def _integrate(integrand, pieces, tol, start_mode, settings: Settings) -> QuadratureResult:
+def _integrate(integrand, pieces, start_mode, settings: Settings) -> QuadratureResult:
     """Run the pieces in turn, the start mode on the first, and sum what they return."""
     budget = _Budget(settings.max_evals)
-    relative = lambda mass: settings.quad_tol * max(mass, 1e-50)
-    target = relative if tol is None else lambda mass: tol / len(pieces)
     total = 0.0 + 0.0j
     total_err = total_tol = 0.0
     notes = []
     try:
         for i, piece in enumerate(pieces):
-            val, err, note, piece_tol = piece(integrand, target, budget, start_mode if i == 0 else None)
+            val, err, note, piece_tol = piece(integrand, settings.quad_tol, budget, start_mode if i == 0 else None)
             total += val
             total_err += err
             total_tol += piece_tol
@@ -372,16 +368,16 @@ def _integrate(integrand, pieces, tol, start_mode, settings: Settings) -> Quadra
     return QuadratureResult(total, total_err, budget.used, ";".join(notes), total_tol)
 
 
-def _ray(phi, target, budget, smode):
+def _ray(phi, quad_tol, budget, smode):
     """exp-sinh over (0, inf), the far end starting at ``_CUSP_HEIGHT``."""
     w_lo = _EXP_SINH.w_of(_start_floor(smode))
     w_far = _EXP_SINH.w_of(_CUSP_HEIGHT)
-    val, err, note, tol = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), target, budget)
+    val, err, note, tol = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), quad_tol, budget)
     return val, err, f"ray {note}", tol
 
 
 def _compile(path: GeodesicPath) -> list:
-    """One runner per edge: (omega, target, budget, start_mode) -> (value, error, note, tol)."""
+    """One runner per edge: (omega, quad_tol, budget, start_mode) -> (value, error, note, tol)."""
     return [_make_piece(p, q) for p, q in zip(path.points[:-1], path.points[1:])]
 
 
@@ -403,10 +399,10 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
     # regular start would
     w_hi = -_TANH_SINH.w_of(_start_floor(None))
 
-    def run(omega, target, budget, smode):
+    def run(omega, quad_tol, budget, smode):
         phi = _pullback(omega, point)
         w_lo = _TANH_SINH.w_of(_start_floor(smode))
-        val, err, note, tol = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), target, budget)
+        val, err, note, tol = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), quad_tol, budget)
         return val, err, f"segment {note}", tol
 
     return run
@@ -414,7 +410,7 @@ def _make_segment(z0: complex, z1: complex) -> Callable:
 
 def _make_ray(base: complex) -> Callable:
     point = lambda t: (base + 1j * t, 1j)
-    return lambda omega, target, budget, smode: _ray(_pullback(omega, point), target, budget, smode)
+    return lambda omega, quad_tol, budget, smode: _ray(_pullback(omega, point), quad_tol, budget, smode)
 
 
 def _make_arc(a: float, b: float) -> Callable:
@@ -426,9 +422,9 @@ def _make_arc(a: float, b: float) -> Callable:
     # ends may move out to |s| = 700, short of the underflow of sech s
     w_start, w_cap = _SINH_SINH.w_of(4.0), _SINH_SINH.w_of(700.0)
 
-    def run(omega, target, budget, smode):
+    def run(omega, quad_tol, budget, smode):
         phi = _pullback(omega, point)
-        val, err, note, tol = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), target, budget)
+        val, err, note, tol = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), quad_tol, budget)
         return sign * val, err, f"arc {note}", tol
 
     return run

@@ -21,7 +21,7 @@ import itertools
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -41,7 +41,7 @@ from .forms import (
     surrogate_form,
     two_sided_surrogate,
 )
-from .kernel import RKernel, r_transform_check
+from .kernel import RKernel, kernel_eigen_apply, r_transform_check
 from .modgroup import (
     IDENTITY,
     INFINITY,
@@ -64,7 +64,6 @@ from .periods import (
     P_to_f,
     _ray_start,
     arc_ray_integrand,
-    derived_period,
     eichler_f,
     eichler_polynomial,
     eta_integrand,
@@ -603,8 +602,8 @@ def _(ctx, rng):
     for z, zeta in _kernel_fd_points(rng):
         fn = lambda w: ker.eval(w, zeta)
         for sign in (+1, -1):
-            shifted = RKernel(ker.k + 2 * sign, ker.nu)
-            want = (1.0 - 2.0 * ker.nu + sign * ker.k) * shifted.eval(z, zeta)
+            coefficient, shifted = kernel_eigen_apply(ker, sign, ker.k)
+            want = coefficient * shifted.eval(z, zeta)
             worst = max(worst, abs(maass_op_fd(fn, ker.k, z, sign) - want) / abs(want))
     return 20, worst
 
@@ -621,10 +620,11 @@ def _(ctx, rng):
 def _(ctx, rng):
     omega = eta_integrand(ctx.delta, 3.0)
     corners = [0.2 + 0.8j, 0.6 + 0.8j, 0.6 + 1.6j, 0.2 + 1.6j, 0.2 + 0.8j]
+    settings = replace(ctx.settings, quad_tol=1e-12)
     loop = 0.0 + 0.0j
     scale = 0.0
     for p, q in zip(corners[:-1], corners[1:]):
-        seg = integrate_form(omega, GeodesicPath((p, q)), tol=1e-12, settings=ctx.settings)
+        seg = integrate_form(omega, GeodesicPath((p, q)), settings=settings)
         loop += seg.value
         scale = max(scale, abs(seg.value))
     return 4, abs(loop) / max(scale, 1e-30)
@@ -658,7 +658,7 @@ def _(ctx, rng):
             return a_up + a_down, b_up + b_down
 
         got = integrate_form(omega, GeodesicPath(path), settings=ctx.settings).value
-        ends = form.eval_many(np.array(path)) * RKernel(-form.k, form.nu).eval_many(np.array(path), zeta)
+        ends = form.eval_many(np.array(path)) * RKernel(-form.k, form.nu, "factored").eval_many(np.array(path), zeta)
         worst = max(worst, abs(got - 4j * (ends[1] - ends[0])) / (4.0 * np.max(np.abs(ends))))
     return len(ctx.ms_cases), worst
 
@@ -767,24 +767,25 @@ def _exp_form(zs):
 @identity("quad.log-segment", "int of dz/y from i to 2i equals i log 2", 1e-12)
 def _(ctx, rng):
     omega = lambda zs: (1.0 / np.asarray(zs).imag, np.zeros(np.shape(zs), complex))
-    got = integrate_form(omega, GeodesicPath((1j, 2j)), tol=1e-13, settings=ctx.settings)
+    got = integrate_form(omega, GeodesicPath((1j, 2j)), settings=replace(ctx.settings, quad_tol=1e-13))
     return 1, abs(got.value - 1j * math.log(2))
 
 
 @identity("quad.exponential-ray", "int of e^{2 pi i z} dz up the ray from i", 1e-11)
 def _(ctx, rng):
     ray = GeodesicPath((1j, INFINITY))
-    got = integrate_form(_exp_form, ray, tol=1e-15, settings=ctx.settings)
+    got = integrate_form(_exp_form, ray, settings=replace(ctx.settings, quad_tol=1e-12))
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
     return 1, abs(got.value - want) / abs(want)
 
 
 def _axis_integral(ctx):
-    """Delta's pairing at zeta = 3 on the axis: (omega, the absolute target it met, value)."""
+    """Delta's pairing at zeta = 3, its settings at quad_tol 1e-12 for every
+    contour, and its value on the axis."""
     omega = eta_integrand(ctx.delta, 3.0)
+    settings = replace(ctx.settings, quad_tol=1e-12)
     axis = GeodesicPath((0.0, INFINITY))
-    result = integrate_form(omega, axis, start_mode=("exp",), settings=ctx.settings)
-    return omega, result.tol, result.value
+    return omega, settings, integrate_form(omega, axis, start_mode=("exp",), settings=settings).value
 
 
 @identity(
@@ -793,13 +794,12 @@ def _axis_integral(ctx):
     1e-8,
 )
 def _(ctx, rng):
-    omega, tol, direct = _axis_integral(ctx)
+    omega, settings, direct = _axis_integral(ctx)
     bent = integrate_form(
         omega,
         GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)),
-        tol=tol,
         start_mode=("exp",),
-        settings=ctx.settings,
+        settings=settings,
     ).value
     return 2, abs(direct - bent) / max(abs(direct), 1e-30)
 
@@ -810,17 +810,16 @@ def _(ctx, rng):
     1e-8,
 )
 def _(ctx, rng):
-    omega, tol, axis = _axis_integral(ctx)
-    shifted = integrate_form(
-        omega, GeodesicPath((-1.0, INFINITY)), tol=tol, start_mode=("exp",), settings=ctx.settings
-    ).value
-    arc = integrate_form(omega, GeodesicPath((0.0, -1.0)), tol=tol, settings=ctx.settings).value
+    omega, settings, axis = _axis_integral(ctx)
+    shifted = integrate_form(omega, GeodesicPath((-1.0, INFINITY)), start_mode=("exp",), settings=settings).value
+    arc = integrate_form(omega, GeodesicPath((0.0, -1.0)), settings=settings).value
     return 3, abs(axis - shifted - arc) / max(abs(axis), 1e-30)
 
 
 @identity("quad.endpoint-powers", "distance-to-endpoint powers integrate to 1/(1+alpha)", 1e-9)
 def _(ctx, rng):
     d = 1.0 + 1.0j
+    settings = replace(ctx.settings, quad_tol=1e-12)
     worst = 0.0
     for alpha in (-0.4, -0.2, 0.0):
 
@@ -831,9 +830,8 @@ def _(ctx, rng):
         got = integrate_form(
             omega,
             GeodesicPath((0.0, d)),
-            tol=1e-12,
             start_mode=("power", alpha),
-            settings=ctx.settings,
+            settings=settings,
         )
         worst = max(worst, abs(got.value - 1.0 / (1.0 + alpha)))
     return 3, worst
@@ -846,8 +844,8 @@ def _(ctx, rng):
 )
 def _(ctx, rng):
     ray = GeodesicPath((1j, INFINITY))
-    loose = integrate_form(_exp_form, ray, tol=1e-8, settings=ctx.settings)
-    tight = integrate_form(_exp_form, ray, tol=5e-9, settings=ctx.settings)
+    loose = integrate_form(_exp_form, ray, settings=replace(ctx.settings, quad_tol=1e-8))
+    tight = integrate_form(_exp_form, ray, settings=replace(ctx.settings, quad_tol=5e-9))
     return 2, 0.0 if abs(loose.value - tight.value) <= max(loose.abs_error, 1e-15) else 1.0
 
 
@@ -924,7 +922,7 @@ def _(ctx, rng):
 
 
 # the synthetic nearly periodic function of weight 0 at nu = 0.3i, and its
-# derived period function
+# period function through f_to_P
 _SYNTH_NU = 0.3j
 _SYNTH_POINTS = (
     0.5 + 0.8j, 1.2 + 0.4j, -0.7 + 1.1j, 0.3 + 2.2j, 2.0 + 0.6j,
@@ -935,7 +933,7 @@ _SYNTH_POINTS = (
 def _synthetic():
     synth = synthetic_nearly_periodic()
     v0 = construct_trivial(0)
-    return synth, derived_period(synth, _SYNTH_NU, v0), v0
+    return synth, lambda zeta: f_to_P(synth, zeta, nu=_SYNTH_NU, multiplier=v0), v0
 
 
 @identity(
@@ -1036,7 +1034,7 @@ def _(ctx, rng):
         for zeta in (0.5, 1.0, 2.0):
             lhs = dslash(ctx.p_delta, delta.nu, delta.multiplier, g)(zeta)
             omega = eta_integrand(delta, zeta)
-            res = integrate_form(omega, img, tol=None, start_mode=("exp",), settings=ctx.settings)
+            res = integrate_form(omega, img, start_mode=("exp",), settings=ctx.settings)
             worst = max(worst, _rel(res.value, lhs))
     return 6, worst
 
@@ -1049,7 +1047,7 @@ def _(ctx, rng):
 def _(ctx, rng):
     axis, s = GeodesicPath((0.0, INFINITY)), ctx.settings
     i_r, i_u = (
-        integrate_form(eta_integrand(ctx.delta, 3.0, ladder), axis, tol=None, start_mode=("exp",), settings=s).value
+        integrate_form(eta_integrand(ctx.delta, 3.0, ladder), axis, start_mode=("exp",), settings=s).value
         for ladder in (-1, +1)
     )
     return 2, abs(i_r + i_u) / max(abs(i_r), 1e-30)

@@ -137,10 +137,10 @@ def test_kernel_against_mpmath(k, nu):
             assert abs(kernel.eval(z, zeta) - want) <= 1e-13 * abs(want), (mode, z, zeta)
 
 
-def _two_kernel_pairing(form, ladder, mode="combined", form_pass=None):
+def _two_kernel_pairing(form, ladder, form_pass=None):
     """The pairing as it was written before the shared slot: the operator's
     kernel R_{-k-2 ladder} evaluated on its own, beside R_{-k}."""
-    kernel = RKernel(-form.k, form.nu, mode)
+    kernel = RKernel(-form.k, form.nu, "factored")
     coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_pass = form_pass or (lambda zs: form.eval_ladder_many(zs, ladder))
 
@@ -171,8 +171,7 @@ def test_shared_kernel_slot(name, monkeypatch):
     for zeta in (0.4 + 0.9j, 2.5 - 0.3j, -0.6 + 1.3j, -1.2 - 0.7j):
         base = zeta if zeta.imag > 0 else zeta.conjugate()
         for ladder in (-1, +1):
-            for mode in ("combined", "factored"):
-                cases.append((lambda z=zeta, l=ladder, m=mode: eta_integrand(form, z, l, m), zs))
+            cases.append((lambda z=zeta, l=ladder: eta_integrand(form, z, l), zs))
             cases.append((lambda z=zeta, b=base, l=ladder: ray_integrand(form, z, b, l), ts))
         if zeta.imag > 0:
             for endpoint in (0.0, 1.0):
@@ -243,11 +242,12 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
     # the exact pairing of the transforms against the 1-form composed from
     # finite differences of the kernel and the form:
     # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y, which is
-    # eta_{-k}(R, u) for ladder -1 and eta_k(u, R) for ladder +1
+    # eta_{-k}(R, u) for ladder -1 and eta_k(u, R) for ladder +1, with R on
+    # the factored branch the transforms take
     rng = np.random.default_rng(5)
     for form, zeta in itertools.product((delta, surrogate, surrogate_two_sided), (0.4 + 0.9j, 3.0, 0.2 - 0.8j)):
         k = form.k
-        kernel = lambda w: RKernel(-k, form.nu).eval(w, zeta)
+        kernel = lambda w: RKernel(-k, form.nu, "factored").eval(w, zeta)
         zs = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.3, 2.0, 5)
         slots = {-1: ((kernel, -k), (form.eval, k)), +1: ((form.eval, k), (kernel, -k))}
         for ladder, ((f, k_f), (g, k_g)) in slots.items():

@@ -16,7 +16,6 @@ from maassperiods.periods import (
     P_to_f,
     _ray_start,
     arc_ray_integrand,
-    derived_period,
     eichler_f,
     eichler_polynomial,
     eta_integrand,
@@ -25,7 +24,7 @@ from maassperiods.periods import (
     ray_integrand,
     synthetic_nearly_periodic,
 )
-from maassperiods import quadrature
+from maassperiods import Settings, quadrature
 from maassperiods.quadrature import GeodesicPath, integrate_form
 
 
@@ -43,16 +42,17 @@ def test_recovered_function_is_nearly_periodic():
     synth = synthetic_nearly_periodic()
     nu = 0.3j
     v0 = construct_trivial(0)
-    period = derived_period(synth, nu, v0)
+    period = lambda z: f_to_P(synth, z, nu=nu, multiplier=v0)
     g = lambda z: P_to_f(period, z, weight=0, nu=nu, multiplier=v0)
     for z in (0.4 + 0.7j, 0.4 - 0.7j):
         assert abs(g(z + 1) - g(z)) <= 1e-10 * abs(g(z))
 
 
 def test_f_to_P_domain_errors():
+    # f_to_P has P's domain, the cut plane; P_to_f needs Im zeta != 0
     synth = synthetic_nearly_periodic()
     with pytest.raises(DomainError):
-        f_to_P(synth, 2.0, nu=0.3j, multiplier=construct_trivial(0))
+        f_to_P(synth, -2.0, nu=0.3j, multiplier=construct_trivial(0))
     with pytest.raises(DomainError):
         P_to_f(synth, 2.0, weight=0, nu=0.3j, multiplier=construct_trivial(0))
 
@@ -62,10 +62,6 @@ def test_f_to_P_takes_no_weight():
     synth = synthetic_nearly_periodic()
     with pytest.raises(TypeError):
         f_to_P(synth, 1j, weight=0, nu=0.3j, multiplier=construct_trivial(0))
-    with pytest.raises(TypeError):
-        derived_period(synth, 0, 0.3j, construct_trivial(0))
-    with pytest.raises(TypeError):
-        derived_period(synth, weight=0, nu=0.3j, multiplier=construct_trivial(0))
 
 
 def test_bridge_names_what_a_bare_callable_lacks():
@@ -333,10 +329,10 @@ def test_surrogate_P_near_the_axis(surrogate, settings, zeta):
     # keeps its distance, at a bounded cost
     out = PeriodFunction(surrogate, settings).eval(zeta)
     bent = integrate_form(
-        eta_integrand(surrogate, zeta, mode="factored"),
+        eta_integrand(surrogate, zeta),
         GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)),
-        tol=1e-12,
         start_mode=("log",),
+        settings=Settings(quad_tol=1e-12),
     )
     assert abs(out.value - bent.value) <= out.abs_error + bent.abs_error
     assert out.evaluations <= 1000
@@ -445,6 +441,22 @@ def test_arc_pullback_matches_eta_integrand(request, name, zeta):
     assert _worst_relative(got, a * velocity + b * np.conj(velocity)) <= 1e-12
 
 
+@pytest.mark.parametrize("ladder", [-1, +1])
+@pytest.mark.parametrize("zeta", [0.3 + 1.2j, -0.7 + 0.9j])
+@pytest.mark.parametrize("weight, nu", [("1/2", 0.35j), ("3/2", 0.2)])
+def test_pairing_is_closed_across_the_branch_line(weight, nu, zeta, ladder):
+    # the rectangle Re zeta +- 0.2, Im z in [0.3, 0.7] straddles the vertical
+    # line below zeta, where the combined kernel branch jumps (its crossing
+    # side does not converge); the pairing's factored branch continues
+    # across it, so the loop integral vanishes
+    omega = eta_integrand(surrogate_form(weight, nu), zeta, ladder)
+    x0, x1 = zeta.real - 0.2, zeta.real + 0.2
+    corners = (complex(x0, 0.3), complex(x1, 0.3), complex(x1, 0.7), complex(x0, 0.7), complex(x0, 0.3))
+    tight = Settings(quad_tol=1e-12)
+    sides = [integrate_form(omega, GeodesicPath(pq), settings=tight).value for pq in zip(corners[:-1], corners[1:])]
+    assert abs(sum(sides)) <= 1e-12 * max(abs(v) for v in sides)
+
+
 # ---------------------------------------------------------------------------
 # the memo of the form pass up the imaginary axis
 
@@ -484,7 +496,7 @@ def test_warmed_axis_memo_agrees_bitwise_with_a_fresh_one(request, settings, nam
     assert _fields(got) == _fields(PeriodFunction(form, settings).eval(zeta))
     split = not form.backend.holomorphic and zeta.real < abs(zeta.imag)
     direct = integrate_form(
-        eta_integrand(form, zeta, mode="factored"),
+        eta_integrand(form, zeta),
         GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY)),
         start_mode=("exp",) if form.backend.equivariant else ("log",),
         settings=settings,

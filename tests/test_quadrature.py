@@ -37,7 +37,7 @@ def _pure_dz(fn):
 
 def test_exponential_ray():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
-    got = integrate_form(omega, GeodesicPath((1j, INFINITY)), tol=1e-15)
+    got = integrate_form(omega, GeodesicPath((1j, INFINITY)), settings=Settings(quad_tol=1e-12))
     want = 1j * math.exp(-2 * math.pi) / (2 * math.pi)
     assert abs(got.value - want) <= 1e-11 * abs(want)
     assert got.abs_error < 1e-12
@@ -53,18 +53,18 @@ def test_array_protocol_pairs_b_with_conjugate_velocity():
         half = 0.5 / np.asarray(zs, dtype=complex).imag
         return half.astype(complex), -half.astype(complex)
 
-    got = integrate_form(omega, GeodesicPath((1j, 2j)), tol=1e-12)
+    got = integrate_form(omega, GeodesicPath((1j, 2j)), settings=Settings(quad_tol=1e-12))
     assert got.value == pytest.approx(1j * math.log(2), abs=1e-11)
     assert sum(sizes) == got.evaluations
 
 
 def test_unrefinable_error_raises():
     # a jump at Im z = 1 + 1/pi: the level differences of tanh-sinh stay
-    # above tol = 1e-16 through the last level
+    # above 1e-12 of the integral through the last level
     jump = 1.0 + 1.0 / math.pi
     omega = _pure_dz(lambda zs: np.where(zs.imag < jump, 1.0, 2.0).astype(complex))
     with pytest.raises(NonconvergenceError):
-        integrate_form(omega, GeodesicPath((1j, 2j)), tol=1e-16)
+        integrate_form(omega, GeodesicPath((1j, 2j)), settings=Settings(quad_tol=1e-12))
 
 
 # a peak of width 0.1 at Im z = 1.5, mid-segment on i to 2i
@@ -72,7 +72,7 @@ _peak = _pure_dz(lambda zs: 1.0 / (0.01 + (zs.imag - 1.5) ** 2))
 
 
 def test_peaked_segment():
-    got = integrate_form(_peak, GeodesicPath((1j, 2j)), tol=1e-12)
+    got = integrate_form(_peak, GeodesicPath((1j, 2j)), settings=Settings(quad_tol=1e-12))
     assert got.value == pytest.approx(1j * 20.0 * math.atan(5.0), rel=1e-11)
 
 
@@ -89,7 +89,7 @@ def test_divergent_exponent_rejected():
 def test_nonconvergence_carries_partial():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
     with pytest.raises(NonconvergenceError) as excinfo:
-        integrate_form(omega, GeodesicPath((1j, INFINITY)), tol=1e-30, settings=Settings(max_evals=500))
+        integrate_form(omega, GeodesicPath((1j, INFINITY)), settings=Settings(quad_tol=1e-30, max_evals=500))
     assert excinfo.value.evaluations > 500
 
 
@@ -103,35 +103,24 @@ def test_log_start_walk_exhaustion_raises():
 
 
 def test_far_walk_cap_raises():
-    # 1/(1+t)^2 decays too slowly for the far end term to fall below tol
-    # by t = 1e7; truncating there would claim a converged value
+    # 1/(1+t)^2 decays too slowly for the far end term to fall below its
+    # target by t = 1e7; truncating there would claim a converged value
     with pytest.raises(NonconvergenceError):
-        integrate_ray(lambda t: 1.0 / (1.0 + t) ** 2, tol=1e-10)
+        integrate_ray(lambda t: 1.0 / (1.0 + t) ** 2)
 
 
 def test_closed_form_path_independence(delta):
     omega = eta_integrand(delta, 3.0)
-    straight = integrate_form(
-        omega, GeodesicPath((0.0, INFINITY)), tol=1e-6, start_mode=("exp",)
-    )
-    bent = integrate_form(
-        omega,
-        GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)),
-        tol=1e-6,
-        start_mode=("exp",),
-    )
+    straight = integrate_form(omega, GeodesicPath((0.0, INFINITY)), start_mode=("exp",))
+    bent = integrate_form(omega, GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)), start_mode=("exp",))
     assert abs(straight.value - bent.value) <= 1e-8 * abs(straight.value)
 
 
 def test_three_path_split(delta):
     omega = eta_integrand(delta, 2.0)
-    axis = integrate_form(
-        omega, GeodesicPath((0.0, INFINITY)), tol=1e-6, start_mode=("exp",)
-    ).value
-    shifted = integrate_form(
-        omega, GeodesicPath((-1.0, INFINITY)), tol=1e-6, start_mode=("exp",)
-    ).value
-    arc = integrate_form(omega, GeodesicPath((0.0, -1.0)), tol=1e-6).value
+    axis = integrate_form(omega, GeodesicPath((0.0, INFINITY)), start_mode=("exp",)).value
+    shifted = integrate_form(omega, GeodesicPath((-1.0, INFINITY)), start_mode=("exp",)).value
+    arc = integrate_form(omega, GeodesicPath((0.0, -1.0))).value
     assert abs(axis - shifted - arc) <= 1e-8 * abs(axis)
 
 
@@ -147,21 +136,21 @@ def test_geodesic_images():
 
 def test_reversed_arc_negates():
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
-    fwd = integrate_form(omega, GeodesicPath((-1.0, 1.0)), tol=1e-11).value
-    rev = integrate_form(omega, GeodesicPath((1.0, -1.0)), tol=1e-11).value
+    fwd = integrate_form(omega, GeodesicPath((-1.0, 1.0)), settings=Settings(quad_tol=1e-11)).value
+    rev = integrate_form(omega, GeodesicPath((1.0, -1.0)), settings=Settings(quad_tol=1e-11)).value
     assert abs(fwd + rev) <= 1e-10 * max(1.0, abs(fwd))
 
 
 def test_arc_against_direct_parametrisation():
     # semicircle of radius 1: closed form for dz over the geodesic
     omega = _pure_dz(lambda zs: np.ones(zs.shape, dtype=complex))
-    got = integrate_form(omega, GeodesicPath((-1.0, 1.0)), tol=1e-11).value
+    got = integrate_form(omega, GeodesicPath((-1.0, 1.0)), settings=Settings(quad_tol=1e-11)).value
     assert got == pytest.approx(2.0, abs=1e-9)  # int dz from -1 to 1
 
 
 def test_integrate_ray_offsets():
     phi = lambda ts: np.exp(-np.asarray(ts, dtype=float))
-    got = integrate_ray(phi, tol=1e-12)
+    got = integrate_ray(phi, settings=Settings(quad_tol=1e-12))
     assert got.value == pytest.approx(1.0, rel=1e-11)
 
 
@@ -179,7 +168,7 @@ def test_arc_rejects_interior_endpoint(ends):
     # degenerate arc, and INFINITY inside a path or at both of its ends
     omega = _pure_dz(lambda zs: np.ones(zs.shape, dtype=complex))
     with pytest.raises(DomainError):
-        integrate_form(omega, GeodesicPath(ends), tol=1e-8)
+        integrate_form(omega, GeodesicPath(ends))
 
 
 @pytest.mark.parametrize(
@@ -190,7 +179,7 @@ def test_edge_type_follows_from_its_ends(points, piece):
     # between two real points the arc, to INFINITY the ray, else a segment;
     # each integrates e(z) dz = e^{2 pi i z} dz to (e(end) - e(start)) / (2 pi i)
     omega = _pure_dz(lambda zs: np.exp(2j * math.pi * zs))
-    got = integrate_form(omega, GeodesicPath(points), tol=1e-12)
+    got = integrate_form(omega, GeodesicPath(points), settings=Settings(quad_tol=1e-12))
     assert got.contour.startswith(piece + " level")
     e = [0.0 if p is INFINITY else cmath.exp(2j * math.pi * p) for p in points]
     want = (e[1] - e[0]) / (2j * math.pi)
@@ -204,17 +193,11 @@ def _oscillating_power(zs):
     return np.exp((-0.3 + 20.0j) * np.log(t.real)), np.zeros(np.shape(zs), complex)
 
 
-@pytest.mark.parametrize("tol", [1e-8, None], ids=["absolute", "relative"])
-def test_polyline_matches_the_imaginary_axis(delta, tol):
+def test_polyline_matches_the_imaginary_axis(delta):
     # a polyline of two segments and a ray, against the axis ray
     omega = eta_integrand(delta, 2.0 + 0.5j)
-    axis = integrate_form(omega, GeodesicPath((0.0, INFINITY)), tol=tol, start_mode=("exp",))
-    bent = integrate_form(
-        omega,
-        GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)),
-        tol=tol,
-        start_mode=("exp",),
-    )
+    axis = integrate_form(omega, GeodesicPath((0.0, INFINITY)), start_mode=("exp",))
+    bent = integrate_form(omega, GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY)), start_mode=("exp",))
     assert abs(axis.value - bent.value) <= axis.abs_error + bent.abs_error
 
 
@@ -231,8 +214,8 @@ _TARGET_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_TARGET_CASES))
 def test_default_target_is_relative_to_the_integrand(case):
-    # with tol None a piece aims at quad_tol times its own integral of
-    # |phi|: scaling the integrand scales the target and nothing else
+    # a piece aims at quad_tol times its own integral of |phi|: scaling
+    # the integrand scales the target and nothing else
     scales = (1e-40, 1.0, 1e40)
     results = [_TARGET_CASES[case](c) for c in scales]
     assert len({r.evaluations for r in results}) == 1
@@ -243,8 +226,7 @@ def test_default_target_is_relative_to_the_integrand(case):
 
 
 def test_metadata_reports_the_absolute_target(delta):
-    # the sum of the targets the pieces used: proportional to quad_tol when
-    # relative, the given tol when explicit
+    # the sum of the targets the pieces used, proportional to quad_tol
     omega = eta_integrand(delta, 2.0 + 0.5j)
     path = GeodesicPath((0.0, -0.5 + 0.5j, -0.5 + 2j, INFINITY))
     tols = [
@@ -252,7 +234,6 @@ def test_metadata_reports_the_absolute_target(delta):
         for q in (1e-8, 1e-10)
     ]
     assert tols[1] > 0 and tols[0] == pytest.approx(100.0 * tols[1], rel=1e-12)
-    assert integrate_form(omega, path, tol=1e-9, start_mode=("exp",)).tol == pytest.approx(1e-9)
 
 
 def _counting(phi, sizes):
@@ -269,15 +250,15 @@ def _decaying_power(zs):
 
 _ONE_CALL_PER_LEVEL = {
     "plain segment": lambda wrap: integrate_form(
-        wrap(_peak), GeodesicPath((1j, 2j)), tol=1e-12
+        wrap(_peak), GeodesicPath((1j, 2j)), settings=Settings(quad_tol=1e-12)
     ),
     "tanh-sinh segment": lambda wrap: integrate_form(
-        wrap(_oscillating_power), GeodesicPath((0.0, 1.0 + 1.0j)), tol=1e-12, start_mode=("log",)
+        wrap(_oscillating_power), GeodesicPath((0.0, 1.0 + 1.0j)), start_mode=("log",), settings=Settings(quad_tol=1e-12)
     ),
     "exp-sinh ray": lambda wrap: integrate_form(
-        wrap(_decaying_power), GeodesicPath((0.0, INFINITY)), tol=1e-12, start_mode=("log",)
+        wrap(_decaying_power), GeodesicPath((0.0, INFINITY)), start_mode=("log",), settings=Settings(quad_tol=1e-12)
     ),
-    "sinh-sinh arc": lambda wrap: integrate_form(wrap(_decaying_power), GeodesicPath((-1.0, 2.0)), tol=1e-11),
+    "sinh-sinh arc": lambda wrap: integrate_form(wrap(_decaying_power), GeodesicPath((-1.0, 2.0)), settings=Settings(quad_tol=1e-11)),
 }
 
 
@@ -316,7 +297,7 @@ def test_domain_error_before_the_stop_raises_the_same_error():
     # e^{-t} is truncated beyond t = 10, so level 0 reaches past the
     # integrand's domain: its DomainError propagates unchanged
     with pytest.raises(DomainError, match="is outside the domain"):
-        integrate_ray(_exp_decay_outside(10.0, []), tol=1e-12)
+        integrate_ray(_exp_decay_outside(10.0, []), settings=Settings(quad_tol=1e-12))
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -1.2 + 0.5j, -3.0])
@@ -334,7 +315,7 @@ def test_undecayed_far_end_raises(phi):
     # the far end moves out at most to t = 1e7; an integrand still above
     # target there is never truncated silently
     with pytest.raises(NonconvergenceError):
-        integrate_ray(phi, tol=1e-10, start_mode=("power", -0.5))
+        integrate_ray(phi, start_mode=("power", -0.5))
 
 
 def test_undecayed_arc_end_raises():
@@ -342,7 +323,7 @@ def test_undecayed_arc_end_raises():
     # pulled-back dz / |z -+ 1| does not decay in s
     omega = lambda zs: (1.0 / np.abs(zs - np.round(zs.real)) + 0j, np.zeros(np.shape(zs), complex))
     with pytest.raises(NonconvergenceError):
-        integrate_form(omega, GeodesicPath((-1.0, 1.0)), tol=1e-10)
+        integrate_form(omega, GeodesicPath((-1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +339,7 @@ def test_start_tail_bounds_the_error(a):
     # Gamma(1 + a) is an independent oracle for the start truncation and the
     # level-difference estimate; a large Im a checks that the coarse levels
     # do not agree falsely on the oscillation in log t
-    got = integrate_ray(lambda t: np.exp(-t) * t**a, tol=1e-10, start_mode=("power", a))
+    got = integrate_ray(lambda t: np.exp(-t) * t**a, start_mode=("power", a))
     exact = complex(mpmath.gamma(1 + mpmath.mpc(a)))
     assert abs(got.value - exact) <= got.abs_error
     assert got.evaluations <= 500

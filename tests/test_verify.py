@@ -93,8 +93,8 @@ def test_ms_suite_sees_a_pairing_without_the_lowered_form(monkeypatch):
     # the transforms would go wrong, so some ms.* identity must fail
     real = periods._pairing
 
-    def mutant(form, ladder, mode="combined", form_pass=None):
-        pair = real(form, ladder, mode, form_pass)
+    def mutant(form, ladder, form_pass=None):
+        pair = real(form, ladder, form_pass)
         if ladder > 0 or form.backend.holomorphic:
             return pair
 
