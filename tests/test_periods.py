@@ -446,9 +446,9 @@ def test_arc_pullback_matches_eta_integrand(request, name, zeta):
 @pytest.mark.parametrize("weight, nu", [("1/2", 0.35j), ("3/2", 0.2)])
 def test_pairing_is_closed_across_the_branch_line(weight, nu, zeta, ladder):
     # the rectangle Re zeta +- 0.2, Im z in [0.3, 0.7] straddles the vertical
-    # line below zeta, where the combined kernel branch jumps (its crossing
-    # side does not converge); the pairing's factored branch continues
-    # across it, so the loop integral vanishes
+    # line below zeta, where the paper's displayed kernel formula jumps (its
+    # crossing side does not converge); the kernel the pairing takes
+    # continues across it, so the loop integral vanishes
     omega = eta_integrand(surrogate_form(weight, nu), zeta, ladder)
     x0, x1 = zeta.real - 0.2, zeta.real + 0.2
     corners = (complex(x0, 0.3), complex(x1, 0.3), complex(x1, 0.7), complex(x0, 0.7), complex(x0, 0.3))

@@ -1,6 +1,8 @@
 """The identity registry: every registered identity holds, and its entry
 does not depend on what else runs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ REGISTERED_IDS = [
     "group.moebius-examples", "group.word-length",
     "kernel.closed-form", "kernel.ladder-eigen", "kernel.laplace-eigen",
     "kernel.real-zeta-form", "kernel.transformation-law",
-    "ms.closedness", "ms.moved-kernel", "ms.raised-pair", "ms.reflection-symmetry",
+    "ms.closedness", "ms.raised-pair", "ms.reflection-symmetry",
     "ms.slash-compatibility", "ms.sum-identity",
     "multiplier.base-point[k=1/2]", "multiplier.base-point[k=12]", "multiplier.base-point[k=3/2]",
     "multiplier.consistency[k=1/2]", "multiplier.consistency[k=12]", "multiplier.consistency[k=3/2]",
@@ -64,7 +66,7 @@ REGISTERED_IDS = [
 
 
 def test_registry_is_pinned():
-    assert len(REGISTERED_IDS) == 67
+    assert len(REGISTERED_IDS) == 66
     assert sorted(REGISTRY) == REGISTERED_IDS
 
 
@@ -84,8 +86,22 @@ def test_suite_entries_match_all(suite, all_at_seed_3):
 def test_weight_filters_the_weight_tagged_ids():
     ids = [e.identity for e in run_suite("multiplier", seed=1, weight="3/2").entries]
     assert ids and all(i.endswith("[k=3/2]") for i in ids)
-    with pytest.raises(ValueError, match="1/2, 3/2, 12"):
-        run_suite("multiplier", weight="5/2")
+    for weight in ("5/2", 2.5):
+        with pytest.raises(ValueError, match="1/2, 3/2, 12"):
+            run_suite("multiplier", weight=weight)
+
+
+@pytest.mark.parametrize("weight, name", [(0.5, "1/2"), (1.5, "3/2"), (Fraction(3, 2), "3/2"), (12, "12")])
+def test_weight_is_read_as_a_number(weight, name):
+    ids = [e.identity for e in run_suite("multiplier", seed=1, weight=weight).entries]
+    assert ids and ids == [e.identity for e in run_suite("multiplier", seed=1, weight=name).entries]
+
+
+def test_unknown_suite_or_id_names_the_suites():
+    with pytest.raises(ValueError, match="unknown suite 'nope'.*kernel, ms"):
+        run_suite("nope")
+    with pytest.raises(ValueError, match="'nope' is not registered.*kernel, ms"):
+        check("nope")
 
 
 def test_ms_suite_sees_a_pairing_without_the_lowered_form(monkeypatch):
