@@ -155,8 +155,7 @@ def _cmd_period_function(args, settings: Settings) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re_zeta", "im_zeta", "re_P", "im_P", "abs_error"])
-    for x in xs:
-        res = period.eval(complex(x, offset))
+    for x, res in zip(xs, period.eval_many([complex(x, offset) for x in xs])):
         writer.writerow(
             [
                 f"{x:.12g}",

@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+def _complex(x):
+    """A number as a complex number, an array of them as a complex array."""
+    return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
+
+
 @dataclass(frozen=True)
 class RKernel:
     """The kernel of index pair (k, nu), in the one formula of the module docstring.
@@ -71,23 +76,24 @@ class RKernel:
     def eval(self, z: complex, zeta: complex) -> complex:
         return complex(self.eval_many(np.array([z]), zeta)[0])
 
-    def eval_many(self, zs: np.ndarray, zeta: complex) -> np.ndarray:
+    def eval_many(self, zs: np.ndarray, zeta) -> np.ndarray:
+        """The kernel at the points zs, against one zeta or one zeta per point."""
         zs = np.asarray(zs, dtype=complex)
-        zeta = complex(zeta)
+        zeta = _complex(zeta)
         a = zeta - zs
         b = zeta - np.conj(zs)
         return self._from_pieces(a, b, np.abs(zs.imag))
 
-    def eval_ray(self, base: complex, ts: np.ndarray, zeta: complex) -> np.ndarray:
+    def eval_ray(self, base, ts: np.ndarray, zeta) -> np.ndarray:
         """Evaluation along z = base + i t with the differences formed exactly.
 
         Near a moving endpoint the offset t drops below the resolution of
         base + i t, but the kernel only needs zeta - z = (zeta - base) - i t
         and zeta - conj z = (zeta - conj base) + i t, which stay exact.
+        ``base`` and ``zeta`` are numbers or one per offset.
         """
         ts = np.asarray(ts, dtype=float)
-        zeta = complex(zeta)
-        base = complex(base)
+        zeta, base = _complex(zeta), _complex(base)
         a = (zeta - base) - 1j * ts
         b = (zeta - base.conjugate()) + 1j * ts
         return self._from_pieces(a, b, np.abs(base.imag + ts))

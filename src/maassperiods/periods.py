@@ -31,13 +31,25 @@ Both transforms return the quadrature's own ``QuadratureResult``, with
 their route prefixed to its ``contour``; only the f <-> P bridge, which
 combines two values of f, and a form whose transforms vanish identically
 build a new one.
+
+Both take many zetas at once (``eval_many``; ``eval`` is its one-element
+case).  The zetas are grouped by route: for P up the imaginary axis, split
+at i|Im zeta|, on the deformed polyline, or through the bridge, whose near
+values f(zeta) are one batch of f and far values f(-1/zeta) another; for f
+by half-plane, which fixes the ladder and the start.  Each group runs the
+quadrature in lockstep (``quadrature._integrate_paths`` and
+``_integrate_rays``): every level of every zeta is a node set of one grid,
+so each round is one integrand call over the new nodes of all zetas not
+yet converged, while each zeta keeps its own target, truncation, level,
+error and evaluation count, and so its value bit for bit.  The form values
+up the imaginary axis are kept in a memo (see :class:`PeriodFunction`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +66,7 @@ from .forms import MaassForm
 from .kernel import RKernel, kernel_eigen_apply
 from .modgroup import INFINITY
 from .multiplier import MultiplierSystem
-from .quadrature import GeodesicPath, QuadratureResult, integrate_form, integrate_ray
+from .quadrature import GeodesicPath, QuadratureResult, _integrate_paths, _integrate_rays
 
 __all__ = [
     "BijectionConstants",
@@ -144,32 +156,43 @@ def _pairing(form: MaassForm, ladder: int, form_pass=None):
     return pair
 
 
-def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, form_pass=None):
-    """The pairing as an array integrand z -> (A, B) for ``integrate_form``;
-    ``form_pass`` as in :func:`_pairing`."""
-    zeta = complex(zeta)
+def _eta(form: MaassForm, ladder: int = -1, form_pass=None):
+    """The pairing as an array integrand (z, zeta) -> (A, B), ``zeta`` one
+    number or one per point; ``form_pass`` as in :func:`_pairing`."""
     pair = _pairing(form, ladder, form_pass)
 
-    def omega(zs):
+    def omega(zs, zeta):
         zs = np.asarray(zs, dtype=complex)
         return pair(zs, zs.imag, lambda kernel: kernel.eval_many(zs, zeta), (zeta - zs) / (zeta - np.conj(zs)))
 
     return omega
 
 
-def ray_integrand(form: MaassForm, zeta: complex, base: complex, ladder: int):
-    """Pullback of the pairing along z = base + i t, with exact offsets."""
-    zeta = complex(zeta)
-    base = complex(base)
+def eta_integrand(form: MaassForm, zeta: complex, ladder: int = -1, form_pass=None):
+    """The pairing as an array integrand z -> (A, B) for ``integrate_form``;
+    ``form_pass`` as in :func:`_pairing`."""
+    omega, zeta = _eta(form, ladder, form_pass), complex(zeta)
+    return lambda zs: omega(zs, zeta)
+
+
+def _ray(form: MaassForm, ladder: int):
+    """Pullback of the pairing along z = base + i t with exact offsets, as
+    (t, zeta, base) -> phi, ``zeta`` and ``base`` numbers or one per offset."""
     pair = _pairing(form, ladder)
 
-    def phi(ts):
+    def phi(ts, zeta, base):
         ts = np.asarray(ts, dtype=float)
         quotient = ((zeta - base) - 1j * ts) / ((zeta - base.conjugate()) + 1j * ts)
         a, b = pair(base + 1j * ts, base.imag + ts, lambda kernel: kernel.eval_ray(base, ts, zeta), quotient)
         return 1j * a - 1j * b
 
     return phi
+
+
+def ray_integrand(form: MaassForm, zeta: complex, base: complex, ladder: int):
+    """Pullback of the pairing along z = base + i t, with exact offsets."""
+    phi, zeta, base = _ray(form, ladder), complex(zeta), complex(base)
+    return lambda ts: phi(ts, zeta, base)
 
 
 def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
@@ -226,12 +249,27 @@ def _require_strip(form: MaassForm) -> None:
 _ZERO = QuadratureResult(0.0 + 0.0j, 0.0, 0, "identically zero", 0.0)
 
 
-# ---------------------------------------------------------------------------
-# the nearly periodic function
+def _batch(run, zetas: list) -> list:
+    """run(zetas); a batch that fails as a whole, an integrand call raising
+    for some node, runs again one zeta at a time, so each keeps the outcome
+    it has alone."""
+    try:
+        return run(zetas)
+    except Exception as exc:
+        return [exc] if len(zetas) == 1 else [_batch(run, [zeta])[0] for zeta in zetas]
 
 
-class NearlyPeriodicFunction:
-    """The ray transform of a form, defined off the real axis."""
+def _per_node(values: list):
+    """owners -> each node's value of a batch: the value itself for a batch of one."""
+    if len(values) == 1:
+        return lambda owners, value=values[0]: value
+    return np.array(values).__getitem__
+
+
+class _Transform:
+    """What P and f share: a form, its settings, and evaluation at many
+    zetas.  Each kind says which zetas it rejects (``_check``), how it
+    groups the rest (``_group``) and how it runs one group (``_run``)."""
 
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
         self.form = form
@@ -241,106 +279,215 @@ class NearlyPeriodicFunction:
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta).value
 
+    def eval_many(self, zetas) -> list:
+        """``eval`` at each zeta, in order; raises what ``eval`` raises at
+        the first zeta where it fails."""
+        outcomes = self._outcomes(zetas)
+        for out in outcomes:
+            if isinstance(out, Exception):
+                raise out
+        return outcomes
+
+    def _outcomes(self, zetas) -> list:
+        """One result, or the exception its zeta raised, per zeta: the zetas
+        of each group in one batch."""
+        vanishes = _vanishes_identically(self.form)
+        outcomes, groups = [], {}
+        for zeta in zetas:
+            try:
+                zeta = finite(zeta, "zeta")
+                self._check(zeta)
+            except DomainError as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append(_ZERO if vanishes else None)
+            if not vanishes:
+                groups.setdefault(self._group(zeta), []).append((len(outcomes) - 1, zeta))
+        for items in groups.values():
+            where, batch = zip(*items)
+            for i, out in zip(where, _batch(self._run, list(batch))):
+                outcomes[i] = out
+        return outcomes
+
+
+# ---------------------------------------------------------------------------
+# the nearly periodic function
+
+
+class NearlyPeriodicFunction(_Transform):
+    """The ray transform of a form, defined off the real axis.
+
+    :meth:`eval_many` integrates the rays of each half-plane in lockstep,
+    one integrand call per round over all of their new nodes.
+    """
+
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result, its value signed and its route prefixed."""
-        zeta = finite(zeta, "zeta")
+        return self.eval_many([zeta])[0]
+
+    @staticmethod
+    def _check(zeta: complex) -> None:
         if zeta.imag == 0.0:
             raise DomainError("the nearly periodic function lives off the real axis")
-        if _vanishes_identically(self.form):
-            return _ZERO
-        base, ladder, alpha = _ray_start(self.form, zeta)
-        phi = ray_integrand(self.form, zeta, base, ladder)
-        result = integrate_ray(phi, start_mode=("power", alpha), settings=self.settings)
+
+    @staticmethod
+    def _group(zeta: complex) -> bool:
+        return zeta.imag > 0
+
+    def _run(self, zetas: list) -> list:
+        """The rays of zetas in one half-plane, which share the ladder and the start."""
+        _, ladder, alpha = _ray_start(self.form, zetas[0])
+        bases = [_ray_start(self.form, zeta)[0] for zeta in zetas]
+        phi, at, base_at = _ray(self.form, ladder), _per_node(zetas), _per_node(bases)
+        results = _integrate_rays(
+            lambda ts, owners: phi(ts, at(owners), base_at(owners)), len(zetas), ("power", alpha), self.settings
+        )
         # the form-raised pairing integrates to minus the kernel-raised one
-        return replace(result, value=-ladder * result.value, contour=f"ray {base:.4g} -> i*inf {result.contour}")
+        return [
+            out if isinstance(out, Exception)
+            else QuadratureResult(-ladder * out.value, out.abs_error, out.evaluations, f"ray {base:.4g} -> i*inf {out.contour}", out.tol)
+            for out, base in zip(results, bases)
+        ]
 
 
 # ---------------------------------------------------------------------------
 # the period function
 
 
-class PeriodFunction:
+class _AxisMemo:
+    """(u, E^- u) of a form at the quadrature nodes up the imaginary axis,
+    kept for good: the sorted heights and their values, in arrays that grow
+    as nodes arrive."""
+
+    def __init__(self, form: MaassForm):
+        self.form = form
+        self.heights = np.empty(0)
+        self.values = np.empty((2, 0), dtype=complex)
+
+    def __len__(self) -> int:
+        return self.heights.size
+
+    def __call__(self, zs: np.ndarray) -> tuple:
+        """(u, E^- u) at a quadrature call's nodes, the misses from one form pass."""
+        ts = zs.imag
+        at = np.searchsorted(self.heights, ts)
+        known = self.heights[np.minimum(at, len(self) - 1)] == ts if len(self) else np.zeros(ts.shape, dtype=bool)
+        if not known.all():
+            new, first = np.unique(ts[~known], return_index=True)
+            fresh = self.form.eval_ladder_many(zs[~known][first], -1)
+            where = np.searchsorted(self.heights, new)
+            self.heights = np.insert(self.heights, where, new)
+            self.values = np.insert(self.values, where, fresh, axis=1)
+            at = np.searchsorted(self.heights, ts)
+        return self.values[0, at], self.values[1, at]
+
+
+_AXIS = GeodesicPath((0.0, INFINITY))
+
+
+def _contour(zeta: complex, route: str) -> tuple:
+    """(path, note) of P at zeta on a route of its own."""
+    if route == "axis":
+        return _AXIS, "imaginary axis"
+    if route == "split":
+        return GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY)), "imaginary axis"
+    # the ray runs at least 0.25 left of zeta, where the kernel
+    # branches: tanh-sinh clusters nodes only at a segment's ends
+    eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
+    h0 = min(eps, 0.5 * abs(zeta.imag))
+    return GeodesicPath((0.0, complex(-eps, h0), INFINITY)), f"deformed polyline eps={eps:.3g}"
+
+
+class PeriodFunction(_Transform):
     """The cusp-to-cusp transform, holomorphic on the cut plane.
+
+    :meth:`eval_many` groups its zetas by route - up the imaginary axis,
+    split at i|Im zeta|, the deformed polyline, and the f <-> P bridge - and
+    integrates the paths of each group in lockstep: each round of the
+    quadrature is one integrand call over the new nodes of every zeta not
+    yet converged, and each zeta keeps its own target, truncation, level,
+    error and count, as :meth:`eval`, its one-element case, has them.
 
     On the route up the imaginary axis from 0 (every P of a holomorphic form
     right of the axis, and of any other form where Re zeta >= |Im zeta|)
     the contour does not depend on zeta, only the kernel does: the
     quadrature's nodes lie on one grid fixed by the start mode, so
-    (u, E^- u) at every node evaluated once is kept for good.  A kept value
-    is bitwise the one a fresh evaluation gives (the form is evaluated point
-    by point), so P does not depend on the points before it.  The grid
-    bounds that memo: 2^9 m + 1 nodes (9 levels of midpoints over m level-0
-    steps from the start floor to the ray's far cap), so 50,177 for an
-    equivariant form's exp start (m = 98) and 61,441 for the log start
-    (m = 120); in practice about a hundred are used.  The split route, the
-    deformed polyline, the f <-> P bridge and f evaluate the form afresh.
+    (u, E^- u) at every node evaluated once is kept for good, by height in
+    sorted arrays.  A kept value is bitwise the one a fresh evaluation
+    gives (the form is evaluated point by point), so P does not depend on
+    the points before it or beside it.  The grid bounds that memo: 2^9 m + 1
+    nodes (9 levels of midpoints over m level-0 steps from the start floor
+    to the ray's far cap), so 50,177 for an equivariant form's exp start
+    (m = 98) and 61,441 for the log start (m = 120); in practice a few
+    hundred are used.  The split route, the deformed polyline, the
+    f <-> P bridge and f evaluate the form afresh.
     """
 
     def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
-        self.form = form
-        self.settings = settings
-        _require_strip(form)
-        self._axis = {}
+        super().__init__(form, settings)
+        self._axis = _AxisMemo(form)
         self._f = NearlyPeriodicFunction(form, settings) if form.backend.equivariant else None
-
-    def __call__(self, zeta: complex) -> complex:
-        return self.eval(zeta).value
 
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result with its route prefixed, or the bridge's
         combination of two values of f."""
-        zeta = finite(zeta, "zeta")
+        return self.eval_many([zeta])[0]
+
+    @staticmethod
+    def _check(zeta: complex) -> None:
         if on_cut(zeta):
             raise DomainError(f"{zeta} lies on the cut (-inf, 0]")
-        if _vanishes_identically(self.form):
-            return _ZERO
-        form = self.form
-        form_pass = None
-        if zeta.real <= 0 and self._f is not None:
-            # the bridge: both rays start in the half-plane of zeta
-            near, far = self._f.eval(zeta), self._f.eval(-1.0 / zeta)
-            factor = _inversion_factor(form.multiplier, form.nu, zeta)
-            return QuadratureResult(
-                near.value - factor * far.value,
-                near.abs_error + abs(factor) * far.abs_error,
-                near.evaluations + far.evaluations,
-                f"f <-> P bridge: {near.contour} | {far.contour}",
-                near.tol + abs(factor) * far.tol,
-            )
-        if zeta.real > 0:
-            # unless E^- u = 0 the pairing branches at zeta or its conjugate:
-            # near the axis, split it level with them, where nodes cluster
-            split = not form.backend.holomorphic and zeta.real < abs(zeta.imag)
-            path = GeodesicPath((0.0, 1j * abs(zeta.imag), INFINITY) if split else (0.0, INFINITY))
-            form_pass = None if split else self._axis_pass
-            note = "imaginary axis"
-        else:
-            # the ray runs at least 0.25 left of zeta, where the kernel
-            # branches: tanh-sinh clusters nodes only at a segment's ends
-            eps = -zeta.real + max(0.25, 0.25 * abs(zeta))
-            h0 = min(eps, 0.5 * abs(zeta.imag))
-            path = GeodesicPath((0.0, complex(-eps, h0), INFINITY))
-            note = f"deformed polyline eps={eps:.3g}"
-        result = integrate_form(
-            eta_integrand(form, zeta, form_pass=form_pass),
-            path,
-            # full automorphy decays exponentially at every cusp, anything else by a power law
-            start_mode=("exp",) if form.backend.equivariant else ("log",),
-            settings=self.settings,
-        )
-        return replace(result, contour=f"{note} {result.contour}")
 
-    def _axis_pass(self, zs: np.ndarray) -> tuple:
-        """(u, E^- u) at a quadrature call's nodes on the imaginary axis,
-        the memo's misses from one form pass."""
-        memo = self._axis
-        keys = zs.tolist()
-        missing = [z for z in keys if z not in memo]
-        if missing:
-            u, op_u = self.form.eval_ladder_many(np.array(missing), -1)
-            memo.update(zip(missing, zip(u.tolist(), op_u.tolist())))
-        u, op_u = np.array([memo[z] for z in keys], dtype=complex).T
-        return u, op_u
+    def _group(self, zeta: complex) -> str:
+        """The route: bridge, polyline, split or axis."""
+        if zeta.real <= 0:
+            # the bridge: both rays start in the half-plane of zeta
+            return "bridge" if self._f is not None else "polyline"
+        # unless E^- u = 0 the pairing branches at zeta or its conjugate:
+        # near the axis, split it level with them, where nodes cluster
+        return "split" if not self.form.backend.holomorphic and zeta.real < abs(zeta.imag) else "axis"
+
+    def _run(self, zetas: list) -> list:
+        """The outcomes of zetas of one route."""
+        route = self._group(zetas[0])
+        if route == "bridge":
+            return self._bridge(zetas)
+        paths, notes = zip(*(_contour(zeta, route) for zeta in zetas))
+        omega, at = _eta(self.form, form_pass=self._axis if route == "axis" else None), _per_node(zetas)
+        results = _integrate_paths(
+            lambda zs, owners: omega(zs, at(owners)),
+            paths,
+            # full automorphy decays exponentially at every cusp, anything else by a power law
+            ("exp",) if self.form.backend.equivariant else ("log",),
+            self.settings,
+        )
+        return [
+            out if isinstance(out, Exception)
+            else QuadratureResult(out.value, out.abs_error, out.evaluations, f"{note} {out.contour}", out.tol)
+            for out, note in zip(results, notes)
+        ]
+
+    def _bridge(self, zetas: list) -> list:
+        """P(zeta) = f(zeta) - v(S)^{-1} zeta^{2 nu - 1} f(-1/zeta), the near
+        values of f in one batch and the far values in another."""
+        near = self._f._outcomes(zetas)
+        far = self._f._outcomes([-1.0 / zeta for zeta in zetas])
+        out = []
+        for zeta, n, f in zip(zetas, near, far):
+            if isinstance(n, Exception) or isinstance(f, Exception):
+                out.append(n if isinstance(n, Exception) else f)
+                continue
+            factor = _inversion_factor(self.form.multiplier, self.form.nu, zeta)
+            out.append(
+                QuadratureResult(
+                    n.value - factor * f.value,
+                    n.abs_error + abs(factor) * f.abs_error,
+                    n.evaluations + f.evaluations,
+                    f"f <-> P bridge: {n.contour} | {f.contour}",
+                    n.tol + abs(factor) * f.tol,
+                )
+            )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +660,20 @@ def growth_check(period: PeriodFunction) -> GrowthReport:
     The exponent 2 Re nu - 1 bounds the decay at infinity when it is
     negative and gives the polynomial degree when positive; at zero the
     bound is max(0, 2 Re nu - 1).  Slopes are fitted at zeta = 2^{-j} and
-    2^j, j = 3..10, and compared with a slack of 0.15.
+    2^j, j = 3..10, all 16 from one ``eval_many``, and compared with a slack
+    of 0.15.  A zero or non-finite |P| has no logarithm: DomainError names
+    the first such zeta.
     """
     slack = 0.15
     js = np.arange(3, 11)
     small = 2.0 ** (-js)
     large = 2.0**js
-    p_small = np.array([abs(period(z)) for z in small])
-    p_large = np.array([abs(period(z)) for z in large])
+    zetas = np.concatenate([small, large])
+    samples = np.array([abs(out.value) for out in period.eval_many(zetas)])
+    for zeta, sample in zip(zetas, samples):
+        if not (math.isfinite(sample) and sample > 0.0):
+            raise DomainError(f"|P({zeta:g})| = {sample}: the log-log fit needs finite nonzero samples")
+    p_small, p_large = samples[: js.size], samples[js.size :]
     slope_zero = float(np.polyfit(np.log(small), np.log(p_small), 1)[0])
     slope_inf = float(np.polyfit(np.log(large), np.log(p_large), 1)[0])
     two_nu = 2.0 * period.form.nu.real - 1.0

@@ -22,6 +22,14 @@ integrand's own accuracy.  An end that cannot be truncated below the
 target raises NonconvergenceError: a truncation never passes silently.
 Each piece's target is ``quad_tol`` times the integral of |phi| its first
 call sees.
+
+Many integrands of one shape run in lockstep (:func:`_lockstep`): each
+integrand's rule is a generator that yields the nodes it needs next, and
+each round is one call over the new nodes of every integrand not yet done.
+Every integrand keeps its own budget, target, truncation, level, error and
+note, and sums its own terms in its own order, so its result is the one it
+has alone.  :func:`integrate_form` and :func:`integrate_ray` are the
+one-integrand case.
 """
 
 from __future__ import annotations
@@ -116,6 +124,7 @@ _MAX_LEVEL = 9
 # q-series, the surrogate's Whittaker tables), as a share of int |phi|
 _ACCURACY = 2.0**-40
 _EPS = np.finfo(float).eps
+_sum = np.add.reduce  # np.sum of a 1-d array without its wrapper: the same pairwise sum
 
 
 class _Map(NamedTuple):
@@ -174,25 +183,26 @@ def _start_floor(mode) -> float:
     raise ValueError(f"unknown endpoint mode {mode!r}")
 
 
-def _terms(phi, rule: _Map, w, budget: _Budget) -> np.ndarray:
-    """phi(x(w)) dx/dw at the nodes w, from one call to phi."""
+def _terms(w, budget: _Budget):
+    """(x(w), phi(x(w)) dx/dw) at the nodes w, spent from the budget and
+    asked of :func:`_lockstep` in one yield."""
     budget.spend(w.size)
-    x, dx = rule.nodes(w)
-    return np.asarray(phi(x), dtype=complex) * dx
+    return (yield w)
 
 
-def _extended(phi, rule: _Map, node, j, g, side: int, cap: float, tau: float, budget: _Budget):
-    """Level-0 indices and terms, moved out past the ``side`` end (+1 the far
-    end, -1 the start, for an odd map) until its term is below tau and
-    below its neighbour's, one call per move: as far as the decay rate of
-    |phi| between the last two nodes says, or by 1/2 in w where |phi| does
-    not decay yet.  Raises NonconvergenceError past |w| = ``cap``.
+def _extended(rule: _Map, node, j, x, g, side: int, cap: float, tau: float, budget: _Budget):
+    """Level-0 indices, parameters and terms, moved out past the ``side``
+    end (+1 the far end, -1 the start, for an odd map) until its term is
+    below tau and below its neighbour's, one call per move: as far as the
+    decay rate of |phi| between the last two nodes says, or by 1/2 in w
+    where |phi| does not decay yet.  Raises NonconvergenceError past
+    |w| = ``cap``.
     """
     while True:
         end, inner = (-1, -2) if side > 0 else (0, 1)
         m_end, m_inner = abs(g[end]), abs(g[inner])
         if _H0 * m_end <= tau and m_end <= m_inner:
-            return j, g
+            return j, x, g
         w_end = node(0, j[end])
         room = math.floor((cap - side * w_end) / _H0 + 1e-9)
         if room < 1:
@@ -206,59 +216,67 @@ def _extended(phi, rule: _Map, node, j, g, side: int, cap: float, tau: float, bu
             steps = max(1, math.ceil((reach - side * w_end) / _H0))
         steps = min(room, steps)
         j_new = j[end] + side * np.arange(1, steps + 1)
-        g_new = _terms(phi, rule, node(0, j_new), budget)
+        x_new, g_new = yield from _terms(node(0, j_new), budget)
         if side > 0:
-            j, g = np.concatenate([j, j_new]), np.concatenate([g, g_new])
+            j, x, g = (np.concatenate([old, new]) for old, new in ((j, j_new), (x, x_new), (g, g_new)))
         else:
-            j, g = np.concatenate([j_new[::-1], j]), np.concatenate([g_new[::-1], g])
+            j, x, g = (np.concatenate([new[::-1], old]) for old, new in ((j, j_new), (x, x_new), (g, g_new)))
 
 
-def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, quad_tol: float, budget: _Budget):
-    """Integrate phi(x) dx over the map's whole range.
+def _double_exponential(rule: _Map, w_lo: float, level0: tuple, caps, quad_tol: float, budget: _Budget):
+    """Integrate phi(x) dx over the map's whole range, for one integrand of
+    a batch: a generator that yields the nodes w of each call and is sent
+    their terms (see :func:`_lockstep`), and returns (value, error, note, tol).
 
-    Level 0 evaluates w = w_lo + j/16 up to the first node at or past w_hi;
-    its integral of |phi|, the mass, sets tol = quad_tol * max(mass, 1e-50)
-    (see :func:`integrate_form`).  An end with a
-    ``caps`` entry (|w| bound, or None for a fixed end) may then move out
-    (see :func:`_extended`).  Every node of level L, at the start, the far
+    Level 0 evaluates w = w_lo + j/16 at the indices j = 0, 1, ... up to the
+    first node at or past where level 0 ends, ``level0`` = (j, w) for every
+    integrand of the piece; its integral of |phi|, the mass, sets
+    tol = quad_tol * max(mass, 1e-50) (see :func:`integrate_form`).  An end
+    with a ``caps`` entry (|w| bound, or None for a fixed end) may then move
+    out (see :func:`_extended`).  Every node of level L, at the start, the far
     ends and the midpoints alike, is w_lo + (1/16) m / 2^L for an integer
     m: the same float in every call with this w_lo, whatever the
-    truncation.  Returns (value, error, note, tol).
+    truncation.
     """
     node = lambda level, m: w_lo + (_H0 / 2**level) * m
-    j = np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
-    g = _terms(phi, rule, node(0, j), budget)
-    mass = _H0 * float(np.sum(np.abs(g)))
+    j, w = level0
+    x, g = yield from _terms(w, budget)
+    mag = np.abs(g)
+    mass = _H0 * float(_sum(mag))
     if not math.isfinite(mass):
         raise NonconvergenceError(0.0, float("inf"), budget.used)
     tol = quad_tol * max(mass, 1e-50)
     tau = tol / 8.0
     for side, cap in zip((-1, +1), caps):
         if cap is not None:
-            j, g = _extended(phi, rule, node, j, g, side, cap, tau, budget)
-    m = _H0 * np.abs(g)
-    if not np.all(np.isfinite(m)):
-        raise NonconvergenceError(0.0, float("inf"), budget.used)
+            j, x, g = yield from _extended(rule, node, j, x, g, side, cap, tau, budget)
+    if mag.size != g.size:  # an end moved out; the mass vouched for the rest
+        mag = np.abs(g)
+        if not np.isfinite(mag).all():
+            raise NonconvergenceError(0.0, float("inf"), budget.used)
+    m = _H0 * mag
     # the outermost nodes whose terms sum to at most tau on each side are
     # cut; the sum up to the kept range's end node bounds the mass beyond it
-    lo_mass, hi_mass = np.cumsum(m), np.cumsum(m[::-1])
-    cut_lo = int(np.searchsorted(lo_mass, tau, side="right"))
-    cut_hi = int(np.searchsorted(hi_mass, tau, side="right"))
+    lo_mass, hi_mass = m.cumsum(), m[::-1].cumsum()
+    cut_lo = int(lo_mass.searchsorted(tau, "right"))
+    cut_hi = int(hi_mass.searchsorted(tau, "right"))
     for cut, outer, inner in ((cut_lo, 0, 1), (cut_hi, -1, -2)):
         if cut == 0 or m[outer] > m[inner]:
             raise NonconvergenceError(0.0, float("inf"), budget.used)
     n = j.size
     a, b = cut_lo - 1, n - cut_hi
     if a >= b:  # every level-0 term is in a tail
-        return _H0 * complex(np.sum(g)), float(np.sum(m)), f"{rule.name} level 0 (negligible)", tol
-    tails = lo_mass[a] + hi_mass[n - 1 - b]
-    x_lo, x_hi = rule.nodes(node(0, j[[a, b]]))[0]
-    total = complex(np.sum(g[a : b + 1]))
-    size = float(np.sum(np.abs(g[a : b + 1])))
+        return _H0 * complex(_sum(g)), float(_sum(m)), f"{rule.name} level 0 (negligible)", tol
+    # the bookkeeping from here on in Python floats: the same IEEE arithmetic,
+    # without numpy's scalar overhead
+    tails = float(lo_mass[a]) + float(hi_mass[n - 1 - b])
+    x_lo, x_hi = float(x[a]), float(x[b])
+    total = complex(_sum(g[a : b + 1]))
+    size = float(_sum(mag[a : b + 1]))
     h, level = _H0, 0
     # the step 1/8 sum drops node b when b - a is odd: at most 2 tau more
     # level difference, since that node's term counts in the tail
-    previous, value = 2.0 * _H0 * complex(np.sum(g[a : b + 1 : 2])), _H0 * total
+    previous, value = 2.0 * _H0 * complex(_sum(g[a : b + 1 : 2])), _H0 * total
     while True:
         diff = abs(value - previous)
         # the target must hold above the rounding of the sum itself; the
@@ -270,43 +288,157 @@ def _double_exponential(phi, rule: _Map, w_lo: float, w_hi: float, caps, quad_to
             raise NonconvergenceError(value, diff + tails, budget.used)
         level += 1
         h = _H0 / 2**level
-        odd = 2 * np.arange((b - a) * 2 ** (level - 1)) + 1
         try:
-            g_new = _terms(phi, rule, node(level, j[a] * 2**level + odd), budget)
+            _, g_new = yield from _terms(node(level, np.arange(j[a] * 2**level + 1, j[b] * 2**level, 2)), budget)
         except NonconvergenceError as exc:
             raise NonconvergenceError(value, float("inf"), budget.used) from exc
-        total += complex(np.sum(g_new))
-        size += float(np.sum(np.abs(g_new)))
+        total += complex(_sum(g_new))
+        size += float(_sum(np.abs(g_new)))
         previous, value = value, h * total
+
+
+# ---------------------------------------------------------------------------
+# lockstep rounds
+
+
+def _lockstep(phi, rule: _Map, runs: dict) -> dict:
+    """Drive the :func:`_double_exponential` generators of one piece, keyed
+    by integrand: each round is one call ``phi(x, owners)`` on the
+    concatenated new nodes of every run not yet done, ``owners`` naming
+    each node's run (the one key when one run is left), and each run is
+    sent its own contiguous slices of the parameters x and the terms.
+    Returns each run's return value or the exception it raised.
+
+    An integrand call that raises goes back into its run when that run is
+    alone, as into a one-integrand quadrature; with several runs it is
+    raised, since the node that failed has no one run to go to.
+    """
+    out, asked = {}, {}
+
+    def step(key, resume, arg):
+        try:
+            asked[key] = resume(arg)
+        except StopIteration as stop:
+            out[key] = stop.value
+        except Exception as exc:
+            out[key] = exc
+
+    for key, run in runs.items():
+        step(key, run.send, None)
+    while asked:
+        keys, ws = list(asked), list(asked.values())
+        asked.clear()
+        sizes = [w.size for w in ws]
+        x, dx = rule.nodes(ws[0] if len(ws) == 1 else np.concatenate(ws))
+        owners = keys[0] if len(keys) == 1 else np.repeat(keys, sizes)
+        try:
+            g = np.asarray(phi(x, owners), dtype=complex) * dx
+        except Exception as exc:
+            if len(keys) > 1:
+                raise
+            step(keys[0], runs[keys[0]].throw, exc)
+            continue
+        end = 0
+        for key, size in zip(keys, sizes):
+            end += size
+            step(key, runs[key].send, (x[end - size : end], g[end - size : end]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # pieces
 
 
-def _pullback(omega, point):
-    """phi(t) = A z' + B conj(z') along a piece, ``point(t) -> (z, z')``."""
+class _Piece(NamedTuple):
+    """One edge of every path of a batch.
 
-    def phi(t):
-        z, velocity = point(np.asarray(t, dtype=float))
-        av, bv = omega(z)
+    ``w_lo(start_mode)`` is where level 0 starts, ``w_hi`` where it first
+    ends, ``caps`` the bounds of its movable ends; ``point(t, owners) ->
+    (z, dz/dt)`` takes the pulled-back integrand to the plane (None for a
+    bare parameter), and ``signs`` orient the arcs.
+    """
+
+    name: str
+    rule: _Map
+    w_lo: Callable
+    w_hi: float
+    caps: tuple
+    point: Callable | None = None
+    signs: list | None = None
+
+
+def _pullback(omega, point):
+    """phi(t, owners) = A z' + B conj(z') along a piece, ``point(t, owners) -> (z, z')``."""
+
+    def phi(t, owners):
+        z, velocity = point(np.asarray(t, dtype=float), owners)
+        av, bv = omega(z, owners)
         return av * velocity + bv * np.conj(velocity)
 
     return phi
 
 
-def _arc_point(c: float, r: float):
-    """The geodesic c + r tanh s + i r sech s, s in R, and its velocity."""
+def _ray_piece(bases=None) -> _Piece:
+    """exp-sinh over (0, inf) up from each base, the far end starting at
+    ``_CUSP_HEIGHT``; without bases the integrand takes t itself."""
+    point = None if bases is None else (lambda t, o: (bases[o] + 1j * t, 1j))
+    w_lo = lambda smode: _EXP_SINH.w_of(_start_floor(smode))
+    return _Piece("ray", _EXP_SINH, w_lo, _EXP_SINH.w_of(_CUSP_HEIGHT), (None, _EXP_SINH.w_of(1e7)), point)
 
-    def point(s):
+
+_BARE_RAY = _ray_piece()
+
+
+def _compile(paths) -> list:
+    """One piece per edge, the edges of each index of one kind across the paths."""
+    return [_edge_piece(edges) for edges in zip(*(zip(p.points[:-1], p.points[1:]) for p in paths))]
+
+
+def _edge_kind(p, q) -> str:
+    if p is INFINITY:
+        raise DomainError("an edge from INFINITY is not integrated; integrate its reverse and negate")
+    if q is INFINITY:
+        return "ray"
+    p, q = complex(p), complex(q)
+    if p.imag == 0.0 and q.imag == 0.0:
+        if p == q:
+            raise DomainError("degenerate geodesic")
+        return "arc"
+    return "segment"
+
+
+def _edge_piece(edges) -> _Piece:
+    kinds = {_edge_kind(p, q) for p, q in edges}
+    if len(kinds) > 1:
+        raise ValueError(f"one edge of a batch of paths is of several kinds: {sorted(kinds)}")
+    (kind,) = kinds
+    if kind == "ray":
+        return _ray_piece(np.array([complex(p) for p, _ in edges]))
+    p, q = (np.array([complex(e[i]) for e in edges]) for i in (0, 1))
+    if kind == "segment":
+        # the far end t = 1 is regular, and the map is odd in w: it ends where a
+        # regular start would
+        d = q - p
+        w_lo = lambda smode: _TANH_SINH.w_of(_start_floor(smode))
+        return _Piece(kind, _TANH_SINH, w_lo, -w_lo(None), (None, None), lambda t, o: (p[o] + t * d[o], d[o]))
+    a, b = p.real, q.real
+    c, r = 0.5 * (a + b), 0.5 * np.abs(b - a)
+
+    def point(s, o):
+        # the geodesic c + r tanh s + i r sech s, s in R, and its velocity
         sech, tanh = 1.0 / np.cosh(s), np.tanh(s)
-        return c + r * tanh + 1j * r * sech, r * sech * (sech - 1j * tanh)
+        return c[o] + r[o] * tanh + 1j * r[o] * sech, r[o] * sech * (sech - 1j * tanh)
 
-    return point
+    # level 0 starts at |s| <= 4, where a cusp's decay has long set in; its
+    # ends may move out to |s| = 700, short of the underflow of sech s; the
+    # parametrisation runs left to right
+    w_start, w_cap = _SINH_SINH.w_of(4.0), _SINH_SINH.w_of(700.0)
+    signs = [-1.0 if x > y else 1.0 for x, y in zip(a.tolist(), b.tolist())]
+    return _Piece(kind, _SINH_SINH, lambda smode: -w_start, w_start, (w_cap, w_cap), point, signs)
 
 
 # ---------------------------------------------------------------------------
-# public entry point
+# entry points
 
 
 def integrate_form(
@@ -331,7 +463,7 @@ def integrate_form(
     the pieces used.  ``settings.max_evals`` caps the evaluations of the
     whole path.
     """
-    return _integrate(omega, _compile(path), start_mode, settings)
+    return _one(_integrate_paths(lambda zs, owners: omega(zs), [path], start_mode, settings))
 
 
 def integrate_ray(
@@ -347,84 +479,61 @@ def integrate_ray(
     the offset to rounding.  ``start_mode`` and ``settings`` are as in
     :func:`integrate_form`.
     """
-    return _integrate(phi, [_ray], start_mode, settings)
+    return _one(_integrate_rays(lambda ts, owners: phi(ts), 1, start_mode, settings))
 
 
-def _integrate(integrand, pieces, start_mode, settings: Settings) -> QuadratureResult:
-    """Run the pieces in turn, the start mode on the first, and sum what they return."""
-    budget = _Budget(settings.max_evals)
-    total = 0.0 + 0.0j
-    total_err = total_tol = 0.0
-    notes = []
-    try:
-        for i, piece in enumerate(pieces):
-            val, err, note, piece_tol = piece(integrand, settings.quad_tol, budget, start_mode if i == 0 else None)
-            total += val
-            total_err += err
-            total_tol += piece_tol
-            notes.append(note)
-    except NonconvergenceError as exc:
-        raise NonconvergenceError(total + exc.partial, float("inf"), budget.used) from exc
-    return QuadratureResult(total, total_err, budget.used, ";".join(notes), total_tol)
+def _one(outcomes: list) -> QuadratureResult:
+    (out,) = outcomes
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def _ray(phi, quad_tol, budget, smode):
-    """exp-sinh over (0, inf), the far end starting at ``_CUSP_HEIGHT``."""
-    w_lo = _EXP_SINH.w_of(_start_floor(smode))
-    w_far = _EXP_SINH.w_of(_CUSP_HEIGHT)
-    val, err, note, tol = _double_exponential(phi, _EXP_SINH, w_lo, w_far, (None, _EXP_SINH.w_of(1e7)), quad_tol, budget)
-    return val, err, f"ray {note}", tol
+def _integrate_paths(omega, paths, start_mode, settings: Settings) -> list:
+    """:func:`integrate_form` along many paths of one shape (the same kinds
+    of edge in the same order) in lockstep: ``omega(zs, owners)``, with
+    ``owners[i]`` the index of the path that zs[i] lies on.  Returns one
+    QuadratureResult per path, or the exception its integral raised."""
+    return _integrate(omega, _compile(paths), len(paths), start_mode, settings)
 
 
-def _compile(path: GeodesicPath) -> list:
-    """One runner per edge: (omega, quad_tol, budget, start_mode) -> (value, error, note, tol)."""
-    return [_make_piece(p, q) for p, q in zip(path.points[:-1], path.points[1:])]
+def _integrate_rays(phi, count: int, start_mode, settings: Settings) -> list:
+    """:func:`integrate_ray` for ``count`` integrands ``phi(ts, owners)`` in
+    lockstep, with outcomes as in :func:`_integrate_paths`."""
+    return _integrate(phi, [_BARE_RAY], count, start_mode, settings)
 
 
-def _make_piece(p, q) -> Callable:
-    if p is INFINITY:
-        raise DomainError("an edge from INFINITY is not integrated; integrate its reverse and negate")
-    if q is INFINITY:
-        return _make_ray(complex(p))
-    p, q = complex(p), complex(q)
-    if p.imag == 0.0 and q.imag == 0.0:
-        return _make_arc(p.real, q.real)
-    return _make_segment(p, q)
-
-
-def _make_segment(z0: complex, z1: complex) -> Callable:
-    d = z1 - z0
-    point = lambda t: (z0 + t * d, d)
-    # the far end t = 1 is regular, and the map is odd in w: it ends where a
-    # regular start would
-    w_hi = -_TANH_SINH.w_of(_start_floor(None))
-
-    def run(omega, quad_tol, budget, smode):
-        phi = _pullback(omega, point)
-        w_lo = _TANH_SINH.w_of(_start_floor(smode))
-        val, err, note, tol = _double_exponential(phi, _TANH_SINH, w_lo, w_hi, (None, None), quad_tol, budget)
-        return val, err, f"segment {note}", tol
-
-    return run
-
-
-def _make_ray(base: complex) -> Callable:
-    point = lambda t: (base + 1j * t, 1j)
-    return lambda omega, quad_tol, budget, smode: _ray(_pullback(omega, point), quad_tol, budget, smode)
-
-
-def _make_arc(a: float, b: float) -> Callable:
-    if a == b:
-        raise DomainError("degenerate geodesic")
-    point = _arc_point(0.5 * (a + b), 0.5 * abs(b - a))
-    sign = -1.0 if a > b else 1.0  # the parametrisation runs left to right
-    # level 0 starts at |s| <= 4, where a cusp's decay has long set in; its
-    # ends may move out to |s| = 700, short of the underflow of sech s
-    w_start, w_cap = _SINH_SINH.w_of(4.0), _SINH_SINH.w_of(700.0)
-
-    def run(omega, quad_tol, budget, smode):
-        phi = _pullback(omega, point)
-        val, err, note, tol = _double_exponential(phi, _SINH_SINH, -w_start, w_start, (w_cap, w_cap), quad_tol, budget)
-        return sign * val, err, f"arc {note}", tol
-
-    return run
+def _integrate(integrand, pieces, count: int, start_mode, settings: Settings) -> list:
+    """Run the pieces in turn, the start mode on the first, each piece of
+    every integrand still going in lockstep, and sum what they return per
+    integrand.  Each integrand has its own budget, target and note."""
+    budgets = [_Budget(settings.max_evals) for _ in range(count)]
+    totals, errors, tols = [0.0 + 0.0j] * count, [0.0] * count, [0.0] * count
+    notes = [[] for _ in range(count)]
+    failed = {}
+    for k, piece in enumerate(pieces):
+        w_lo = piece.w_lo(start_mode if k == 0 else None)
+        j = np.arange(math.ceil((piece.w_hi - w_lo) / _H0) + 1)
+        level0 = j, w_lo + _H0 * j
+        runs = {
+            i: _double_exponential(piece.rule, w_lo, level0, piece.caps, settings.quad_tol, budgets[i])
+            for i in range(count)
+            if i not in failed
+        }
+        phi = integrand if piece.point is None else _pullback(integrand, piece.point)
+        for i, got in _lockstep(phi, piece.rule, runs).items():
+            if isinstance(got, NonconvergenceError):
+                failed[i] = NonconvergenceError(totals[i] + got.partial, float("inf"), budgets[i].used)
+                failed[i].__cause__ = got
+            elif isinstance(got, Exception):
+                failed[i] = got
+            else:
+                val, err, note, piece_tol = got
+                totals[i] += val if piece.signs is None else piece.signs[i] * val
+                errors[i] += err
+                tols[i] += piece_tol
+                notes[i].append(f"{piece.name} {note}")
+    return [
+        failed[i] if i in failed else QuadratureResult(totals[i], errors[i], budgets[i].used, ";".join(notes[i]), tols[i])
+        for i in range(count)
+    ]

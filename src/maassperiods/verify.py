@@ -279,6 +279,12 @@ def _rel(value, reference) -> float:
     return abs(value - reference) / abs(reference)
 
 
+def _sampled(transform, pts):
+    """The values of a P or f at pts, from one ``eval_many``, as a callable on those points."""
+    pts = [complex(z) for z in pts]
+    return dict(zip(pts, (out.value for out in transform.eval_many(pts)))).__getitem__
+
+
 # ---------------------------------------------------------------------------
 # branch
 
@@ -854,6 +860,7 @@ def _(ctx, rng):
     v_t = ctx.two_sided.multiplier.v_t
     upper = [0.3 + 1.1j, -0.4 + 0.8j, 0.15 + 1.6j, 0.7 + 0.9j, -0.2 + 1.3j]
     pts = upper + [w.conjugate() for w in upper]
+    f = _sampled(f, pts + [z + 1 for z in pts])
     return len(pts), max(_rel(f(z + 1) / v_t, f(z)) for z in pts)
 
 
@@ -895,7 +902,8 @@ def _three_term_residual(period, nu, v, zeta) -> float:
 def _(ctx, rng):
     nu, v = ctx.delta.nu, ctx.delta.multiplier
     pts = (0.5, 1.0, 2.0, 4.0)
-    return len(pts), max(_three_term_residual(ctx.p_delta, nu, v, z) for z in pts)
+    period = _sampled(ctx.p_delta, [w for z in map(complex, pts) for w in (z, moebius(T, z), moebius(T_PRIME, z))])
+    return len(pts), max(_three_term_residual(period, nu, v, z) for z in pts)
 
 
 # the synthetic nearly periodic function of weight 0 at nu = 0.3i, and its
@@ -952,7 +960,10 @@ def _(ctx, rng):
 
 
 def _compatibility(period, f, pts):
-    return len(pts), max(_rel(f_to_P(f, z), period(z)) for z in pts)
+    """f_to_P on the values of f at zeta and -1/zeta against P, each transform's values from one batch."""
+    nu, v = f.form.nu, f.form.multiplier
+    p_at, f_at = _sampled(period, pts), _sampled(f, [w for z in pts for w in (z, -1.0 / complex(z))])
+    return len(pts), max(_rel(f_to_P(f_at, z, nu=nu, multiplier=v), p_at(z)) for z in pts)
 
 
 @identity(
@@ -1035,9 +1046,9 @@ def _(ctx, rng):
     delta = ctx.delta
     backend = type(delta.backend)(tuple(2 * c for c in delta.backend.coefficients))
     doubled = MaassForm(12, delta.multiplier, 5.5, backend)
-    p_doubled = PeriodFunction(doubled, ctx.settings)
     pts = (0.7, 1 + 0.6j)
-    return len(pts), max(_rel(2.0 * ctx.p_delta(z), p_doubled(z)) for z in pts)
+    p_delta, p_doubled = _sampled(ctx.p_delta, pts), _sampled(PeriodFunction(doubled, ctx.settings), pts)
+    return len(pts), max(_rel(2.0 * p_delta(z), p_doubled(z)) for z in pts)
 
 
 @identity(
@@ -1071,9 +1082,11 @@ def _(ctx, rng):
     # errs only by P's Taylor coefficients of degree 11, 23, ..., none for
     # Delta's degree-10 polynomial, while any conj-zeta term survives
     unit = np.exp(2j * math.pi * np.arange(12) / 12)
+    circles = [[zeta + 0.2 * w for w in unit] for zeta in (1.3 + 0.4j, -0.8 + 1.5j, 0.5 - 1.1j)]
+    p_at = _sampled(ctx.p_delta, [z for circle in circles for z in circle])
     worst = 0.0
-    for zeta in (1.3 + 0.4j, -0.8 + 1.5j, 0.5 - 1.1j):
-        values = np.array([ctx.p_delta(zeta + 0.2 * w) for w in unit])
+    for circle in circles:
+        values = np.array([p_at(z) for z in circle])
         worst = max(worst, abs(np.sum(values * unit)) / np.sum(np.abs(values)))
     return 3, worst
 
@@ -1091,17 +1104,18 @@ _GOLDEN_POINTS = (0.5, 1.0, 2.0, 1 + 0.5j, 1 - 0.5j)
     1e-7,
 )
 def _(ctx, rng):
+    p_delta = _sampled(ctx.p_delta, _GOLDEN_POINTS)
     worst = 0.0
     for zeta in _GOLDEN_POINTS:
         p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta)
-        worst = max(worst, abs(ctx.p_delta(zeta) + 22.0 * p_val) / (1.0 + abs(p_val)))
+        worst = max(worst, abs(p_delta(zeta) + 22.0 * p_val) / (1.0 + abs(p_val)))
     return len(_GOLDEN_POINTS), worst
 
 
 @identity("classical.vanishing-period", "P at nu = (1-k)/2 vanishes identically", 1e-8)
 def _(ctx, rng):
     delta = ctx.delta
-    p_lower = PeriodFunction(MaassForm(12, delta.multiplier, -5.5, delta.backend), ctx.settings)
+    p_lower = _sampled(PeriodFunction(MaassForm(12, delta.multiplier, -5.5, delta.backend), ctx.settings), _GOLDEN_POINTS)
     worst = 0.0
     for zeta in _GOLDEN_POINTS:
         p_val = eichler_polynomial(ctx.delta_coefficients, 12, zeta)
@@ -1145,8 +1159,9 @@ def _(ctx, rng):
 )
 def _(ctx, rng):
     pts = (0.5 + 1j, 0.3 + 1.3j)
+    f_delta = _sampled(ctx.f_delta, pts)
     want = lambda z: -22.0 * eichler_f(ctx.delta_coefficients, 12, z)
-    return len(pts), max(_rel(ctx.f_delta(z), want(z)) for z in pts)
+    return len(pts), max(_rel(f_delta(z), want(z)) for z in pts)
 
 
 @identity(

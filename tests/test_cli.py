@@ -90,6 +90,23 @@ def test_cli_period_function(capsys):
     assert len(rows) == 4
 
 
+def test_cli_period_function_grid_is_eval_at_each_point(capsys):
+    # the grid crosses the surrogate's polyline, split and axis routes
+    import numpy as np
+
+    from maassperiods.forms import surrogate_form
+    from maassperiods.periods import PeriodFunction
+
+    assert main(["period-function", "--weight", "1/2", "--nu", "0.35i", "--grid=-1:2:13,0.4"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    period = PeriodFunction(surrogate_form("1/2", 0.35j))
+    want = []
+    for x in np.linspace(-1.0, 2.0, 13):
+        res = period.eval(complex(x, 0.4))
+        want.append([f"{x:.12g}", "0.4", f"{res.value.real:.12e}", f"{res.value.imag:.12e}", f"{res.abs_error:.3e}"])
+    assert rows == want
+
+
 @pytest.mark.parametrize("count", ["0", "2.7", "-1", "two"])
 def test_cli_period_function_grid_count_must_be_a_positive_integer(capsys, count):
     # an empty table or a silently truncated count would pass as success

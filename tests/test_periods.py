@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from maassperiods.errors import DomainError, UnsupportedParameterError, UnsupportedSpectralParameterError
+from maassperiods.errors import (
+    DomainError,
+    NonconvergenceError,
+    UnsupportedParameterError,
+    UnsupportedSpectralParameterError,
+)
 from maassperiods.forms import MaassForm, delta_coefficients, dslash, q_expansion, surrogate_form
 from maassperiods.modgroup import INFINITY, T, T_PRIME
 from maassperiods.multiplier import construct_trivial
@@ -20,6 +25,7 @@ from maassperiods.periods import (
     eichler_polynomial,
     eta_integrand,
     f_to_P,
+    growth_check,
     period_polynomial,
     ray_integrand,
     synthetic_nearly_periodic,
@@ -476,7 +482,8 @@ def test_axis_memo_does_not_depend_on_the_order(request, settings, name):
     got = {zeta: _fields(forward.eval(zeta)) for zeta in _MEMO_ZETAS}
     for zeta in reversed(_MEMO_ZETAS):
         assert _fields(backward.eval(zeta)) == got[zeta], zeta
-    assert forward._axis.keys() == backward._axis.keys()
+    assert np.array_equal(forward._axis.heights, backward._axis.heights)
+    assert np.array_equal(forward._axis.values, backward._axis.values)
 
 
 @pytest.mark.parametrize("name, zeta", [
@@ -513,10 +520,10 @@ def test_warmed_axis_memo_agrees_bitwise_with_a_fresh_one(request, settings, nam
 def test_other_routes_leave_the_axis_memo_alone(request, settings, name, zeta, route):
     period = PeriodFunction(request.getfixturevalue(name), settings)
     period.eval(1.0)
-    before = dict(period._axis)
+    before = period._axis.heights, period._axis.values
     out = period.eval(zeta)
     assert route.split()[-1] in out.contour
-    assert period._axis == before
+    assert period._axis.heights is before[0] and period._axis.values is before[1]
 
 
 @pytest.mark.parametrize("name, level0_steps, documented", [("delta", 98, 50_177), ("surrogate", 120, 61_441)])
@@ -542,8 +549,93 @@ def test_axis_memo_stays_on_its_grid(request, settings, name, level0_steps, docu
     assert math.floor((rule.w_of(1e7) - w_lo) / quadrature._H0) == level0_steps
     bound = 2**quadrature._MAX_LEVEL * level0_steps + 1
     assert bound == documented and f"{documented:,}" in PeriodFunction.__doc__
-    keys = np.array(list(period._axis))
-    assert np.all(keys.real == 0.0) and 0 < keys.size <= bound
-    m = np.round((np.arcsinh(2.0 * np.log(keys.imag) / math.pi) - w_lo) / finest)
+    heights = period._axis.heights
+    assert 0 < heights.size <= bound and np.all(np.diff(heights) > 0)
+    m = np.round((np.arcsinh(2.0 * np.log(heights) / math.pi) - w_lo) / finest)
     assert np.all((m >= 0) & (m < bound))
-    assert np.array_equal(rule.nodes(w_lo + finest * m)[0], keys.imag)
+    assert np.array_equal(rule.nodes(w_lo + finest * m)[0], heights)
+    # each kept value is the form's own at i * height, bit for bit
+    assert np.array_equal(np.array(form.eval_ladder_many(1j * heights, -1)), period._axis.values)
+
+
+# ---------------------------------------------------------------------------
+# many zetas per quadrature pass
+
+# every route of scripts/compare_trees.py, a repeated zeta among them: Delta's
+# P up the axis and through the bridge on both half-planes, f on both; the
+# surrogate's P up the axis, split and on the polyline; two-sided f on both
+_BATCHES = {
+    "delta P": ("delta", PeriodFunction, [0.3, 1.2 + 0.7j, -0.5 + 1.2j, 2.2 - 0.05j, -0.2 - 0.9j, 7.5, 1.2 + 0.7j, 0.9 - 1.1j]),
+    "delta f": ("delta", NearlyPeriodicFunction, [0.2 + 0.7j, -0.6 - 0.4j, 1.7 + 1.3j, 0.2 + 0.7j, 0.4 - 1.2j]),
+    "surrogate P": ("surrogate", PeriodFunction, [1.3, 0.2 + 0.9j, -0.3 + 0.8j, 1.6 - 0.3j, 0.35 - 1.2j, -0.7 - 0.5j, 0.2 + 0.9j]),
+    "two-sided f": ("surrogate_two_sided", NearlyPeriodicFunction, [0.2 - 0.7j, -0.4 + 0.8j, 0.2 + 0.7j, 1.1 - 1.4j, -0.4 + 0.8j]),
+}
+
+
+def _all_fields(out):
+    return out.value, out.abs_error, out.evaluations, out.contour, out.tol
+
+
+@pytest.mark.parametrize("batch", sorted(_BATCHES))
+def test_eval_many_is_eval_at_each_zeta_bit_for_bit(request, settings, batch):
+    name, build, zetas = _BATCHES[batch]
+    form = request.getfixturevalue(name)
+    got = build(form, settings).eval_many(zetas)
+    assert len(got) == len(zetas)
+    for zeta, out in zip(zetas, got):
+        assert _all_fields(out) == _all_fields(build(form, settings).eval(zeta)), zeta
+
+
+@pytest.mark.parametrize("build", [PeriodFunction, NearlyPeriodicFunction])
+def test_eval_many_of_nothing_is_empty(delta, build):
+    assert build(delta).eval_many([]) == []
+
+
+def _raised(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("build, zetas, bad", [
+    (PeriodFunction, [1.0, 0.5 + 0.5j, -2.0, 0.0], -2.0),
+    (NearlyPeriodicFunction, [0.5 + 0.5j, 1.5, -0.3 - 0.2j], 1.5),
+    (PeriodFunction, [0.7, complex(math.nan, 1.0), -2.0], complex(math.nan, 1.0)),
+    (NearlyPeriodicFunction, [0.5 + 0.5j, complex(0.2, math.inf), 2.0], complex(0.2, math.inf)),
+])
+@pytest.mark.parametrize("name", ["delta", "surrogate"])
+def test_eval_many_raises_what_eval_raises_first(request, name, build, zetas, bad):
+    form = request.getfixturevalue(name)
+    want = _raised(lambda: build(form).eval(bad))
+    assert want[0] is DomainError
+    assert _raised(lambda: build(form).eval_many(zetas)) == want
+
+
+def test_eval_many_raises_the_nonconvergence_of_its_first_failing_zeta(surrogate):
+    # surrogate P this close to the cut runs out of levels alone; the
+    # message carries its own partial value and evaluation count
+    want = _raised(lambda: PeriodFunction(surrogate).eval(-3 + 0.001j))
+    assert want[0] is NonconvergenceError
+    assert _raised(lambda: PeriodFunction(surrogate).eval_many([1.0, -3 + 0.001j, 0.0])) == want
+
+
+@pytest.mark.parametrize("name", ["delta", "surrogate"])
+def test_growth_check_takes_its_samples_from_eval(request, settings, name):
+    form = request.getfixturevalue(name)
+    report = growth_check(PeriodFunction(form, settings))
+    samples = report.samples
+    for side in ("small", "large"):
+        want = [abs(PeriodFunction(form, settings).eval(z).value) for z in samples[f"zeta_{side}"]]
+        assert samples[f"p_{side}"] == want
+    fit = lambda zs, ps: float(np.polyfit(np.log(zs), np.log(ps), 1)[0])
+    assert report.slope_at_zero == fit(samples["zeta_small"], samples["p_small"])
+    assert report.slope_at_infinity == fit(samples["zeta_large"], samples["p_large"])
+
+
+def test_growth_check_of_a_vanishing_transform_is_a_domain_error(delta):
+    # nu = (1-k)/2 makes P vanish identically: no logarithm, no slope
+    lower = PeriodFunction(MaassForm(12, delta.multiplier, -5.5, delta.backend))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"\|P\(0\.125\)\| = 0\.0"):
+            growth_check(lower)

@@ -364,13 +364,17 @@ def test_power_start_floor_follows_the_exponent():
 
 def _counted_eval(monkeypatch, build, form, zeta):
     """A transform's evaluation and the sizes of its integrand calls, seen
-    through a counting wrapper on the integrand."""
+    through a counting wrapper on the integrand of the batched entries."""
     sizes = []
-    for name in ("integrate_form", "integrate_ray"):
+    for name in ("_integrate_paths", "_integrate_rays"):
         original = getattr(periods, name)
 
         def counting(integrand, *args, original=original, **kwargs):
-            return original(_counting(integrand, sizes), *args, **kwargs)
+            def counted(x, owners):
+                sizes.append(np.size(x))
+                return integrand(x, owners)
+
+            return original(counted, *args, **kwargs)
 
         monkeypatch.setattr(periods, name, counting)
     out = build(form).eval(zeta)
@@ -411,16 +415,16 @@ def test_axis_nodes_are_integer_indices_of_one_grid(request, monkeypatch, name, 
     # axis can then be shared between zetas
     form = request.getfixturevalue(name)
     seen, notes = [], []
-    original = periods.integrate_form
+    original = periods._integrate_paths
 
     def recording(omega, *args, **kwargs):
-        def spy(zs):
+        def spy(zs, owners):
             seen.append(np.asarray(zs))
-            return omega(zs)
+            return omega(zs, owners)
 
         return original(spy, *args, **kwargs)
 
-    monkeypatch.setattr(periods, "integrate_form", recording)
+    monkeypatch.setattr(periods, "_integrate_paths", recording)
     rule = quadrature._EXP_SINH
     w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.backend.equivariant else ("log",)))
     for zeta in zetas:
