@@ -9,6 +9,9 @@ Two backends, each with the two facts the transforms read as class constants:
   It and the classical Eichler integrands share one vectorised evaluator,
   :func:`q_expansion`: batch reduction with exact integer matrices, exact
   integer-power phases, and a series cutoff derived from the coefficients.
+  The reduction (:func:`reduce_many`) translates every point once, straight
+  from the identity, and carries on only the points that still invert, so
+  a batch high in the half-plane costs one translation.
 
 * ``WhittakerSurrogate`` is a finite sum of Whittaker-W Fourier terms at
   half-integral weight.  Each term is an exact eigenfunction of the weight-k
@@ -97,9 +100,6 @@ def delta_coefficients(n_terms: int) -> tuple:
 # matrix entries ride along as integer-valued float64, exact below 2^53
 _EXACT_BELOW = 2.0**53
 _MAX_REDUCTION_STEPS = 256
-# (a, b, c, d) -> S (a, b, c, d) = (-c, -d, a, b)
-_S_COLUMNS = [2, 3, 0, 1]
-_S_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 # reduced points have Im w >= sqrt(3)/2, so |q| <= e^{-pi sqrt 3}
 _Q_BOUND = math.exp(-math.pi * math.sqrt(3.0))
 
@@ -112,32 +112,43 @@ def reduce_many(zs: np.ndarray) -> tuple:
     by floor(Re w + 1/2), then inverted while |w|^2 < 1 - 1e-14, and stops
     at its first step without an inversion.  Raises DomainError after 256
     steps, or when an entry (or a product on the way to one) reaches 2^53.
+
+    The first translation starts from the identity, so it is written out:
+    g = (1, -shift, 0, 1), whose only entry to test is the shift.  Only the
+    points that still invert go on, with a, b, c, d as one row each, and
+    each step writes their w and g over what the step before wrote.
     """
     zs = np.asarray(zs, dtype=complex)
-    if np.any(zs.imag <= 0):
+    if (zs.imag <= 0).any():
         raise DomainError("reduction requires Im z > 0")
-    ws = np.empty_like(zs)
-    gs = np.empty((zs.size, 4))
-    idx = np.arange(zs.size)
-    w = zs
-    g = np.tile([1.0, 0.0, 0.0, 1.0], (zs.size, 1))
-    for _ in range(_MAX_REDUCTION_STEPS):
+    shift = np.floor(zs.real + 0.5)
+    # an infinite shift, like a NaN one, goes on to a NaN w
+    if math.inf > np.abs(shift).max(initial=0.0) >= _EXACT_BELOW:
+        raise DomainError("reduction matrix entries reached 2^53")
+    ws = zs - shift
+    gs = np.empty((4, zs.size))  # the rows a, b, c, d
+    gs[0], gs[2], gs[3] = 1.0, 0.0, 1.0
+    np.subtract(0.0, shift, out=gs[1])  # 0 - shift: +0.0, not -0.0, for a zero shift
+    idx = np.flatnonzero(ws.real * ws.real + ws.imag * ws.imag < 1.0 - 1e-14)
+    w, (a, b, c, d) = ws[idx], gs[:, idx]
+    steps = 1
+    while idx.size:
+        if steps == _MAX_REDUCTION_STEPS:
+            raise DomainError(f"reduction did not finish in {_MAX_REDUCTION_STEPS} steps")
+        steps += 1
+        # invert, S (a, b, c, d) = (-c, -d, a, b), then translate by shift
+        w = -1.0 / w
         shift = np.floor(w.real + 0.5)
         w = w - shift
-        step = shift[:, None] * g[:, 2:]
-        g[:, :2] -= step
-        if np.abs(np.concatenate((step, g[:, :2]))).max(initial=0.0) >= _EXACT_BELOW:
+        step_c, step_d = shift * a, shift * b
+        a, b, c, d = -c - step_c, -d - step_d, a, b
+        if np.abs(np.concatenate((step_c, step_d, a, b))).max() >= _EXACT_BELOW:
             raise DomainError("reduction matrix entries reached 2^53")
-        # every point still moving is written; later steps overwrite it
         ws[idx] = w
-        gs[idx] = g
+        gs[:, idx] = a, b, c, d
         inside = w.real * w.real + w.imag * w.imag < 1.0 - 1e-14
-        idx = idx[inside]
-        if not idx.size:
-            return ws, gs
-        w = -1.0 / w[inside]
-        g = g.compress(inside, axis=0).take(_S_COLUMNS, axis=1) * _S_SIGNS
-    raise DomainError(f"reduction did not finish in {_MAX_REDUCTION_STEPS} steps")
+        idx, w, a, b, c, d = idx[inside], w[inside], a[inside], b[inside], c[inside], d[inside]
+    return ws, gs.T.copy()
 
 
 def reduce_to_fundamental_domain(z: complex) -> tuple:
@@ -314,7 +325,7 @@ class MaassForm:
         if sign not in (1, -1):
             raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
         zs = np.asarray(zs, dtype=complex)
-        if np.any(zs.imag <= 0):
+        if (zs.imag <= 0).any():
             raise DomainError("Maass form evaluation requires Im z > 0")
         if isinstance(self.backend, HolomorphicEmbedding):
             return self._embedding_op(zs, sign)
@@ -387,43 +398,72 @@ class MaassForm:
 # finite-difference oracles for the Maass operators
 
 
-def _fd_line(fn: Callable, z: complex, step: complex) -> tuple:
-    """fn at z + 2 step, z + step, z - step and z - 2 step."""
-    return fn(z + 2 * step), fn(z + step), fn(z - step), fn(z - 2 * step)
+def _fd_samples(fn: Callable, z: np.ndarray, h, one_by_one: bool) -> np.ndarray:
+    """fn at z, then at z + 2s, z + s, z - s and z - 2s for s = h and s = ih,
+    as a (9,) + z.shape array: from one call of fn at all of the points, or,
+    ``one_by_one``, from one call per point at a number."""
+    pts = np.stack([z] + [p for s in (h, 1j * h) for p in (z + 2 * s, z + s, z - s, z - 2 * s)])
+    if one_by_one:
+        return np.array([fn(p) for p in pts.ravel().tolist()], dtype=complex).reshape(pts.shape)
+    return np.asarray(fn(pts), dtype=complex)
 
 
-def _fd_first(samples: tuple, h: float) -> complex:
-    """The 5-point first derivative from the samples of :func:`_fd_line`."""
-    p2, p1, m1, m2 = samples
-    return (-p2 + 8 * p1 - 8 * m1 + m2) / (12.0 * h)
+def _over(x: np.ndarray, d) -> np.ndarray:
+    """x / d for a real d, part by part, as Python divides a complex number
+    by a float: numpy's complex division multiplies by 1/d, which rounds
+    differently."""
+    return x.real / d + 1j * (x.imag / d)
 
 
-def _fd_step(z: complex) -> float:
-    return 1e-3 * min(1.0, abs(z.imag))
+def _fd_first(p2, p1, m1, m2, h):
+    """The 5-point first derivative from the samples at +2h, +h, -h and -2h."""
+    return _over(-p2 + 8 * p1 - 8 * m1 + m2, 12.0 * h)
 
 
-def maass_op_fd(fn: Callable, k: float, z: complex, sign: int) -> complex:
+def _fd_points(z) -> tuple:
+    """(z as a complex array, whether it was one number): one number is
+    the array of that one point."""
+    one = np.ndim(z) == 0
+    z = np.asarray(z, dtype=complex)
+    return (z.reshape(1) if one else z), one
+
+
+def _fd_step(z: np.ndarray) -> np.ndarray:
+    return 1e-3 * np.minimum(1.0, np.abs(z.imag))
+
+
+def maass_op_fd(fn: Callable, k: float, z, sign: int):
     """E^{sign}_k fn = sign 2iy fn_x + 2y fn_y + sign k fn at z, by 5-point first
     differences: the independent oracle of the exact ladder rules (the
-    kernel's, and a form's own ladder pass)."""
-    z = complex(z)
+    kernel's, and a form's own ladder pass).
+
+    At one number z, fn takes one point per call and the result is a
+    number; at an array of z, fn takes the (9,) + z.shape array of every
+    stencil point in one call and the result is an array.  Either way each
+    value is the same to the bit.
+    """
+    z, one = _fd_points(z)
     h, y = _fd_step(z), z.imag
-    fx, fy = (_fd_first(_fd_line(fn, z, step), h) for step in (h, 1j * h))
-    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * fn(z)
+    centre, p2x, p1x, m1x, m2x, p2y, p1y, m1y, m2y = _fd_samples(fn, z, h, one)
+    fx, fy = _fd_first(p2x, p1x, m1x, m2x, h), _fd_first(p2y, p1y, m1y, m2y, h)
+    out = sign * 2j * y * fx + 2.0 * y * fy + sign * k * centre
+    return complex(out[0]) if one else out
 
 
-def maass_laplacian_fd(fn: Callable, k: float, z: complex, h: float | None = None) -> complex:
-    """Weight-k hyperbolic Laplacian by 5-point second differences."""
-    z = complex(z)
+def maass_laplacian_fd(fn: Callable, k: float, z, h: float | None = None):
+    """Weight-k hyperbolic Laplacian by 5-point second differences; z and fn
+    as in :func:`maass_op_fd`."""
+    z, one = _fd_points(z)
     if h is None:
         h = _fd_step(z)
     y = z.imag
-    centre = fn(z)
-    along_x, along_y = _fd_line(fn, z, h), _fd_line(fn, z, 1j * h)
+    centre, *samples = _fd_samples(fn, z, h, one)
+    along_x, along_y = samples[:4], samples[4:]
     fxx, fyy = (
-        (-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12.0 * h * h) for p2, p1, m1, m2 in (along_x, along_y)
+        _over(-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2, 12.0 * h * h) for p2, p1, m1, m2 in (along_x, along_y)
     )
-    return -y * y * (fxx + fyy) + 1j * k * y * _fd_first(along_x, h)
+    out = -y * y * (fxx + fyy) + 1j * k * y * _fd_first(*along_x, h)
+    return complex(out[0]) if one else out
 
 
 # ---------------------------------------------------------------------------

@@ -99,14 +99,23 @@ class RKernel:
         return self._from_pieces(a, b, np.abs(base.imag + ts))
 
     def _from_pieces(self, a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-        bad_a = (a.imag == 0.0) & (a.real <= 0.0)
-        bad_b = (b.imag == 0.0) & (b.real <= 0.0)
-        if np.any(bad_a):
-            raise RDomainError("zeta-z", complex(a[bad_a][0]))
-        if np.any(bad_b):
-            raise RDomainError("zeta-zbar", complex(b[bad_b][0]))
-        if np.any(y == 0.0):
-            raise DomainError("kernel evaluation requires Im z != 0")
+        """The kernel from a = zeta - z, b = zeta - conj z and y = |Im z|.
+
+        A point is outside the domain only if a or b is real or y is zero,
+        so one test over the batch decides whether to look closer; only
+        then do the three checks run, in this order: a on the cut (the
+        first such point's RDomainError ``zeta-z``), b on the cut
+        (``zeta-zbar``), then y = 0 (DomainError).
+        """
+        if ((a.imag == 0.0) | (b.imag == 0.0) | (y == 0.0)).any():
+            bad_a = (a.imag == 0.0) & (a.real <= 0.0)
+            bad_b = (b.imag == 0.0) & (b.real <= 0.0)
+            if bad_a.any():
+                raise RDomainError("zeta-z", complex(a[bad_a][0]))
+            if bad_b.any():
+                raise RDomainError("zeta-zbar", complex(b[bad_b][0]))
+            if (y == 0.0).any():
+                raise DomainError("kernel evaluation requires Im z != 0")
         # neither difference is on the cut, so numpy's principal log is ours
         la, lb = np.log(a), np.log(b)
         s = 0.5 - self.nu

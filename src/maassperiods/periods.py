@@ -318,8 +318,13 @@ class NearlyPeriodicFunction(_Transform):
     """The ray transform of a form, defined off the real axis.
 
     :meth:`eval_many` integrates the rays of each half-plane in lockstep,
-    one integrand call per round over all of their new nodes.
+    one integrand call per round over all of their new nodes.  The ray
+    integrand of each ladder is built once, on first use.
     """
+
+    def __init__(self, form: MaassForm, settings: Settings = DEFAULTS):
+        super().__init__(form, settings)
+        self._rays = {}
 
     def eval(self, zeta: complex) -> QuadratureResult:
         """The quadrature's result, its value signed and its route prefixed."""
@@ -338,7 +343,9 @@ class NearlyPeriodicFunction(_Transform):
         """The rays of zetas in one half-plane, which share the ladder and the start."""
         _, ladder, alpha = _ray_start(self.form, zetas[0])
         bases = [_ray_start(self.form, zeta)[0] for zeta in zetas]
-        phi, at, base_at = _ray(self.form, ladder), _per_node(zetas), _per_node(bases)
+        if ladder not in self._rays:
+            self._rays[ladder] = _ray(self.form, ladder)
+        phi, at, base_at = self._rays[ladder], _per_node(zetas), _per_node(bases)
         results = _integrate_rays(
             lambda ts, owners: phi(ts, at(owners), base_at(owners)), len(zetas), ("power", alpha), self.settings
         )

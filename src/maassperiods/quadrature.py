@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -503,6 +504,17 @@ def _integrate_rays(phi, count: int, start_mode, settings: Settings) -> list:
     return _integrate(phi, [_BARE_RAY], count, start_mode, settings)
 
 
+@lru_cache(maxsize=64)
+def _level0(w_lo: float, w_hi: float) -> tuple:
+    """(j, w) of level 0 from w_lo to the first node at or past w_hi, built
+    once per pair and shared by every integral that starts there, so both
+    arrays are read-only."""
+    j = np.arange(math.ceil((w_hi - w_lo) / _H0) + 1)
+    w = w_lo + _H0 * j
+    j.flags.writeable = w.flags.writeable = False
+    return j, w
+
+
 def _integrate(integrand, pieces, count: int, start_mode, settings: Settings) -> list:
     """Run the pieces in turn, the start mode on the first, each piece of
     every integrand still going in lockstep, and sum what they return per
@@ -513,8 +525,7 @@ def _integrate(integrand, pieces, count: int, start_mode, settings: Settings) ->
     failed = {}
     for k, piece in enumerate(pieces):
         w_lo = piece.w_lo(start_mode if k == 0 else None)
-        j = np.arange(math.ceil((piece.w_hi - w_lo) / _H0) + 1)
-        level0 = j, w_lo + _H0 * j
+        level0 = _level0(w_lo, piece.w_hi)
         runs = {
             i: _double_exponential(piece.rule, w_lo, level0, piece.caps, settings.quad_tol, budgets[i])
             for i in range(count)

@@ -411,15 +411,16 @@ def test_reduce_to_fundamental_domain():
 
 
 def _scalar_reduction(z):
-    """Reference: the one-point loop with exact Python-int matrices."""
-    w, g = complex(z), GroupElement(1, 0, 0, 1)
+    """Reference: the one-point loop with exact Python-int matrices; returns
+    (w, g, the number of inversions)."""
+    w, g, inversions = complex(z), GroupElement(1, 0, 0, 1), 0
     while True:
         n = math.floor(w.real + 0.5)
         w = complex(w.real - n, w.imag)
         g = GroupElement(1, -n, 0, 1) * g
         if w.real * w.real + w.imag * w.imag >= 1.0 - 1e-14:
-            return w, g
-        w, g = -1.0 / w, S * g
+            return w, g, inversions
+        w, g, inversions = -1.0 / w, S * g, inversions + 1
 
 
 def test_vector_reduction_matches_scalar_loop():
@@ -427,7 +428,7 @@ def test_vector_reduction_matches_scalar_loop():
     zs = rng.uniform(-3.0, 3.0, 500) + 1j * np.exp(rng.uniform(math.log(1e-5), math.log(3.0), 500))
     ws, gs = reduce_many(zs)
     for z, w, g in zip(zs, ws, gs):
-        w_ref, g_ref = _scalar_reduction(z)
+        w_ref, g_ref, _ = _scalar_reduction(z)
         assert tuple(g) == (g_ref.a, g_ref.b, g_ref.c, g_ref.d)
         assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
 
@@ -447,6 +448,44 @@ def test_reduction_step_cap_raises(monkeypatch):
     assert reduce_to_fundamental_domain(0.37 + 0.2j)[1].max_entry() <= 3
     with pytest.raises(DomainError):
         reduce_to_fundamental_domain(0.37 + 0.02j)
+
+
+def test_reduction_of_no_points():
+    ws, gs = reduce_many(np.array([], dtype=complex))
+    assert ws.shape == (0,) and gs.shape == (0, 4)
+
+
+def test_reduction_without_an_inversion_is_one_translation():
+    zs = np.array([0.3 + 1.2j, -2.7 + 1.0j, 4.5 + 0.9j, 1e6 + 3.0j])
+    ws, gs = reduce_many(zs)
+    for z, w, g in zip(zs, ws, gs):
+        n = math.floor(z.real + 0.5)
+        assert tuple(g) == (1, -n, 0, 1)
+        assert w == complex(z.real - n, z.imag)
+    # b = 0 - n, so +0.0 for a zero shift, as the general step gives it
+    assert math.copysign(1.0, gs[0, 1]) == 1.0
+
+
+def test_reduction_of_points_that_invert_at_different_steps():
+    # one batch whose points leave after 0, 1, 2 and more inversions: each
+    # matches the one-point loop, and is bitwise what it is alone
+    zs = np.array([0.3 + 1.2j, 0.1 + 0.5j, 0.41 + 0.003j, 0.37 + 0.02j, 0.6180339887498949 + 1e-4j, -0.49 + 0.01j])
+    ws, gs = reduce_many(zs)
+    inversions = set()
+    for i, (z, w, g) in enumerate(zip(zs, ws, gs)):
+        w_ref, g_ref, count = _scalar_reduction(z)
+        inversions.add(count)
+        assert tuple(g) == (g_ref.a, g_ref.b, g_ref.c, g_ref.d)
+        assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
+        w_alone, g_alone = reduce_many(zs[i : i + 1])
+        assert w_alone.tobytes() == ws[i : i + 1].tobytes() and g_alone.tobytes() == gs[i : i + 1].tobytes()
+    assert len(inversions) >= 5
+
+
+def test_reduction_entry_limit_raises_at_the_first_translation():
+    # the shift of Re z = 1e16 is itself past 2^53
+    with pytest.raises(DomainError, match=r"^reduction matrix entries reached 2\^53$"):
+        reduce_many(np.array([0.3 + 1j, 1e16 + 1j]))
 
 
 def _delta_oracle(z):

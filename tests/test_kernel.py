@@ -44,6 +44,31 @@ def test_domain_errors_name_the_difference():
         ker.eval(2.0, 1j)  # real z
 
 
+def test_mixed_batch_raises_what_its_first_fault_check_finds():
+    # against zeta = -1 + i: zeta - z is on the cut at 3 + i and at i,
+    # zeta - conj z at -i, and 2 is real; the checks run in that order over
+    # the whole batch, each naming its first bad point
+    ker, zeta = RKernel(0.5, 0.2), -1.0 + 1j
+    cases = [
+        ([0.3 + 2j, -1j, 3 + 1j, 1j, 2.0], RDomainError, f"zeta-z = {complex(-4.0)} lies on the cut (-inf, 0]"),
+        ([0.3 + 2j, 2.0, -1j], RDomainError, f"zeta-zbar = {complex(-1.0)} lies on the cut (-inf, 0]"),
+        ([0.3 + 2j, 2.0], DomainError, "kernel evaluation requires Im z != 0"),
+    ]
+    for zs, error, message in cases:
+        with pytest.raises(error) as excinfo:
+            ker.eval_many(np.array(zs), zeta)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_batch_with_a_real_difference_off_the_cut_evaluates():
+    # zeta - z = 1 is real but positive: the batch's domain test fires, no
+    # check raises, and each value is the one its point has alone
+    ker, zeta = RKernel(0.5, 0.2), -1.0 + 1j
+    zs = np.array([0.3 + 2j, -2.0 + 1j, 0.5 - 0.7j])
+    values = ker.eval_many(zs, zeta)
+    assert values.tobytes() == np.array([ker.eval(z, zeta) for z in zs]).tobytes()
+
+
 def test_transformation_law_translation():
     ker = RKernel(0.5, 0.31j)
     assert r_transform_check(ker, T, 0.3 + 0.9j, 0.2 + 1.1j) <= 1e-14

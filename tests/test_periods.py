@@ -299,6 +299,18 @@ def test_delta_P_in_the_far_strip(delta, delta_uh_coefficients, settings, zeta):
     assert out.evaluations <= 2000
 
 
+@pytest.mark.parametrize("name", ["delta", "surrogate_two_sided"])
+def test_repeated_f_is_its_first_value_bit_for_bit(request, settings, name):
+    # the ray integrand of each ladder is built once and kept: later calls,
+    # one by one or batched, give what the first gave, on both half-planes
+    f = NearlyPeriodicFunction(request.getfixturevalue(name), settings)
+    zetas = [0.3 + 0.8j, -0.6 + 0.4j, 1.2 - 0.5j, -0.6 - 0.4j]
+    first = [f.eval(zeta) for zeta in zetas]
+    for _ in range(2):
+        assert [f.eval(zeta) for zeta in zetas] == first
+    assert f.eval_many(zetas) == first
+
+
 @pytest.mark.parametrize("y", [0.3, 1.0, 2.5, -0.3, -1.0, -2.5])
 @pytest.mark.parametrize("name", ["delta", "surrogate"])
 def test_routes_meet_at_the_imaginary_axis(request, settings, name, y):

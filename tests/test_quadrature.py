@@ -571,3 +571,12 @@ def test_reported_error_bounds_the_true_error_of_a_one_term_f():
             phase = np.exp(2j * math.pi * lam * (z1 - z2))
             true = abs(out[z1].value - phase * out[z2].value)
             assert true <= out[z1].abs_error + abs(phase) * out[z2].abs_error, (z1, z2)
+
+
+def test_level0_arrays_are_shared_and_read_only():
+    j, w = quadrature._level0(-3.0, 2.0)
+    again = quadrature._level0(-3.0, 2.0)
+    assert again[0] is j and again[1] is w
+    assert not j.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -59,14 +59,14 @@ REGISTERED_IDS = [
     "periods.classical-periodicity", "periods.compatibility-classical",
     "periods.compatibility-surrogate", "periods.growth", "periods.holomorphy", "periods.linearity",
     "periods.near-periodicity", "periods.pairing-independence", "periods.ray-transform-action",
-    "periods.slashed-axis-transform", "periods.three-term-classical", "periods.three-term-synthetic",
+    "periods.routes-meet-at-the-axis", "periods.slashed-axis-transform", "periods.three-term-classical", "periods.three-term-synthetic",
     "quad.endpoint-powers", "quad.error-estimate", "quad.exponential-ray", "quad.geodesic-images",
     "quad.log-segment", "quad.path-independence", "quad.three-path-split",
 ]
 
 
 def test_registry_is_pinned():
-    assert len(REGISTERED_IDS) == 66
+    assert len(REGISTERED_IDS) == 67
     assert sorted(REGISTRY) == REGISTERED_IDS
 
 
