@@ -24,9 +24,10 @@ def main() -> int:
     unexpected = report.unexpected_failures
     for entry in sorted(report.entries, key=lambda e: e.identity):
         tag = "ok   " if entry.passed else "FAIL " if entry.identity in unexpected else "known"
+        note = f"  {entry.note}" if entry.note else ""  # why an identity that raised failed
         print(
             f"[{tag}] {entry.identity:45s} residual {entry.max_residual:9.2e}"
-            f"  tol {entry.tolerance:7.0e}  ({entry.samples} samples, {entry.wall_time:.2f}s)"
+            f"  tol {entry.tolerance:7.0e}  ({entry.samples} samples, {entry.wall_time:.2f}s){note}"
         )
     wall = time.perf_counter() - started
     print(f"\n{len(report.entries)} identities in {wall:.1f}s; "

@@ -8,7 +8,6 @@ from .forms import (
     delta_coefficients,
     delta_form,
     dslash,
-    slash,
     surrogate_form,
 )
 from .kernel import RKernel, r_transform_check
@@ -26,7 +25,7 @@ from .periods import (
     period_polynomial,
 )
 from .quadrature import GeodesicPath, QuadratureResult, geodesic_image, integrate_form
-from .specfun import WhittakerParams, gamma_complex, whittaker_w
+from .specfun import gamma_complex, whittaker_w
 
 __all__ = [
     "BijectionConstants",
@@ -44,7 +43,6 @@ __all__ = [
     "Settings",
     "T",
     "T_PRIME",
-    "WhittakerParams",
     "construct_eta_power",
     "construct_trivial",
     "decompose",
@@ -66,7 +64,6 @@ __all__ = [
     "principal_pow",
     "r_transform_check",
     "run_suite",
-    "slash",
     "surrogate_form",
     "whittaker_w",
 ]

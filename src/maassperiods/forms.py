@@ -33,7 +33,6 @@ process.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +40,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .branch import finite, principal_arg, principal_pow
+from .branch import finite, principal_pow
 from .errors import BranchViolationError, DomainError, InvalidWeightError, UnsupportedParameterError
 from .modgroup import (
     GroupElement,
@@ -63,7 +62,6 @@ __all__ = [
     "boundary_balanced_coefficients",
     "maass_op_fd",
     "maass_laplacian_fd",
-    "slash",
     "dslash",
     "reduce_to_fundamental_domain",
     "reduce_many",
@@ -104,14 +102,22 @@ _MAX_REDUCTION_STEPS = 256
 _Q_BOUND = math.exp(-math.pi * math.sqrt(3.0))
 
 
+def _require_upper_half_plane(zs: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the first point of zs not finite or not in H."""
+    inside = np.isfinite(zs) & (zs.imag > 0)
+    if not inside.all():
+        raise DomainError(f"{what} requires Im z > 0 and a finite z, got {complex(zs[~inside][0])}")
+
+
 def reduce_many(zs: np.ndarray) -> tuple:
     """Reduce a flat array of points to the fundamental domain, all at once.
 
     Returns (w, g): w = g z with |Re w| <= 1/2 and |w| >= 1 (up to
     roundoff), g the (n, 4) matrices (a, b, c, d).  A point is translated
     by floor(Re w + 1/2), then inverted while |w|^2 < 1 - 1e-14, and stops
-    at its first step without an inversion.  Raises DomainError after 256
-    steps, or when an entry (or a product on the way to one) reaches 2^53.
+    at its first step without an inversion.  Raises DomainError for a point
+    that is not finite or not above the axis, after 256 steps, or when an
+    entry (or a product on the way to one) reaches 2^53.
 
     The first translation starts from the identity, so it is written out:
     g = (1, -shift, 0, 1), whose only entry to test is the shift.  Only the
@@ -119,11 +125,9 @@ def reduce_many(zs: np.ndarray) -> tuple:
     each step writes their w and g over what the step before wrote.
     """
     zs = np.asarray(zs, dtype=complex)
-    if (zs.imag <= 0).any():
-        raise DomainError("reduction requires Im z > 0")
+    _require_upper_half_plane(zs, "reduction")
     shift = np.floor(zs.real + 0.5)
-    # an infinite shift, like a NaN one, goes on to a NaN w
-    if math.inf > np.abs(shift).max(initial=0.0) >= _EXACT_BELOW:
+    if np.abs(shift).max(initial=0.0) >= _EXACT_BELOW:
         raise DomainError("reduction matrix entries reached 2^53")
     ws = zs - shift
     gs = np.empty((4, zs.size))  # the rows a, b, c, d
@@ -297,12 +301,6 @@ class MaassForm:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, z: complex) -> complex:
-        return complex(self.eval_many(np.array([z]))[0])
-
-    def __call__(self, z: complex) -> complex:
-        return self.eval(z)
-
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         return self.eval_ladder_many(zs, -1)[0]
 
@@ -320,13 +318,13 @@ class MaassForm:
 
         The embedding takes both arrays from one q-expansion (E^- u is
         zero), and the surrogate takes W and t W'(t) of all its terms from
-        one table lookup.  Any other sign raises ValueError.
+        one table lookup.  Any other sign raises ValueError, and a point
+        that is not finite or not above the axis DomainError.
         """
         if sign not in (1, -1):
             raise ValueError(f"ladder sign must be +1 or -1, got {sign!r}")
         zs = np.asarray(zs, dtype=complex)
-        if (zs.imag <= 0).any():
-            raise DomainError("Maass form evaluation requires Im z > 0")
+        _require_upper_half_plane(zs, "Maass form evaluation")
         if isinstance(self.backend, HolomorphicEmbedding):
             return self._embedding_op(zs, sign)
         return self._surrogate_op(zs, sign)
@@ -398,13 +396,10 @@ class MaassForm:
 # finite-difference oracles for the Maass operators
 
 
-def _fd_samples(fn: Callable, z: np.ndarray, h, one_by_one: bool) -> np.ndarray:
+def _fd_samples(fn: Callable, z: np.ndarray, h) -> np.ndarray:
     """fn at z, then at z + 2s, z + s, z - s and z - 2s for s = h and s = ih,
-    as a (9,) + z.shape array: from one call of fn at all of the points, or,
-    ``one_by_one``, from one call per point at a number."""
+    as a (9,) + z.shape array, from one call of fn at all of the points."""
     pts = np.stack([z] + [p for s in (h, 1j * h) for p in (z + 2 * s, z + s, z - s, z - 2 * s)])
-    if one_by_one:
-        return np.array([fn(p) for p in pts.ravel().tolist()], dtype=complex).reshape(pts.shape)
     return np.asarray(fn(pts), dtype=complex)
 
 
@@ -420,65 +415,38 @@ def _fd_first(p2, p1, m1, m2, h):
     return _over(-p2 + 8 * p1 - 8 * m1 + m2, 12.0 * h)
 
 
-def _fd_points(z) -> tuple:
-    """(z as a complex array, whether it was one number): one number is
-    the array of that one point."""
-    one = np.ndim(z) == 0
-    z = np.asarray(z, dtype=complex)
-    return (z.reshape(1) if one else z), one
-
-
 def _fd_step(z: np.ndarray) -> np.ndarray:
     return 1e-3 * np.minimum(1.0, np.abs(z.imag))
 
 
-def maass_op_fd(fn: Callable, k: float, z, sign: int):
+def maass_op_fd(fn: Callable, k: float, z, sign: int) -> np.ndarray:
     """E^{sign}_k fn = sign 2iy fn_x + 2y fn_y + sign k fn at z, by 5-point first
     differences: the independent oracle of the exact ladder rules (the
-    kernel's, and a form's own ladder pass).
-
-    At one number z, fn takes one point per call and the result is a
-    number; at an array of z, fn takes the (9,) + z.shape array of every
-    stencil point in one call and the result is an array.  Either way each
-    value is the same to the bit.
-    """
-    z, one = _fd_points(z)
+    kernel's, and a form's own ladder pass).  fn takes the (9,) + z.shape
+    array of every stencil point in one call, as ``MaassForm.eval_many``
+    does, and the result has the shape of z."""
+    z = np.asarray(z, dtype=complex)
     h, y = _fd_step(z), z.imag
-    centre, p2x, p1x, m1x, m2x, p2y, p1y, m1y, m2y = _fd_samples(fn, z, h, one)
+    centre, p2x, p1x, m1x, m2x, p2y, p1y, m1y, m2y = _fd_samples(fn, z, h)
     fx, fy = _fd_first(p2x, p1x, m1x, m2x, h), _fd_first(p2y, p1y, m1y, m2y, h)
-    out = sign * 2j * y * fx + 2.0 * y * fy + sign * k * centre
-    return complex(out[0]) if one else out
+    return sign * 2j * y * fx + 2.0 * y * fy + sign * k * centre
 
 
-def maass_laplacian_fd(fn: Callable, k: float, z, h: float | None = None):
+def maass_laplacian_fd(fn: Callable, k: float, z) -> np.ndarray:
     """Weight-k hyperbolic Laplacian by 5-point second differences; z and fn
     as in :func:`maass_op_fd`."""
-    z, one = _fd_points(z)
-    if h is None:
-        h = _fd_step(z)
-    y = z.imag
-    centre, *samples = _fd_samples(fn, z, h, one)
+    z = np.asarray(z, dtype=complex)
+    h, y = _fd_step(z), z.imag
+    centre, *samples = _fd_samples(fn, z, h)
     along_x, along_y = samples[:4], samples[4:]
     fxx, fyy = (
         _over(-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2, 12.0 * h * h) for p2, p1, m1, m2 in (along_x, along_y)
     )
-    out = -y * y * (fxx + fyy) + 1j * k * y * _fd_first(*along_x, h)
-    return complex(out[0]) if one else out
+    return -y * y * (fxx + fyy) + 1j * k * y * _fd_first(*along_x, h)
 
 
 # ---------------------------------------------------------------------------
-# slash actions
-
-
-def slash(f: Callable, k: float, v: MultiplierSystem, g: GroupElement) -> Callable:
-    """(f |_k^v g)(z) = e^{-ik arg mu(g,z)} v(g)^{-1} f(g z)."""
-    vg = v.evaluate(g)
-
-    def acted(z: complex) -> complex:
-        z = complex(z)
-        return cmath.exp(-1j * float(k) * principal_arg(mu(g, z))) / vg * f(moebius(g, z))
-
-    return acted
+# slash action
 
 
 def dslash(f: Callable, nu: complex, v: MultiplierSystem, g: GroupElement) -> Callable:

@@ -37,12 +37,12 @@ case).  The zetas are grouped by route: for P up the imaginary axis, split
 at i|Im zeta|, on the deformed polyline, or through the bridge, whose near
 values f(zeta) are one batch of f and far values f(-1/zeta) another; for f
 by half-plane, which fixes the ladder and the start.  Each group runs the
-quadrature in lockstep (``quadrature._integrate_paths`` and
-``_integrate_rays``): every level of every zeta is a node set of one grid,
-so each round is one integrand call over the new nodes of all zetas not
-yet converged, while each zeta keeps its own target, truncation, level,
-error and evaluation count, and so its value bit for bit.  The form values
-up the imaginary axis are kept in a memo (see :class:`PeriodFunction`).
+quadrature in lockstep (``quadrature._integrate``): every level of every
+zeta is a node set of one grid, so each round is one integrand call over
+the new nodes of all zetas not yet converged, while each zeta keeps its
+own target, truncation, level, error and evaluation count, and so its
+value bit for bit.  The form values up the imaginary axis are kept in a
+memo (see :class:`PeriodFunction`).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .forms import MaassForm
 from .kernel import RKernel, kernel_eigen_apply
 from .modgroup import INFINITY
 from .multiplier import MultiplierSystem
-from .quadrature import GeodesicPath, QuadratureResult, _integrate_paths, _integrate_rays
+from .quadrature import _BARE_RAY, GeodesicPath, QuadratureResult, _compile, _integrate
 
 __all__ = [
     "BijectionConstants",
@@ -79,7 +79,6 @@ __all__ = [
     "growth_check",
     "GrowthReport",
     "eta_integrand",
-    "ray_integrand",
     "arc_ray_integrand",
     "synthetic_nearly_periodic",
     "period_polynomial",
@@ -187,12 +186,6 @@ def _ray(form: MaassForm, ladder: int):
         return 1j * a - 1j * b
 
     return phi
-
-
-def ray_integrand(form: MaassForm, zeta: complex, base: complex, ladder: int):
-    """Pullback of the pairing along z = base + i t, with exact offsets."""
-    phi, zeta, base = _ray(form, ladder), complex(zeta), complex(base)
-    return lambda ts: phi(ts, zeta, base)
 
 
 def arc_ray_integrand(form: MaassForm, zeta: complex, endpoint: float):
@@ -346,8 +339,8 @@ class NearlyPeriodicFunction(_Transform):
         if ladder not in self._rays:
             self._rays[ladder] = _ray(self.form, ladder)
         phi, at, base_at = self._rays[ladder], _per_node(zetas), _per_node(bases)
-        results = _integrate_rays(
-            lambda ts, owners: phi(ts, at(owners), base_at(owners)), len(zetas), ("power", alpha), self.settings
+        results = _integrate(
+            lambda ts, owners: phi(ts, at(owners), base_at(owners)), [_BARE_RAY], len(zetas), ("power", alpha), self.settings
         )
         # the form-raised pairing integrates to minus the kernel-raised one
         return [
@@ -461,9 +454,10 @@ class PeriodFunction(_Transform):
             return self._bridge(zetas)
         paths, notes = zip(*(_contour(zeta, route) for zeta in zetas))
         omega, at = _eta(self.form, form_pass=self._axis if route == "axis" else None), _per_node(zetas)
-        results = _integrate_paths(
+        results = _integrate(
             lambda zs, owners: omega(zs, at(owners)),
-            paths,
+            _compile(paths),
+            len(paths),
             # full automorphy decays exponentially at every cusp, anything else by a power law
             ("exp",) if self.form.backend.equivariant else ("log",),
             self.settings,

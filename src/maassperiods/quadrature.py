@@ -28,8 +28,8 @@ integrand's rule is a generator that yields the nodes it needs next, and
 each round is one call over the new nodes of every integrand not yet done.
 Every integrand keeps its own budget, target, truncation, level, error and
 note, and sums its own terms in its own order, so its result is the one it
-has alone.  :func:`integrate_form` and :func:`integrate_ray` are the
-one-integrand case.
+has alone.  :func:`_integrate` is the one entry; :func:`integrate_form`
+and :func:`integrate_ray` are its one-integrand case.
 """
 
 from __future__ import annotations
@@ -464,7 +464,7 @@ def integrate_form(
     the pieces used.  ``settings.max_evals`` caps the evaluations of the
     whole path.
     """
-    return _one(_integrate_paths(lambda zs, owners: omega(zs), [path], start_mode, settings))
+    return _one(_integrate(lambda zs, owners: omega(zs), _compile([path]), 1, start_mode, settings))
 
 
 def integrate_ray(
@@ -480,7 +480,7 @@ def integrate_ray(
     the offset to rounding.  ``start_mode`` and ``settings`` are as in
     :func:`integrate_form`.
     """
-    return _one(_integrate_rays(lambda ts, owners: phi(ts), 1, start_mode, settings))
+    return _one(_integrate(lambda ts, owners: phi(ts), [_BARE_RAY], 1, start_mode, settings))
 
 
 def _one(outcomes: list) -> QuadratureResult:
@@ -488,20 +488,6 @@ def _one(outcomes: list) -> QuadratureResult:
     if isinstance(out, Exception):
         raise out
     return out
-
-
-def _integrate_paths(omega, paths, start_mode, settings: Settings) -> list:
-    """:func:`integrate_form` along many paths of one shape (the same kinds
-    of edge in the same order) in lockstep: ``omega(zs, owners)``, with
-    ``owners[i]`` the index of the path that zs[i] lies on.  Returns one
-    QuadratureResult per path, or the exception its integral raised."""
-    return _integrate(omega, _compile(paths), len(paths), start_mode, settings)
-
-
-def _integrate_rays(phi, count: int, start_mode, settings: Settings) -> list:
-    """:func:`integrate_ray` for ``count`` integrands ``phi(ts, owners)`` in
-    lockstep, with outcomes as in :func:`_integrate_paths`."""
-    return _integrate(phi, [_BARE_RAY], count, start_mode, settings)
 
 
 @lru_cache(maxsize=64)
@@ -516,9 +502,12 @@ def _level0(w_lo: float, w_hi: float) -> tuple:
 
 
 def _integrate(integrand, pieces, count: int, start_mode, settings: Settings) -> list:
-    """Run the pieces in turn, the start mode on the first, each piece of
-    every integrand still going in lockstep, and sum what they return per
-    integrand.  Each integrand has its own budget, target and note."""
+    """``count`` integrals in lockstep, over ``_compile(paths)`` for paths of
+    one shape (``integrand(zs, owners) -> (A, B)``) or over ``[_BARE_RAY]``
+    (``integrand(ts, owners) -> phi``), ``owners[i]`` the integral node i
+    belongs to.  The pieces run in turn, the start mode on the first, and
+    sum per integral, each with its own budget, target and note.  Returns
+    one QuadratureResult per integral, or the exception it raised."""
     budgets = [_Budget(settings.max_evals) for _ in range(count)]
     totals, errors, tols = [0.0 + 0.0j] * count, [0.0] * count, [0.0] * count
     notes = [[] for _ in range(count)]

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedParameterError
 
-__all__ = ["WhittakerParams", "gamma_complex", "whittaker_w", "WhittakerTable", "WhittakerStack"]
+__all__ = ["gamma_complex", "whittaker_w", "WhittakerTable", "WhittakerStack"]
 
 # Lanczos approximation, g = 7 with 9 coefficients; relative error < 1e-13
 # on the right half-plane, extended by reflection.
@@ -81,30 +80,23 @@ def _panel_nodes(a: float, b: float, width: float, order: int):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class WhittakerParams:
-    """Index pair for W_{kappa, mu}; kappa is real in all uses here."""
-
-    kappa: float
-    mu: complex
-
-
-def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
-    """Whittaker W function from its real-axis integral representation.
+def whittaker_w(kappa: float, mu: complex, y) -> complex | np.ndarray:
+    """Whittaker W_{kappa, mu} from its real-axis integral representation.
 
         W(y) = e^{-y/2} y^kappa / Gamma(mu - kappa + 1/2)
                * int_0^inf e^{-t} t^{mu-kappa-1/2} (1 + t/y)^{mu+kappa-1/2} dt
 
     The representation needs Re(mu - kappa + 1/2) > 0; since W is symmetric
-    in mu, the reflection mu -> -mu is tried first when that fails.  Accepts
-    a scalar y > 0 or an array of them (shared quadrature grid).
+    in mu, the reflection mu -> -mu is tried first when that fails.  kappa
+    is real in all uses here.  Accepts a scalar y > 0 or an array of them
+    (shared quadrature grid).
 
     With t = e^u the nodes reach down to u = -42 / Re alpha.  Where e^u < 2^-54 min y,
     e^u/y is below half an ulp of 1 for every y, so 1 + e^u/y rounds to exactly 1: that
     far tail is one y-independent sum, formed once.  Other factors are exp(beta log1p(e^u/y)).
     """
-    kappa = float(params.kappa)
-    mu = complex(params.mu)
+    kappa = float(kappa)
+    mu = given = complex(mu)  # the recursive calls take the index as given
     scalar = np.isscalar(y)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(ys <= 0):
@@ -120,17 +112,17 @@ def whittaker_w(params: WhittakerParams, y) -> complex | np.ndarray:
         out = np.empty(ys.shape, dtype=complex)
         out[small] = _whittaker_series(kappa, mu, ys[small])
         if np.any(~small):
-            out[~small] = np.asarray(whittaker_w(params, ys[~small]), dtype=complex)
+            out[~small] = np.asarray(whittaker_w(kappa, given, ys[~small]), dtype=complex)
         return complex(out[0]) if scalar else out
     if alpha.real <= 0:
         mu = -mu
         alpha = mu - kappa + 0.5
     if alpha.real <= 0:
-        out = _whittaker_recurrence(kappa, complex(params.mu), ys)
+        out = _whittaker_recurrence(kappa, given, ys)
         return complex(out[0]) if scalar else out
     if alpha.imag == 0.0 and alpha.real == round(alpha.real) and alpha.real < 0:
         raise UnsupportedParameterError(
-            f"degenerate index pair kappa={kappa}, mu={params.mu}"
+            f"degenerate index pair kappa={kappa}, mu={given}"
         )
     beta = mu + kappa - 0.5
 
@@ -166,8 +158,8 @@ def _whittaker_recurrence(kappa: float, mu: complex, ys: np.ndarray) -> np.ndarr
     """
     need = 0.25 - max((mu - kappa + 0.5).real, (-mu - kappa + 0.5).real)
     n = int(math.ceil(need))
-    prev = np.asarray(whittaker_w(WhittakerParams(kappa - n - 1, mu), ys), dtype=complex)
-    curr = np.asarray(whittaker_w(WhittakerParams(kappa - n, mu), ys), dtype=complex)
+    prev = np.asarray(whittaker_w(kappa - n - 1, mu, ys), dtype=complex)
+    curr = np.asarray(whittaker_w(kappa - n, mu, ys), dtype=complex)
     for j in range(n):
         kj = kappa - n + j
         nxt = (ys - 2.0 * kj) * curr - (kj - 0.5 - mu) * (kj - 0.5 + mu) * prev
@@ -242,22 +234,21 @@ class WhittakerTable:
     _EDGES = np.linspace(_S_LO, _S_HI, int(math.ceil(_S_HI - _S_LO)) + 1)
 
     def __init__(self, kappa: float, mu: complex):
-        self.params = WhittakerParams(kappa, mu)
-        self.kappa = float(kappa)
+        self.kappa, self.mu = float(kappa), complex(mu)
         # nodes as the lookup maps them back, s = mid + half x; the end nodes
         # x = 1 and x = -1 are the shared edges, each evaluated once
         mid = 0.5 * (self._EDGES[1:] + self._EDGES[:-1])
         half = 0.5 * (self._EDGES[1:] - self._EDGES[:-1])
         inner = np.exp(mid[:, None] + half[:, None] * self._NODES[1:-1])
         t_edges = np.exp(self._EDGES)
-        w = np.asarray(whittaker_w(self.params, np.concatenate([inner.ravel(), t_edges])))
+        w = np.asarray(whittaker_w(self.kappa, self.mu, np.concatenate([inner.ravel(), t_edges])))
         w_edges = w[inner.size :]
         vals = np.column_stack([w_edges[1:], w[: inner.size].reshape(inner.shape), w_edges[:-1]])
         t_nodes = np.column_stack([t_edges[1:], inner, t_edges[:-1]])
         vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
         # degree-major, so a lookup gathers one contiguous row per degree
         self.coeffs = self._FIT @ vals.T
-        real = complex(mu).real == 0.0 or complex(mu).imag == 0.0
+        real = self.mu.real == 0.0 or self.mu.imag == 0.0
         # the last coefficient and, where W is real, the imaginary part to drop
         noise = np.maximum(np.abs(self.coeffs[-1]), real * np.max(np.abs(self.coeffs.imag), axis=0))
         noise /= np.max(np.abs(self.coeffs), axis=0)
@@ -307,7 +298,7 @@ class WhittakerStack:
     """
 
     def __init__(self, tables, which):
-        if len({table.params.mu for table in tables}) != 1:
+        if len({table.mu for table in tables}) != 1:
             raise ValueError("a stack joins the tables of one nu")
         which = [int(i) for i in which]
         self.coeffs = np.concatenate([table.coeffs for table in tables], axis=1)

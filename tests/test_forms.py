@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +23,6 @@ from maassperiods.forms import (
     maass_op_fd,
     reduce_many,
     reduce_to_fundamental_domain,
-    slash,
     surrogate_form,
     two_sided_surrogate,
 )
@@ -39,27 +39,27 @@ def test_tau_values():
 def test_delta_truncation_self_consistency():
     u50 = delta_form(50)
     u60 = MaassForm(12, u50.multiplier, 5.5, HolomorphicEmbedding(delta_coefficients(60)))
-    assert abs(u50.eval(1j) - u60.eval(1j)) <= 1e-14 * abs(u50.eval(1j))
+    assert abs(u50.eval_many(1j) - u60.eval_many(1j)) <= 1e-14 * abs(u50.eval_many(1j))
 
 
 def test_embedding_t_equivariance(delta):
     z = 0.3 + 1.2j
-    assert abs(delta.eval(z + 1) - delta.eval(z)) <= 1e-12 * abs(delta.eval(z))
+    assert abs(delta.eval_many(z + 1) - delta.eval_many(z)) <= 1e-12 * abs(delta.eval_many(z))
 
 
 def test_embedding_full_equivariance(delta):
     for g in (S, T_PRIME, T.inverse() * S):
         for z in (0.3 + 1.2j, -0.7 + 0.6j):
-            lhs = delta.eval(moebius(g, z))
-            rhs = cmath.exp(1j * 12 * principal_arg(mu(g, z))) * delta.eval(z)
+            lhs = delta.eval_many(moebius(g, z))
+            rhs = cmath.exp(1j * 12 * principal_arg(mu(g, z))) * delta.eval_many(z)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_embedding_eigen_equation(delta):
     lam = 0.25 - delta.nu**2
     for z in (0.5 + 1.5j, -0.3 + 0.9j):
-        resid = maass_laplacian_fd(delta.eval, 12.0, z) - lam * delta.eval(z)
-        assert abs(resid) <= 1e-5 * abs(lam * delta.eval(z))
+        resid = maass_laplacian_fd(delta.eval_many, 12.0, z) - lam * delta.eval_many(z)
+        assert abs(resid) <= 1e-5 * abs(lam * delta.eval_many(z))
 
 
 def test_embedding_lowering_vanishes(delta, rng):
@@ -67,20 +67,42 @@ def test_embedding_lowering_vanishes(delta, rng):
     for _ in range(20):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
         assert delta.lower_many(np.array([z]))[0] == 0
-        scale = max(abs(delta.eval(z)), 1e-3)
-        assert abs(maass_op_fd(delta.eval, 12.0, z, -1)) <= 1e-10 * max(1.0, scale)
+        scale = max(abs(delta.eval_many(z)), 1e-3)
+        assert abs(maass_op_fd(delta.eval_many, 12.0, z, -1)) <= 1e-10 * max(1.0, scale)
 
 
 def test_embedding_raise_matches_fd(delta):
     z = 0.2 + 1.1j
     analytic = delta.raise_many(np.array([z]))[0]
-    fd = maass_op_fd(delta.eval, 12.0, z, +1)
+    fd = maass_op_fd(delta.eval_many, 12.0, z, +1)
     assert abs(analytic - fd) <= 1e-7 * abs(analytic)
 
 
 def test_eval_requires_upper_half_plane(delta):
     with pytest.raises(DomainError):
-        delta.eval(1 - 1j)
+        delta.eval_many(1 - 1j)
+
+
+_NON_FINITE = [complex(x, 1.0) for x in (math.inf, -math.inf, math.nan)] + [
+    complex(0.3, y) for y in (math.inf, -math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["delta", "surrogate", "surrogate_two_sided", "reduce_many", "q_expansion"])
+def test_non_finite_point_is_a_domain_error(request, name, z):
+    # named before any arithmetic: no NaN value, no 0 from the table's
+    # cutoff, no table error; the first bad point of the batch is named
+    calls = {
+        "reduce_many": [reduce_many],
+        "q_expansion": [lambda zs: forms.q_expansion(delta_coefficients(10), zs, derivative=True)],
+    }
+    if name not in calls:
+        form = request.getfixturevalue(name)
+        calls[name] = [form.eval_many, form.raise_many, form.lower_many]
+    for call in calls[name]:
+        with pytest.raises(DomainError, match=re.escape(f"got {z}")):
+            call(np.array([0.1 + 1.0j, z, complex(math.nan, math.nan)]))
 
 
 @pytest.mark.parametrize("nu", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
@@ -113,8 +135,8 @@ def test_surrogate_shift_is_rho_over_24(rho):
 def _t_equivariance_gap(form) -> float:
     """|u(z+1) - v(T) u(z)| / |v(T) u(z)| at one point."""
     z = 0.3 + 1.2j
-    rhs = form.multiplier.v_t * form.eval(z)
-    return abs(form.eval(z + 1) - rhs) / abs(rhs)
+    rhs = form.multiplier.v_t * form.eval_many(z)
+    return abs(form.eval_many(z + 1) - rhs) / abs(rhs)
 
 
 def test_surrogate_t_equivariance(surrogate, surrogate_two_sided):
@@ -137,36 +159,36 @@ def test_surrogate_t_equivariance_across_weights(weight, two_sided):
 def test_surrogate_eigen_equation(surrogate):
     lam = 0.25 - surrogate.nu**2
     z = 0.3 + 1.2j
-    resid = maass_laplacian_fd(surrogate.eval, 0.5, z) - lam * surrogate.eval(z)
-    assert abs(resid) <= 1e-5 * abs(lam * surrogate.eval(z))
+    resid = maass_laplacian_fd(surrogate.eval_many, 0.5, z) - lam * surrogate.eval_many(z)
+    assert abs(resid) <= 1e-5 * abs(lam * surrogate.eval_many(z))
 
 
 def test_two_sided_surrogate_eigen_equation(surrogate_two_sided):
     form = surrogate_two_sided
     lam = 0.25 - form.nu**2
     z = 0.4 + 0.9j
-    resid = maass_laplacian_fd(form.eval, 0.5, z) - lam * form.eval(z)
-    assert abs(resid) <= 1e-5 * abs(lam * form.eval(z))
+    resid = maass_laplacian_fd(form.eval_many, 0.5, z) - lam * form.eval_many(z)
+    assert abs(resid) <= 1e-5 * abs(lam * form.eval_many(z))
 
 
 def test_surrogate_single_term_formula():
     v = construct_eta_power("1/2")
     form = surrogate_form("1/2", 0.4j, coefficients=(1.0,))
-    from maassperiods.specfun import WhittakerParams, whittaker_w
+    from maassperiods.specfun import whittaker_w
 
     z = 0.3 + 1.4j
     freq = 1 + 1 / 24
-    want = whittaker_w(WhittakerParams(0.25, 0.4j), 4 * math.pi * freq * z.imag) * cmath.exp(
+    want = whittaker_w(0.25, 0.4j, 4 * math.pi * freq * z.imag) * cmath.exp(
         2j * math.pi * freq * z.real
     )
-    assert abs(form.eval(z) - want) <= 1e-11 * abs(want)
+    assert abs(form.eval_many(z) - want) <= 1e-11 * abs(want)
 
 
 def test_surrogate_operators_match_fd(surrogate):
     z = 0.3 + 1.2j
     for sign, exact in ((+1, surrogate.raise_many), (-1, surrogate.lower_many)):
         analytic = exact(np.array([z]))[0]
-        fd = maass_op_fd(surrogate.eval, 0.5, z, sign)
+        fd = maass_op_fd(surrogate.eval_many, 0.5, z, sign)
         assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-6)
 
 
@@ -353,35 +375,20 @@ def test_operator_composition_identity(surrogate):
     """E+_{k-2} E-_k u = (1 + 2nu - k)(-1 + 2nu + k) u for an eigenfunction."""
     k, nu = surrogate.k, surrogate.nu
     z = 0.2 + 0.9j
-    inner = lambda w: surrogate.lower_many(np.array([w]))[0]
-    lhs = maass_op_fd(inner, k - 2, z, +1)
-    rhs = (1 + 2 * nu - k) * (-1 + 2 * nu + k) * surrogate.eval(z)
+    lhs = maass_op_fd(surrogate.lower_many, k - 2, z, +1)
+    rhs = (1 + 2 * nu - k) * (-1 + 2 * nu + k) * surrogate.eval_many(z)
     assert abs(lhs - rhs) <= 1e-4 * abs(rhs)
 
 
 def test_power_eigenfunctions_of_ladder():
     # y^{1/2-nu} scales under both operators by 1 - 2 nu +- k
     k, nu = 0.5, 0.3
-    fn = lambda z: complex(z).imag ** (0.5 - nu)
+    fn = lambda z: np.imag(z) ** (0.5 - nu)
     z = 1j
     up = maass_op_fd(fn, k, z, +1)
     down = maass_op_fd(fn, k, z, -1)
     assert abs(up - (1 - 2 * nu + k) * fn(z)) <= 1e-6 * abs(fn(z))
     assert abs(down - (1 - 2 * nu - k) * fn(z)) <= 1e-6 * abs(fn(z))
-
-
-def test_slash_identity_and_group_law(delta, rng):
-    fn = lambda z: complex(z).imag ** 0.3 * cmath.exp(1j * complex(z).real)
-    v = construct_eta_power("1/2")
-    ident = slash(fn, 0.5, v, S.inverse() * S)
-    z = 0.4 + 1.1j
-    assert abs(ident(z) - fn(z)) <= 1e-12
-    g, d = T_PRIME, S
-    for _ in range(10):
-        z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
-        lhs = slash(fn, 0.5, v, g * d)(z)
-        rhs = slash(slash(fn, 0.5, v, g), 0.5, v, d)(z)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_dslash_translation():
@@ -524,7 +531,7 @@ def test_delta_against_mpmath_q_product(delta):
 def test_superpolynomial_decay(delta, surrogate):
     for form in (delta, surrogate):
         ys = np.array([4.0, 8.0, 16.0])
-        vals = np.array([abs(form.eval(0.3 + 1j * y)) for y in ys])
+        vals = np.array([abs(form.eval_many(0.3 + 1j * y)) for y in ys])
         for m in range(1, 9):
             weighted = vals * ys**m
             assert weighted[2] < weighted[1] < weighted[0]
@@ -536,7 +543,7 @@ def test_cusp_decay_rate(delta, surrogate):
     # at least 2 pi (1 + kappa0), that of the lowest frequency 1 + kappa0
     for form, power in ((delta, 6.0), (surrogate, 0.25)):
         y1, y2 = 3.0, 6.0
-        drop = abs(form.eval(0.1 + 1j * y2)) / abs(form.eval(0.1 + 1j * y1))
+        drop = abs(form.eval_many(0.1 + 1j * y2)) / abs(form.eval_many(0.1 + 1j * y1))
         drop *= (y1 / y2) ** power
         rate = -math.log(drop) / (y2 - y1)
         assert rate >= 2.0 * math.pi * (1.0 + form.kappa0) - 0.05

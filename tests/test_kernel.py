@@ -12,7 +12,7 @@ from maassperiods.errors import DomainError, RDomainError
 from maassperiods.forms import maass_laplacian_fd, maass_op_fd, surrogate_form, two_sided_surrogate
 from maassperiods.kernel import RKernel, kernel_eigen_apply, r_transform_check
 from maassperiods.modgroup import S, T, moebius
-from maassperiods.periods import arc_ray_integrand, eta_integrand, ray_integrand
+from maassperiods.periods import _ray, arc_ray_integrand, eta_integrand
 
 
 def test_weight_zero_closed_form():
@@ -189,8 +189,8 @@ SLOT_FORMS = {
 
 @pytest.mark.parametrize("name", SLOT_FORMS)
 def test_shared_kernel_slot(name, monkeypatch):
-    # each integrand against itself built on the two-kernel pairing;
-    # arc_ray_integrand raises the kernel (ladder -1) only
+    # each integrand against itself built on the two-kernel pairing, as
+    # (builder, arguments); arc_ray_integrand raises the kernel (ladder -1) only
     form = SLOT_FORMS[name]()
     zs = np.array([0.3 + 0.9j, -0.7 + 0.4j, 1.6 + 2.2j, -1.1 + 0.05j])
     ts = np.geomspace(1e-6, 4.0, 9)
@@ -198,15 +198,15 @@ def test_shared_kernel_slot(name, monkeypatch):
     for zeta in (0.4 + 0.9j, 2.5 - 0.3j, -0.6 + 1.3j, -1.2 - 0.7j):
         base = zeta if zeta.imag > 0 else zeta.conjugate()
         for ladder in (-1, +1):
-            cases.append((lambda z=zeta, l=ladder: eta_integrand(form, z, l), zs))
-            cases.append((lambda z=zeta, b=base, l=ladder: ray_integrand(form, z, b, l), ts))
+            cases.append((lambda z=zeta, l=ladder: eta_integrand(form, z, l), (zs,)))
+            cases.append((lambda l=ladder: _ray(form, l), (ts, zeta, base)))
         if zeta.imag > 0:
             for endpoint in (0.0, 1.0):
-                cases.append((lambda z=zeta, e=endpoint: arc_ray_integrand(form, z, e), ts))
+                cases.append((lambda z=zeta, e=endpoint: arc_ray_integrand(form, z, e), (ts,)))
     fused = [build() for build, _ in cases]
     monkeypatch.setattr(periods, "_pairing", _two_kernel_pairing)
     for (build, args), integrand in zip(cases, fused):
-        got, want = np.asarray(integrand(args)), np.asarray(build()(args))
+        got, want = np.asarray(integrand(*args)), np.asarray(build()(*args))
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (got, want)
 
 
@@ -226,7 +226,7 @@ def test_kernel_ladder_against_finite_differences(rng):
     for _ in range(6):
         z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 1.8))
         zeta = complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
-        fn = lambda w: ker.eval(w, zeta)
+        fn = lambda w: ker.eval_many(w, zeta)
         assert abs(maass_laplacian_fd(fn, ker.k, z) - lam * fn(z)) <= 1e-5 * abs(lam * fn(z))
         for sign in (+1, -1):
             coeff, shifted = kernel_eigen_apply(ker, sign, ker.k)
@@ -239,7 +239,7 @@ def test_kernel_ladder_lower_half_plane():
     ker = RKernel(0.5, 0.31j)
     zeta = 3.0
     z = -0.2 - 1.1j
-    fn = lambda w: ker.eval(w, zeta)
+    fn = lambda w: ker.eval_many(w, zeta)
     coeff, shifted = kernel_eigen_apply(ker, +1, ker.k)
     want = coeff * shifted.eval(z, zeta)
     assert abs(maass_op_fd(fn, ker.k, z, +1) - want) <= 1e-6 * abs(want)
@@ -273,17 +273,16 @@ def test_eta_form_with_kernel_and_form(delta, surrogate, surrogate_two_sided):
     rng = np.random.default_rng(5)
     for form, zeta in itertools.product((delta, surrogate, surrogate_two_sided), (0.4 + 0.9j, 3.0, 0.2 - 0.8j)):
         k = form.k
-        kernel = lambda w: RKernel(-k, form.nu).eval(w, zeta)
+        kernel = lambda w: RKernel(-k, form.nu).eval_many(w, zeta)
         zs = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(0.3, 2.0, 5)
-        slots = {-1: ((kernel, -k), (form.eval, k)), +1: ((form.eval, k), (kernel, -k))}
+        slots = {-1: ((kernel, -k), (form.eval_many, k)), +1: ((form.eval_many, k), (kernel, -k))}
         for ladder, ((f, k_f), (g, k_g)) in slots.items():
             a, b = eta_integrand(form, zeta, ladder)(zs)
-            for z, a_z, b_z in zip(zs, a, b):
-                want_a = maass_op_fd(f, k_f, z, +1) * g(z) / z.imag
-                want_b = -f(z) * maass_op_fd(g, k_g, z, -1) / z.imag
-                scale = max(abs(want_a), abs(want_b))
-                assert abs(a_z - want_a) <= 1e-5 * scale
-                assert abs(b_z - want_b) <= 1e-5 * scale
+            want_a = maass_op_fd(f, k_f, zs, +1) * g(zs) / zs.imag
+            want_b = -f(zs) * maass_op_fd(g, k_g, zs, -1) / zs.imag
+            scale = np.maximum(np.abs(want_a), np.abs(want_b))
+            assert np.all(np.abs(a - want_a) <= 1e-5 * scale)
+            assert np.all(np.abs(b - want_b) <= 1e-5 * scale)
             if form.backend.holomorphic and ladder == -1:
                 # the dzbar coefficient vanishes because lowering kills the embedding
                 assert np.all(b == 0) and np.all(a != 0)

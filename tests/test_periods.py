@@ -19,6 +19,7 @@ from maassperiods.periods import (
     NearlyPeriodicFunction,
     PeriodFunction,
     P_to_f,
+    _ray,
     _ray_start,
     arc_ray_integrand,
     eichler_f,
@@ -27,7 +28,6 @@ from maassperiods.periods import (
     f_to_P,
     growth_check,
     period_polynomial,
-    ray_integrand,
     synthetic_nearly_periodic,
 )
 from maassperiods import Settings, quadrature
@@ -395,8 +395,8 @@ def test_deformed_contour_matches_three_term_continuation(delta, settings):
 _INTEGRANDS = {
     "kernel-raised": (lambda form: eta_integrand(form, 0.4 + 0.9j, -1), "z"),
     "form-raised": (lambda form: eta_integrand(form, 0.4 + 0.9j, +1), "z"),
-    "ray kernel-raised": (lambda form: ray_integrand(form, 0.2 - 0.8j, 0.2 + 0.8j, -1), "t"),
-    "ray form-raised": (lambda form: ray_integrand(form, 0.4 + 0.9j, 0.4 + 0.9j, +1), "t"),
+    "ray kernel-raised": (lambda form: lambda ts: _ray(form, -1)(ts, 0.2 - 0.8j, 0.2 + 0.8j), "t"),
+    "ray form-raised": (lambda form: lambda ts: _ray(form, +1)(ts, 0.4 + 0.9j, 0.4 + 0.9j), "t"),
     "arc ray": (lambda form: arc_ray_integrand(form, 0.4 + 0.9j, -1.0), "t"),
 }
 
@@ -436,7 +436,7 @@ def test_ray_pullback_matches_eta_integrand(request, name, zeta, base, ladder):
     form = request.getfixturevalue(name)
     ts = _offsets()
     a, b = eta_integrand(form, zeta, ladder)(base + 1j * ts)
-    got = ray_integrand(form, zeta, base, ladder)(ts)
+    got = _ray(form, ladder)(ts, zeta, base)
     assert _worst_relative(got, 1j * a - 1j * b) <= 1e-12
 
 

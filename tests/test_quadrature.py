@@ -364,19 +364,18 @@ def test_power_start_floor_follows_the_exponent():
 
 def _counted_eval(monkeypatch, build, form, zeta):
     """A transform's evaluation and the sizes of its integrand calls, seen
-    through a counting wrapper on the integrand of the batched entries."""
+    through a counting wrapper on the integrand of the quadrature entry."""
     sizes = []
-    for name in ("_integrate_paths", "_integrate_rays"):
-        original = getattr(periods, name)
+    original = periods._integrate
 
-        def counting(integrand, *args, original=original, **kwargs):
-            def counted(x, owners):
-                sizes.append(np.size(x))
-                return integrand(x, owners)
+    def counting(integrand, *args, **kwargs):
+        def counted(x, owners):
+            sizes.append(np.size(x))
+            return integrand(x, owners)
 
-            return original(counted, *args, **kwargs)
+        return original(counted, *args, **kwargs)
 
-        monkeypatch.setattr(periods, name, counting)
+    monkeypatch.setattr(periods, "_integrate", counting)
     out = build(form).eval(zeta)
     monkeypatch.undo()
     return out, sizes
@@ -415,7 +414,7 @@ def test_axis_nodes_are_integer_indices_of_one_grid(request, monkeypatch, name, 
     # axis can then be shared between zetas
     form = request.getfixturevalue(name)
     seen, notes = [], []
-    original = periods._integrate_paths
+    original = periods._integrate
 
     def recording(omega, *args, **kwargs):
         def spy(zs, owners):
@@ -424,7 +423,7 @@ def test_axis_nodes_are_integer_indices_of_one_grid(request, monkeypatch, name, 
 
         return original(spy, *args, **kwargs)
 
-    monkeypatch.setattr(periods, "_integrate_paths", recording)
+    monkeypatch.setattr(periods, "_integrate", recording)
     rule = quadrature._EXP_SINH
     w_lo = rule.w_of(quadrature._start_floor(("exp",) if form.backend.equivariant else ("log",)))
     for zeta in zetas:

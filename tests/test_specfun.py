@@ -8,7 +8,6 @@ import scipy.special as sp
 from maassperiods import specfun
 from maassperiods.errors import DomainError, UnsupportedParameterError
 from maassperiods.specfun import (
-    WhittakerParams,
     WhittakerTable,
     gamma_complex,
     whittaker_w,
@@ -32,21 +31,21 @@ def test_gamma_pole():
 def test_whittaker_zero_index_reduces_to_bessel():
     mu = 0.25
     y = 3.0
-    w = whittaker_w(WhittakerParams(0.0, mu), 2 * y)
+    w = whittaker_w(0.0, mu, 2 * y)
     want = math.sqrt(2 * y / math.pi) * float(mpmath.besselk(mu, y))
     assert abs(w - want) <= 1e-10 * abs(want)
 
 
 def test_whittaker_degenerate_collapse():
     # first index mu + 1/2 gives e^{-y/2} y^kappa exactly
-    assert whittaker_w(WhittakerParams(1.0, 0.5), 2.0) == pytest.approx(
+    assert whittaker_w(1.0, 0.5, 2.0) == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-12
     )
 
 
 def test_whittaker_large_argument_asymptotics():
     for y in (50.0, 100.0):
-        val = whittaker_w(WhittakerParams(0.25, 0.2), y)
+        val = whittaker_w(0.25, 0.2, y)
         ratio = val * math.exp(y / 2.0) * y**-0.25
         assert abs(ratio - 1.0) <= 0.05
 
@@ -57,44 +56,44 @@ def test_whittaker_large_argument_asymptotics():
 )
 def test_whittaker_against_mpmath(kappa, mu):
     for y in (1e-8, 1e-3, 0.3, 2.2, 17.0, 150.0):
-        mine = whittaker_w(WhittakerParams(kappa, mu), y)
+        mine = whittaker_w(kappa, mu, y)
         ref = complex(mpmath.whitw(kappa, mu, y))
         assert abs(mine - ref) <= 1e-10 * abs(ref), (kappa, mu, y)
 
 
 def test_whittaker_reflection_symmetry():
-    a = whittaker_w(WhittakerParams(0.25, 0.35j), 1.3)
-    b = whittaker_w(WhittakerParams(0.25, -0.35j), 1.3)
+    a = whittaker_w(0.25, 0.35j, 1.3)
+    b = whittaker_w(0.25, -0.35j, 1.3)
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_whittaker_domain():
     with pytest.raises(DomainError):
-        whittaker_w(WhittakerParams(0.25, 0.35j), -1.0)
+        whittaker_w(0.25, 0.35j, -1.0)
 
 
 def test_whittaker_laguerre_degenerate_pair():
     # the index recurrence covers pairs the integral and series cannot reach
-    mine = whittaker_w(WhittakerParams(2.5, 1.0), 2.0)
+    mine = whittaker_w(2.5, 1.0, 2.0)
     ref = complex(mpmath.whitw(2.5, 1.0, 2.0))
     assert abs(mine - ref) <= 1e-12 * abs(ref)
 
 
 def test_whittaker_ode_residual():
     """Five-point second differences satisfy the defining equation."""
-    params = WhittakerParams(0.25, 0.35j)
+    kappa, mu = 0.25, 0.35j
     h = 1e-3
     for y in np.linspace(0.5, 20.0, 12):
-        w = {j: whittaker_w(params, y + j * h) for j in (-2, -1, 0, 1, 2)}
+        w = {j: whittaker_w(kappa, mu, y + j * h) for j in (-2, -1, 0, 1, 2)}
         d2 = (-w[2] + 16 * w[1] - 30 * w[0] + 16 * w[-1] - w[-2]) / (12 * h * h)
-        residual = d2 + (-0.25 + params.kappa / y + (0.25 - params.mu**2) / y**2) * w[0]
+        residual = d2 + (-0.25 + kappa / y + (0.25 - mu**2) / y**2) * w[0]
         assert abs(residual) <= 1e-5 * max(abs(w[0]), 1.0)
 
 
 def test_whittaker_table_matches_direct():
     table = WhittakerTable(0.25, 0.35j)
     ts = np.geomspace(1e-9, 300.0, 40)
-    direct = whittaker_w(WhittakerParams(0.25, 0.35j), ts)
+    direct = whittaker_w(0.25, 0.35j, ts)
     cached = table(ts)
     assert np.max(np.abs(cached - direct) / np.abs(direct)) <= 1e-11
 
@@ -114,7 +113,7 @@ def test_whittaker_integral_against_mpmath(kappa, mu):
     # far tail is summed once for all y.  (1/4, 2i) cancels to about 1e-13
     # and stays under the table test's 1e-12
     ys = np.geomspace(0.51, 320.0, 25)
-    got = whittaker_w(WhittakerParams(kappa, mu), ys)
+    got = whittaker_w(kappa, mu, ys)
     with mpmath.workdps(30):
         for y, mine in zip(ys, got):
             ref = complex(mpmath.whitw(kappa, mu, y))
@@ -175,12 +174,12 @@ def test_whittaker_table_builds_from_one_call(monkeypatch):
     sizes, depth = [], [0]
     original = specfun.whittaker_w
 
-    def counting(params, y):
+    def counting(kappa, mu, y):
         if not depth[0]:
             sizes.append(np.size(y))
         depth[0] += 1
         try:
-            return original(params, y)
+            return original(kappa, mu, y)
         finally:
             depth[0] -= 1
 
@@ -242,10 +241,10 @@ def test_whittaker_table_rejects_an_imaginary_part_it_would_drop(monkeypatch):
     # calls whittaker_w makes itself are left alone
     original, depth = specfun.whittaker_w, [0]
 
-    def tilted(params, y):
+    def tilted(kappa, mu, y):
         depth[0] += 1
         try:
-            return original(params, y) * (1 + 1e-10j if depth[0] == 1 else 1)
+            return original(kappa, mu, y) * (1 + 1e-10j if depth[0] == 1 else 1)
         finally:
             depth[0] -= 1
 

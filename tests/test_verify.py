@@ -1,13 +1,23 @@
 """The identity registry: every registered identity holds, and its entry
 does not depend on what else runs."""
 
+import dataclasses
+import importlib.util
+import json
+import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from maassperiods import periods
+from maassperiods.cli import main
+from maassperiods.errors import DomainError, NonconvergenceError
 from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, check, identity, run_suite
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _XFAIL = pytest.mark.xfail(
     strict=True,
@@ -129,3 +139,42 @@ def test_growth_reports_its_margin(context):
     # the signed distance to the nearest slope bound, not a clip to 0
     result = check("periods.growth", context)
     assert result.passed and result.max_residual < 0
+
+
+@pytest.mark.parametrize(
+    "error, note",
+    [
+        (NonconvergenceError(0.5, math.inf, 7), "NonconvergenceError: quadrature did not converge: partial=0.5"),
+        (DomainError("a point below the axis"), "DomainError: a point below the axis"),
+    ],
+)
+def test_a_raising_identity_fails_its_entry_and_the_run_goes_on(monkeypatch, capsys, error, note):
+    ident = "quad.log-segment"
+    before = run_suite("quad", seed=1).entries
+
+    def raising(ctx, rng):
+        raise error
+
+    monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(REGISTRY[ident], run=raising))
+    report = run_suite("quad", seed=1)
+    assert [e.identity for e in report.entries] == [e.identity for e in before]
+    for got, want in zip(report.entries, before):
+        if got.identity != ident:
+            assert got == want
+    (failed,) = [e for e in report.entries if e.identity == ident]
+    assert not failed.passed and failed.max_residual == math.inf and failed.note.startswith(note)
+    assert report.unexpected_failures == [ident]
+    # check itself keeps the traceback
+    with pytest.raises(type(error)):
+        check(ident)
+    # the CLI reports the id by its note and exits 1; so does the script
+    assert main(["verify", "--suite", "quad"]) == 1
+    entries = {e["identity"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert entries[ident]["note"].startswith(note) and not entries[ident]["passed"]
+    spec = importlib.util.spec_from_file_location("_run_verify", os.path.join(ROOT, "scripts", "run_verify.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_verify.py", "--suite", "quad", "--seed", "1"])
+    assert script.main() == 1
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if ident in line]
+    assert line.startswith("[FAIL ]") and line.endswith(failed.note)
