@@ -32,6 +32,12 @@ def main() -> int:
     wall = time.perf_counter() - started
     print(f"\n{len(report.entries)} identities in {wall:.1f}s; "
           f"{len(unexpected)} unexpected failures")
+    # the sum of the entries' wall times, per suite in the order they ran
+    suites = {}
+    for entry in report.entries:
+        suite = entry.identity.split(".", 1)[0]
+        suites[suite] = suites.get(suite, 0.0) + entry.wall_time
+    print("suite wall time: " + ", ".join(f"{name} {seconds:.3f}s" for name, seconds in suites.items()))
     return 1 if unexpected else 0
 
 

@@ -105,7 +105,7 @@ def _cmd_verify(args, settings: Settings) -> int:
     payload["expected_failures"] = sorted(
         e["identity"] for e in payload["entries"] if e["identity"] in EXPECTED_FAILURES
     )
-    _emit(json.dumps(payload, indent=2) + "\n", args)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args)
     return 1 if report.unexpected_failures else 0
 
 

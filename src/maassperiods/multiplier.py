@@ -15,8 +15,10 @@ v(g) = e^{i pi rho/2} v(-g); for c = 0, v(+-T^b) = e^{i pi rho b/12}, times
 e^{-i pi rho/2} for -T^b.  The phase is reduced mod 24 in integers, so each
 value is one of 24 unit roots.
 
-:meth:`MultiplierSystem.evaluate_word` is the independent route: the
-relation folded along a generator word at a base point z0.  With m_j the
+:meth:`MultiplierSystem.evaluate_words` is the independent route: the
+relation folded along generator words at a base point z0, all words of a
+:class:`~maassperiods.modgroup.WordArray` in one pass
+(:meth:`MultiplierSystem.evaluate_word` is its one-word case).  With m_j the
 product of the tokens right of token j, the terms arg mu(m_j, z0) -
 arg mu(m_{j+1}, z0) telescope to -arg mu(g, z0), and mu(S, w) = w,
 mu(T^n, w) = 1 leave one arg(m_j z0) per S token, so
@@ -34,9 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .branch import principal_arg
+from .branch import principal_arg_many
 from .errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
-from .modgroup import GeneratorWord, GroupElement
+from .modgroup import GeneratorWord, GroupElement, WordArray, integer_entries, moebius, mu
 
 __all__ = ["MultiplierSystem", "construct_eta_power", "construct_trivial", "parse_weight"]
 
@@ -102,7 +104,7 @@ class MultiplierSystem:
     def evaluate_many(self, a, b, c, d) -> np.ndarray:
         """Values at the matrices (a, b, c, d), elementwise over integer arrays
         of one shape, by Rademacher's closed form (module docstring)."""
-        m = _exact_integers(a, b, c, d)
+        m = integer_entries(a, b, c, d, _INT64_EXACT)
         flip = m[2] < 0  # v(g) = e^{i pi rho/2} v(-g)
         a, b, c, d = m * (1 - 2 * flip)
         if (a * d - b * c != 1).any():
@@ -114,28 +116,24 @@ class MultiplierSystem:
 
     def evaluate_word(self, word: GeneratorWord, base_point: complex = BASE_POINT) -> complex:
         """The consistency relation folded along a caller-supplied word at
-        ``base_point``: the route independent of the closed form."""
-        # m = (a, b, c, d) is the product of the tokens folded so far
-        a, b, c, d = 1, 0, 0, 1
-        s_count = t_power = 0
-        theta = 0.0
-        for gen, power in reversed(word.tokens):
-            if gen == "S":
-                if power != 1:
-                    raise ValueError("S tokens carry power 1")
-                s_count += 1
-                theta += principal_arg((a * base_point + b) / (c * base_point + d))
-                a, b, c, d = -c, -d, a, b
-            else:
-                t_power += power
-                a, b = a + power * c, b + power * d
-        theta -= principal_arg(c * base_point + d)
+        ``base_point``: :meth:`evaluate_words` of one word."""
+        return complex(self.evaluate_words(WordArray.of([word]), base_point)[0])
+
+    def evaluate_words(self, words: WordArray, base_point: complex = BASE_POINT) -> np.ndarray:
+        """The consistency relation folded along each of ``words`` at
+        ``base_point``, the route independent of the closed form (module
+        docstring): one pass over the words' suffix products."""
+        m = words.suffix_products()
+        # arg(m_j z0) at each S cell j, with m_j the product right of it
+        args = np.where(words.is_s, principal_arg_many(moebius(m[:, :, 1:], base_point)), 0.0)
+        theta = args.sum(axis=1) - principal_arg_many(mu(m[:, :, 0], base_point))
         # v(T) has order o = 24/gcd(rho, 24); the exponent is reduced to
-        # |t_power| <= o/2, since pow's error grows with it (CPython's pow
-        # even goes polar above 100)
+        # |t_power| <= o/2, since pow's error grows with it (numpy's pow,
+        # like CPython's, even goes polar above 100)
         o = 24 // math.gcd(self.rho, 24)
-        t_power = (t_power + o // 2) % o - o // 2
-        return self.v_s**s_count * self.v_t**t_power * cmath.exp(1j * self.k * theta)
+        t_power = ((words.power.sum(axis=1) + o // 2) % o - o // 2).astype(np.int64)
+        s_count = words.is_s.sum(axis=1)
+        return self.v_s**s_count * self.v_t**t_power * np.exp(1j * self.k * theta)
 
     # -- construction-time validation ---------------------------------------
 
@@ -155,28 +153,6 @@ class MultiplierSystem:
                 f"v(T) = e^(i pi rho/12) with rho = 2k mod 4 and v(S) = e^(-i pi rho/4)"
             )
         return rho
-
-
-def _exact_integers(a, b, c, d) -> np.ndarray:
-    """The entries stacked as int64, or as Python ints once one is too large
-    for the Euclid run to stay exact in int64.
-
-    Unsigned entries are stacked as Python ints: numpy would stack a uint64
-    array with int64 ones as float64.
-    """
-    entries = [np.asarray(x) for x in (a, b, c, d)]
-    if not all(map(_holds_integers, entries)):
-        raise InvalidElementError("matrix entries must be integers")
-    m = np.stack([e if e.dtype.kind == "i" else e.astype(object) for e in entries])
-    if m.size == 0 or m.dtype.kind == "i" and -_INT64_EXACT <= m.min() <= m.max() <= _INT64_EXACT:
-        return m.astype(np.int64, copy=False)
-    return np.frompyfunc(int, 1, 1)(m)
-
-
-def _holds_integers(e: np.ndarray) -> bool:
-    if e.size == 0 or e.dtype.kind in "iu":
-        return True
-    return e.dtype.kind == "O" and all(isinstance(x, (int, np.integer)) for x in e.flat)
 
 
 def _twelve_c_dedekind(h, c):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maassperiods.errors import InvalidElementError
+from maassperiods.errors import DomainError, InvalidElementError
 from maassperiods.modgroup import (
     IDENTITY,
     INFINITY,
@@ -11,12 +11,16 @@ from maassperiods.modgroup import (
     S,
     T,
     T_PRIME,
+    GeneratorWord,
     GroupElement,
+    WordArray,
     decompose,
+    decompose_many,
     has_nonnegative_entries,
     moebius,
     mu,
 )
+from maassperiods.verify import _words
 
 
 def test_determinant_enforced():
@@ -114,3 +118,126 @@ def test_nonnegative_monoid_preserves_cut_plane(rng):
         for z in points:
             image = moebius(g, complex(z))
             assert not (image.imag == 0.0 and image.real <= 0.0)
+
+
+def _round_half_down_before_arrays(p: int, q: int) -> int:
+    """The scalar rounding of decompose before it ran on arrays, verbatim."""
+    if q < 0:
+        p, q = -p, -q
+    # ceil((2p - q) / (2q)) without floats, exact for any magnitude
+    num = 2 * p - q
+    den = 2 * q
+    return -((-num) // den)
+
+
+def _decompose_before_arrays(g: GroupElement) -> GeneratorWord:
+    """decompose before it ran on arrays, kept verbatim as the reference for
+    its tokens."""
+    if not isinstance(g, GroupElement):
+        g = GroupElement(*g)
+    a, b, c, d = g.a, g.b, g.c, g.d
+    tokens = []
+    while c != 0:
+        q = _round_half_down_before_arrays(a, c)
+        if q != 0:
+            tokens.append(("T", q))
+        tokens.append(("S", 1))
+        # m = (a, b, c, d) <- S^-1 T^-q m, with S^-1 = [[0, 1], [-1, 0]]
+        a, b, c, d = c, d, q * c - a, q * d - b
+    # now m = +-T^shift
+    shift = b if a == 1 else -b
+    if shift != 0:
+        tokens.append(("T", shift))
+    if a == -1:
+        tokens.append(("S", 1))
+        tokens.append(("S", 1))
+    return GeneratorWord(tuple(tokens))
+
+
+def _matrix_before_arrays(word: GeneratorWord) -> GroupElement:
+    """GeneratorWord.matrix before it ran on arrays, verbatim."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, power in word.tokens:
+        # right-multiply by S = [[0, -1], [1, 0]] or by T^power
+        a, b, c, d = (b, -a, d, -c) if gen == "S" else (a, a * power + b, c, c * power + d)
+    return GroupElement(a, b, c, d)
+
+
+# the first Euclid step ties (a/c half-integral) for c = +-2 and odd a; -T^b
+# (c = 0, a = -1) takes the S^2 branch
+_EDGE_CASES = np.array(
+    [[a, (a - 1) // 2, 2, 1] for a in range(-7, 8, 2)]
+    + [[-a, -(a - 1) // 2, -2, -1] for a in range(-7, 8, 2)]
+    + [[sign, sign * b, 0, sign] for sign in (1, -1) for b in range(-3, 4)]
+).T
+
+
+def reference_words(seed: int) -> np.ndarray:
+    """300 sampled words of up to 20 factors and the edge cases, as columns."""
+    return np.concatenate([_words(np.random.default_rng(seed), 300, max_len=20), _EDGE_CASES], axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_decompose_many_gives_the_tokens_of_the_scalar_code(seed):
+    mats = reference_words(seed)
+    c = mats[2]
+    ties = (np.abs(c) == 2) & (mats[0] % 2 == 1)  # a/c half-integral
+    assert min(np.count_nonzero(ties), np.count_nonzero(c < 0), np.count_nonzero(c == 0)) >= 10
+    assert np.count_nonzero((c == 0) & (mats[0] == -1)) >= 7
+    words = decompose_many(mats)
+    before = [_decompose_before_arrays(GroupElement(*m)) for m in mats.T.tolist()]
+    assert [words.word(i) for i in range(len(words))] == before
+    assert words.lengths.tolist() == [len(w) for w in before]
+    assert np.array_equal(words.matrices(), mats)
+    assert [decompose(GroupElement(*m)) for m in mats[:, :40].T.tolist()] == before[:40]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_word_matrix_is_the_scalar_product(seed):
+    mats = _words(np.random.default_rng(seed), 100, max_len=20)
+    words = [_decompose_before_arrays(GroupElement(*m)) for m in mats.T.tolist()]
+    hand = [GeneratorWord((("T", 5), ("S", 1), ("T", -7), ("S", 1), ("S", 1))), GeneratorWord(())]
+    for word in words + hand:
+        assert word.matrix() == _matrix_before_arrays(word)
+
+
+def test_word_array_round_trips_hand_written_words():
+    hand = [GeneratorWord((("T", 2), ("S", 1))), GeneratorWord((("S", 1),) * 4), GeneratorWord(())]
+    words = WordArray.of(hand)
+    assert [words.word(i) for i in range(len(words))] == hand
+    assert words.lengths.tolist() == [2, 4, 0]
+    with pytest.raises(ValueError, match="power 1"):
+        WordArray.of([GeneratorWord((("S", 2),))])
+    with pytest.raises(ValueError, match="generator 'U'"):
+        WordArray.of([GeneratorWord((("U", 1),))])
+
+
+def test_entries_beyond_int64_decompose_and_fold_exactly():
+    c = 10**30 + 7
+    for g in (GroupElement(1, 0, c, 1), GroupElement(-1, 0, c, -1) * T.inverse(), GroupElement(1, 2**70, 0, 1)):
+        word = decompose(g)
+        assert word == _decompose_before_arrays(g) and word.matrix() == g
+    run = GeneratorWord((("T", 2**40), ("S", 1), ("T", 2**40), ("S", 1)))
+    assert run.matrix() == _matrix_before_arrays(run)
+
+
+def test_decompose_many_rejects_a_matrix_of_another_determinant():
+    with pytest.raises(InvalidElementError):
+        decompose_many(np.array([[1, 1], [0, 1], [0, 1], [1, 1]]))
+
+
+def test_array_action_is_elementwise():
+    mats = _words(np.random.default_rng(5), 200, bound=25)
+    z = np.random.default_rng(6).uniform(-2, 2, 200) + 1j
+    each = [(mu(GroupElement(*m), w), moebius(GroupElement(*m), w)) for m, w in zip(mats.T.tolist(), z)]
+    assert np.array_equal(mu(mats, z), [m for m, _ in each])
+    assert np.allclose(moebius(mats, z), [w for _, w in each], rtol=1e-15, atol=0)
+    assert np.array_equal(has_nonnegative_entries(mats), [has_nonnegative_entries(GroupElement(*m)) for m in mats.T.tolist()])
+
+
+def test_array_action_names_a_point_it_sends_to_infinity():
+    mats = np.array([[1, 0], [1, -1], [0, 1], [1, 0]])
+    with pytest.raises(DomainError, match=r"z = 0j"):
+        moebius(mats, np.array([1j, 0.0]))
+    # one element sends it to the point at infinity instead
+    assert moebius(S, 0.0) is INFINITY

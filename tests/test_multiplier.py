@@ -7,14 +7,16 @@ import pytest
 
 from maassperiods.branch import principal_arg, principal_arg_many, principal_pow
 from maassperiods.errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
-from maassperiods.modgroup import S, T_PRIME, GeneratorWord, GroupElement, decompose, mu
+from maassperiods.modgroup import S, T_PRIME, GeneratorWord, GroupElement, decompose, decompose_many, mu
 from maassperiods.multiplier import (
+    BASE_POINT,
     MultiplierSystem,
     construct_eta_power,
     construct_trivial,
     parse_weight,
 )
 from maassperiods.verify import WEIGHTS, _words
+from test_modgroup import reference_words
 
 
 def eta(z: complex, terms: int = 40) -> complex:
@@ -205,8 +207,7 @@ def _unit(x: Fraction) -> complex:
 
 
 def _fold_gap(v, mats) -> float:
-    elements = [GroupElement(*m) for m in mats.T.tolist()]
-    folded = np.array([v.evaluate_word(decompose(g)) for g in elements])
+    folded = v.evaluate_words(decompose_many(mats))
     return float(np.max(np.abs(v.evaluate_many(*mats) - folded)))
 
 
@@ -346,3 +347,44 @@ def test_array_draws_reproduce_the_word_samples(bound, max_len, seed):
     after = _words(new, 300, max_len, bound)
     assert [[g.a, g.b, g.c, g.d] for g in before] == after.T.tolist()
     assert old.bit_generator.state == new.bit_generator.state
+
+
+def _evaluate_word_before_arrays(v, word, base_point=BASE_POINT) -> complex:
+    """MultiplierSystem.evaluate_word before it folded arrays of words, kept
+    verbatim (with v for self) as the reference for the fold."""
+    # m = (a, b, c, d) is the product of the tokens folded so far
+    a, b, c, d = 1, 0, 0, 1
+    s_count = t_power = 0
+    theta = 0.0
+    for gen, power in reversed(word.tokens):
+        if gen == "S":
+            if power != 1:
+                raise ValueError("S tokens carry power 1")
+            s_count += 1
+            theta += principal_arg((a * base_point + b) / (c * base_point + d))
+            a, b, c, d = -c, -d, a, b
+        else:
+            t_power += power
+            a, b = a + power * c, b + power * d
+    theta -= principal_arg(c * base_point + d)
+    # v(T) has order o = 24/gcd(rho, 24); the exponent is reduced to
+    # |t_power| <= o/2, since pow's error grows with it (CPython's pow
+    # even goes polar above 100)
+    o = 24 // math.gcd(v.rho, 24)
+    t_power = (t_power + o // 2) % o - o // 2
+    return v.v_s**s_count * v.v_t**t_power * cmath.exp(1j * v.k * theta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_array_fold_matches_the_scalar_fold(seed):
+    mats = reference_words(seed)
+    words = decompose_many(mats)
+    hand = [GeneratorWord((("T", 1), ("S", 1), ("T", 1))), GeneratorWord((("S", 1), ("S", 1))), GeneratorWord(())]
+    for v in [construct_eta_power(w) for w in ("1/2", "3/2", "5/2", "-1/2", "12")] + [_twisted()]:
+        for base_point in (BASE_POINT, 0.37 + 1.11j):
+            before = [_evaluate_word_before_arrays(v, words.word(i), base_point) for i in range(len(words))]
+            # the phase k theta carries the rounding of theta times k
+            bound = 1e-14 * max(1.0, v.k)
+            assert np.max(np.abs(v.evaluate_words(words, base_point) - before)) <= bound
+            for word in hand:
+                assert abs(v.evaluate_word(word, base_point) - _evaluate_word_before_arrays(v, word, base_point)) <= bound

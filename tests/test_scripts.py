@@ -70,7 +70,12 @@ def test_run_verify_classical():
     lines = _run("run_verify.py", "--suite", "classical").splitlines()
     checks = [line for line in lines if line.startswith("[")]
     assert checks and all(line.startswith("[ok   ]") for line in checks)
-    assert lines[-1].endswith("; 0 unexpected failures")
+    assert lines[-2].endswith("; 0 unexpected failures")
+    # the per-suite wall time, the sum of the entries' times
+    assert lines[-1].startswith("suite wall time: classical ") and lines[-1].endswith("s")
+    assert float(lines[-1].rsplit(" ", 1)[1][:-1]) == pytest.approx(
+        sum(float(line.rsplit(", ", 1)[1].split("s)")[0]) for line in checks), abs=0.01 * len(checks) + 0.001
+    )
 
 
 def test_traced_benchmark_labels_each_form():

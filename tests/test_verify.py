@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maassperiods import periods
+from maassperiods import modgroup, multiplier, periods, verify
 from maassperiods.cli import main
 from maassperiods.errors import DomainError, NonconvergenceError
-from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, check, identity, run_suite
+from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, WEIGHTS, check, identity, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -141,6 +141,58 @@ def test_growth_reports_its_margin(context):
     assert result.passed and result.max_residual < 0
 
 
+def test_word_length_reports_its_margin(context):
+    # the signed margin of the longest word to its bound, not a clip to 0
+    result = check("group.word-length", context, seed=1)
+    assert result.passed and result.max_residual < 0
+
+
+def _sign_swapped_mu(g, z):
+    return g[2] * z - g[3]
+
+
+def _fold_with_s_inverse(is_s, power):
+    s = is_s.astype(np.int64)
+    return 1 - s, power + s, -s, 1 - s
+
+
+def _nearest_step_dropped(p, q):
+    return np.sign(p) * np.sign(q)
+
+
+def _upper_half_plane(w):
+    return w.imag > 0
+
+
+def _mu_of_one(g, z):
+    return np.ones(np.shape(g[2] * z))
+
+
+# each mutant of the array group and word code: (module, name, stand-in,
+# what it does wrong, the ids it must fail at seed 1)
+MUTANTS = [
+    (verify, "mu", _sign_swapped_mu, "mu as c z - d", ["group.action-identities"]),
+    (modgroup, "_cells", _fold_with_s_inverse, "the word product applies S^-1 for S", ["group.decompose-roundtrip"]),
+    (modgroup, "_round_half_down", _nearest_step_dropped, "the Euclid run peels T^+-1, not the nearest T^q",
+     ["group.word-length"]),
+    (verify, "in_cut_plane", _upper_half_plane, "the cut plane taken for the upper half-plane",
+     ["group.cut-plane-monoid"]),
+    (multiplier, "mu", _mu_of_one, "the word fold without its -arg mu(g, z0) term",
+     [f"{ident}[k={w}]" for ident in ("multiplier.base-point", "multiplier.eta-closed-form") for w in WEIGHTS]),
+]
+
+
+@pytest.mark.parametrize("module, name, mutant, what, idents", MUTANTS, ids=[m[3] for m in MUTANTS])
+def test_each_array_group_identity_fails_a_mutant(monkeypatch, module, name, mutant, what, idents):
+    assert all(check(ident, seed=1).passed for ident in idents)
+    monkeypatch.setattr(module, name, mutant)
+    assert [ident for ident in idents if check(ident, seed=1).passed] == []
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize(
     "error, note",
     [
@@ -169,8 +221,10 @@ def test_a_raising_identity_fails_its_entry_and_the_run_goes_on(monkeypatch, cap
         check(ident)
     # the CLI reports the id by its note and exits 1; so does the script
     assert main(["verify", "--suite", "quad"]) == 1
-    entries = {e["identity"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    # strict JSON: the residual of the raising id is null, never Infinity
+    entries = {e["identity"]: e for e in json.loads(capsys.readouterr().out, parse_constant=_no_constant)["entries"]}
     assert entries[ident]["note"].startswith(note) and not entries[ident]["passed"]
+    assert entries[ident]["max_residual"] is None
     spec = importlib.util.spec_from_file_location("_run_verify", os.path.join(ROOT, "scripts", "run_verify.py"))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
