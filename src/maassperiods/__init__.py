@@ -11,7 +11,7 @@ from .forms import (
     surrogate_form,
 )
 from .kernel import RKernel, r_transform_check
-from .modgroup import INFINITY, GroupElement, S, T, T_PRIME, decompose, moebius, mu
+from .modgroup import INFINITY, GroupElement, S, T, T_PRIME, decompose_many, moebius, mu
 from .multiplier import MultiplierSystem, construct_eta_power, construct_trivial
 from .periods import (
     BijectionConstants,
@@ -45,7 +45,7 @@ __all__ = [
     "T_PRIME",
     "construct_eta_power",
     "construct_trivial",
-    "decompose",
+    "decompose_many",
     "delta_coefficients",
     "delta_form",
     "dslash",

@@ -113,7 +113,7 @@ def reduce_many(zs: np.ndarray) -> tuple:
     """Reduce a flat array of points to the fundamental domain, all at once.
 
     Returns (w, g): w = g z with |Re w| <= 1/2 and |w| >= 1 (up to
-    roundoff), g the (n, 4) matrices (a, b, c, d).  A point is translated
+    roundoff), g the (4, n) int64 matrix array.  A point is translated
     by floor(Re w + 1/2), then inverted while |w|^2 < 1 - 1e-14, and stops
     at its first step without an inversion.  Raises DomainError for a point
     that is not finite or not above the axis, after 256 steps, or when an
@@ -131,8 +131,7 @@ def reduce_many(zs: np.ndarray) -> tuple:
         raise DomainError("reduction matrix entries reached 2^53")
     ws = zs - shift
     gs = np.empty((4, zs.size))  # the rows a, b, c, d
-    gs[0], gs[2], gs[3] = 1.0, 0.0, 1.0
-    np.subtract(0.0, shift, out=gs[1])  # 0 - shift: +0.0, not -0.0, for a zero shift
+    gs[0], gs[1], gs[2], gs[3] = 1.0, -shift, 0.0, 1.0
     idx = np.flatnonzero(ws.real * ws.real + ws.imag * ws.imag < 1.0 - 1e-14)
     w, (a, b, c, d) = ws[idx], gs[:, idx]
     steps = 1
@@ -152,7 +151,7 @@ def reduce_many(zs: np.ndarray) -> tuple:
         gs[:, idx] = a, b, c, d
         inside = w.real * w.real + w.imag * w.imag < 1.0 - 1e-14
         idx, w, a, b, c, d = idx[inside], w[inside], a[inside], b[inside], c[inside], d[inside]
-    return ws, gs.T.copy()
+    return ws, gs.astype(np.int64)
 
 
 def reduce_to_fundamental_domain(z: complex) -> tuple:
@@ -163,7 +162,7 @@ def reduce_to_fundamental_domain(z: complex) -> tuple:
     name, and goes when that tracer wraps :func:`reduce_many` instead.
     """
     w, g = reduce_many(np.array([complex(z)]))
-    return complex(w[0]), GroupElement(*(int(e) for e in g[0]))
+    return complex(w[0]), GroupElement(*g[:, 0].tolist())
 
 
 @lru_cache(maxsize=16)
@@ -201,7 +200,7 @@ def q_expansion(coefficients, zs: np.ndarray, derivative: bool = False) -> tuple
     acc = np.zeros((rows.shape[1], w.size), dtype=complex)
     for row in rows:
         acc = (acc + row) * q
-    return w, g[:, 2] * zs + g[:, 3], acc
+    return w, mu(g, zs), acc
 
 
 # ---------------------------------------------------------------------------

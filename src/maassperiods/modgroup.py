@@ -1,13 +1,15 @@
 """Integer unimodular matrices, generator words and the fractional linear action.
 
-The point at infinity is a distinguished sentinel (:data:`INFINITY`), not a
-large float, so the extended action ``a/c if z = infinity`` is exact.
+One format per object.  A matrix is a :class:`GroupElement` of exact
+integers, and a batch of matrices is a (4, ...) integer array of the rows
+a, b, c, d; ``mu``, ``moebius`` and ``has_nonnegative_entries`` take either.
+A word is a :class:`WordArray`, many words in S and T as padded cell arrays:
+:func:`decompose_many` writes matrices as words, and
+:meth:`WordArray.matrices` multiplies them back.
 
-The action, the continued-fraction decomposition and the word product also
-run on arrays: a matrix array is a (4, ...) integer array of the rows a, b,
-c, d, and a :class:`WordArray` holds many words as padded cell arrays.
-:func:`decompose` and :meth:`GeneratorWord.matrix` are the one-column case
-of :func:`decompose_many` and :meth:`WordArray.products`.
+The point at infinity is a distinguished sentinel (:data:`INFINITY`), not a
+large float, so the extended action of one GroupElement,
+``a/c if z = infinity``, is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import DomainError, InvalidElementError
 
 __all__ = [
     "GroupElement",
-    "GeneratorWord",
     "WordArray",
     "INFINITY",
     "IDENTITY",
@@ -31,7 +32,6 @@ __all__ = [
     "MINUS_ONE",
     "moebius",
     "mu",
-    "decompose",
     "decompose_many",
     "has_nonnegative_entries",
     "integer_entries",
@@ -88,11 +88,6 @@ class GroupElement:
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(-self.a, -self.b, -self.c, -self.d)
-
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
@@ -165,26 +160,6 @@ def has_nonnegative_entries(g):
 
 
 @dataclass(frozen=True)
-class GeneratorWord:
-    """A word in S and T, with T-runs stored as (generator, power) tokens.
-
-    ``tokens`` is a tuple of pairs ``("S", 1)`` or ``("T", m)`` with m a
-    nonzero integer, the run of |m| factors T or T^-1.  Runs are what keep
-    the word length logarithmic in the matrix entries (a bare translation
-    T^m would otherwise need m factors).
-    """
-
-    tokens: tuple
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def matrix(self) -> GroupElement:
-        """The product of the tokens: :meth:`WordArray.matrices` of one word."""
-        return GroupElement(*WordArray.of([self]).matrices()[:, 0].tolist())
-
-
-@dataclass(frozen=True)
 class WordArray:
     """n generator words as (n, L) cell arrays.
 
@@ -197,23 +172,6 @@ class WordArray:
     is_s: np.ndarray
     power: np.ndarray
 
-    @classmethod
-    def of(cls, words) -> "WordArray":
-        """The GeneratorWords ``words`` as one array; ValueError at a token
-        that is neither ("S", 1) nor ("T", m)."""
-        width = max(map(len, words), default=0)
-        is_s = np.zeros((len(words), width), bool)
-        power = np.zeros((len(words), width), object)
-        for i, word in enumerate(words):
-            for j, (gen, p) in enumerate(word.tokens):
-                if gen == "S" and p != 1:
-                    raise ValueError("S tokens carry power 1")
-                if gen not in ("S", "T"):
-                    raise ValueError(f"unknown generator {gen!r}")
-                is_s[i, j] = gen == "S"
-                power[i, j] = 0 if gen == "S" else p
-        return cls(is_s, power)
-
     def __len__(self) -> int:
         return len(self.is_s)
 
@@ -221,11 +179,6 @@ class WordArray:
     def lengths(self) -> np.ndarray:
         """The token count of each word."""
         return np.count_nonzero(self.is_s | (self.power != 0), axis=1)
-
-    def word(self, i: int) -> GeneratorWord:
-        """Word i as a GeneratorWord."""
-        cells = zip(self.is_s[i].tolist(), self.power[i].tolist())
-        return GeneratorWord(tuple(("S", 1) if s else ("T", p) for s, p in cells if s or p))
 
     def suffix_products(self) -> np.ndarray:
         """The (4, n, L + 1) matrix array whose column j holds the product of
@@ -269,25 +222,17 @@ def _round_half_down(p, q):
     return -((q - 2 * p) // (2 * q))
 
 
-def decompose(g: GroupElement) -> GeneratorWord:
-    """Write g as a product of word tokens.
+def decompose_many(m) -> WordArray:
+    """Every matrix of the (4, n) integer array ``m`` as a word in S and T.
 
     Continued-fraction reduction on the first column: repeatedly peel a
     factor T^q S choosing q as the nearest integer to a/c (ties toward the
     floor), which at least halves |c|.  What is left is T^shift or
     (-1) T^shift, and the central (-1) is written as S^2, so
-    ``decompose(g).matrix() == g`` exactly.  The one-column case of
-    :func:`decompose_many`.
+    ``decompose_many(m).matrices()`` is m exactly.  All matrices run in
+    lockstep: each step writes T^q S for every matrix whose c is not 0 yet,
+    and T^0 padding for the others.
     """
-    if not isinstance(g, GroupElement):
-        g = GroupElement(*g)
-    return decompose_many([[g.a], [g.b], [g.c], [g.d]]).word(0)
-
-
-def decompose_many(m) -> WordArray:
-    """:func:`decompose` of every matrix of the (4, n) integer array ``m``,
-    as one continued-fraction run in lockstep: each step writes T^q S for
-    every matrix whose c is not 0 yet, and T^0 padding for the others."""
     a, b, c, d = integer_entries(*m, _EUCLID_EXACT)
     if (a * d - b * c != 1).any():
         raise InvalidElementError("every matrix must have determinant 1")

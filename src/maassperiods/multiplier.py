@@ -13,12 +13,13 @@ v(g) = exp(i pi rho [Phi(g) - 3] / 12) with the integer
 Phi(g) = (a + d - 12c s(d, c)) / c and s the Dedekind sum; for c < 0,
 v(g) = e^{i pi rho/2} v(-g); for c = 0, v(+-T^b) = e^{i pi rho b/12}, times
 e^{-i pi rho/2} for -T^b.  The phase is reduced mod 24 in integers, so each
-value is one of 24 unit roots.
+value is one of 24 unit roots.  It takes matrices in the one batch format
+of :mod:`~maassperiods.modgroup`, a (4, ...) integer array, so the matrices
+of ``forms.reduce_many`` go in as they come out.
 
 :meth:`MultiplierSystem.evaluate_words` is the independent route: the
 relation folded along generator words at a base point z0, all words of a
-:class:`~maassperiods.modgroup.WordArray` in one pass
-(:meth:`MultiplierSystem.evaluate_word` is its one-word case).  With m_j the
+:class:`~maassperiods.modgroup.WordArray` in one pass.  With m_j the
 product of the tokens right of token j, the terms arg mu(m_j, z0) -
 arg mu(m_{j+1}, z0) telescope to -arg mu(g, z0), and mu(S, w) = w,
 mu(T^n, w) = 1 leave one arg(m_j z0) per S token, so
@@ -38,7 +39,7 @@ import numpy as np
 
 from .branch import principal_arg_many
 from .errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
-from .modgroup import GeneratorWord, GroupElement, WordArray, integer_entries, moebius, mu
+from .modgroup import GroupElement, WordArray, integer_entries, moebius, mu
 
 __all__ = ["MultiplierSystem", "construct_eta_power", "construct_trivial", "parse_weight"]
 
@@ -95,16 +96,13 @@ class MultiplierSystem:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, g: GroupElement) -> complex:
-        """Value on one element: :meth:`evaluate_many` of one matrix."""
-        return complex(self.evaluate_many([g.a], [g.b], [g.c], [g.d])[0])
+        """Value on one element: :meth:`evaluate_many` of its one column."""
+        return complex(self.evaluate_many([[g.a], [g.b], [g.c], [g.d]])[0])
 
-    def __call__(self, g: GroupElement) -> complex:
-        return self.evaluate(g)
-
-    def evaluate_many(self, a, b, c, d) -> np.ndarray:
-        """Values at the matrices (a, b, c, d), elementwise over integer arrays
-        of one shape, by Rademacher's closed form (module docstring)."""
-        m = integer_entries(a, b, c, d, _INT64_EXACT)
+    def evaluate_many(self, m) -> np.ndarray:
+        """Values at the matrices of the (4, ...) integer array ``m``,
+        elementwise, by Rademacher's closed form (module docstring)."""
+        m = integer_entries(*m, _INT64_EXACT)
         flip = m[2] < 0  # v(g) = e^{i pi rho/2} v(-g)
         a, b, c, d = m * (1 - 2 * flip)
         if (a * d - b * c != 1).any():
@@ -113,11 +111,6 @@ class MultiplierSystem:
         phi = (a + d - _twelve_c_dedekind(d % cc, cc)) // cc
         n = np.where(c > 0, phi - 3, a * (b % 24) - 6 * (a == -1)) + 6 * flip
         return _ROOTS[(self.rho * n % 24).astype(np.int64)]
-
-    def evaluate_word(self, word: GeneratorWord, base_point: complex = BASE_POINT) -> complex:
-        """The consistency relation folded along a caller-supplied word at
-        ``base_point``: :meth:`evaluate_words` of one word."""
-        return complex(self.evaluate_words(WordArray.of([word]), base_point)[0])
 
     def evaluate_words(self, words: WordArray, base_point: complex = BASE_POINT) -> np.ndarray:
         """The consistency relation folded along each of ``words`` at

@@ -120,10 +120,6 @@ def whittaker_w(kappa: float, mu: complex, y) -> complex | np.ndarray:
     if alpha.real <= 0:
         out = _whittaker_recurrence(kappa, given, ys)
         return complex(out[0]) if scalar else out
-    if alpha.imag == 0.0 and alpha.real == round(alpha.real) and alpha.real < 0:
-        raise UnsupportedParameterError(
-            f"degenerate index pair kappa={kappa}, mu={given}"
-        )
     beta = mu + kappa - 0.5
 
     # substitute t = e^u: integrand exp(-e^u) e^{u alpha} (1 + e^u/y)^beta

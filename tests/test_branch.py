@@ -97,3 +97,9 @@ def test_arg_conjugation(z):
         return
     assert abs(principal_arg(z.conjugate()) + principal_arg(z)) <= 1e-15
 
+
+
+@pytest.mark.parametrize("z, w", [(0.0, 1.0), (1j, 0.0)])
+def test_factorizable_rejects_zero(z, w):
+    with pytest.raises(DomainError, match="^factorizable requires nonzero arguments$"):
+        factorizable(z, w)

@@ -90,6 +90,14 @@ def test_cli_period_function(capsys):
     assert len(rows) == 4
 
 
+def test_cli_period_function_with_the_trivial_multiplier(capsys):
+    argv = ["period-function", "--weight", "2", "--nu", "0.3i", "--multiplier", "trivial", "--grid", "0.5:1.5:3"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["re_zeta", "im_zeta", "re_P", "im_P", "abs_error"]
+    assert len(rows) == 4 and all(math.isfinite(float(x)) for row in rows[1:] for x in row)
+
+
 def test_cli_period_function_grid_is_eval_at_each_point(capsys):
     # the grid crosses the surrogate's polyline, split and axis routes
     import numpy as np

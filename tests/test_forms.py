@@ -434,7 +434,8 @@ def test_vector_reduction_matches_scalar_loop():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-3.0, 3.0, 500) + 1j * np.exp(rng.uniform(math.log(1e-5), math.log(3.0), 500))
     ws, gs = reduce_many(zs)
-    for z, w, g in zip(zs, ws, gs):
+    assert gs.dtype == np.int64 and gs.shape == (4, zs.size)
+    for z, w, g in zip(zs, ws, gs.T):
         w_ref, g_ref, _ = _scalar_reduction(z)
         assert tuple(g) == (g_ref.a, g_ref.b, g_ref.c, g_ref.d)
         assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
@@ -452,25 +453,24 @@ def test_reduction_entry_limit_raises(delta):
 
 def test_reduction_step_cap_raises(monkeypatch):
     monkeypatch.setattr(forms, "_MAX_REDUCTION_STEPS", 2)
-    assert reduce_to_fundamental_domain(0.37 + 0.2j)[1].max_entry() <= 3
+    g = reduce_to_fundamental_domain(0.37 + 0.2j)[1]
+    assert max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) <= 3
     with pytest.raises(DomainError):
         reduce_to_fundamental_domain(0.37 + 0.02j)
 
 
 def test_reduction_of_no_points():
     ws, gs = reduce_many(np.array([], dtype=complex))
-    assert ws.shape == (0,) and gs.shape == (0, 4)
+    assert ws.shape == (0,) and gs.shape == (4, 0) and gs.dtype == np.int64
 
 
 def test_reduction_without_an_inversion_is_one_translation():
     zs = np.array([0.3 + 1.2j, -2.7 + 1.0j, 4.5 + 0.9j, 1e6 + 3.0j])
     ws, gs = reduce_many(zs)
-    for z, w, g in zip(zs, ws, gs):
+    for z, w, g in zip(zs, ws, gs.T):
         n = math.floor(z.real + 0.5)
         assert tuple(g) == (1, -n, 0, 1)
         assert w == complex(z.real - n, z.imag)
-    # b = 0 - n, so +0.0 for a zero shift, as the general step gives it
-    assert math.copysign(1.0, gs[0, 1]) == 1.0
 
 
 def test_reduction_of_points_that_invert_at_different_steps():
@@ -479,13 +479,13 @@ def test_reduction_of_points_that_invert_at_different_steps():
     zs = np.array([0.3 + 1.2j, 0.1 + 0.5j, 0.41 + 0.003j, 0.37 + 0.02j, 0.6180339887498949 + 1e-4j, -0.49 + 0.01j])
     ws, gs = reduce_many(zs)
     inversions = set()
-    for i, (z, w, g) in enumerate(zip(zs, ws, gs)):
+    for i, (z, w, g) in enumerate(zip(zs, ws, gs.T)):
         w_ref, g_ref, count = _scalar_reduction(z)
         inversions.add(count)
         assert tuple(g) == (g_ref.a, g_ref.b, g_ref.c, g_ref.d)
         assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
         w_alone, g_alone = reduce_many(zs[i : i + 1])
-        assert w_alone.tobytes() == ws[i : i + 1].tobytes() and g_alone.tobytes() == gs[i : i + 1].tobytes()
+        assert w_alone.tobytes() == ws[i : i + 1].tobytes() and g_alone.tobytes() == gs[:, i : i + 1].tobytes()
     assert len(inversions) >= 5
 
 
@@ -559,3 +559,11 @@ def test_embedding_validation():
             0.3j,
             HolomorphicEmbedding((1, -24)),
         )
+
+
+def test_embedding_needs_the_trivial_multiplier():
+    # v = v_eta^4 is weight-compatible at k = 12 (rho = 2k mod 4), but not trivial
+    rho_4 = MultiplierSystem(12, cmath.exp(1j * math.pi / 3), -1.0)
+    assert rho_4.rho == 4
+    with pytest.raises(ValueError, match="^the holomorphic embedding carries the trivial multiplier$"):
+        MaassForm(12, rho_4, 5.5, HolomorphicEmbedding(delta_coefficients(10)))

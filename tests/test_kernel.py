@@ -100,6 +100,21 @@ def test_transform_hypotheses_rejected():
         r_transform_check(ker, S, 0.3 + 0.9j, -2.0 + 1j)
 
 
+@pytest.mark.parametrize(
+    "z, zeta, message",
+    [
+        (0.3 + 0.9j, -2.0, r"^mu\(g, zeta\) = \(-2\+0j\) is on the cut$"),
+        # a real z: mu(S, z) = z, the one way onto the cut with mu(g, zeta) off it
+        (-2.0, 1.0 + 1j, r"^mu\(g, z\) = \(-2\+0j\) is on the cut$"),
+        # mu(S, zeta) = 1 + i, and g z = -1/z is not above g zeta = (-1 + i)/2
+        (0.3 + 0.5j, 1.0 + 1j, r"^none of the three admissibility clauses holds: "),
+    ],
+)
+def test_each_transform_hypothesis_names_itself(z, zeta, message):
+    with pytest.raises(DomainError, match=message):
+        r_transform_check(RKernel(0.5, 0.31j), S, z, zeta)
+
+
 def test_only_the_factored_branch_is_accepted():
     assert RKernel(0.5, 0.2, "factored") == RKernel(0.5, 0.2)
     with pytest.raises(ValueError, match="factored"):

@@ -11,10 +11,8 @@ from maassperiods.modgroup import (
     S,
     T,
     T_PRIME,
-    GeneratorWord,
     GroupElement,
     WordArray,
-    decompose,
     decompose_many,
     has_nonnegative_entries,
     moebius,
@@ -26,6 +24,11 @@ from maassperiods.verify import _words
 def test_determinant_enforced():
     with pytest.raises(InvalidElementError):
         GroupElement(1, 1, 1, 1)
+
+
+def test_entries_must_be_python_ints():
+    with pytest.raises(InvalidElementError, match=r"^entries must be int, got 1\.0$"):
+        GroupElement(1.0, 0, 0, 1)
 
 
 def test_basic_elements():
@@ -51,13 +54,29 @@ def test_mu_examples():
     assert mu(S * T, 1j) == pytest.approx(mu(S, moebius(T, 1j)) * mu(T, 1j))
 
 
+def column(g: GroupElement) -> list:
+    """g as a (4, 1) matrix array, entries as Python ints."""
+    return [[g.a], [g.b], [g.c], [g.d]]
+
+
+def tokens(words: WordArray, i: int) -> tuple:
+    """Word i of ``words`` as its tokens ("S", 1) and ("T", m), m != 0: the
+    cells without the T^0 padding."""
+    cells = zip(words.is_s[i].tolist(), words.power[i].tolist())
+    return tuple(("S", 1) if s else ("T", p) for s, p in cells if s or p)
+
+
+def _max_entry(g: GroupElement) -> int:
+    return max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+
+
 def test_decompose_examples():
-    assert decompose(T_PRIME).tokens == (("T", 1), ("S", 1), ("T", 1))
-    assert decompose(MINUS_ONE).tokens == (("S", 1), ("S", 1))
-    word = decompose(T.inverse() * S)
-    assert word.matrix() == T.inverse() * S
+    words = decompose_many(np.hstack([column(g) for g in (T_PRIME, MINUS_ONE, T.inverse() * S)]))
+    assert tokens(words, 0) == (("T", 1), ("S", 1), ("T", 1))
+    assert tokens(words, 1) == (("S", 1), ("S", 1))
+    assert GroupElement(*words.matrices()[:, 2].tolist()) == T.inverse() * S
     # a negative T-run stands for the letter T^-1
-    assert ("T", -1) in word.tokens
+    assert ("T", -1) in tokens(words, 2)
 
 
 words = st.lists(
@@ -80,20 +99,20 @@ def _matrix_of(spec):
 @given(words)
 def test_decompose_roundtrip(spec):
     g = _matrix_of(spec)
-    assert decompose(g).matrix() == g
+    assert decompose_many(column(g)).matrices().tolist() == column(g)
 
 
 @given(words)
 def test_word_length_bound(spec):
     g = _matrix_of(spec)
-    assert len(decompose(g)) <= 6 * (1 + np.log2(max(1, g.max_entry())))
+    assert decompose_many(column(g)).lengths[0] <= 6 * (1 + np.log2(max(1, _max_entry(g))))
 
 
 @given(words, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
 def test_action_identities(spec, z):
     z = complex(z.real, abs(z.imag) + 0.3)
     g = _matrix_of(spec)
-    if g.max_entry() > 25:
+    if _max_entry(g) > 25:
         return
     m = mu(g, z)
     gz = moebius(g, z)
@@ -130,9 +149,9 @@ def _round_half_down_before_arrays(p: int, q: int) -> int:
     return -((-num) // den)
 
 
-def _decompose_before_arrays(g: GroupElement) -> GeneratorWord:
-    """decompose before it ran on arrays, kept verbatim as the reference for
-    its tokens."""
+def _decompose_before_arrays(g: GroupElement) -> tuple:
+    """decompose before it ran on arrays, kept verbatim (but for returning
+    the bare token tuple) as the reference for its tokens."""
     if not isinstance(g, GroupElement):
         g = GroupElement(*g)
     a, b, c, d = g.a, g.b, g.c, g.d
@@ -151,13 +170,14 @@ def _decompose_before_arrays(g: GroupElement) -> GeneratorWord:
     if a == -1:
         tokens.append(("S", 1))
         tokens.append(("S", 1))
-    return GeneratorWord(tuple(tokens))
+    return tuple(tokens)
 
 
-def _matrix_before_arrays(word: GeneratorWord) -> GroupElement:
-    """GeneratorWord.matrix before it ran on arrays, verbatim."""
+def _matrix_before_arrays(word: tuple) -> GroupElement:
+    """The product of a word's tokens before it ran on arrays, verbatim (but
+    for taking the bare token tuple)."""
     a, b, c, d = 1, 0, 0, 1
-    for gen, power in word.tokens:
+    for gen, power in word:
         # right-multiply by S = [[0, -1], [1, 0]] or by T^power
         a, b, c, d = (b, -a, d, -c) if gen == "S" else (a, a * power + b, c, c * power + d)
     return GroupElement(a, b, c, d)
@@ -186,39 +206,43 @@ def test_decompose_many_gives_the_tokens_of_the_scalar_code(seed):
     assert np.count_nonzero((c == 0) & (mats[0] == -1)) >= 7
     words = decompose_many(mats)
     before = [_decompose_before_arrays(GroupElement(*m)) for m in mats.T.tolist()]
-    assert [words.word(i) for i in range(len(words))] == before
+    assert [tokens(words, i) for i in range(len(words))] == before
     assert words.lengths.tolist() == [len(w) for w in before]
     assert np.array_equal(words.matrices(), mats)
-    assert [decompose(GroupElement(*m)) for m in mats[:, :40].T.tolist()] == before[:40]
+    # one matrix alone gives the word it gets in the batch
+    assert [tokens(decompose_many(mats[:, i : i + 1]), 0) for i in range(40)] == before[:40]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_word_matrix_is_the_scalar_product(seed):
     mats = _words(np.random.default_rng(seed), 100, max_len=20)
-    words = [_decompose_before_arrays(GroupElement(*m)) for m in mats.T.tolist()]
-    hand = [GeneratorWord((("T", 5), ("S", 1), ("T", -7), ("S", 1), ("S", 1))), GeneratorWord(())]
-    for word in words + hand:
-        assert word.matrix() == _matrix_before_arrays(word)
+    # T^5 S T^-7 S S and the empty word, padded to one width by hand
+    hand = WordArray(
+        np.array([[False, True, False, True, True], [False] * 5]), np.array([[5, 0, -7, 0, 0], [0] * 5])
+    )
+    for words in (decompose_many(mats), hand):
+        products = words.matrices().T.tolist()
+        assert [GroupElement(*m) for m in products] == [
+            _matrix_before_arrays(tokens(words, i)) for i in range(len(words))
+        ]
 
 
 def test_word_array_round_trips_hand_written_words():
-    hand = [GeneratorWord((("T", 2), ("S", 1))), GeneratorWord((("S", 1),) * 4), GeneratorWord(())]
-    words = WordArray.of(hand)
-    assert [words.word(i) for i in range(len(words))] == hand
+    hand = [(("T", 2), ("S", 1)), (("S", 1),) * 4, ()]
+    words = WordArray(
+        np.array([[False, True, False, False], [True] * 4, [False] * 4]), np.array([[2, 0, 0, 0], [0] * 4, [0] * 4])
+    )
+    assert [tokens(words, i) for i in range(len(words))] == hand
     assert words.lengths.tolist() == [2, 4, 0]
-    with pytest.raises(ValueError, match="power 1"):
-        WordArray.of([GeneratorWord((("S", 2),))])
-    with pytest.raises(ValueError, match="generator 'U'"):
-        WordArray.of([GeneratorWord((("U", 1),))])
 
 
 def test_entries_beyond_int64_decompose_and_fold_exactly():
     c = 10**30 + 7
     for g in (GroupElement(1, 0, c, 1), GroupElement(-1, 0, c, -1) * T.inverse(), GroupElement(1, 2**70, 0, 1)):
-        word = decompose(g)
-        assert word == _decompose_before_arrays(g) and word.matrix() == g
-    run = GeneratorWord((("T", 2**40), ("S", 1), ("T", 2**40), ("S", 1)))
-    assert run.matrix() == _matrix_before_arrays(run)
+        words = decompose_many(column(g))
+        assert tokens(words, 0) == _decompose_before_arrays(g) and words.matrices().tolist() == column(g)
+    run = WordArray(np.array([[False, True, False, True]]), np.array([[2**40, 0, 2**40, 0]]))
+    assert GroupElement(*run.matrices()[:, 0].tolist()) == _matrix_before_arrays(tokens(run, 0))
 
 
 def test_decompose_many_rejects_a_matrix_of_another_determinant():

@@ -7,7 +7,8 @@ import pytest
 
 from maassperiods.branch import principal_arg, principal_arg_many, principal_pow
 from maassperiods.errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
-from maassperiods.modgroup import S, T_PRIME, GeneratorWord, GroupElement, decompose, decompose_many, mu
+from maassperiods.forms import reduce_many
+from maassperiods.modgroup import S, T_PRIME, GroupElement, WordArray, decompose_many, mu
 from maassperiods.multiplier import (
     BASE_POINT,
     MultiplierSystem,
@@ -16,7 +17,7 @@ from maassperiods.multiplier import (
     parse_weight,
 )
 from maassperiods.verify import WEIGHTS, _words
-from test_modgroup import reference_words
+from test_modgroup import column, reference_words, tokens
 
 
 def eta(z: complex, terms: int = 40) -> complex:
@@ -66,14 +67,8 @@ def test_s_evaluates_to_its_generator_value(system):
 
 def test_minus_one_via_explicit_word():
     v = construct_eta_power("1/2")
-    folded = v.evaluate_word(GeneratorWord((("S", 1), ("S", 1))))
+    (folded,) = v.evaluate_words(WordArray(np.array([[True, True]]), np.array([[0, 0]])))
     assert abs(folded - cmath.exp(-1j * math.pi / 2)) <= 1e-13
-
-
-def test_s_token_with_a_power_is_rejected():
-    v = construct_eta_power("1/2")
-    with pytest.raises(ValueError):
-        v.evaluate_word(GeneratorWord((("T", 1), ("S", 2))))
 
 
 def test_trivial_system_even_weight_only():
@@ -208,7 +203,7 @@ def _unit(x: Fraction) -> complex:
 
 def _fold_gap(v, mats) -> float:
     folded = v.evaluate_words(decompose_many(mats))
-    return float(np.max(np.abs(v.evaluate_many(*mats) - folded)))
+    return float(np.max(np.abs(v.evaluate_many(mats) - folded)))
 
 
 def _twisted():
@@ -250,11 +245,24 @@ def test_every_consistent_pair_of_unit_roots_is_an_eta_power(weight):
     assert max(_fold_gap(v, mats) for v in systems) <= 1e-13
 
 
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_closed_form_takes_the_reduction_matrices_as_they_come(weight):
+    # the (4, n) int64 matrices of the fundamental-domain reduction go into
+    # evaluate_many unchanged
+    rng = np.random.default_rng(17)
+    zs = rng.uniform(-2, 2, 200) + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 200))
+    v = construct_eta_power(weight)
+    _, gs = reduce_many(zs)
+    assert np.count_nonzero(gs[2]) >= 100
+    each = [v.evaluate(GroupElement(*m)) for m in gs.T.tolist()]
+    assert np.array_equal(v.evaluate_many(gs), each)
+
+
 def test_closed_form_on_an_array_is_per_element_evaluate_bit_for_bit():
     v = construct_eta_power("3/2")
     mats = _words(np.random.default_rng(11), 4096, bound=50)
     each = [v.evaluate(GroupElement(*m)) for m in mats.T.tolist()]
-    assert np.array_equal(v.evaluate_many(*mats), each)
+    assert np.array_equal(v.evaluate_many(mats), each)
 
 
 @pytest.mark.parametrize("weight", ["1/2", "3/2", "5/2"])
@@ -267,7 +275,7 @@ def test_large_translations_keep_the_exact_phase(weight, n, sign):
     g = GroupElement(sign, n, 0, sign)
     want = _unit(_eta_power_phase(int(2 * v.weight), sign, n, 0, sign))
     assert abs(v.evaluate(g) - want) <= 1e-15
-    assert abs(v.evaluate_word(decompose(g)) - want) <= 1e-15
+    assert abs(v.evaluate_words(decompose_many(column(g)))[0] - want) <= 1e-15
 
 
 @pytest.mark.parametrize("c", [2**40 + 1, 10**30 + 7])
@@ -287,27 +295,27 @@ def test_entries_beyond_int64_products_give_exact_values(c):
     b = np.array([2**62, 2**63 - 1], dtype=np.int64)
     want = [_unit(Fraction(x, 12)) for x in b.tolist()]
     ones, zeros = np.ones(2, np.int64), np.zeros(2, np.int64)
-    assert np.max(np.abs(v.evaluate_many(ones, b, zeros, ones) - want)) <= 1e-15
+    assert np.max(np.abs(v.evaluate_many(np.stack([ones, b, zeros, ones])) - want)) <= 1e-15
 
 
 def test_unsigned_entries_mixed_with_signed_ones_stay_integers():
     # numpy stacks uint64 with int64 as float64; each entry is converted alone
     v = construct_eta_power("1/2")
-    got = v.evaluate_many(np.array([1], np.uint64), [5], [0], [1])
+    got = v.evaluate_many([np.array([1], np.uint64), [5], [0], [1]])
     assert abs(got[0] - cmath.exp(5j * math.pi / 12)) <= 1e-15
     # a uint64 entry >= 2^63 goes to Python ints, where int64 would wrap it
     b = np.array([2**63, 2**64 - 1], dtype=np.uint64)
     want = [_unit(Fraction(x, 12)) for x in b.tolist()]
     ones, zeros = np.ones(2, np.int64), np.zeros(2, np.int64)
-    assert np.max(np.abs(v.evaluate_many(ones, b, zeros, ones) - want)) <= 1e-15
+    assert np.max(np.abs(v.evaluate_many([ones, b, zeros, ones]) - want)) <= 1e-15
 
 
 def test_non_integer_or_non_unimodular_entries_are_rejected():
     v = construct_eta_power("1/2")
     with pytest.raises(InvalidElementError):
-        v.evaluate_many([1.0], [0.0], [0.0], [1.0])
+        v.evaluate_many([[1.0], [0.0], [0.0], [1.0]])
     with pytest.raises(InvalidElementError):
-        v.evaluate_many([2], [0], [0], [1])
+        v.evaluate_many([[2], [0], [0], [1]])
 
 
 def test_array_arg_of_mu_on_the_negative_axis_is_plus_pi():
@@ -351,12 +359,13 @@ def test_array_draws_reproduce_the_word_samples(bound, max_len, seed):
 
 def _evaluate_word_before_arrays(v, word, base_point=BASE_POINT) -> complex:
     """MultiplierSystem.evaluate_word before it folded arrays of words, kept
-    verbatim (with v for self) as the reference for the fold."""
+    verbatim (with v for self, and the bare token tuple for the word) as the
+    reference for the fold."""
     # m = (a, b, c, d) is the product of the tokens folded so far
     a, b, c, d = 1, 0, 0, 1
     s_count = t_power = 0
     theta = 0.0
-    for gen, power in reversed(word.tokens):
+    for gen, power in reversed(word):
         if gen == "S":
             if power != 1:
                 raise ValueError("S tokens carry power 1")
@@ -378,13 +387,14 @@ def _evaluate_word_before_arrays(v, word, base_point=BASE_POINT) -> complex:
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_array_fold_matches_the_scalar_fold(seed):
     mats = reference_words(seed)
-    words = decompose_many(mats)
-    hand = [GeneratorWord((("T", 1), ("S", 1), ("T", 1))), GeneratorWord((("S", 1), ("S", 1))), GeneratorWord(())]
+    # T S T, S S and the empty word, padded to one width by hand
+    hand = WordArray(
+        np.array([[False, True, False], [True, True, False], [False] * 3]), np.array([[1, 0, 1], [0] * 3, [0] * 3])
+    )
     for v in [construct_eta_power(w) for w in ("1/2", "3/2", "5/2", "-1/2", "12")] + [_twisted()]:
         for base_point in (BASE_POINT, 0.37 + 1.11j):
-            before = [_evaluate_word_before_arrays(v, words.word(i), base_point) for i in range(len(words))]
-            # the phase k theta carries the rounding of theta times k
-            bound = 1e-14 * max(1.0, v.k)
-            assert np.max(np.abs(v.evaluate_words(words, base_point) - before)) <= bound
-            for word in hand:
-                assert abs(v.evaluate_word(word, base_point) - _evaluate_word_before_arrays(v, word, base_point)) <= bound
+            for words in (decompose_many(mats), hand):
+                before = [_evaluate_word_before_arrays(v, tokens(words, i), base_point) for i in range(len(words))]
+                # the phase k theta carries the rounding of theta times k
+                bound = 1e-14 * max(1.0, v.k)
+                assert np.max(np.abs(v.evaluate_words(words, base_point) - before)) <= bound

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -651,3 +652,33 @@ def test_growth_check_of_a_vanishing_transform_is_a_domain_error(delta):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"\|P\(0\.125\)\| = 0\.0"):
             growth_check(lower)
+
+
+def test_a_bridge_whose_far_f_fails_raises_its_error(delta):
+    # at zeta = -0.05+0.3i the near f takes 97 evaluations and the far f,
+    # at -1/zeta, 98: a budget of 97 fails the far one alone
+    bad, good = -0.05 + 0.3j, -0.82 + 0.14j
+    capped = Settings(max_evals=97)
+    f, period = NearlyPeriodicFunction(delta, capped), PeriodFunction(delta, capped)
+    assert f.eval(bad).evaluations == 97
+    with pytest.raises(NonconvergenceError) as far:
+        f.eval(-1.0 / bad)
+    with pytest.raises(NonconvergenceError) as got:
+        period.eval(bad)
+    assert str(got.value) == str(far.value)
+    with pytest.raises(NonconvergenceError, match=re.escape(str(far.value))):
+        period.eval_many([good, bad, -good.conjugate()])
+    # the batch fails at bad alone: its other zetas keep the values they have alone
+    outcomes = period._outcomes([good, bad, good])
+    assert outcomes[0] == outcomes[2] == period.eval(good)
+    assert str(outcomes[1]) == str(far.value)
+
+
+def test_bridge_formulas_read_a_transform_s_own_parameters(surrogate):
+    # f_to_P and P_to_f given a transform and no nu or v (or weight) take
+    # the transform's own, bit for bit
+    f, period = NearlyPeriodicFunction(surrogate), PeriodFunction(surrogate)
+    nu, v = surrogate.nu, surrogate.multiplier
+    zeta = 0.4 + 0.7j
+    assert f_to_P(f, zeta) == f_to_P(f, zeta, nu=nu, multiplier=v)
+    assert P_to_f(period, zeta) == P_to_f(period, zeta, weight=surrogate.k, nu=nu, multiplier=v)

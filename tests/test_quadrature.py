@@ -21,6 +21,7 @@ from maassperiods.periods import (
 )
 from maassperiods.quadrature import (
     GeodesicPath,
+    _compile,
     geodesic_image,
     integrate_form,
     integrate_ray,
@@ -107,6 +108,40 @@ def test_far_walk_cap_raises():
     # target by t = 1e7; truncating there would claim a converged value
     with pytest.raises(NonconvergenceError):
         integrate_ray(lambda t: 1.0 / (1.0 + t) ** 2)
+
+
+def test_unknown_start_mode_raises():
+    with pytest.raises(ValueError, match=r"^unknown endpoint mode \('cusp',\)$"):
+        integrate_ray(lambda t: np.exp(-t), start_mode=("cusp",))
+
+
+def test_non_finite_level0_mass_raises():
+    with pytest.raises(NonconvergenceError, match=r"^quadrature did not converge: partial=0j, error=inf") as err:
+        integrate_ray(lambda t: np.full(t.shape, np.nan))
+    # the one level-0 call
+    assert err.value.evaluations == err.value.__cause__.evaluations > 0
+
+
+def test_non_finite_terms_past_a_moved_end_raise():
+    # level 0 is finite but does not decay at its far end, so that end moves
+    # out; the moved nodes end in two 0 terms, which stop the move, after
+    # NaN ones the level-0 mass did not vouch for
+    calls = []
+
+    def phi(t):
+        calls.append(t.size)
+        if len(calls) == 1:
+            return np.ones(t.shape)
+        return np.where(np.arange(t.size) >= t.size - 2, 0.0, np.nan)
+
+    with pytest.raises(NonconvergenceError, match=r"^quadrature did not converge: partial=0j, error=inf") as err:
+        integrate_ray(phi)
+    assert len(calls) == 2 and err.value.evaluations == sum(calls)
+
+
+def test_a_batch_of_paths_takes_one_edge_kind_per_edge():
+    with pytest.raises(ValueError, match=r"^one edge of a batch of paths is of several kinds: \['ray', 'segment'\]$"):
+        _compile([GeodesicPath((1j, INFINITY)), GeodesicPath((1j, 2j))])
 
 
 def test_closed_form_path_independence(delta):

@@ -15,7 +15,8 @@ import pytest
 from maassperiods import modgroup, multiplier, periods, verify
 from maassperiods.cli import main
 from maassperiods.errors import DomainError, NonconvergenceError
-from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, WEIGHTS, check, identity, run_suite
+from maassperiods.config import Settings
+from maassperiods.verify import EXPECTED_FAILURES, REGISTRY, SUITES, WEIGHTS, Context, check, identity, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -141,6 +142,14 @@ def test_growth_reports_its_margin(context):
     assert result.passed and result.max_residual < 0
 
 
+def test_a_failed_integral_of_the_vanishing_period_raises():
+    # P of the lowered form vanishes by its shortcut, without quadrature; the
+    # form-raised integrals up the axis are real ones, and a budget of 50
+    # evaluations fails them
+    with pytest.raises(NonconvergenceError):
+        check("classical.vanishing-period", Context(Settings(max_evals=50)))
+
+
 def test_word_length_reports_its_margin(context):
     # the signed margin of the longest word to its bound, not a clip to 0
     result = check("group.word-length", context, seed=1)
@@ -168,6 +177,14 @@ def _mu_of_one(g, z):
     return np.ones(np.shape(g[2] * z))
 
 
+def _every_matrix(g):
+    return np.ones(np.shape(g)[1:], bool)
+
+
+def _denominator_c_z_minus_d(g, z):
+    return (g[0] * z + g[1]) / (g[2] * z - g[3])
+
+
 # each mutant of the array group and word code: (module, name, stand-in,
 # what it does wrong, the ids it must fail at seed 1)
 MUTANTS = [
@@ -177,6 +194,9 @@ MUTANTS = [
      ["group.word-length"]),
     (verify, "in_cut_plane", _upper_half_plane, "the cut plane taken for the upper half-plane",
      ["group.cut-plane-monoid"]),
+    (verify, "has_nonnegative_entries", _every_matrix, "the monoid admits every matrix", ["group.cut-plane-monoid"]),
+    (verify, "moebius", _denominator_c_z_minus_d, "the action with denominator c z - d",
+     ["group.action-identities", "group.cut-plane-monoid"]),
     (multiplier, "mu", _mu_of_one, "the word fold without its -arg mu(g, z0) term",
      [f"{ident}[k={w}]" for ident in ("multiplier.base-point", "multiplier.eta-closed-form") for w in WEIGHTS]),
 ]
