@@ -80,15 +80,16 @@ DELTA_TERMS = 50
 @lru_cache(maxsize=8)
 def delta_coefficients(n_terms: int) -> tuple:
     """First q-coefficients of q * prod_{m>=1} (1 - q^m)^24, exact integers."""
-    # product accumulated to O(q^{n_terms}); multiplying by (1 - q^m) is a
-    # single backward pass, applied 24 times per m
+    # Jacobi: prod (1 - q^m)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}; three
+    # exact squarings to O(q^{n_terms}) raise it to the 24th power, and the
+    # coefficient of q^n in Delta is poly[n-1]
     poly = [0] * n_terms
-    poly[0] = 1
-    for m in range(1, n_terms):
-        for _ in range(24):
-            for j in range(n_terms - 1, m - 1, -1):
-                poly[j] -= poly[j - m]
-    # shift by one power of q: coefficient of q^n is poly[n-1]
+    n = 0
+    while n * (n + 1) // 2 < n_terms:
+        poly[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    for _ in range(3):
+        poly = [sum(poly[i] * poly[j - i] for i in range(j + 1)) for j in range(n_terms)]
     return tuple(poly)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branch import in_cut_plane, principal_arg, principal_pow
+from .branch import _complex, in_cut_plane, principal_arg, principal_pow
 from .errors import DomainError, RDomainError
 from .modgroup import GroupElement, moebius, mu
 
@@ -47,11 +47,6 @@ __all__ = [
     "r_transform_check",
     "kernel_eigen_apply",
 ]
-
-
-def _complex(x):
-    """A number as a complex number, an array of them as a complex array."""
-    return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
 
 
 @dataclass(frozen=True)

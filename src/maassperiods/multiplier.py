@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .branch import principal_arg_many
+from .branch import principal_arg
 from .errors import InvalidElementError, InvalidMultiplierError, InvalidWeightError
 from .modgroup import GroupElement, WordArray, integer_entries, moebius, mu
 
@@ -118,8 +118,8 @@ class MultiplierSystem:
         docstring): one pass over the words' suffix products."""
         m = words.suffix_products()
         # arg(m_j z0) at each S cell j, with m_j the product right of it
-        args = np.where(words.is_s, principal_arg_many(moebius(m[:, :, 1:], base_point)), 0.0)
-        theta = args.sum(axis=1) - principal_arg_many(mu(m[:, :, 0], base_point))
+        args = np.where(words.is_s, principal_arg(moebius(m[:, :, 1:], base_point)), 0.0)
+        theta = args.sum(axis=1) - principal_arg(mu(m[:, :, 0], base_point))
         # v(T) has order o = 24/gcd(rho, 24); the exponent is reduced to
         # |t_power| <= o/2, since pow's error grows with it (numpy's pow,
         # like CPython's, even goes polar above 100)

@@ -333,7 +333,12 @@ def _lockstep(phi, rule: _Map, runs: dict) -> dict:
         x, dx = rule.nodes(ws[0] if len(ws) == 1 else np.concatenate(ws))
         owners = keys[0] if len(keys) == 1 else np.repeat(keys, sizes)
         try:
-            g = np.asarray(phi(x, owners), dtype=complex) * dx
+            values = np.asarray(phi(x, owners), dtype=complex)
+            # each part times dx: the complex product would make an infinite
+            # part's inf * 0 a NaN in the other before any check sees it
+            g = np.empty(dx.shape, dtype=complex)
+            np.multiply(values.real, dx, out=g.real)
+            np.multiply(values.imag, dx, out=g.imag)
         except Exception as exc:
             if len(keys) > 1:
                 raise

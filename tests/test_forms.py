@@ -36,6 +36,31 @@ def test_tau_values():
     assert tau[:6] == (1, -24, 252, -1472, 4830, -6048)
 
 
+def _delta_coefficients_by_products(n_terms: int) -> tuple:
+    """delta_coefficients before Jacobi's identity, kept verbatim as the
+    reference: the product multiplied out, (1 - q^m) 24 times per m."""
+    # product accumulated to O(q^{n_terms}); multiplying by (1 - q^m) is a
+    # single backward pass, applied 24 times per m
+    poly = [0] * n_terms
+    poly[0] = 1
+    for m in range(1, n_terms):
+        for _ in range(24):
+            for j in range(n_terms - 1, m - 1, -1):
+                poly[j] -= poly[j - m]
+    # shift by one power of q: coefficient of q^n is poly[n-1]
+    return tuple(poly)
+
+
+def test_delta_coefficients_match_the_product_multiplied_out():
+    # every truncation n <= 200 is the first n coefficients of the product;
+    # the cached 50 of every caller among them
+    want = _delta_coefficients_by_products(200)
+    for n in range(1, 201):
+        assert delta_coefficients.__wrapped__(n) == want[:n]
+    assert delta_coefficients(50) == want[:50]
+    assert all(type(c) is int for c in want)
+
+
 def test_delta_truncation_self_consistency():
     u50 = delta_form(50)
     u60 = MaassForm(12, u50.multiplier, 5.5, HolomorphicEmbedding(delta_coefficients(60)))

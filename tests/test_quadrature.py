@@ -122,6 +122,31 @@ def test_non_finite_level0_mass_raises():
     assert err.value.evaluations == err.value.__cause__.evaluations > 0
 
 
+def test_infinite_level0_terms_raise_nonconvergence():
+    # +inf and -inf + 1j stay infinite in their own part once times dx: no
+    # inf * 0 NaN, so no RuntimeWarning (an error under this suite's
+    # filterwarnings) ahead of the mass check
+    with pytest.raises(NonconvergenceError, match=r"^quadrature did not converge: partial=0j, error=inf"):
+        integrate_ray(lambda t: np.where(t < 1.0, np.inf, -np.inf + 1j))
+
+
+@pytest.mark.parametrize("n", [15, 31, 46])
+def test_finite_terms_are_the_complex_product_bitwise(n):
+    # the terms are phi times dx part by part; for finite phi that is the
+    # complex product, every bit of it but the sign of a zero part (the
+    # product's vr dx - vi 0 takes -0 to +0 when vi < 0)
+    rule, w, sent = quadrature._EXP_SINH, np.linspace(-3.0, 4.0, n), []
+
+    def run():
+        sent.append((yield w))
+
+    phi = lambda t, owners: np.exp(-t) * np.exp(1j * t)
+    quadrature._lockstep(phi, rule, {0: run()})
+    x, dx = rule.nodes(w)
+    ((_, terms),) = sent
+    assert np.array_equal(terms, phi(x, 0) * dx)
+
+
 def test_non_finite_terms_past_a_moved_end_raise():
     # level 0 is finite but does not decay at its far end, so that end moves
     # out; the moved nodes end in two 0 terms, which stop the move, after

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maassperiods import modgroup, multiplier, periods, verify
+from maassperiods import branch, forms, modgroup, multiplier, periods, verify
 from maassperiods.cli import main
 from maassperiods.errors import DomainError, NonconvergenceError
 from maassperiods.config import Settings
@@ -185,8 +185,33 @@ def _denominator_c_z_minus_d(g, z):
     return (g[0] * z + g[1]) / (g[2] * z - g[3])
 
 
-# each mutant of the array group and word code: (module, name, stand-in,
-# what it does wrong, the ids it must fail at seed 1)
+def _arg_without_sign(z):
+    return np.abs(np.angle(z))
+
+
+def _admits_two_negative_reals(z, w):
+    negative = lambda x: (np.imag(x) == 0) & (np.real(x) < 0)
+    return branch.factorizable(z, w) | negative(z) & negative(w)
+
+
+def _v_of_one(self, m):
+    return np.ones(np.shape(m)[1:], complex)
+
+
+def _delta_with_a_complex_coefficient(n_terms=forms.DELTA_TERMS):
+    delta = forms.delta_form(n_terms)
+    coefficients = list(delta.backend.coefficients)
+    coefficients[1] *= 1 + 1e-3j
+    return forms.MaassForm(12, delta.multiplier, delta.nu, type(delta.backend)(tuple(coefficients)))
+
+
+def _slash_by_the_inverse_power(f, nu, v, g):
+    # mu^{1 - 2 nu} where the slash takes mu^{2 nu - 1}
+    return forms.dslash(f, 1 - nu, v, g)
+
+
+# each mutant of the array branch, group, word, Maass-Selberg and slash code:
+# (module, name, stand-in, what it does wrong, the ids it must fail at seed 1)
 MUTANTS = [
     (verify, "mu", _sign_swapped_mu, "mu as c z - d", ["group.action-identities"]),
     (modgroup, "_cells", _fold_with_s_inverse, "the word product applies S^-1 for S", ["group.decompose-roundtrip"]),
@@ -199,6 +224,17 @@ MUTANTS = [
      ["group.action-identities", "group.cut-plane-monoid"]),
     (multiplier, "mu", _mu_of_one, "the word fold without its -arg mu(g, z0) term",
      [f"{ident}[k={w}]" for ident in ("multiplier.base-point", "multiplier.eta-closed-form") for w in WEIGHTS]),
+    (branch, "principal_arg", _arg_without_sign, "principal_arg drops the sign of Im z",
+     ["branch.pow-unit-exponents", "branch.factorization"]),
+    (verify, "principal_arg", _arg_without_sign, "verify's arg drops the sign of Im z", ["branch.arg-conjugation"]),
+    (verify, "factorizable", _admits_two_negative_reals, "factorizable admits two negative reals",
+     ["branch.factorization", "branch.counterexample"]),
+    (multiplier.MultiplierSystem, "evaluate_many", _v_of_one, "v(g) = 1", ["ms.slash-compatibility"]),
+    (verify, "delta_form", _delta_with_a_complex_coefficient, "Delta with a complex q^2 coefficient",
+     ["ms.reflection-symmetry"]),
+    (verify, "dslash", _slash_by_the_inverse_power, "the slash by mu^{1 - 2 nu}",
+     ["periods.three-term-classical", "periods.three-term-synthetic", "periods.slashed-axis-transform",
+      "periods.ray-transform-action"]),
 ]
 
 
