@@ -12,12 +12,17 @@ PYTHONPATH) and reports:
   the deformed polyline and through the f <-> P bridge, and f on both
   half-planes.  A transform that raises reports its error.
 
-Every field that differs is printed; the exit code is 1 if any does, else 0.
-A refactor that claims unchanged numbers should report nothing.
+Every field that differs is printed, a numeric one with its relative move
+|here - there| / |there| (a transform value as one complex number).  If any
+field differs, the report ends with the largest relative move of each field
+kind: transform value, abs_error, and verify residual.  The exit code is 1 if
+any field differs, else 0.  A refactor that claims unchanged numbers should
+report nothing; one that claims rounding-level moves shows their size.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,17 +102,43 @@ def _run_tree(tree: str, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+# the field kinds whose largest relative move closes the report
+KINDS = {"value": "value", "abs_error": "abs_error", "max_residual": "residual"}
+
+
+def _number(v):
+    """A report field as a complex number: a number, or a [re, im] value; else None."""
+    if isinstance(v, bool):
+        return None
+    if isinstance(v, (int, float)):
+        return complex(v)
+    if isinstance(v, list) and len(v) == 2 and all(isinstance(p, float) for p in v):
+        return complex(*v)
+    return None
+
+
+def _relative(a, b):
+    """|a - b| / |b| of two numeric fields, infinite against an exact zero; None unless both are numeric."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return None
+    return abs(x - y) / abs(y) if y else math.inf
+
+
 def _differences(here: dict, there: dict) -> list:
-    lines = []
+    """(line, field, relative move or None) of every field that differs."""
+    out = []
     for key in sorted(set(here) | set(there)):
         a, b = here.get(key), there.get(key)
         if a is None or b is None:
-            lines.append(f"{key}: only in {'this tree' if b is None else 'the other tree'}")
+            out.append((f"{key}: only in {'this tree' if b is None else 'the other tree'}", None, None))
             continue
         for field in sorted(set(a) | set(b)):
             if json.dumps(a.get(field)) != json.dumps(b.get(field)):
-                lines.append(f"{key}: {field} {a.get(field)!r} here, {b.get(field)!r} there")
-    return lines
+                rel = _relative(a.get(field), b.get(field))
+                moved = "" if rel is None else f", relative {rel:.1e}"
+                out.append((f"{key}: {field} {a.get(field)!r} here, {b.get(field)!r} there{moved}", field, rel))
+    return out
 
 
 def main() -> int:
@@ -122,12 +153,19 @@ def main() -> int:
     if args.other_tree is None:
         parser.error("OTHER_TREE is required")
     differing = 0
+    largest = {kind: None for kind in KINDS.values()}  # (relative move, where) per kind
     for seed in args.seeds:
-        lines = _differences(_run_tree(ROOT, seed), _run_tree(args.other_tree, seed))
-        for line in lines:
+        found = _differences(_run_tree(ROOT, seed), _run_tree(args.other_tree, seed))
+        for line, field, rel in found:
             print(f"seed {seed}: {line}")
-        differing += len(lines)
-        print(f"seed {seed}: {len(lines)} differing fields")
+            kind = KINDS.get(field)
+            if kind and (largest[kind] is None or rel > largest[kind][0]):
+                largest[kind] = (rel, f"seed {seed}: {line.split(':', 1)[0]}")
+        differing += len(found)
+        print(f"seed {seed}: {len(found)} differing fields")
+    if differing:
+        for kind, move in largest.items():
+            print(f"largest relative {kind} move: " + ("none" if move is None else f"{move[0]:.1e} ({move[1]})"))
     return 1 if differing else 0
 
 

@@ -91,7 +91,8 @@ def whittaker_w(kappa: float, mu: complex, y) -> complex | np.ndarray:
     is real in all uses here.  Accepts a scalar y > 0 or an array of them
     (shared quadrature grid).
 
-    With t = e^u the nodes reach down to u = -42 / Re alpha.  Where e^u < 2^-54 min y,
+    With t = e^u the nodes reach down to u = -42 / Re alpha + min(0, log 2 min y).
+    Where e^u < 2^-54 min y,
     e^u/y is below half an ulp of 1 for every y, so 1 + e^u/y rounds to exactly 1: that
     far tail is one y-independent sum, formed once.  Other factors are exp(beta log1p(e^u/y)).
     """
@@ -122,8 +123,11 @@ def whittaker_w(kappa: float, mu: complex, y) -> complex | np.ndarray:
         return complex(out[0]) if scalar else out
     beta = mu + kappa - 0.5
 
-    # substitute t = e^u: integrand exp(-e^u) e^{u alpha} (1 + e^u/y)^beta
-    lower = -min(max(42.0 / alpha.real, 8.0), 2000.0)
+    # substitute t = e^u: integrand exp(-e^u) e^{u alpha} (1 + e^u/y)^beta.  The
+    # integral is at least about y^alpha and the part dropped below e^u about e^{u alpha},
+    # so below y = 1/2, which only pairs the series does not take reach, the cutoff
+    # moves down by log 2y
+    lower = -min(max(42.0 / alpha.real, 8.0), 2000.0) + min(0.0, math.log(2.0 * ys.min()))
     upper = math.log(60.0 + 15.0 * (abs(beta) + 1.0))
     width = min(1.5, 6.0 / (1.0 + abs(alpha.imag) + abs(beta.imag)))
     nodes, weights = _panel_nodes(lower, upper, width, 24)
@@ -196,20 +200,22 @@ def _whittaker_series(kappa: float, mu: complex, ts: np.ndarray) -> np.ndarray:
 class WhittakerTable:
     """Chebyshev cache of t -> W_{kappa,mu}(t) on log-spaced panels.
 
-    The cached quantity is the slowly varying factor W(t) e^{t/2} t^{-kappa},
+    The cached quantity is g(s) = W(t) e^{t/2} as a function of s = log t,
     whose dynamic range per panel is tame, so the fit keeps relative
-    accuracy even where W decays through dozens of orders; the exponential
-    and the power are restored at lookup.  Built once per (kappa, mu) pair in
-    one pass: one :func:`whittaker_w` call on all panels' Chebyshev points and
-    one fixed interpolation matrix.  ``DEGREE`` is where every panel's
-    coefficients reach the integral's noise on the pairs in use (about 1e-15
-    of the largest, by degree 11-13): a higher degree only fits noise and
-    lengthens every lookup's Clenshaw loop.  A pair the degree does not
+    accuracy even where W decays through dozens of orders.  Beside the
+    series of g the table stores that of g'(s), so one Clenshaw run over
+    both gives W = e^{-t/2} g and t W'(t) = e^{-t/2} (g' - t/2 g), with no
+    power of t and no kappa at lookup.  Built once per (kappa, mu) pair in
+    one pass: one :func:`whittaker_w` call on all panels' Chebyshev points
+    and one fixed interpolation matrix.  ``DEGREE`` is where every panel's
+    coefficients reach the integral's noise on the pairs in use (about
+    1e-15 of the largest, by degree 11-13): a higher degree only fits noise
+    and lengthens every lookup's Clenshaw loop.  A pair the degree does not
     resolve raises :class:`UnsupportedParameterError`.  Lookups are
-    vectorised, and every lookup also forms t W'(t) from the derivative of
-    the same series (:meth:`with_log_derivative` returns it).  Beyond
-    ``T_MAX`` W is below 1e-60 and is returned as exactly zero; t below
-    ``T_MIN``, NaN, zero and negative t included, raises :class:`DomainError`.
+    vectorised, and :meth:`with_log_derivative` returns both W and t W'.
+    Beyond ``T_MAX`` W is below 1e-60 and is returned as exactly zero; t
+    below ``T_MIN``, NaN, zero and negative t included, raises
+    :class:`DomainError`.
 
     For mu real or purely imaginary W is real (DLMF 13.14.31 and
     conjugation): the table keeps real coefficients, and lookups their dtype;
@@ -225,85 +231,90 @@ class WhittakerTable:
     TAIL_TOL = 1024 * np.finfo(float).eps
     T_MIN = 1e-40
     T_MAX = 320.0
-    # log-spaced panel edges, about one unit of log t wide
+    # equal log-spaced panels, about one unit of log t wide
     _S_LO, _S_HI = math.log(T_MIN), math.log(T_MAX)
-    _EDGES = np.linspace(_S_LO, _S_HI, int(math.ceil(_S_HI - _S_LO)) + 1)
+    _PANELS = int(math.ceil(_S_HI - _S_LO))
+    _EDGES = np.linspace(_S_LO, _S_HI, _PANELS + 1)
+    _WIDTH = (_S_HI - _S_LO) / _PANELS
+    _MID = 0.5 * (_EDGES[1:] + _EDGES[:-1])
 
     def __init__(self, kappa: float, mu: complex):
         self.kappa, self.mu = float(kappa), complex(mu)
         # nodes as the lookup maps them back, s = mid + half x; the end nodes
         # x = 1 and x = -1 are the shared edges, each evaluated once
-        mid = 0.5 * (self._EDGES[1:] + self._EDGES[:-1])
         half = 0.5 * (self._EDGES[1:] - self._EDGES[:-1])
-        inner = np.exp(mid[:, None] + half[:, None] * self._NODES[1:-1])
+        inner = np.exp(self._MID[:, None] + half[:, None] * self._NODES[1:-1])
         t_edges = np.exp(self._EDGES)
         w = np.asarray(whittaker_w(self.kappa, self.mu, np.concatenate([inner.ravel(), t_edges])))
         w_edges = w[inner.size :]
         vals = np.column_stack([w_edges[1:], w[: inner.size].reshape(inner.shape), w_edges[:-1]])
         t_nodes = np.column_stack([t_edges[1:], inner, t_edges[:-1]])
-        vals *= np.exp(t_nodes / 2.0) * t_nodes ** (-self.kappa)
-        # degree-major, so a lookup gathers one contiguous row per degree
-        self.coeffs = self._FIT @ vals.T
+        vals *= np.exp(t_nodes / 2.0)
+        coeffs = self._FIT @ vals.T  # (degree, panel)
         real = self.mu.real == 0.0 or self.mu.imag == 0.0
         # the last coefficient and, where W is real, the imaginary part to drop
-        noise = np.maximum(np.abs(self.coeffs[-1]), real * np.max(np.abs(self.coeffs.imag), axis=0))
-        noise /= np.max(np.abs(self.coeffs), axis=0)
+        noise = np.maximum(np.abs(coeffs[-1]), real * np.max(np.abs(coeffs.imag), axis=0))
+        noise /= np.max(np.abs(coeffs), axis=0)
         if not np.all(noise <= self.TAIL_TOL):
             raise UnsupportedParameterError(
                 f"a degree-{self.DEGREE} Chebyshev table does not resolve W_{{{kappa}, {mu}}}: a panel's "
                 f"last coefficient or dropped imaginary part is {np.max(noise):.1e} of its largest"
             )
         if real:
-            self.coeffs = np.ascontiguousarray(self.coeffs.real)
+            coeffs = coeffs.real
+        # the series of g'(s): c'_{k-1} = c'_{k+1} + 2k c_k from c'_n = c'_{n+1} = 0,
+        # c'_0 halved, times dx/ds
+        slope = np.zeros((self.DEGREE + 2,) + coeffs.shape[1:], dtype=coeffs.dtype)
+        for k in range(self.DEGREE, 0, -1):
+            slope[k - 1] = slope[k + 1] + 2.0 * k * coeffs[k]
+        slope[0] /= 2.0
+        slope = slope[:-1] / half
+        # (degree, [g, g'], panel): a lookup gathers every degree of both series at once
+        self.series = np.ascontiguousarray(np.stack([coeffs, slope], axis=1))
 
-    # a table is the one-table case of :class:`WhittakerStack`: no panel offset, one run
+    # a table is the one-table case of :class:`WhittakerStack`: no panel offset
     offset = 0
+
+    @classmethod
+    def _panel(cls, s: np.ndarray) -> tuple:
+        """Panel index and Chebyshev variable x of log-arguments S_LO <= s <= S_HI.
+
+        The panels are equal, so the index is floor((s - S_LO) / width), capped
+        at the last panel: searchsorted's on the edges but within an ulp of
+        S_LO of one.  x is taken from the panel's midpoint, which is near s;
+        x = 2 frac - 1 would lose bits near s = 0 to the offset S_LO.
+        """
+        idx = np.minimum(((s - cls._S_LO) / cls._WIDTH).astype(np.intp), cls._PANELS - 1)
+        return idx, (s - cls._MID[idx]) * (2.0 / cls._WIDTH)
 
     def __call__(self, t) -> np.ndarray:
         return _lookup(self, t)[0]
 
     def with_log_derivative(self, t) -> tuple:
-        """(W(t), t W'(t)) from one lookup; W equals ``__call__`` bit for bit.
-
-        With s = log t and g(s) = W e^{t/2} t^{-kappa} the tabulated factor,
-        t W'(t) = e^{-t/2} t^kappa [g'(s) + (kappa - t/2) g(s)], and g' comes
-        from the derivative of the Clenshaw recurrence, run beside it on the
-        same coefficients.
-        """
+        """(W(t), t W'(t)) from one lookup; W equals ``__call__`` bit for bit."""
         return _lookup(self, t)
-
-    @property
-    def runs(self) -> tuple:
-        """(rows, kappa) for the power t^kappa: every row, this table's kappa."""
-        return ((slice(None), self.kappa),)
 
 
 class WhittakerStack:
     """Tables of one nu looked up together, row r of a (rows x points)
     argument matrix through ``tables[which[r]]``.
 
-    The tables share their panel edges, so their degree-major coefficients
-    sit side by side in one block, and each row carries its panel offset into
-    it and its kappa as (rows x 1) columns: one Clenshaw run covers the whole
+    The tables share their panel edges, so their series sit side by side
+    in one block, and each row carries its panel offset into it as a
+    (rows x 1) column: one gather and one Clenshaw run cover the whole
     matrix, however many indices the rows use.  Every element goes through
-    the recurrence of its own table's lookup, so (W, t W') are bitwise what
-    ``tables[which[r]].with_log_derivative`` gives row r.  The power t^kappa
-    is taken per run of rows with one table, with a scalar exponent as the
-    table's own lookup takes it: numpy rounds an exponent of 1/2, -1 or 2
-    differently when it comes as a column.
+    the arithmetic of its own table's lookup, so (W, t W') are bitwise what
+    ``tables[which[r]].with_log_derivative`` gives row r.  ``kappa`` is
+    each row's first index, as a column.
     """
 
     def __init__(self, tables, which):
         if len({table.mu for table in tables}) != 1:
             raise ValueError("a stack joins the tables of one nu")
         which = [int(i) for i in which]
-        self.coeffs = np.concatenate([table.coeffs for table in tables], axis=1)
-        self.offset = (np.array(which) * (len(WhittakerTable._EDGES) - 1))[:, None]
+        self.series = np.concatenate([table.series for table in tables], axis=2)
+        self.offset = (np.array(which) * WhittakerTable._PANELS)[:, None]
         self.kappa = np.array([tables[i].kappa for i in which])[:, None]
-        starts = [r for r in range(len(which)) if r == 0 or which[r] != which[r - 1]]
-        self.runs = tuple(
-            (slice(a, b), tables[which[a]].kappa) for a, b in zip(starts, starts[1:] + [len(which)])
-        )
 
     def with_log_derivative(self, t) -> tuple:
         """(W, t W') at the (rows x points) arguments t, from one lookup."""
@@ -311,7 +322,8 @@ class WhittakerStack:
 
 
 def _lookup(src, t) -> tuple:
-    """(W, t W') of a table or a stack ``src`` at t: the one lookup of both.
+    """(W, t W') of a table or a stack ``src`` at t: the one lookup of both,
+    one gather of both series' coefficients and one Clenshaw run.
 
     Beyond ``T_MAX`` a point is looked up at ``T_MAX`` and its values set to
     zero, so every array keeps the shape of t.
@@ -320,32 +332,21 @@ def _lookup(src, t) -> tuple:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(ts >= table.T_MIN):  # NaN, zero and negative t fail too
         raise DomainError(f"table lookup requires t >= {table.T_MIN}, got {ts.min()}")
-    c = src.coeffs
     s = np.log(ts)
     inside = s <= table._S_HI
     s = np.minimum(s, table._S_HI)
     ts = np.where(inside, ts, table.T_MAX)
-    idx = np.searchsorted(table._EDGES, s, side="right") - 1
-    idx = np.clip(idx, 0, len(table._EDGES) - 2)
-    lo = table._EDGES[idx]
-    hi = table._EDGES[idx + 1]
-    x = (2.0 * s - (hi + lo)) / (hi - lo)
-    idx += src.offset
-    # Clenshaw with per-point coefficients, vectorised over points; one
-    # degree is gathered at a time, so no (points x degree) copy is made.
-    # d1, d2 are the x-derivatives of b1, b2:
-    # d_j = 2 b_{j+1} + 2x d_{j+1} - d_{j+2}
-    b1 = b2 = d1 = d2 = np.zeros(x.shape, dtype=c.dtype)  # rebound, never written
+    idx, x = table._panel(s)
+    c = np.take(src.series, idx + src.offset, axis=2)  # (degree, [g, g'], *t.shape)
+    # Clenshaw on g and g' at once, three buffers rotated: b0 = c_j + 2x b1 - b2
+    b0, b1, b2 = np.zeros((3,) + c.shape[1:], dtype=c.dtype)
     two_x = 2.0 * x
     for j in range(table.DEGREE, 0, -1):
-        d1, d2 = 2.0 * b1 + two_x * d1 - d2, d1
-        b1, b2 = c[j][idx] + two_x * b1 - b2, b1
-    vals = c[0][idx] + x * b1 - b2
-    decay = np.exp(-ts / 2.0)
-    power = np.concatenate([ts[rows] ** kappa for rows, kappa in src.runs])
-    slope = (b1 + x * d1 - d2) * (2.0 / (hi - lo))
-    outs = (
-        np.where(inside, vals * decay * power, 0.0),
-        np.where(inside, (slope + (src.kappa - ts / 2.0) * vals) * decay * power, 0.0),
-    )
+        np.multiply(two_x, b1, out=b0)
+        b0 += c[j]
+        b0 -= b2
+        b0, b1, b2 = b2, b0, b1
+    g, slope = c[0] + x * b1 - b2
+    decay = np.where(inside, np.exp(-ts / 2.0), 0.0)
+    outs = (g * decay, (slope - ts / 2.0 * g) * decay)
     return tuple(out if np.ndim(t) else out.reshape(())[()] for out in outs)

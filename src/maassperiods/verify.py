@@ -766,6 +766,24 @@ def _(ctx, rng):
     return len(cases) * zs.size, worst
 
 
+@identity(
+    "ms.form-ladder",
+    "E^{+-}_k u from each form's own ladder pass equals 5-point differences of its eval_many",
+    1e-8,
+)
+def _(ctx, rng):
+    # the one id that reads the surrogates' t W'(t) against something other
+    # than the same form pass: every other ms.* id pairs the pass with itself
+    zs = _ms_points(rng)
+    worst = 0.0
+    for form, _ in ctx.ms_cases:
+        for sign in (+1, -1):
+            u, op = form.eval_ladder_many(zs, sign)
+            fd = maass_op_fd(form.eval_many, form.k, zs, sign)
+            worst = max(worst, float(np.max(np.abs(fd - op) / np.maximum(np.abs(op), np.abs(u)))))
+    return 2 * len(ctx.ms_cases) * zs.size, worst
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 

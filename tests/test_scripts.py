@@ -119,14 +119,47 @@ def test_compare_trees_finds_nothing_against_itself():
     assert out.splitlines() == ["seed 1: 0 differing fields"]
 
 
-def test_compare_trees_prints_each_differing_field():
+def _compare_trees_module():
     spec = importlib.util.spec_from_file_location("_compare_trees", os.path.join(ROOT, "scripts", "compare_trees.py"))
     compare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare)
+    return compare
+
+
+def test_compare_trees_prints_each_differing_field():
+    compare = _compare_trees_module()
     here = {"a": {"value": [1.0, 0.0], "evaluations": 3}, "b": {"value": [2.0, 0.0]}}
     there = {"a": {"value": [1.0, 5e-17], "evaluations": 3}, "c": {"error": "DomainError: x"}}
     assert compare._differences(here, there) == [
-        "a: value [1.0, 0.0] here, [1.0, 5e-17] there",
-        "b: only in this tree",
-        "c: only in the other tree",
+        ("a: value [1.0, 0.0] here, [1.0, 5e-17] there, relative 5.0e-17", "value", 5e-17),
+        ("b: only in this tree", None, None),
+        ("c: only in the other tree", None, None),
+    ]
+
+
+def test_compare_trees_ends_with_the_largest_relative_move_per_kind(monkeypatch, capsys):
+    compare = _compare_trees_module()
+    reports = {
+        compare.ROOT: {
+            "f 0": {"value": [1.0, 0.0], "abs_error": 2e-9, "evaluations": 5},
+            "f 1": {"value": [2.0, 0.0], "abs_error": 1e-9},
+            "verify x": {"max_residual": 3e-12, "samples": 4},
+        },
+        "other": {
+            "f 0": {"value": [1.0, 1e-15], "abs_error": 1e-9, "evaluations": 4},
+            "f 1": {"value": [2.0, 0.0], "abs_error": 1e-9},
+            "verify x": {"max_residual": 3e-12, "samples": 4},
+        },
+    }
+    monkeypatch.setattr(compare, "_run_tree", lambda tree, seed: reports[tree])
+    monkeypatch.setattr(sys, "argv", ["compare_trees.py", "other", "--seeds", "1"])
+    assert compare.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 1: f 0: abs_error 2e-09 here, 1e-09 there, relative 1.0e+00",
+        "seed 1: f 0: evaluations 5 here, 4 there, relative 2.5e-01",
+        "seed 1: f 0: value [1.0, 0.0] here, [1.0, 1e-15] there, relative 1.0e-15",
+        "seed 1: 3 differing fields",
+        "largest relative value move: 1.0e-15 (seed 1: f 0)",
+        "largest relative abs_error move: 1.0e+00 (seed 1: f 0)",
+        "largest relative residual move: none",
     ]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maassperiods import branch, forms, modgroup, multiplier, periods, verify
+from maassperiods import branch, forms, modgroup, multiplier, periods, specfun, verify
 from maassperiods.cli import main
 from maassperiods.errors import DomainError, NonconvergenceError
 from maassperiods.config import Settings
@@ -56,7 +56,7 @@ REGISTERED_IDS = [
     "group.moebius-examples", "group.word-length",
     "kernel.closed-form", "kernel.ladder-eigen", "kernel.laplace-eigen",
     "kernel.real-zeta-form", "kernel.transformation-law",
-    "ms.closedness", "ms.raised-pair", "ms.reflection-symmetry",
+    "ms.closedness", "ms.form-ladder", "ms.raised-pair", "ms.reflection-symmetry",
     "ms.slash-compatibility", "ms.sum-identity",
     "multiplier.base-point[k=1/2]", "multiplier.base-point[k=12]", "multiplier.base-point[k=3/2]",
     "multiplier.consistency[k=1/2]", "multiplier.consistency[k=12]", "multiplier.consistency[k=3/2]",
@@ -77,7 +77,7 @@ REGISTERED_IDS = [
 
 
 def test_registry_is_pinned():
-    assert len(REGISTERED_IDS) == 67
+    assert len(REGISTERED_IDS) == 68
     assert sorted(REGISTRY) == REGISTERED_IDS
 
 
@@ -210,7 +210,14 @@ def _slash_by_the_inverse_power(f, nu, v, g):
     return forms.dslash(f, 1 - nu, v, g)
 
 
-# each mutant of the array branch, group, word, Maass-Selberg and slash code:
+def _derivative_series_scaled(kappa, nu):
+    # a fresh table, past the per-process cache, whose g'(s) series is 1e-6 too large
+    table = specfun.WhittakerTable(kappa, nu)
+    table.series = table.series * np.array([1.0, 1.0 + 1e-6])[:, None]
+    return table
+
+
+# each mutant of the array branch, group, word, Maass-Selberg, slash and Whittaker table code:
 # (module, name, stand-in, what it does wrong, the ids it must fail at seed 1)
 MUTANTS = [
     (verify, "mu", _sign_swapped_mu, "mu as c z - d", ["group.action-identities"]),
@@ -235,6 +242,8 @@ MUTANTS = [
     (verify, "dslash", _slash_by_the_inverse_power, "the slash by mu^{1 - 2 nu}",
      ["periods.three-term-classical", "periods.three-term-synthetic", "periods.slashed-axis-transform",
       "periods.ray-transform-action"]),
+    (forms, "_whittaker_table", _derivative_series_scaled, "the Whittaker tables' t W' 1e-6 too large",
+     ["ms.form-ladder", "periods.routes-meet-at-the-axis"]),
 ]
 
 
